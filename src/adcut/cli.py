@@ -452,7 +452,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         plan = align_draft(draft, tts, clips)
         if args.catalog:
             catalog = AssetCatalog.load(args.catalog, taxonomy)
-            plan = plan.with_assets(match_decorations(draft, catalog, rng_seed=_seed(args, cfg)))
+            plan = plan.with_assets(match_decorations(draft, catalog))
             check = check_alignment(plan, catalog)
         else:
             check = check_alignment(plan)

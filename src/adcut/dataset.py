@@ -36,7 +36,7 @@ from .draft import (
     parse_draft,
 )
 from .jsonutil import dumps_canonical
-from .sampling import SlowFastConfig, parse_preset, sample_frames
+from .sampling import SlowFastConfig, frame_total, parse_preset
 
 NEGATIVE_COUNT_MEAN = 2.5
 NEGATIVE_COUNT_VARIANCE = 8.0
@@ -390,8 +390,8 @@ def _materials_block(durations_ms: list[int], cfg: SlowFastConfig) -> str:
     lines = []
     for pres_index, dur in enumerate(durations_ms):
         meta = _clip_meta(pres_index, dur)
-        n_fast = len(sample_frames(meta, cfg.fast.fps))
-        n_slow = len(sample_frames(meta, cfg.slow.fps))
+        n_fast = frame_total(meta, cfg.fast.fps)
+        n_slow = frame_total(meta, cfg.slow.fps)
         lines.append(
             f"Clip {pres_index} (duration {meta.duration_s:.1f}s): "
             f"fast frames: {' '.join(['<image>'] * n_fast)}; "

@@ -5,7 +5,9 @@ frame) and a slow one (sparse frames, many tokens per frame). A clip
 shorter than one sampling interval contributes its middle frame only;
 otherwise round(duration * fps) frames are taken uniformly. Requests are
 capped at a total fast-frame ceiling (default 600) enforced by halving the
-effective fast fps.
+effective fast fps. A clip's frame count has a closed form
+(:func:`frame_total`), so a request's reduction factor is found from counts
+alone and each clip is planned once, at the final rate.
 
 Also provides the two numeric reference ops for visual-token compression:
 query squeezing (1-D group means) and 2-D average pooling.
@@ -126,25 +128,37 @@ def parse_preset(text: str) -> SlowFastConfig:
 # frame sampling
 
 
+def frame_total(clip: ClipMeta, fps: float) -> int:
+    """Number of frames :func:`sample_frames` takes from ``clip`` at ``fps``.
+
+    One for a clip shorter than one interval; otherwise round(duration *
+    fps), clamped to the clip's frame count.
+    """
+    if fps <= 0:
+        raise ValueError(f"fps must be > 0, got {fps}")
+    if clip.duration_s < 1.0 / fps:
+        return 1
+    return min(_round_half_up(clip.duration_s * fps), clip.frame_count)
+
+
 def sample_frames(clip: ClipMeta, fps: float) -> list[int]:
     """Frame indices sampled from one clip at the given rate.
 
     Clips shorter than one interval fall back to the middle frame. The
-    uniform branch takes round(duration * fps) frames, clamped to the
-    clip's frame count so indices stay strictly increasing.
+    uniform branch takes :func:`frame_total` frames, so indices stay
+    strictly increasing.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
-    t, total = clip.duration_s, clip.frame_count
-    if t < 1.0 / fps:
+    n = frame_total(clip, fps)
+    total = clip.frame_count
+    if clip.duration_s < 1.0 / fps:
         return [total // 2]
-    n = min(_round_half_up(t * fps), total)
     return [math.floor(j * total / n) for j in range(n)]
 
 
 def frame_timestamps(clip: ClipMeta, indices: list[int]) -> list[float]:
     """Seconds offset of each sampled frame within the clip."""
-    return [i / clip.native_fps for i in indices]
+    native_fps = clip.native_fps
+    return [i / native_fps for i in indices]
 
 
 @dataclass(frozen=True)
@@ -230,24 +244,26 @@ def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | N
 
 def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
     """Plan a whole request, halving the effective fast fps until the
-    fast-frame total fits the ceiling. Clips are never dropped."""
+    fast-frame total fits the ceiling. Clips are never dropped.
+
+    The halving runs over :func:`frame_total` counts; each clip is then
+    planned once, at the final rate.
+    """
     if len(clips) == 0:
         raise ValueError("clip set is empty")
     if len(clips) > cfg.frame_ceiling:
         raise CeilingUnsatisfiable(len(clips), cfg.frame_ceiling)
+    ordered = list(clips)
     reduction = 1
-    while True:
-        eff = cfg.fast.fps / reduction
-        entries = tuple(plan_clip(c, cfg, effective_fast_fps=eff) for c in clips)
-        total_fast = sum(len(e.fast.frame_indices) for e in entries)
-        if total_fast <= cfg.frame_ceiling:
-            return SamplingPlan(
-                config=cfg,
-                effective_fast_fps=eff,
-                reduction_factor=reduction,
-                clips=entries,
-            )
+    while sum(frame_total(c, cfg.fast.fps / reduction) for c in ordered) > cfg.frame_ceiling:
         reduction *= 2
+    eff = cfg.fast.fps / reduction
+    return SamplingPlan(
+        config=cfg,
+        effective_fast_fps=eff,
+        reduction_factor=reduction,
+        clips=tuple(plan_clip(c, cfg, effective_fast_fps=eff) for c in ordered),
+    )
 
 
 # ---------------------------------------------------------------------------

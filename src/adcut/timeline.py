@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -189,31 +190,43 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
     """Reconcile a validated draft with realized TTS durations.
 
     The caller is expected to have run ``validate_draft`` with zero
-    violations. Raises :class:`LengthMismatch` or :class:`ClipTooShort`.
+    violations; alignment relies on what that guarantees: both tracks are
+    sorted, free of overlaps and made of non-empty spans. The sentences a
+    node overlaps are then one contiguous run, found by bisection, and
+    prefix sums give their drafted and realized totals, so the cost is
+    O((n + m) log m) for n nodes and m sentences.
+    Raises :class:`LengthMismatch` or :class:`ClipTooShort`.
     """
     sentences = d.voice_over_track
     if len(tts) != len(sentences):
         raise LengthMismatch(len(sentences), len(tts))
 
     voice: list[VoiceSentence] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    drafted_before = [0]  # drafted_before[i]: drafted ms of sentences [0, i)
+    realized_before = [0]
     at = 0
     for s, dur in zip(sentences, tts.durations_ms):
         voice.append(VoiceSentence(text=s.text, target_start=at, target_end=at + dur))
         at += dur
+        starts.append(s.target_start)
+        ends.append(s.target_end)
+        drafted_before.append(drafted_before[-1] + s.target_end - s.target_start)
+        realized_before.append(at)
 
     nodes: list[VideoNode] = []
     boundary = Fraction(0)
     prev_end = 0
     for node_pos, node in enumerate(d.video_nodes_track):
-        overlapped = [
-            i
-            for i, s in enumerate(sentences)
-            if max(node.target_start, s.target_start) < min(node.target_end, s.target_end)
-        ]
+        # overlapping sentences: those ending after the node starts and
+        # starting before it ends
+        lo = bisect_right(ends, node.target_start)
+        hi = bisect_left(starts, node.target_end)
         span = Fraction(node.span_ms)
-        if overlapped:
-            drafted = sum(sentences[i].target_end - sentences[i].target_start for i in overlapped)
-            realized = sum(tts.durations_ms[i] for i in overlapped)
+        if lo < hi:
+            drafted = drafted_before[hi] - drafted_before[lo]
+            realized = realized_before[hi] - realized_before[lo]
             span *= Fraction(realized, drafted)
         boundary += span
         end = _round_ms(boundary)
@@ -240,14 +253,12 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
     )
 
 
-def match_decorations(d: Draft, catalog: AssetCatalog, rng_seed: int = 0) -> ResolvedAssets:
+def match_decorations(d: Draft, catalog: AssetCatalog) -> ResolvedAssets:
     """Pick one asset per category by maximum tag overlap.
 
     Ties break on the lexicographically smallest asset_id; the avatar slot
-    stays empty when the draft carries no avatar tags. The seed is part of
-    the interface for reproducibility but the current rule is deterministic.
+    stays empty when the draft carries no avatar tags.
     """
-    del rng_seed  # current selection rule has no random component
 
     def best(category: str, tags: tuple[str, ...]) -> str:
         candidates = catalog.by_category(category)

@@ -220,6 +220,17 @@ class TestAlign:
         assert plan["assets"]["tts_asset"] == "tts-young-f-us"
         assert plan["assets"]["music_asset"] == "music-pop-happy"
 
+    def test_catalog_needs_no_seed_in_ci_mode(self, capsys, monkeypatch):
+        # decoration matching is deterministic, so CI mode asks for no --seed
+        monkeypatch.setenv("ADCUT_CI", "1")
+        monkeypatch.delenv("ADCUT_CONFIG", raising=False)
+        code, out, err = run(
+            capsys, "align", str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"),
+            str(FIX / "clips.json"), "--catalog", str(FIX / "catalog.json"),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["assets"]["music_asset"] == "music-pop-happy"
+
     def test_stretched_alignment_matches_library(self, capsys, tmp_path):
         tts = tmp_path / "tts.json"
         tts.write_text(json.dumps({"durations_ms": [4200, 3300, 2800]}))

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adcut import sampling
 from adcut.clips import ClipMeta, ClipSet
 from adcut.sampling import (
     CeilingUnsatisfiable,
     NonDivisible,
     PathwayConfig,
     PresetError,
+    SamplingPlan,
     SlowFastConfig,
+    frame_total,
     parse_preset,
     plan_clip,
     plan_request,
@@ -26,6 +29,35 @@ FAST24_SLOW64 = SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.12
 
 def clip(duration_s: float, frame_count: int, index: int = 0) -> ClipMeta:
     return ClipMeta(index=index, duration_s=duration_s, frame_count=frame_count)
+
+
+@st.composite
+def clip_metas(draw, durations=st.floats(min_value=0.01, max_value=600.0)):
+    """Any valid clip: native fps anywhere in [1, 239], so a clip can hold
+    fewer frames than round(t * fps) asks for."""
+    t = draw(durations)
+    return clip(t, draw(st.integers(min_value=math.ceil(t), max_value=math.floor(239 * t))))
+
+
+@st.composite
+def clips_at_rate(draw):
+    """A sampling rate and a clip, often right at the one-interval edge."""
+    fps = draw(st.sampled_from([0.125, 0.5, 1.0, 2.0, 4.0, 30.0]) | st.floats(min_value=0.01, max_value=64.0))
+    edge = 1.0 / fps
+    near_edge = st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)])
+    return draw(clip_metas(near_edge | st.floats(min_value=0.01, max_value=600.0))), fps
+
+
+def replan_every_halving(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
+    """Reference planner: plans every clip again on each halving and
+    measures the fast total from the frame lists themselves."""
+    reduction = 1
+    while True:
+        eff = cfg.fast.fps / reduction
+        entries = tuple(plan_clip(c, cfg, effective_fast_fps=eff) for c in clips)
+        if sum(len(e.fast.frame_indices) for e in entries) <= cfg.frame_ceiling:
+            return SamplingPlan(config=cfg, effective_fast_fps=eff, reduction_factor=reduction, clips=entries)
+        reduction *= 2
 
 
 class TestSampleFrames:
@@ -54,6 +86,19 @@ class TestSampleFrames:
             assert indices == [c.frame_count // 2]
         else:
             assert len(indices) == min(math.floor(t * f + 0.5), c.frame_count)
+
+    @given(clips_at_rate())
+    def test_length_equals_frame_total(self, case):
+        c, fps = case
+        indices = sample_frames(c, fps)
+        assert len(indices) == frame_total(c, fps)
+        assert indices == sorted(set(indices))
+        assert all(0 <= i < c.frame_count for i in indices)
+
+    def test_frame_total_clamps_to_frame_count(self):
+        # 10 s at 4 fps asks for 40 frames of a 20-frame clip
+        assert frame_total(clip(10.0, 20), 4.0) == 20
+        assert sample_frames(clip(10.0, 20), 4.0) == list(range(20))
 
     def test_monotone_in_duration(self):
         rng = random.Random(3)
@@ -143,6 +188,43 @@ class TestPlanRequest:
             assert plan.total_fast_frames <= FAST24.frame_ceiling
             assert plan.reduction_factor & (plan.reduction_factor - 1) == 0  # power of two
             assert len(plan.clips) == n
+
+    @given(
+        st.lists(clip_metas(st.floats(min_value=0.01, max_value=120.0)), min_size=1, max_size=30),
+        st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0]) | st.floats(min_value=0.01, max_value=16.0),
+        st.floats(min_value=0.01, max_value=1.0),
+        st.integers(min_value=0, max_value=600),
+    )
+    def test_matches_replanning_reference(self, metas, fast_fps, slow_share, spare):
+        clips = ClipSet(clip(c.duration_s, c.frame_count, i) for i, c in enumerate(metas))
+        cfg = SlowFastConfig(
+            fast=PathwayConfig(fast_fps, 4),
+            slow=PathwayConfig(fast_fps * slow_share, 16),
+            frame_ceiling=len(clips) + spare,
+        )
+        assert plan_request(clips, cfg) == replan_every_halving(clips, cfg)
+
+    def test_plans_each_clip_once(self, monkeypatch):
+        # 10 clips x 480 s at 16 fps: 76800 fast frames, 600 at x128
+        clips = ClipSet(clip(480.0, 14400, i) for i in range(10))
+        cfg = SlowFastConfig(fast=PathwayConfig(16, 4), slow=PathwayConfig(0.5, 16))
+        calls = {"plan_clip": 0, "sample_frames": 0}
+
+        def counted(name):
+            original = getattr(sampling, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sampling, name, counted(name))
+        plan = plan_request(clips, cfg)
+        assert plan.reduction_factor == 128
+        assert plan.total_fast_frames == 600
+        assert calls == {"plan_clip": len(clips), "sample_frames": 2 * len(clips)}
 
 
 class TestCompressionOps:

@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from adcut.clips import ClipMeta, ClipSet
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, validate_draft
@@ -43,7 +46,98 @@ def covering_clips(draft, extra_ms=60000):
     )
 
 
+def all_pairs_align(d, tts, clips):
+    """Reference aligner: tests every node against every sentence."""
+    sentences = d.voice_over_track
+    voice, at = [], 0
+    for s, dur in zip(sentences, tts.durations_ms):
+        voice.append(VoiceSentence(s.text, at, at + dur))
+        at += dur
+    nodes, boundary, prev_end = [], Fraction(0), 0
+    for pos, node in enumerate(d.video_nodes_track):
+        overlapped = [
+            i for i, s in enumerate(sentences)
+            if max(node.target_start, s.target_start) < min(node.target_end, s.target_end)
+        ]
+        span = Fraction(node.span_ms)
+        if overlapped:
+            drafted = sum(sentences[i].target_end - sentences[i].target_start for i in overlapped)
+            span *= Fraction(sum(tts.durations_ms[i] for i in overlapped), drafted)
+        boundary += span
+        end = math.floor(boundary + Fraction(1, 2))
+        available = clips.get(node.index).duration_ms - node.source_start
+        if end - prev_end > available:
+            raise ClipTooShort(pos, node.index, end - prev_end - available)
+        nodes.append(VideoNode(node.index, prev_end, end, node.source_start))
+        prev_end = end
+    return RenderPlan(tuple(voice), tuple(nodes), prev_end)
+
+
+@st.composite
+def alignment_cases(draw):
+    """A validated draft with realized durations and clips that may run short.
+
+    The voice track may start late, leave gaps and end before or after the
+    video, so nodes overlap no sentence, one, or several, and sentences
+    cross node boundaries. Sentence boundaries are drawn from the node
+    boundaries as well as anywhere, so sentences also start or end exactly
+    where a node does.
+    """
+    nodes, at = [], 0
+    for i in range(draw(st.integers(1, 12))):
+        span = draw(st.integers(1, 6000))
+        nodes.append(VideoNode(index=i, target_start=at, target_end=at + span, source_start=draw(st.integers(0, 2000))))
+        at += span
+    edges = [0] + [n.target_end for n in nodes]
+    cuts = sorted(set(draw(st.lists(st.sampled_from(edges) | st.integers(0, at + 3000), max_size=25))))
+    spans = [span for span in zip(cuts, cuts[1:]) if draw(st.integers(0, 3))]  # drop one in four: gaps
+    sentences = [VoiceSentence(f"s{i}", start, end) for i, (start, end) in enumerate(spans)]
+    d = Draft(tuple(sentences), tuple(nodes), DecorationSetting())
+    tts = TtsRealization(tuple(draw(st.integers(1, 8000)) for _ in sentences))
+    clips = ClipSet(
+        ClipMeta(n.index, ms / 1000.0, max(1, round(ms * 30 / 1000)))
+        for n in nodes
+        for ms in [n.source_start + n.span_ms + draw(st.integers(50, 8000))]
+    )
+    return d, tts, clips
+
+
+def crossing_case():
+    # node 0 overlaps no sentence; node 1 overlaps s0 and s1; s1 crosses
+    # into node 2, which also overlaps s2
+    sentences = (VoiceSentence("s0", 1000, 1500), VoiceSentence("s1", 1800, 2600), VoiceSentence("s2", 2700, 3000))
+    nodes = (VideoNode(0, 0, 1000, 0), VideoNode(1, 1000, 2200, 0), VideoNode(2, 2200, 3100, 0))
+    d = Draft(sentences, nodes, DecorationSetting())
+    return d, TtsRealization((700, 900, 250)), covering_clips(d)
+
+
+def touching_case():
+    # s0 starts where node 0 ends and s1 ends where node 2 starts: touching
+    # is not overlapping, so node 0 keeps its length and only s2 scales node 2
+    sentences = (VoiceSentence("s0", 1000, 1500), VoiceSentence("s1", 1800, 2200), VoiceSentence("s2", 2700, 3400))
+    nodes = (VideoNode(0, 0, 1000, 0), VideoNode(1, 1000, 2200, 0), VideoNode(2, 2200, 3100, 0), VideoNode(3, 3100, 4000, 0))
+    d = Draft(sentences, nodes, DecorationSetting())
+    return d, TtsRealization((700, 900, 250)), covering_clips(d)
+
+
 class TestAlign:
+    @given(alignment_cases())
+    @example(crossing_case())
+    @example(touching_case())
+    def test_matches_all_pairs_scan(self, case):
+        d, tts, clips = case
+        assert validate_draft(d, clips).ok
+        try:
+            expected = all_pairs_align(d, tts, clips)
+        except ClipTooShort as err:
+            with pytest.raises(ClipTooShort) as got:
+                align_draft(d, tts, clips)
+            assert (got.value.node_index, got.value.clip_index, got.value.shortfall_ms) == (
+                err.node_index, err.clip_index, err.shortfall_ms
+            )
+        else:
+            assert serialize_plan(align_draft(d, tts, clips)) == serialize_plan(expected)
+
     def test_noop_alignment(self):
         d = simple_draft([2000, 3000], [2500, 2500])
         plan = align_draft(d, TtsRealization((2000, 3000)), covering_clips(d))
