@@ -6,6 +6,10 @@ concrete services behind each role are configuration. Mock transports
 implement the same interface in-process as pure functions of
 (seed, fixtures, request) so the whole pipeline runs offline and
 reproducibly.
+
+``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
+the only functions here that build arrays, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
 
 from .jsonutil import dumps_canonical, loads
 
 if TYPE_CHECKING:  # structured request fields live in the dataset module
+    import numpy as np
+
     from .dataset import FreePrompt, ProductInfo
 
 ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
@@ -77,8 +82,10 @@ class RequestTimeout(BackendError):
 
 
 class BadStatus(BackendError):
+    """Non-200 response; 429 (rate limited) and 5xx are retryable."""
+
     def __init__(self, role: str, status: int):
-        super().__init__(role, f"HTTP status {status}", retryable=500 <= status < 600)
+        super().__init__(role, f"HTTP status {status}", retryable=status == 429 or 500 <= status < 600)
         self.status = status
 
 
@@ -135,7 +142,7 @@ class RequestsTransport:
 class Client:
     """One backend role: canonical-JSON POST with idempotent retries.
 
-    Transport failures and 5xx responses are retried up to
+    Transport failures, 429 and 5xx responses are retried up to
     ``endpoint.max_retries`` times with exponential backoff (base 250 ms,
     doubling, +/-20% jitter). Forwarded payload bytes are never mutated.
     """
@@ -271,12 +278,14 @@ def generate_draft(request: GenerationRequest | dict, client: Client) -> Generat
     )
 
 
+@lru_cache(maxsize=None)
 def rubric_text(rubric_id: str) -> str:
-    """Verbatim rubric prompt text shipped under prompts/."""
+    """Verbatim rubric prompt text shipped under prompts/ (read once per rubric)."""
     filename, _ = _rubric(rubric_id)
     return resources.files("adcut").joinpath(f"prompts/{filename}").read_text("utf-8")
 
 
+@lru_cache(maxsize=None)
 def rubric_hash(rubric_id: str) -> str:
     return hashlib.sha256(rubric_text(rubric_id).encode("utf-8")).hexdigest()
 
@@ -321,6 +330,8 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
+    import numpy as np
+
     out = []
     for v in vectors:
         arr = np.asarray(v, dtype=np.float64)
@@ -341,6 +352,8 @@ def _stable_hash(*parts: str) -> int:
 
 
 def hashed_unit_vector(text: str, seed: int, dim: int = 32) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(_stable_hash(str(seed), text) % (2**63))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)

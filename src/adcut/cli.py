@@ -4,6 +4,13 @@ Subcommands: validate, plan, build-dataset, generate, evaluate, align.
 Exit codes are uniform: 0 success, 1 domain violation, 2 usage or parse
 error. Every randomized subcommand takes an explicit --seed and, with mock
 endpoints, is bit-deterministic across runs and worker counts.
+
+Each process serves one subcommand, so imports follow the subcommand. The
+module level imports only what ``validate`` and ``align`` run; ``plan``
+imports the sampling planner, and ``build-dataset``, ``generate`` and
+``evaluate`` import the offline pipeline (``backends``, ``dataset``,
+``metrics``, ``concurrent.futures``) inside the command. ``numpy`` loads
+only when embeddings or VSR are computed.
 """
 
 from __future__ import annotations
@@ -13,16 +20,12 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import backends as be
-from . import dataset as ds
-from . import metrics as mx
 from .clips import ClipMeta, ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
 from .jsonutil import dumps_canonical
-from .sampling import CeilingUnsatisfiable, PresetError, parse_preset, plan_request
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -34,10 +37,16 @@ from .timeline import (
     serialize_plan,
 )
 
+if TYPE_CHECKING:
+    from . import backends as be
+    from . import dataset as ds
+
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# equal to backends.ROLES (a test keeps them in step); importing backends
+# here would put it on the path of every subcommand
 ENDPOINT_ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
 
 
@@ -99,6 +108,8 @@ def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | N
 
 
 def _real_client(role: str, url: str, cfg: Config) -> be.Client:
+    from . import backends as be
+
     token_env = cfg.get("auth", role)
     endpoint = be.BackendEndpoint(base_url=url, auth_env=token_env)
     return be.Client(role, endpoint)
@@ -157,6 +168,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .sampling import CeilingUnsatisfiable, PresetError, parse_preset, plan_request
+
     cfg = _load_config(args)
     preset_text = args.preset or cfg.get("sampling", "preset")
     if not preset_text:
@@ -191,10 +204,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _mock_backend_set_for_build(cfg: Config, seed: int) -> be.BackendSet:
+    from . import backends as be
+
     return be.mock_backend_set(seed, _load_fixtures(cfg))
 
 
 def _backends_for_build(args: argparse.Namespace, cfg: Config, seed: int) -> be.BackendSet:
+    from . import backends as be
+
     values = {role: _endpoint_value(args, cfg, role) or "mock:" for role in ENDPOINT_ROLES}
     if all(v.startswith("mock") for v in values.values()):
         return _mock_backend_set_for_build(cfg, seed)
@@ -211,6 +228,12 @@ def _backends_for_build(args: argparse.Namespace, cfg: Config, seed: int) -> be.
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import backends as be
+    from . import dataset as ds
+    from .sampling import parse_preset
+
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     out = args.out or cfg.get("dataset", "out")
@@ -296,6 +319,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
 
 def _parse_mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.Client:
+    from . import backends as be
+    from . import dataset as ds
+
     # mock endpoint forms: mock:  mock:perfect  mock:swap_adjacent[:rate] ...
     parts = value.split(":")
     mode = parts[1] if len(parts) > 1 and parts[1] else "none"
@@ -312,6 +338,11 @@ def _parse_mock_generate(value: str, seed: int, samples: list[ds.DatasetSample])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import backends as be
+    from . import dataset as ds
+
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     samples = ds.read_corpus(args.corpus)
@@ -357,6 +388,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import backends as be
+    from . import dataset as ds
+    from . import metrics as mx
+
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     corpus = ds.read_corpus(args.corpus)
@@ -540,7 +575,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except be.BackendError as exc:
+    except Exception as exc:
+        # resolved here so that commands which never call a backend do not import it
+        from .backends import BackendError
+
+        if not isinstance(exc, BackendError):
+            raise
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

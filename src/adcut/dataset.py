@@ -267,6 +267,12 @@ def _sparse_timestamps(start_ms: int, end_ms: int, count: int = 3) -> list[float
     return [start_ms / 1000.0 + span * (i + 0.5) / count for i in range(count)]
 
 
+@lru_cache(maxsize=1)
+def _asr_correction_prompt_sha256() -> str:
+    prompt = resources.files("adcut").joinpath("prompts/asr_correction.txt").read_text("utf-8")
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video."""
@@ -274,11 +280,10 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
 
     raw_asr = backends.asr.call({"video_ref": video_ref}).data["sentences"]
     sentences = _normalize_asr(raw_asr)
-    correction_prompt = resources.files("adcut").joinpath("prompts/asr_correction.txt").read_text("utf-8")
     corrected = backends.judge.call(
         {
             "task": "correct_asr",
-            "prompt_sha256": hashlib.sha256(correction_prompt.encode("utf-8")).hexdigest(),
+            "prompt_sha256": _asr_correction_prompt_sha256(),
             "sentences": [{"text": s.text, "start": s.start_ms, "end": s.end_ms} for s in sentences],
         }
     ).data["sentences"]

@@ -13,6 +13,7 @@ whitespace, so equal drafts always produce identical bytes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -41,7 +42,7 @@ class SchemaError(ValueError):
 
 
 class TimeValueError(SchemaError):
-    """A time field is negative or not a whole number of milliseconds."""
+    """A time field is negative, not finite or not a whole number of milliseconds."""
 
 
 class UnknownKeyWarning(UserWarning):
@@ -139,6 +140,8 @@ def _parse_time(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected integer milliseconds, got {type(value).__name__}")
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise TimeValueError(path, f"time {value} is not a finite number")
         if not value.is_integer():
             raise TimeValueError(path, f"time {value} has a fractional millisecond part")
         value = int(value)
@@ -175,15 +178,18 @@ def _parse_tag_list(value: Any, path: str) -> tuple[str, ...]:
 def parse_draft(data: bytes | str) -> Draft:
     """Parse draft JSON into a :class:`Draft`.
 
-    Raises :class:`DraftSyntaxError` for malformed JSON and
-    :class:`SchemaError` (with JSON path) for shape violations, including
-    unknown top-level keys. Unknown keys inside nested objects only emit an
+    Raises :class:`DraftSyntaxError` for malformed JSON, including arrays
+    or objects nested too deeply for the decoder, and :class:`SchemaError`
+    (with JSON path) for shape violations, including unknown top-level
+    keys. Unknown keys inside nested objects only emit an
     :class:`UnknownKeyWarning`.
     """
     try:
         doc = loads(data)
     except ValueError as exc:
         raise DraftSyntaxError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise DraftSyntaxError("malformed JSON: nested too deeply") from None
 
     root = _require_object(doc, "$")
     for key in root:

@@ -10,13 +10,14 @@ are independent of corpus order and of evaluation concurrency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .backends import RUBRICS, Client, embed, judge_score
 from .draft import Draft
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DTPR_CATEGORIES = ("TTS", "Avatar", "Music")
 DTPR_DISPLAY = {"TTS": "TTS Timbre", "Avatar": "Avatar", "Music": "Music"}
@@ -195,6 +196,8 @@ def sq_aggregate(scores: Mapping[str, float]) -> float:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
@@ -209,6 +212,8 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
     per-frame cosine similarity, scaled by 100.
     """
     draft = sample.predicted if sample.predicted is not None else sample.ground_truth
+    import numpy as np
+
     sentences = [s.text for s in draft.voice_over_track]
     if not sentences or not sample.frames:
         raise ValueError(f"{sample.sample_id}: VSR needs both a script and frame references")

@@ -10,7 +10,9 @@ effective fast fps. A clip's frame count has a closed form
 alone and each clip is planned once, at the final rate.
 
 Also provides the two numeric reference ops for visual-token compression:
-query squeezing (1-D group means) and 2-D average pooling.
+query squeezing (1-D group means) and 2-D average pooling. They use only
+the methods of the arrays they are given, so this module never imports
+``numpy`` at run time; ``adcut plan`` does not load it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .clips import ClipMeta, ClipSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FRAME_CEILING = 600
 

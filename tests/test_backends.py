@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adcut import backends as backends_module
 from adcut.backends import (
     BackendEndpoint,
     BadStatus,
@@ -23,6 +26,7 @@ from adcut.backends import (
     rubric_hash,
     rubric_text,
     MOCK_ENDPOINT,
+    RUBRICS,
 )
 from adcut.jsonutil import dumps_canonical, loads
 
@@ -90,6 +94,12 @@ class TestClient:
         with pytest.raises(BadStatus):
             make_client(transport, retries=5).call({})
         assert transport.calls == 1
+
+    def test_rate_limited_is_retried(self):
+        transport = CountingTransport([(429, b""), (200, b"{}")])
+        result = make_client(transport, retries=2).call({})
+        assert result.retries == 1
+        assert transport.calls == 2
 
     def test_non_json_response(self):
         transport = CountingTransport([(200, b"<html>")])
@@ -178,6 +188,18 @@ class TestJudgeScore:
         judge_score({"sample_id": "x"}, "free_prompt_eval", make_client(transport))
         sent = loads(transport.bodies[0])
         assert sent["rubric_sha256"] == h1
+
+    @pytest.mark.parametrize("rubric_id", sorted(RUBRICS))
+    def test_judge_calls_reuse_the_rubric_hash(self, rubric_id, monkeypatch):
+        prompt = Path(backends_module.__file__).parent / "prompts" / RUBRICS[rubric_id][0]
+        expected = hashlib.sha256(prompt.read_bytes()).hexdigest()
+        transport = CountingTransport([(200, dumps_canonical({"scores": {}}))] * 2)
+        client = make_client(transport)
+        judge_score({"sample_id": "x"}, rubric_id, client)
+        # a second judge call must not read the package resource again
+        monkeypatch.setattr(backends_module, "resources", None)
+        judge_score({"sample_id": "y"}, rubric_id, client)
+        assert [loads(b)["rubric_sha256"] for b in transport.bodies] == [expected, expected]
 
 
 class TestEmbed:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import adcut
+from adcut import backends, cli
 from adcut.cli import main
 from adcut.dataset import read_corpus
 from adcut.draft import parse_draft, serialize_draft, validate_draft
@@ -44,6 +49,14 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(FIX / "draft_template.json"), "--format", "table")
         assert code == 0
         assert "ok" in out
+
+    def test_deeply_nested_draft_is_a_parse_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100_000)
+        code, _, err = run(capsys, "validate", str(deep))
+        assert code == 2
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
 
 
 class TestPlan:
@@ -258,6 +271,43 @@ class TestAlign:
             capsys, "align", str(FIX / "draft_template.json"), str(tts), str(FIX / "clips.json"),
         )
         assert code == 1
+
+
+# Runs one subcommand in a fresh interpreter and reports which of the
+# offline pipeline's modules it loaded.
+_IMPORT_PROBE = """
+import json, sys
+from adcut.cli import main
+code = main(sys.argv[1:])
+heavy = ("numpy", "adcut.backends", "adcut.dataset", "adcut.metrics", "concurrent.futures")
+print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", str(FIX / "draft_template.json"), "--clips", str(FIX / "clips.json")],
+        ["plan", str(FIX / "clips.json"), "--preset", "fast:2/4,slow:0.5/16"],
+        ["align", str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"), str(FIX / "clips.json"),
+         "--catalog", str(FIX / "catalog.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_request_commands_skip_offline_pipeline_imports(argv, tmp_path):
+    src = str(Path(adcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("ADCUT_CONFIG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv, "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"code": 0, "loaded": []}
+
+
+def test_endpoint_roles_match_backend_roles():
+    assert cli.ENDPOINT_ROLES == backends.ROLES
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from adcut import dataset as dataset_module
 from adcut.backends import Client, MOCK_ENDPOINT, mock_backend, mock_backend_set
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
@@ -209,6 +213,20 @@ class TestDeconstruct:
             dec = deconstruct("v", mock_backend_set(1, fixtures))
         assert dec.asr_sentences[0].end_ms == 2000
         assert dec.asr_sentences[1].start_ms == 2000
+
+    def test_correction_request_carries_prompt_hash(self, video_fixtures, monkeypatch):
+        prompt = Path(dataset_module.__file__).parent / "prompts" / "asr_correction.txt"
+        expected = hashlib.sha256(prompt.read_bytes()).hexdigest()
+        backends = mock_backend_set(7, video_fixtures)
+        counting = CountingCalls(backends.judge.transport)
+        backends = dataclasses.replace(backends, judge=Client("judge", MOCK_ENDPOINT, transport=counting))
+        deconstruct("vid-earbuds", backends)
+        # a second deconstruction must not read the package resource again
+        monkeypatch.setattr(dataset_module, "resources", None)
+        deconstruct("vid-earbuds", backends)
+        sent = [loads(b) for b in counting.bodies]
+        hashes = [b["prompt_sha256"] for b in sent if b.get("task") == "correct_asr"]
+        assert hashes == [expected, expected]
 
 
 class TestAnalyze:

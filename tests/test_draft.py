@@ -76,6 +76,22 @@ class TestParse:
         with pytest.raises(TimeValueError):
             parse_draft(json.dumps(doc))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_rejected(self, token):
+        text = MINIMAL.replace('"target_end":2000}]', f'"target_end":{token}}}]', 1)
+        assert token in text
+        with pytest.raises(TimeValueError, match="not a finite number") as err:
+            parse_draft(text)
+        assert err.value.path == "$.voice_over_track[0].target_end"
+        assert "fractional" not in str(err.value)
+
+    @pytest.mark.parametrize("depth", [10_000, 100_000])
+    def test_deep_nesting_is_a_syntax_error(self, depth):
+        with pytest.raises(DraftSyntaxError, match="nested too deeply"):
+            parse_draft(b"[" * depth)
+        with pytest.raises(DraftSyntaxError, match="nested too deeply"):
+            parse_draft(b"[" * depth + b"]" * depth)
+
     def test_integral_float_time_accepted(self):
         doc = json.loads(MINIMAL)
         doc["voice_over_track"][0]["target_end"] = 2000.0
