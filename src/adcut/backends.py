@@ -24,6 +24,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
 
+from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
 from .jsonutil import dumps_canonical, loads
 
 if TYPE_CHECKING:  # structured request fields live in the dataset module
@@ -99,6 +100,10 @@ class MalformedScores(BackendError):
 
 class DimensionMismatch(BackendError):
     pass
+
+
+class _NoAnswer(LookupError):
+    """The mock's fixtures hold no answer to a request."""
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,6 @@ class BackendSet:
     ocr: Client
     shots: Client
     caption: Client
-
-    def client(self, role: str) -> Client:
-        return getattr(self, role)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,9 @@ class MockTransport:
       judge:       {verify: approve|revise_always, scores: "caps" | map}
       embeddings:  input string -> vector (overrides hashed embedding)
       embed_dim:   int (default 32)
+
+    A request the fixtures cannot answer raises a non-retryable
+    :class:`BackendError` for the role that sent it.
     """
 
     seed: int
@@ -395,14 +400,17 @@ class MockTransport:
         handler = getattr(self, f"_handle_{role}", None)
         if handler is None:
             return 404, b"{}"
-        return 200, dumps_canonical(handler(payload))
+        try:
+            return 200, dumps_canonical(handler(payload))
+        except _NoAnswer as exc:
+            raise BackendError(role, str(exc)) from None
 
     # role handlers --------------------------------------------------------
     def _video(self, payload: dict) -> dict:
         ref = payload.get("video_ref")
         videos = self.fixtures.get("videos", {})
         if ref not in videos:
-            raise TransportFailure("mock", f"no fixture for video {ref!r}")
+            raise _NoAnswer(f"no fixture for video {ref!r}")
         return videos[ref]
 
     def _handle_asr(self, payload: dict) -> dict:
@@ -434,7 +442,7 @@ class MockTransport:
     def _handle_judge(self, payload: dict) -> dict:
         task = payload.get("task")
         if task == "recommend_tags":
-            return {"tags": self._video(payload).get("tags", {"tts_tags": [], "avatar_tags": [], "music_tags": []})}
+            return {"tags": self._video(payload).get("tags", DecorationSetting().to_dict())}
         if task == "correct_asr":
             # pass-through correction
             return {"sentences": payload.get("sentences", [])}
@@ -451,7 +459,7 @@ class MockTransport:
             return {"approved": True, "revision": None}
         if task == "score":
             return {"scores": self._scores(payload)}
-        raise TransportFailure("mock", f"unknown judge task {task!r}")
+        raise _NoAnswer(f"unknown judge task {task!r}")
 
     def _analyze(self, payload: dict) -> dict:
         dec = payload.get("deconstruction", {})
@@ -486,13 +494,13 @@ class MockTransport:
             return {k: caps[k] for k in keys}
         if isinstance(behavior, dict):
             return dict(behavior)
-        raise TransportFailure("mock", f"unknown scores behavior {behavior!r}")
+        raise _NoAnswer(f"unknown scores behavior {behavior!r}")
 
     def _handle_generate(self, payload: dict) -> dict:
         sample_id = payload.get("sample_id")
         drafts = self.fixtures.get("drafts", {})
         if sample_id not in drafts:
-            raise TransportFailure("mock", f"no ground-truth draft for sample {sample_id!r}")
+            raise _NoAnswer(f"no ground-truth draft for sample {sample_id!r}")
         draft = loads(dumps_canonical(drafts[sample_id]))  # deep copy, fixtures stay pristine
         if sample_id in self._corrupt_ids:
             draft = self._corrupt(sample_id, draft)
@@ -510,12 +518,10 @@ class MockTransport:
             free = [i for i in negatives if i not in used]
             if free and nodes:
                 end = nodes[-1]["target_end"]
-                nodes.append(
-                    {"index": free[0], "target_start": end, "target_end": end + 1000, "source_start": 0}
-                )
+                nodes.extend(nodes_track_to_list([VideoNode(free[0], end, end + 1000, 0)]))
         elif self._corrupt_mode == "drop_tag":
             deco = draft["decoration_setting"]
-            for key in ("tts_tags", "avatar_tags", "music_tags"):
+            for key in DECORATION_KEYS:
                 if deco[key]:
                     deco[key].pop(rng.randrange(len(deco[key])))
                     break

@@ -9,23 +9,25 @@ Each process serves one subcommand, so imports follow the subcommand. The
 module level imports only what ``validate`` and ``align`` run; ``plan``
 imports the sampling planner, and ``build-dataset``, ``generate`` and
 ``evaluate`` import the offline pipeline (``backends``, ``dataset``,
-``metrics``, ``concurrent.futures``) inside the command. ``numpy`` loads
-only when embeddings or VSR are computed.
+``metrics``) inside the command, and ``concurrent.futures`` only for
+``--concurrency`` above 1. ``numpy`` loads only when embeddings or VSR are
+computed.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .clips import ClipMeta, ClipSet
+from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
-from .jsonutil import dumps_canonical
+from .jsonutil import RecordError, dumps_canonical, read_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -107,19 +109,73 @@ def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | N
     return flag or cfg.get("endpoints", role)
 
 
-def _real_client(role: str, url: str, cfg: Config) -> be.Client:
+def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any]) -> be.Client:
+    """The client for ``role``: over the transport ``mock()`` returns for a
+    ``mock…`` endpoint (the default), else over HTTP with the role's
+    ``[auth]`` token variable."""
     from . import backends as be
 
-    token_env = cfg.get("auth", role)
-    endpoint = be.BackendEndpoint(base_url=url, auth_env=token_env)
-    return be.Client(role, endpoint)
+    value = _endpoint_value(args, cfg, role) or "mock:"
+    if value.startswith("mock"):
+        return be.Client(role, be.MOCK_ENDPOINT, transport=mock())
+    return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)))
 
 
-def _load_fixtures(cfg: Config) -> dict:
+def _fixtures(cfg: Config) -> dict:
+    """The mock fixtures file, or ``{}`` when none is configured; a configured
+    file that is missing or not a JSON object is a usage error."""
     path = cfg.path("paths", "fixtures")
-    if path is None or not path.is_file():
-        raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
-    return json.loads(path.read_text("utf-8"))
+    if path is None:
+        return {}
+    try:
+        fixtures = json.loads(path.read_bytes())
+    except OSError as exc:
+        raise CliError(f"cannot read fixtures file {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"fixtures file {path} is not JSON: {exc}") from None
+    if not isinstance(fixtures, dict):
+        raise CliError(f"fixtures file {path} is not a JSON object")
+    return fixtures
+
+
+def _read(reader: Callable[[str], Any], path: str) -> Any:
+    """``reader(path)``, turning an unreadable file or a bad record into a usage error."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}") from None
+    except RecordError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _read_corpus(path: str) -> list[ds.DatasetSample]:
+    from . import dataset as ds
+
+    samples = _read(ds.read_corpus, path)
+    if not samples:
+        raise CliError("corpus is empty")
+    return samples
+
+
+def _read_predictions(path: str) -> dict[str, str]:
+    """``sample_id -> draft_json`` from a predictions file, as ``generate`` writes it."""
+    out = {}
+    for number, record in read_records(path):
+        sample_id, draft_json = record.get("sample_id"), record.get("draft_json")
+        if not (isinstance(sample_id, str) and isinstance(draft_json, str)):
+            raise RecordError(path, number, "needs string fields sample_id and draft_json")
+        out[sample_id] = draft_json
+    return out
+
+
+def _map_ordered(fn: Callable[[Any], Any], items: Iterable[Any], concurrency: int) -> list:
+    """``[fn(item) for item in items]``, on a thread pool when ``concurrency > 1``."""
+    if concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _read_draft(path: str) -> Draft:
@@ -203,33 +259,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mock_backend_set_for_build(cfg: Config, seed: int) -> be.BackendSet:
-    from . import backends as be
-
-    return be.mock_backend_set(seed, _load_fixtures(cfg))
-
-
-def _backends_for_build(args: argparse.Namespace, cfg: Config, seed: int) -> be.BackendSet:
-    from . import backends as be
-
-    values = {role: _endpoint_value(args, cfg, role) or "mock:" for role in ENDPOINT_ROLES}
-    if all(v.startswith("mock") for v in values.values()):
-        return _mock_backend_set_for_build(cfg, seed)
-    clients = {}
-    mock_set: be.BackendSet | None = None
-    for role, value in values.items():
-        if value.startswith("mock"):
-            if mock_set is None:
-                mock_set = _mock_backend_set_for_build(cfg, seed)
-            clients[role] = mock_set.client(role)
-        else:
-            clients[role] = _real_client(role, value, cfg)
-    return be.BackendSet(**clients)
-
-
 def cmd_build_dataset(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import backends as be
     from . import dataset as ds
     from .sampling import parse_preset
@@ -241,7 +271,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         raise CliError("an output path is required (--out or [dataset] out)")
 
     videos_value = cfg.get("dataset", "videos")
-    fixtures = _load_fixtures(cfg)
+    fixtures = _fixtures(cfg)
+    if not fixtures:
+        raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
     video_refs = (
         [v.strip() for v in videos_value.split(",") if v.strip()]
         if videos_value
@@ -255,23 +287,17 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         raise CliError(f"template file not found: {cfg.get('paths', 'template')}")
     template = ds.load_instruction_template(template_path)
 
-    pool_entries = fixtures.get("negative_pool", [])
-    negative_pool = ClipSet(
-        ClipMeta(
-            index=e["index"],
-            duration_s=e["duration_ms"] / 1000.0,
-            frame_count=max(1, round(e["duration_ms"] / 1000.0 * ds.ASSUMED_NATIVE_FPS)),
-        )
-        for e in pool_entries
-    )
+    negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
 
     dropout = float(args.dropout_p if args.dropout_p is not None else cfg.get("dataset", "dropout_p", str(ds.DEFAULT_DROPOUT_P)))
     preset_text = args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET
     sampling = parse_preset(preset_text)
-    backend_set = _backends_for_build(args, cfg, seed)
+    mock = functools.cache(lambda: be.mock_backend(seed, fixtures))
+    backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock) for role in ENDPOINT_ROLES})
     concurrency = args.concurrency or int(cfg.get("dataset", "concurrency", "1"))
+    failures: list[tuple[str, str]] = []
 
-    def build(ref: str) -> ds.DatasetSample:
+    def build(ref: str) -> ds.DatasetSample | None:
         video = fixtures.get("videos", {}).get(ref, {})
         product_data = video.get("product")
         if not product_data:
@@ -282,33 +308,22 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
             price=product_data.get("price", ""),
             selling_points=tuple(product_data.get("selling_points", ())),
         )
-        return ds.build_sample(
-            ref,
-            product,
-            backend_set,
-            negative_pool,
-            corpus_seed=seed,
-            dropout_p=dropout,
-            sampling=sampling,
-            template=template,
-        )
-
-    failures: list[tuple[str, str]] = []
-
-    def build_safe(ref: str) -> ds.DatasetSample | None:
         try:
-            return build(ref)
+            return ds.build_sample(
+                ref,
+                product,
+                backend_set,
+                negative_pool,
+                corpus_seed=seed,
+                dropout_p=dropout,
+                sampling=sampling,
+                template=template,
+            )
         except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid) as exc:
             failures.append((ref, str(exc)))
             return None
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(build_safe, video_refs))
-    else:
-        results = [build_safe(ref) for ref in video_refs]
-
-    samples = [s for s in results if s is not None]
+    samples = [s for s in _map_ordered(build, video_refs, concurrency) if s is not None]
     ds.write_corpus(samples, out)
     for ref, message in failures:
         print(f"warning: {ref}: {message}", file=sys.stderr)
@@ -318,7 +333,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.Client:
+def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
     from . import backends as be
     from . import dataset as ds
 
@@ -333,39 +348,24 @@ def _parse_mock_generate(value: str, seed: int, samples: list[ds.DatasetSample])
         "negatives": {s.sample_id: list(s.negatives) for s in samples},
         "corruption": {"mode": mode, "rate": rate},
     }
-    transport = be.mock_backend(seed, fixtures)
-    return be.Client("generate", be.MOCK_ENDPOINT, transport=transport)
+    return be.mock_backend(seed, fixtures)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import backends as be
     from . import dataset as ds
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    samples = ds.read_corpus(args.corpus)
-    if not samples:
-        raise CliError("corpus is empty")
+    samples = _read_corpus(args.corpus)
     endpoint_value = _endpoint_value(args, cfg, "generate")
     if not endpoint_value:
         raise CliError("--endpoint-generate is required")
-    if endpoint_value.startswith("mock"):
-        client = _parse_mock_generate(endpoint_value, seed, samples)
-    else:
-        client = _real_client("generate", endpoint_value, cfg)
+    client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples))
 
-    done: set[str] = set()
-    out_path = Path(args.out)
-    if args.resume and out_path.is_file():
-        with open(out_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    done.add(json.loads(line)["sample_id"])
-
+    resuming = args.resume and Path(args.out).is_file()
+    done = _read(_read_predictions, args.out) if resuming else {}
     todo = [s for s in samples if s.sample_id not in done]
-    concurrency = args.concurrency or 1
 
     def generate_one(sample: ds.DatasetSample) -> bytes:
         response = be.generate_draft({"sample_id": sample.sample_id, "instruction": sample.instruction}, client)
@@ -373,14 +373,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             {"sample_id": sample.sample_id, "draft_json": response.draft_json.decode("utf-8")}
         )
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            lines = list(pool.map(generate_one, todo))
-    else:
-        lines = [generate_one(s) for s in todo]
+    lines = _map_ordered(generate_one, todo, args.concurrency or 1)
 
-    mode = "ab" if args.resume and out_path.is_file() else "wb"
-    with open(out_path, mode) as fh:
+    with open(args.out, "ab" if resuming else "wb") as fh:
         for line in lines:
             fh.write(line)
             fh.write(b"\n")
@@ -389,21 +384,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import backends as be
-    from . import dataset as ds
     from . import metrics as mx
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    corpus = ds.read_corpus(args.corpus)
-    if not corpus:
-        raise CliError("corpus is empty")
-
-    predictions: dict[str, str] = {}
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                entry = json.loads(line)
-                predictions[entry["sample_id"]] = entry["draft_json"]
+    corpus = _read_corpus(args.corpus)
+    predictions = _read(_read_predictions, args.predictions)
 
     corpus_ids = [s.sample_id for s in corpus]
     orphan_predictions = sorted(set(predictions) - set(corpus_ids))
@@ -437,20 +423,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         )
 
-    judge = None
-    if args.with_judge:
-        value = _endpoint_value(args, cfg, "judge") or "mock:"
-        if value.startswith("mock"):
-            judge = be.mock_backend_set(seed, _maybe_fixtures(cfg)).judge
-        else:
-            judge = _real_client("judge", value, cfg)
-    embedder = None
-    if args.with_vsr:
-        value = _endpoint_value(args, cfg, "embed") or "mock:"
-        if value.startswith("mock"):
-            embedder = be.mock_backend_set(seed, _maybe_fixtures(cfg)).embed
-        else:
-            embedder = _real_client("embed", value, cfg)
+    mock = functools.cache(lambda: be.mock_backend(seed, _fixtures(cfg)))
+    judge = _client(args, cfg, "judge", mock) if args.with_judge else None
+    embedder = _client(args, cfg, "embed", mock) if args.with_vsr else None
 
     report = mx.evaluate_corpus(eval_samples, _taxonomy(args, cfg), judge=judge, embedder=embedder)
     if args.format == "table":
@@ -458,13 +433,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         _emit(dumps_canonical(report.to_dict()).decode("utf-8"), args.out)
     return EXIT_OK
-
-
-def _maybe_fixtures(cfg: Config) -> dict:
-    path = cfg.path("paths", "fixtures")
-    if path is not None and path.is_file():
-        return json.loads(path.read_text("utf-8"))
-    return {}
 
 
 def cmd_align(args: argparse.Namespace) -> int:

@@ -16,7 +16,6 @@ All randomness is per-sample seeded, so concurrency never changes output.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import warnings
@@ -28,6 +27,7 @@ from pathlib import Path
 from .backends import BackendSet, Client
 from .clips import ClipMeta, ClipSet
 from .draft import (
+    DECORATION_KEYS,
     DecorationSetting,
     Draft,
     VideoNode,
@@ -35,7 +35,7 @@ from .draft import (
     draft_to_dict,
     parse_draft,
 )
-from .jsonutil import dumps_canonical
+from .jsonutil import RecordError, dumps_canonical, read_records
 from .sampling import SlowFastConfig, frame_total, parse_preset
 
 NEGATIVE_COUNT_MEAN = 2.5
@@ -125,9 +125,7 @@ class FreePrompt:
         return {d: getattr(self, d) for d in FREE_PROMPT_DIMENSIONS}
 
     def to_dict(self) -> dict:
-        out: dict = {d: getattr(self, d) for d in FREE_PROMPT_DIMENSIONS}
-        out["rendered"] = self.rendered
-        return out
+        return {**self.dimensions(), "rendered": self.rendered}
 
 
 def render_free_prompt(dimensions: dict[str, str | None]) -> str:
@@ -151,6 +149,9 @@ class AsrSentence:
     start_ms: int
     end_ms: int
 
+    def to_dict(self) -> dict:
+        return {"text": self.text, "start": self.start_ms, "end": self.end_ms}
+
 
 @dataclass(frozen=True)
 class Deconstruction:
@@ -173,17 +174,11 @@ class Deconstruction:
 
     def to_dict(self) -> dict:
         return {
-            "asr_sentences": [
-                {"text": s.text, "start": s.start_ms, "end": s.end_ms} for s in self.asr_sentences
-            ],
+            "asr_sentences": [s.to_dict() for s in self.asr_sentences],
             "subtitle_ocr": list(self.subtitle_ocr),
             "shot_boundaries": list(self.shot_boundaries),
             "shot_captions": list(self.shot_captions),
-            "recommended_tags": {
-                "tts_tags": list(self.recommended_tags.tts_tags),
-                "avatar_tags": list(self.recommended_tags.avatar_tags),
-                "music_tags": list(self.recommended_tags.music_tags),
-            },
+            "recommended_tags": self.recommended_tags.to_dict(),
         }
 
 
@@ -284,7 +279,7 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         {
             "task": "correct_asr",
             "prompt_sha256": _asr_correction_prompt_sha256(),
-            "sentences": [{"text": s.text, "start": s.start_ms, "end": s.end_ms} for s in sentences],
+            "sentences": [s.to_dict() for s in sentences],
         }
     ).data["sentences"]
     sentences = [AsrSentence(str(e["text"]), int(e["start"]), int(e["end"])) for e in corrected]
@@ -299,11 +294,7 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         captions.append(str(resp.data["caption"]))
 
     tags = backends.judge.call({"task": "recommend_tags", "video_ref": video_ref}).data["tags"]
-    decoration = DecorationSetting(
-        tts_tags=tuple(tags.get("tts_tags", ())),
-        avatar_tags=tuple(tags.get("avatar_tags", ())),
-        music_tags=tuple(tags.get("music_tags", ())),
-    )
+    decoration = DecorationSetting(**{key: tuple(tags.get(key, ())) for key in DECORATION_KEYS})
 
     return Deconstruction(
         asr_sentences=tuple(sentences),
@@ -382,10 +373,11 @@ def _positive_clips(dec: Deconstruction) -> list[int]:
     return [b - a for a, b in zip(dec.shot_boundaries, dec.shot_boundaries[1:])]
 
 
-def _clip_meta(presentation_index: int, duration_ms: int) -> ClipMeta:
+def clip_meta(index: int, duration_ms: int) -> ClipMeta:
+    """A clip of ``duration_ms`` at the assumed native frame rate."""
     duration_s = duration_ms / 1000.0
     return ClipMeta(
-        index=presentation_index,
+        index=index,
         duration_s=duration_s,
         frame_count=max(1, round(duration_s * ASSUMED_NATIVE_FPS)),
     )
@@ -394,7 +386,7 @@ def _clip_meta(presentation_index: int, duration_ms: int) -> ClipMeta:
 def _materials_block(durations_ms: list[int], cfg: SlowFastConfig) -> str:
     lines = []
     for pres_index, dur in enumerate(durations_ms):
-        meta = _clip_meta(pres_index, dur)
+        meta = clip_meta(pres_index, dur)
         n_fast = frame_total(meta, cfg.fast.fps)
         n_slow = frame_total(meta, cfg.slow.fps)
         lines.append(
@@ -537,10 +529,14 @@ def write_corpus(samples: list[DatasetSample], path: str | Path) -> None:
 
 
 def read_corpus(path: str | Path) -> list[DatasetSample]:
+    """Samples in file order. Raises ``OSError`` when the file cannot be read
+    and :class:`~adcut.jsonutil.RecordError` for a line that is not a sample."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(DatasetSample.from_dict(json.loads(line)))
+    for number, record in read_records(path):
+        try:
+            out.append(DatasetSample.from_dict(record))
+        except KeyError as exc:
+            raise RecordError(path, number, f"missing field {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise RecordError(path, number, str(exc)) from None
     return out

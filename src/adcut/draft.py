@@ -77,6 +77,9 @@ class DecorationSetting:
     def tags_for(self, field_name: str) -> tuple[str, ...]:
         return getattr(self, field_name)
 
+    def to_dict(self) -> dict:
+        return {key: list(getattr(self, key)) for key in DECORATION_KEYS}
+
 
 @dataclass(frozen=True)
 class Draft:
@@ -239,27 +242,28 @@ def parse_draft(data: bytes | str) -> Draft:
 # serialization
 
 
+def voice_track_to_list(track: Iterable[VoiceSentence]) -> list[dict]:
+    return [{"text": s.text, "target_start": s.target_start, "target_end": s.target_end} for s in track]
+
+
+def nodes_track_to_list(track: Iterable[VideoNode]) -> list[dict]:
+    return [
+        {
+            "index": n.index,
+            "target_start": n.target_start,
+            "target_end": n.target_end,
+            "source_start": n.source_start,
+        }
+        for n in track
+    ]
+
+
 def draft_to_dict(d: Draft) -> dict:
     """Plain dict with the canonical key order."""
     return {
-        "voice_over_track": [
-            {"text": s.text, "target_start": s.target_start, "target_end": s.target_end}
-            for s in d.voice_over_track
-        ],
-        "video_nodes_track": [
-            {
-                "index": n.index,
-                "target_start": n.target_start,
-                "target_end": n.target_end,
-                "source_start": n.source_start,
-            }
-            for n in d.video_nodes_track
-        ],
-        "decoration_setting": {
-            "tts_tags": list(d.decoration_setting.tts_tags),
-            "avatar_tags": list(d.decoration_setting.avatar_tags),
-            "music_tags": list(d.decoration_setting.music_tags),
-        },
+        "voice_over_track": voice_track_to_list(d.voice_over_track),
+        "video_nodes_track": nodes_track_to_list(d.video_nodes_track),
+        "decoration_setting": d.decoration_setting.to_dict(),
     }
 
 

@@ -6,9 +6,17 @@ Identical values always produce identical bytes.
 """
 
 import json
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterator
 
-__all__ = ["dumps_canonical", "loads"]
+__all__ = ["RecordError", "dumps_canonical", "loads", "read_records"]
+
+
+class RecordError(ValueError):
+    """A JSON-lines record that cannot be used; the message is ``path:line: reason``."""
+
+    def __init__(self, path: str | Path, line: int, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
 
 
 def dumps_canonical(obj: Any) -> bytes:
@@ -20,3 +28,22 @@ def loads(data: bytes | str) -> Any:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     return json.loads(data)
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSON-lines file.
+
+    Raises ``OSError`` when the file cannot be read and :class:`RecordError`
+    for a line that is not a JSON object.
+    """
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise RecordError(path, number, f"malformed JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise RecordError(path, number, f"expected a JSON object, got {type(record).__name__}")
+            yield number, record

@@ -3,8 +3,10 @@
 Exact counting metrics (clip rank accuracy, clip selection accuracy,
 decorative-tag precision/recall) plus weighted judge-score aggregation for
 free-prompt following and script quality, and a simplified embedding-based
-visual/script relevance score. Counting passes are pure folds, so results
-are independent of corpus order and of evaluation concurrency.
+visual/script relevance score. All counting is one pure fold,
+:func:`count_metrics`, into :class:`MetricCounts`, from which the three
+counting metrics are derived, so results are independent of corpus order
+and of evaluation concurrency.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .backends import RUBRICS, Client, embed, judge_score
 from .draft import Draft
+from .taxonomy import CATEGORIES as DTPR_CATEGORIES
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
 
 if TYPE_CHECKING:
     import numpy as np
 
-DTPR_CATEGORIES = ("TTS", "Avatar", "Music")
 DTPR_DISPLAY = {"TTS": "TTS Timbre", "Avatar": "Avatar", "Music": "Music"}
 
 FPF_WEIGHTS = RUBRICS["free_prompt_eval"][1]
@@ -65,6 +67,32 @@ class MetricCounts:
         default_factory=lambda: {c: {"tp": 0, "fp": 0, "fn": 0} for c in DTPR_CATEGORIES}
     )
 
+    @property
+    def cra(self) -> float:
+        return 100.0 * self.rank_correct / self.total
+
+    @property
+    def csa(self) -> float:
+        return 100.0 * self.selection_clean / self.total
+
+    def dtpr(self) -> DtprReport:
+        per_category: dict[str, dict] = {}
+        precisions, recalls = [], []
+        for c in DTPR_CATEGORIES:
+            tp, fp, fn = self.tag_counts[c]["tp"], self.tag_counts[c]["fp"], self.tag_counts[c]["fn"]
+            precision = 100.0 * tp / (tp + fp) if tp + fp else None
+            recall = 100.0 * tp / (tp + fn) if tp + fn else None
+            per_category[c] = {"precision": precision, "recall": recall, "tp": tp, "fp": fp, "fn": fn}
+            if precision is not None:
+                precisions.append(precision)
+            if recall is not None:
+                recalls.append(recall)
+        return DtprReport(
+            per_category=per_category,
+            precision=sum(precisions) / len(precisions) if precisions else None,
+            recall=sum(recalls) / len(recalls) if recalls else None,
+        )
+
     def to_dict(self) -> dict:
         return {
             "total": self.total,
@@ -72,35 +100,6 @@ class MetricCounts:
             "selection_clean": self.selection_clean,
             "tag_counts": {c: dict(v) for c, v in self.tag_counts.items()},
         }
-
-
-def _require_nonempty(corpus: Sequence[EvalSample]) -> None:
-    if not corpus:
-        raise EmptyCorpus("evaluation corpus is empty")
-
-
-def cra(corpus: Sequence[EvalSample]) -> float:
-    """Percent of samples whose predicted clip sequence matches the ground
-    truth exactly (same selection, same order)."""
-    _require_nonempty(corpus)
-    correct = sum(
-        1
-        for s in corpus
-        if s.predicted is not None and s.predicted.clip_sequence() == s.ground_truth.clip_sequence()
-    )
-    return 100.0 * correct / len(corpus)
-
-
-def csa(corpus: Sequence[EvalSample]) -> float:
-    """Percent of samples whose prediction selects no negative clip
-    (order is irrelevant)."""
-    _require_nonempty(corpus)
-    clean = sum(
-        1
-        for s in corpus
-        if s.predicted is not None and not (set(s.predicted.clip_sequence()) & s.negatives)
-    )
-    return 100.0 * clean / len(corpus)
 
 
 def _tag_sets(draft: Draft, taxonomy: TagTaxonomy, origin: str) -> dict[str, set[str]]:
@@ -128,6 +127,52 @@ class DtprReport:
         }
 
 
+_NO_TAGS = {c: frozenset() for c in DTPR_CATEGORIES}
+
+
+def count_metrics(corpus: Sequence[EvalSample], taxonomy: TagTaxonomy | None = None) -> MetricCounts:
+    """The one counting pass over a corpus: exact rank matches, predictions
+    free of negative clips, and tag tp/fp/fn per category.
+
+    An unparseable prediction counts as wrong for rank and selection and as
+    predicting no tags. Raises :class:`EmptyCorpus` for an empty corpus and
+    :class:`UnknownTag` for a tag outside the taxonomy (default: bundled).
+    """
+    if not corpus:
+        raise EmptyCorpus("evaluation corpus is empty")
+    taxonomy = taxonomy or default_taxonomy()
+    counts = MetricCounts(total=len(corpus))
+    for s in corpus:
+        truth = _tag_sets(s.ground_truth, taxonomy, f"{s.sample_id} ground truth")
+        pred = _NO_TAGS
+        if s.predicted is not None:
+            pred = _tag_sets(s.predicted, taxonomy, f"{s.sample_id} prediction")
+            sequence = s.predicted.clip_sequence()
+            if sequence == s.ground_truth.clip_sequence():
+                counts.rank_correct += 1
+            if s.negatives.isdisjoint(sequence):
+                counts.selection_clean += 1
+        for c, tally in counts.tag_counts.items():
+            tally["tp"] += len(pred[c] & truth[c])
+            tally["fp"] += len(pred[c] - truth[c])
+            tally["fn"] += len(truth[c] - pred[c])
+    return counts
+
+
+def cra(corpus: Sequence[EvalSample]) -> float:
+    """Percent of samples whose predicted clip sequence matches the ground
+    truth exactly (same selection, same order). Counting covers tags too, so
+    a tag outside the bundled taxonomy raises :class:`UnknownTag`."""
+    return count_metrics(corpus).cra
+
+
+def csa(corpus: Sequence[EvalSample]) -> float:
+    """Percent of samples whose prediction selects no negative clip (order
+    is irrelevant). Counting covers tags too, so a tag outside the bundled
+    taxonomy raises :class:`UnknownTag`."""
+    return count_metrics(corpus).csa
+
+
 def dtpr(corpus: Sequence[EvalSample], taxonomy: TagTaxonomy | None = None) -> DtprReport:
     """Per-category tag precision/recall and their macro averages.
 
@@ -135,37 +180,7 @@ def dtpr(corpus: Sequence[EvalSample], taxonomy: TagTaxonomy | None = None) -> D
     is excluded from the precision macro average (likewise for recall with
     no ground-truth tags).
     """
-    _require_nonempty(corpus)
-    taxonomy = taxonomy or default_taxonomy()
-    counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in DTPR_CATEGORIES}
-    for s in corpus:
-        truth = _tag_sets(s.ground_truth, taxonomy, f"{s.sample_id} ground truth")
-        pred = (
-            _tag_sets(s.predicted, taxonomy, f"{s.sample_id} prediction")
-            if s.predicted is not None
-            else {c: set() for c in DTPR_CATEGORIES}
-        )
-        for c in DTPR_CATEGORIES:
-            counts[c]["tp"] += len(pred[c] & truth[c])
-            counts[c]["fp"] += len(pred[c] - truth[c])
-            counts[c]["fn"] += len(truth[c] - pred[c])
-
-    per_category: dict[str, dict] = {}
-    precisions, recalls = [], []
-    for c in DTPR_CATEGORIES:
-        tp, fp, fn = counts[c]["tp"], counts[c]["fp"], counts[c]["fn"]
-        precision = 100.0 * tp / (tp + fp) if tp + fp else None
-        recall = 100.0 * tp / (tp + fn) if tp + fn else None
-        per_category[c] = {"precision": precision, "recall": recall, "tp": tp, "fp": fp, "fn": fn}
-        if precision is not None:
-            precisions.append(precision)
-        if recall is not None:
-            recalls.append(recall)
-    return DtprReport(
-        per_category=per_category,
-        precision=sum(precisions) / len(precisions) if precisions else None,
-        recall=sum(recalls) / len(recalls) if recalls else None,
-    )
+    return count_metrics(corpus, taxonomy).dtpr()
 
 
 def _check_scores(scores: Mapping[str, float], weights: Mapping[str, float]) -> None:
@@ -262,18 +277,7 @@ def evaluate_corpus(
     samples already carry judge scores; relevance runs when an embedding
     client is supplied and samples carry frame references.
     """
-    _require_nonempty(corpus)
-    taxonomy = taxonomy or default_taxonomy()
-
-    counts = MetricCounts(total=len(corpus))
-    for s in corpus:
-        if s.predicted is not None:
-            if s.predicted.clip_sequence() == s.ground_truth.clip_sequence():
-                counts.rank_correct += 1
-            if not (set(s.predicted.clip_sequence()) & s.negatives):
-                counts.selection_clean += 1
-    tag_report = dtpr(corpus, taxonomy)
-    counts.tag_counts = {c: {k: v for k, v in tag_report.per_category[c].items() if k in ("tp", "fp", "fn")} for c in DTPR_CATEGORIES}
+    counts = count_metrics(corpus, taxonomy)
 
     fpf_values, sq_values = [], []
     for s in corpus:
@@ -293,12 +297,12 @@ def evaluate_corpus(
                 vsr_values.append(vsr(s, embedder))
 
     return EvalReport(
-        cra=100.0 * counts.rank_correct / counts.total,
-        csa=100.0 * counts.selection_clean / counts.total,
+        cra=counts.cra,
+        csa=counts.csa,
         fpf=sum(fpf_values) / len(fpf_values) if fpf_values else None,
         vsr=sum(vsr_values) / len(vsr_values) if vsr_values else None,
         sq=sum(sq_values) / len(sq_values) if sq_values else None,
-        dtpr=tag_report,
+        dtpr=counts.dtpr(),
         counts=counts,
     )
 

@@ -27,11 +27,11 @@ from .draft import (
     VideoNode,
     Violation,
     VoiceSentence,
+    nodes_track_to_list,
+    voice_track_to_list,
 )
 from .jsonutil import dumps_canonical
-from .taxonomy import TagTaxonomy, default_taxonomy
-
-CATALOG_CATEGORIES = ("TTS", "Avatar", "Music")
+from .taxonomy import CATEGORIES, TagTaxonomy, default_taxonomy
 
 
 class AlignmentError(RuntimeError):
@@ -102,7 +102,7 @@ class AssetCatalog:
         taxonomy = taxonomy or default_taxonomy()
         seen: set[str] = set()
         for e in entries:
-            if e.category not in CATALOG_CATEGORIES:
+            if e.category not in CATEGORIES:
                 raise ValueError(f"asset {e.asset_id}: unknown category {e.category!r}")
             if e.asset_id in seen:
                 raise ValueError(f"duplicate asset_id {e.asset_id!r}")
@@ -160,19 +160,8 @@ class RenderPlan:
 
     def to_dict(self) -> dict:
         return {
-            "voice_over_track": [
-                {"text": s.text, "target_start": s.target_start, "target_end": s.target_end}
-                for s in self.voice_over_track
-            ],
-            "video_nodes_track": [
-                {
-                    "index": n.index,
-                    "target_start": n.target_start,
-                    "target_end": n.target_end,
-                    "source_start": n.source_start,
-                }
-                for n in self.video_nodes_track
-            ],
+            "voice_over_track": voice_track_to_list(self.voice_over_track),
+            "video_nodes_track": nodes_track_to_list(self.video_nodes_track),
             "assets": self.assets.to_dict() if self.assets else None,
             "total_duration": self.total_duration,
         }

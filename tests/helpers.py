@@ -142,5 +142,28 @@ def recount_dtpr(samples) -> dict:
         result[cat] = {
             "precision": 100.0 * tp / (tp + fp) if tp + fp else None,
             "recall": 100.0 * tp / (tp + fn) if tp + fn else None,
+            "tp": tp,
+            "fp": fp,
+            "fn": fn,
         }
     return result
+
+
+def recount_counts(samples) -> dict:
+    """The counting totals, in the layout of ``MetricCounts.to_dict()``."""
+    rank_correct = selection_clean = 0
+    for s in samples:
+        if s.predicted is None:
+            continue
+        pred = [n.index for n in s.predicted.video_nodes_track]
+        if pred == [n.index for n in s.ground_truth.video_nodes_track]:
+            rank_correct += 1
+        if not any(i in s.negatives for i in pred):
+            selection_clean += 1
+    tags = recount_dtpr(samples)
+    return {
+        "total": len(samples),
+        "rank_correct": rank_correct,
+        "selection_clean": selection_clean,
+        "tag_counts": {cat: {k: tags[cat][k] for k in ("tp", "fp", "fn")} for cat in tags},
+    }

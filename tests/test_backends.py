@@ -11,6 +11,7 @@ import pytest
 from adcut import backends as backends_module
 from adcut.backends import (
     BackendEndpoint,
+    BackendError,
     BadStatus,
     Client,
     DimensionMismatch,
@@ -246,6 +247,34 @@ class TestMockPurity:
         transport = mock_backend(11, fixtures)
         transport.send("generate", "", dumps_canonical({"sample_id": "s1"}), {}, 1.0)
         assert fixtures["drafts"]["s1"] == GT_DRAFT
+
+
+class TestMockMiss:
+    @pytest.mark.parametrize(
+        "role, payload",
+        [
+            ("asr", {"video_ref": "vid-unknown"}),
+            ("caption", {"video_ref": "vid-unknown", "shot_index": 0}),
+            ("judge", {"task": "recommend_tags", "video_ref": "vid-unknown"}),
+            ("generate", {"sample_id": "s-unknown"}),
+        ],
+    )
+    def test_miss_is_not_retried_and_names_the_role(self, role, payload):
+        mock = mock_backend(3)
+        sends, sleeps = [], []
+
+        class Recording:
+            def send(self, *args):
+                sends.append(args[0])
+                return mock.send(*args)
+
+        ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
+        client = Client(role, ep, transport=Recording(), sleeper=sleeps.append)
+        with pytest.raises(BackendError) as info:
+            client.call(payload)
+        assert not info.value.retryable
+        assert info.value.role == role
+        assert (sends, sleeps) == ([role], [])
 
 
 class TestMockCorruption:

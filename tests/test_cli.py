@@ -273,6 +273,113 @@ class TestAlign:
         assert code == 1
 
 
+class TestHostileInput:
+    BAD_LINES = {
+        "malformed JSON": "{not json",
+        "missing field": '{"draft_json": "{}"}',
+        "non-object line": "[1, 2]",
+    }
+
+    @pytest.mark.parametrize(
+        "target, problem",
+        [
+            (target, problem)
+            for target in ("corpus", "predictions", "resume file")
+            for problem in ("malformed JSON", "missing field", "non-object line", "missing file")
+            # --resume with no output yet starts afresh, so a missing resume file is no error
+            if (target, problem) != ("resume file", "missing file")
+        ],
+    )
+    def test_bad_jsonl_is_a_usage_error(self, capsys, corpus_path, tmp_path, target, problem):
+        corpus, predictions = tmp_path / "corpus.jsonl", tmp_path / "pred.jsonl"
+        corpus.write_bytes(corpus_path.read_bytes())
+        assert main(["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
+                     "--out", str(predictions)]) == 0
+        bad = corpus if target == "corpus" else predictions
+        if problem == "missing file":
+            bad.unlink()
+        else:
+            first = bad.read_text("utf-8").splitlines()[0]
+            bad.write_text(first + "\n" + self.BAD_LINES[problem] + "\n", encoding="utf-8")
+        if target == "resume file":
+            argv = ["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
+                    "--out", str(predictions), "--resume"]
+        else:
+            argv = ["evaluate", str(corpus), str(predictions)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        prefix = f"error: {bad}: " if problem == "missing file" else f"error: {bad}:2: "
+        assert err.startswith(prefix), err
+        assert "Traceback" not in err
+
+
+class TestEndpointResolution:
+    @pytest.fixture
+    def http_calls(self, monkeypatch, video_fixtures):
+        """Serve every HTTP role from the fixture mock and record the URLs called."""
+        mock = backends.mock_backend(7, video_fixtures)
+        urls = []
+
+        def send(self, role, url, body, headers, timeout_s):
+            urls.append(url)
+            return mock.send(role, url, body, headers, timeout_s)
+
+        monkeypatch.setattr(backends.RequestsTransport, "send", send)
+        return urls
+
+    def test_http_caption_builds_the_all_mock_corpus(self, capsys, corpus_path, tmp_path, http_calls):
+        out = tmp_path / "mixed.jsonl"
+        code, _, err = run(
+            capsys, "build-dataset", "--config", str(FIX / "adcut.ini"),
+            "--endpoint-caption", "http://stub.invalid", "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.read_bytes() == corpus_path.read_bytes()
+        assert http_calls and set(http_calls) == {"http://stub.invalid/v1/caption"}
+
+    def test_http_judge_gives_the_all_mock_report(self, capsys, corpus_path, tmp_path, http_calls):
+        pred = tmp_path / "pred.jsonl"
+        assert main(["generate", str(corpus_path), "--endpoint-generate", "mock:swap_adjacent:0.5",
+                     "--seed", "7", "--out", str(pred)]) == 0
+        argv = ["evaluate", str(corpus_path), str(pred), "--with-judge", "--with-vsr",
+                "--config", str(FIX / "adcut.ini"), "--seed", "7"]
+        code, all_mock, err = run(capsys, *argv)
+        assert code == 0, err
+        assert http_calls == []
+        code, mixed, err = run(capsys, *argv, "--endpoint-judge", "http://stub.invalid")
+        assert code == 0, err
+        assert mixed == all_mock
+        assert http_calls and set(http_calls) == {"http://stub.invalid/v1/judge"}
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1]"], ids=["missing", "malformed", "not an object"])
+    def test_bad_configured_fixtures_are_a_usage_error(self, capsys, corpus_path, tmp_path, content):
+        pred = tmp_path / "pred.jsonl"
+        assert main(["generate", str(corpus_path), "--endpoint-generate", "mock:", "--seed", "7",
+                     "--out", str(pred)]) == 0
+        if content is not None:
+            (tmp_path / "fixtures.json").write_text(content)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[paths]\nfixtures = fixtures.json\n")
+        code, _, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge",
+                           "--config", str(ini), "--seed", "7")
+        assert code == 2
+        assert "fixtures" in err and "Traceback" not in err
+
+    def test_mock_miss_is_a_recorded_build_failure(self, capsys, tmp_path, monkeypatch):
+        mock_backend = backends.mock_backend
+
+        def without_serum(seed, fixtures):
+            videos = {ref: v for ref, v in fixtures["videos"].items() if ref != "vid-serum"}
+            return mock_backend(seed, {**fixtures, "videos": videos})
+
+        monkeypatch.setattr(backends, "mock_backend", without_serum)
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(out))
+        assert code == 1
+        assert "warning: vid-serum: shots: no fixture for video 'vid-serum'" in err
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+
 # Runs one subcommand in a fresh interpreter and reports which of the
 # offline pipeline's modules it loaded.
 _IMPORT_PROBE = """

@@ -230,6 +230,16 @@ class TestDeconstruct:
 
 
 class TestAnalyze:
+    def test_deconstruction_golden_bytes(self):
+        # the analysis request carries these bytes; key order is part of the format
+        assert dumps_canonical(DEC.to_dict()) == (
+            b'{"asr_sentences":[{"text":"First line.","start":0,"end":2500},'
+            b'{"text":"Second line.","start":2500,"end":6000}],'
+            b'"subtitle_ocr":["SALE"],"shot_boundaries":[0,2500,6000],'
+            b'"shot_captions":["a hand opens a box","a woman smiles"],'
+            b'"recommended_tags":{"tts_tags":["Young","Female"],"avatar_tags":["Young"],"music_tags":["Pop"]}}'
+        )
+
     def test_payload_contains_deconstruction_verbatim(self, video_fixtures):
         transport = mock_backend(7, video_fixtures)
         counting = CountingCalls(transport)

@@ -126,6 +126,21 @@ class TestSerialize:
             b'"decoration_setting":{"tts_tags":[],"avatar_tags":[],"music_tags":[]}}'
         )
 
+    def test_populated_draft_golden_bytes(self):
+        # golden bytes: key order, escaping and raw UTF-8 are part of the format
+        d = Draft(
+            (VoiceSentence('Café "crème" \\ 50% off', 0, 1200), VoiceSentence("Tap the link.", 1200, 2500)),
+            (VideoNode(3, 0, 1000, 250), VideoNode(0, 1000, 2500, 0)),
+            DecorationSetting(tts_tags=("Young", "Female"), avatar_tags=(), music_tags=("Pop",)),
+        )
+        assert serialize_draft(d) == (
+            '{"voice_over_track":[{"text":"Café \\"crème\\" \\\\ 50% off","target_start":0,"target_end":1200},'
+            '{"text":"Tap the link.","target_start":1200,"target_end":2500}],'
+            '"video_nodes_track":[{"index":3,"target_start":0,"target_end":1000,"source_start":250},'
+            '{"index":0,"target_start":1000,"target_end":2500,"source_start":0}],'
+            '"decoration_setting":{"tts_tags":["Young","Female"],"avatar_tags":[],"music_tags":["Pop"]}}'
+        ).encode("utf-8")
+
     def test_roundtrip_idempotence_100_random(self):
         rng = random.Random(2024)
         for _ in range(100):

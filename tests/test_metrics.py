@@ -21,7 +21,7 @@ from adcut.metrics import (
     vsr,
 )
 
-from helpers import random_draft, recount_cra, recount_csa, recount_dtpr
+from helpers import random_draft, recount_counts, recount_cra, recount_csa, recount_dtpr
 
 
 def draft_with(indices, tags=None) -> Draft:
@@ -146,6 +146,14 @@ class TestDtpr:
         bad = DecorationSetting(music_tags=("Polka",))
         with pytest.raises(UnknownTag):
             dtpr([sample([0], [0], pred_tags=bad)])
+
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    @pytest.mark.parametrize("metric", [cra, csa, dtpr], ids=lambda m: m.__name__)
+    def test_unknown_tag_fails_every_counting_metric(self, metric, side):
+        bad = DecorationSetting(music_tags=("Polka",))
+        corpus = [sample([0], [0], pred_tags=bad) if side == "prediction" else sample([0], [0], truth_tags=bad)]
+        with pytest.raises(UnknownTag, match=side):
+            metric(corpus)
 
     def test_spurious_tag_lowers_precision_not_recall(self):
         truth = DecorationSetting(music_tags=("Pop", "Happy"))
@@ -298,6 +306,13 @@ class TestEvaluateCorpus:
         assert report.vsr is None
         blob = dumps_canonical(report.to_dict())
         assert blob.startswith(b'{"cra":')
+
+    def test_counts_equal_brute_force_recount(self):
+        corpus = perturbed_corpus(40, seed=7)
+        corpus += [EvalSample(f"u{i}", s.ground_truth, None, s.negatives) for i, s in enumerate(corpus[:8])]
+        report = evaluate_corpus(corpus)
+        assert report.counts.to_dict() == recount_counts(corpus)
+        assert (report.cra, report.csa) == (recount_cra(corpus), recount_csa(corpus))
 
     def test_render_table_layout(self):
         corpus = [sample([0], [0])]

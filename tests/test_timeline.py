@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from adcut.clips import ClipMeta, ClipSet
-from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, validate_draft
+from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, parse_draft, validate_draft
 from adcut.timeline import (
     AssetCatalog,
     AssetEntry,
@@ -23,6 +24,8 @@ from adcut.timeline import (
 )
 
 from helpers import aligned_draft_and_clips, clips_covering, random_draft
+
+FIX = Path(__file__).parent / "fixtures"
 
 
 def simple_draft(sentence_spans, node_spans, source_starts=None):
@@ -326,3 +329,22 @@ def test_plan_serialization_roundtrip(fixtures_dir):
     blob = serialize_plan(full)
     assert blob == serialize_plan(full)
     assert b'"total_duration":3500' in blob
+
+
+def test_fixture_plan_golden_bytes():
+    # golden bytes of the fixture draft aligned with catalog.json: key order
+    # and layout of the render plan are part of the format
+    draft = parse_draft((FIX / "draft_template.json").read_bytes())
+    plan = align_draft(draft, TtsRealization.load(FIX / "tts_noop.json"), ClipSet.load(FIX / "clips.json"))
+    plan = plan.with_assets(match_decorations(draft, AssetCatalog.load(FIX / "catalog.json")))
+    assert serialize_plan(plan) == (
+        b'{"voice_over_track":[{"text":"Meet the SoundPod Mini, your new everyday earbuds.",'
+        b'"target_start":0,"target_end":2800},'
+        b'{"text":"Crystal clear calls and a battery that lasts all day.","target_start":2800,"target_end":6100},'
+        b'{"text":"Tap the link and grab yours today.","target_start":6100,"target_end":8900}],'
+        b'"video_nodes_track":[{"index":2,"target_start":0,"target_end":2500,"source_start":0},'
+        b'{"index":0,"target_start":2500,"target_end":6000,"source_start":500},'
+        b'{"index":4,"target_start":6000,"target_end":9000,"source_start":0}],'
+        b'"assets":{"tts_asset":"tts-young-f-us","avatar_asset":"avatar-living-room","music_asset":"music-pop-happy"},'
+        b'"total_duration":9000}'
+    )
