@@ -23,11 +23,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
-from .jsonutil import RecordError, dumps_canonical, read_records
+from .jsonutil import RecordError, dumps_canonical, read_records, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -42,6 +42,7 @@ from .timeline import (
 if TYPE_CHECKING:
     from . import backends as be
     from . import dataset as ds
+    from .sampling import SlowFastConfig
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -59,19 +60,39 @@ class CliError(Exception):
 
 
 class Config:
-    """Flat key/value config with sections; flags override file values."""
+    """Flat key/value config with sections; flags override file values.
+
+    A file that does not parse, and a value that cannot be read or is not
+    the number asked for, is a usage error naming the file."""
 
     def __init__(self, path: str | None):
         self.parser = configparser.ConfigParser()
+        self.source = path
         self.base_dir = Path(".")
         if path:
             if not Path(path).is_file():
                 raise CliError(f"config file not found: {path}")
-            self.parser.read(path, encoding="utf-8")
+            try:
+                self.parser.read(path, encoding="utf-8")
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise CliError(f"{path}: {' '.join(str(exc).split())}") from None
             self.base_dir = Path(path).resolve().parent
 
-    def get(self, section: str, key: str, fallback: str | None = None) -> str | None:
-        return self.parser.get(section, key, fallback=fallback)
+    def get(self, section: str, key: str) -> str | None:
+        try:
+            return self.parser.get(section, key, fallback=None)
+        except configparser.Error as exc:
+            raise CliError(f"{self.source}: [{section}] {key}: {' '.join(str(exc).split())}") from None
+
+    def number(self, section: str, key: str, kind: type[int] | type[float], fallback: Any) -> Any:
+        """The value as a ``kind``, or ``fallback`` when it is not set."""
+        value = self.get(section, key)
+        if value is None:
+            return fallback
+        try:
+            return kind(value)
+        except ValueError:
+            raise CliError(f"{self.source}: [{section}] {key}: expected {kind.__name__}, got {value!r}") from None
 
     def path(self, section: str, key: str) -> Path | None:
         value = self.get(section, key)
@@ -89,12 +110,10 @@ def _load_config(args: argparse.Namespace) -> Config:
 def _seed(args: argparse.Namespace, cfg: Config) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    value = cfg.get("dataset", "seed")
-    if value is not None:
-        return int(value)
-    if os.environ.get("ADCUT_CI"):
+    seed = cfg.number("dataset", "seed", int, None)
+    if seed is None and os.environ.get("ADCUT_CI"):
         raise CliError("--seed is required in CI mode")
-    return 0
+    return seed or 0
 
 
 def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
@@ -138,10 +157,11 @@ def _fixtures(cfg: Config) -> dict:
     return fixtures
 
 
-def _read(reader: Callable[[str], Any], path: str) -> Any:
-    """``reader(path)``, turning an unreadable file or a bad record into a usage error."""
+def _on_file(use: Callable[[str], Any], path: str) -> Any:
+    """``use(path)``, turning a file that cannot be read or written, or a bad
+    record, into a usage error."""
     try:
-        return reader(path)
+        return use(path)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
     except RecordError as exc:
@@ -151,7 +171,7 @@ def _read(reader: Callable[[str], Any], path: str) -> Any:
 def _read_corpus(path: str) -> list[ds.DatasetSample]:
     from . import dataset as ds
 
-    samples = _read(ds.read_corpus, path)
+    samples = _on_file(ds.read_corpus, path)
     if not samples:
         raise CliError("corpus is empty")
     return samples
@@ -168,14 +188,53 @@ def _read_predictions(path: str) -> dict[str, str]:
     return out
 
 
-def _map_ordered(fn: Callable[[Any], Any], items: Iterable[Any], concurrency: int) -> list:
-    """``[fn(item) for item in items]``, on a thread pool when ``concurrency > 1``."""
-    if concurrency > 1:
+def _run_samples(
+    args: argparse.Namespace, cfg: Config, items: list[tuple], fn: Callable[..., dict], out: str | None, append=False
+) -> int:
+    """Write ``fn(*item)`` for each ``(sample_id, ...)`` item as a JSON line of ``out``, in
+    input order as results arrive. A sample that fails in a backend, deconstruction or
+    prompt revision gets a warning instead of a line, and exit code 1."""
+    from . import backends as be
+    from . import dataset as ds
+
+    if not out:
+        raise CliError("an output path is required")
+    concurrency = args.concurrency if args.concurrency is not None else cfg.number("dataset", "concurrency", int, 1)
+    if concurrency < 1:
+        raise CliError(f"concurrency must be at least 1, got {concurrency}")
+    failures = []
+
+    def attempt(item: tuple) -> dict | str:
+        try:
+            return fn(*item)
+        except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid) as exc:
+            return f"warning: {item[0]}: {exc}"
+
+    def records(map_: Callable) -> Iterator[dict]:  # drawn only once write_records has opened ``out``
+        for result in map_(attempt, items):
+            if isinstance(result, str):
+                failures.append(result)
+                print(result, file=sys.stderr)
+            else:
+                yield result
+
+    if concurrency == 1:
+        _on_file(lambda path: write_records(path, records(map), append), out)
+    else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            _on_file(lambda path: write_records(path, records(pool.map), append), out)
+    return EXIT_VIOLATION if failures else EXIT_OK
+
+
+def _preset(text: str) -> SlowFastConfig:
+    from .sampling import PresetError, parse_preset
+
+    try:
+        return parse_preset(text)
+    except (PresetError, ValueError) as exc:
+        raise CliError(f"bad preset: {exc}") from exc
 
 
 def _read_draft(path: str) -> Draft:
@@ -197,10 +256,11 @@ def _read_clips(path: str) -> ClipSet:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        _on_file(lambda path: Path(path).write_text(text, encoding="utf-8"), out)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +284,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .sampling import CeilingUnsatisfiable, PresetError, parse_preset, plan_request
+    from .sampling import CeilingUnsatisfiable, plan_request
 
     cfg = _load_config(args)
     preset_text = args.preset or cfg.get("sampling", "preset")
     if not preset_text:
         raise CliError("a --preset such as fast:2/4,slow:0.5/16 is required")
-    try:
-        preset = parse_preset(preset_text)
-    except (PresetError, ValueError) as exc:
-        raise CliError(f"bad preset: {exc}") from exc
+    preset = _preset(preset_text)
     clips = _read_clips(args.clips)
     if len(clips) == 0:
         raise CliError("clip set is empty")
@@ -262,13 +319,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     from . import backends as be
     from . import dataset as ds
-    from .sampling import parse_preset
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    out = args.out or cfg.get("dataset", "out")
-    if not out:
-        raise CliError("an output path is required (--out or [dataset] out)")
 
     videos_value = cfg.get("dataset", "videos")
     fixtures = _fixtures(cfg)
@@ -281,6 +334,17 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     )
     if not video_refs:
         raise CliError("no source videos configured")
+    products = []
+    for ref in video_refs:  # all checked before the first backend call
+        data = fixtures.get("videos", {}).get(ref, {}).get("product")
+        if not data:
+            raise CliError(f"fixtures lack product info for video {ref!r}")
+        try:
+            selling_points = tuple(data.get("selling_points", ()))
+            product = ds.ProductInfo(data["name"], data.get("brand", ""), data.get("price", ""), selling_points)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"bad product info for video {ref!r}: {exc}") from None
+        products.append((ref, product))
 
     template_path = cfg.path("paths", "template")
     if cfg.get("paths", "template") and (template_path is None or not template_path.is_file()):
@@ -289,48 +353,22 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
     negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
 
-    dropout = float(args.dropout_p if args.dropout_p is not None else cfg.get("dataset", "dropout_p", str(ds.DEFAULT_DROPOUT_P)))
-    preset_text = args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET
-    sampling = parse_preset(preset_text)
+    dropout = args.dropout_p
+    if dropout is None:
+        dropout = cfg.number("dataset", "dropout_p", float, ds.DEFAULT_DROPOUT_P)
+    if not 0 <= dropout < 1:
+        raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
+    sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
     mock = functools.cache(lambda: be.mock_backend(seed, fixtures))
     backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock) for role in ENDPOINT_ROLES})
-    concurrency = args.concurrency or int(cfg.get("dataset", "concurrency", "1"))
-    failures: list[tuple[str, str]] = []
 
-    def build(ref: str) -> ds.DatasetSample | None:
-        video = fixtures.get("videos", {}).get(ref, {})
-        product_data = video.get("product")
-        if not product_data:
-            raise CliError(f"fixtures lack product info for video {ref!r}")
-        product = ds.ProductInfo(
-            name=product_data["name"],
-            brand=product_data.get("brand", ""),
-            price=product_data.get("price", ""),
-            selling_points=tuple(product_data.get("selling_points", ())),
-        )
-        try:
-            return ds.build_sample(
-                ref,
-                product,
-                backend_set,
-                negative_pool,
-                corpus_seed=seed,
-                dropout_p=dropout,
-                sampling=sampling,
-                template=template,
-            )
-        except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid) as exc:
-            failures.append((ref, str(exc)))
-            return None
+    def build(ref: str, product: ds.ProductInfo) -> dict:
+        return ds.build_sample(
+            ref, product, backend_set, negative_pool,
+            corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
+        ).to_dict()
 
-    samples = [s for s in _map_ordered(build, video_refs, concurrency) if s is not None]
-    ds.write_corpus(samples, out)
-    for ref, message in failures:
-        print(f"warning: {ref}: {message}", file=sys.stderr)
-    if failures:
-        print(f"partial corpus: {len(samples)}/{len(video_refs)} videos", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
 
 
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
@@ -342,7 +380,10 @@ def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be
     mode = parts[1] if len(parts) > 1 and parts[1] else "none"
     if mode == "perfect":
         mode = "none"
-    rate = float(parts[2]) if len(parts) > 2 else 1.0
+    try:
+        rate = float(parts[2]) if len(parts) > 2 else 1.0
+    except ValueError:
+        raise CliError(f"bad mock endpoint {value!r}: the rate is not a number") from None
     fixtures = {
         "drafts": {s.sample_id: ds.draft_to_dict(s.ground_truth) for s in samples},
         "negatives": {s.sample_id: list(s.negatives) for s in samples},
@@ -353,7 +394,6 @@ def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be
 
 def cmd_generate(args: argparse.Namespace) -> int:
     from . import backends as be
-    from . import dataset as ds
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
@@ -363,23 +403,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError("--endpoint-generate is required")
     client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples))
 
-    resuming = args.resume and Path(args.out).is_file()
-    done = _read(_read_predictions, args.out) if resuming else {}
-    todo = [s for s in samples if s.sample_id not in done]
+    resuming = bool(args.resume and args.out and Path(args.out).is_file())
+    done = _on_file(_read_predictions, args.out) if resuming else {}
+    todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
-    def generate_one(sample: ds.DatasetSample) -> bytes:
-        response = be.generate_draft({"sample_id": sample.sample_id, "instruction": sample.instruction}, client)
-        return dumps_canonical(
-            {"sample_id": sample.sample_id, "draft_json": response.draft_json.decode("utf-8")}
-        )
+    def generate_one(sample_id: str, instruction: str) -> dict:
+        response = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
+        return {"sample_id": sample_id, "draft_json": response.draft_json.decode("utf-8")}
 
-    lines = _map_ordered(generate_one, todo, args.concurrency or 1)
-
-    with open(args.out, "ab" if resuming else "wb") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write(b"\n")
-    return EXIT_OK
+    return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -389,7 +421,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     corpus = _read_corpus(args.corpus)
-    predictions = _read(_read_predictions, args.predictions)
+    predictions = _on_file(_read_predictions, args.predictions)
 
     corpus_ids = [s.sample_id for s in corpus]
     orphan_predictions = sorted(set(predictions) - set(corpus_ids))

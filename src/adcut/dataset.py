@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from .backends import BackendSet, Client
 from .clips import ClipMeta, ClipSet
@@ -32,10 +33,10 @@ from .draft import (
     Draft,
     VideoNode,
     VoiceSentence,
+    draft_from_dict,
     draft_to_dict,
-    parse_draft,
 )
-from .jsonutil import RecordError, dumps_canonical, read_records
+from .jsonutil import RecordError, read_records, write_records
 from .sampling import SlowFastConfig, frame_total, parse_preset
 
 NEGATIVE_COUNT_MEAN = 2.5
@@ -203,14 +204,28 @@ class DatasetSample:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSample":
+        """The sample a decoded corpus line holds. Raises ``KeyError`` for a
+        missing field, ``TypeError`` for a field of the wrong JSON type and
+        :class:`~adcut.draft.SchemaError` for a ground truth that is no draft."""
         return cls(
-            sample_id=data["sample_id"],
-            instruction=data["instruction"],
-            clip_order=tuple(data["clip_order"]),
-            negatives=tuple(data["negatives"]),
-            negatives_capped=data["negatives_capped"],
-            ground_truth=parse_draft(dumps_canonical(data["ground_truth"])),
+            sample_id=_field(data, "sample_id", str),
+            instruction=_field(data, "instruction", str),
+            clip_order=tuple(_field(data, "clip_order", list, str)),
+            negatives=tuple(_field(data, "negatives", list, int)),
+            negatives_capped=_field(data, "negatives_capped", bool),
+            ground_truth=draft_from_dict(_field(data, "ground_truth", dict)),
         )
+
+
+def _field(data: dict, key: str, kind: type, item_kind: type | None = None) -> Any:
+    """``data[key]`` if it is a ``kind`` (a list of ``item_kind``; a bool is no int)."""
+    value = data[key]
+    if not isinstance(value, kind) or (
+        item_kind is not None and not all(isinstance(i, item_kind) and not isinstance(i, bool) for i in value)
+    ):
+        wanted = kind.__name__ + (f" of {item_kind.__name__}" if item_kind else "")
+        raise TypeError(f"{key}: expected {wanted}, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +537,7 @@ def build_sample(
 
 
 def write_corpus(samples: list[DatasetSample], path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        for sample in samples:
-            fh.write(dumps_canonical(sample.to_dict()))
-            fh.write(b"\n")
+    write_records(path, (sample.to_dict() for sample in samples))
 
 
 def read_corpus(path: str | Path) -> list[DatasetSample]:

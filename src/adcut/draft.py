@@ -170,7 +170,8 @@ def _parse_index(value: Any, path: str) -> int:
 def _warn_unknown(obj: dict, known: Iterable[str], path: str) -> None:
     for key in obj:
         if key not in known:
-            warnings.warn(f"{path}.{key}: unknown key ignored", UnknownKeyWarning, stacklevel=3)
+            # stacklevel 4 names the caller of parse_draft, past draft_from_dict
+            warnings.warn(f"{path}.{key}: unknown key ignored", UnknownKeyWarning, stacklevel=4)
 
 
 def _parse_tag_list(value: Any, path: str) -> tuple[str, ...]:
@@ -182,10 +183,8 @@ def parse_draft(data: bytes | str) -> Draft:
     """Parse draft JSON into a :class:`Draft`.
 
     Raises :class:`DraftSyntaxError` for malformed JSON, including arrays
-    or objects nested too deeply for the decoder, and :class:`SchemaError`
-    (with JSON path) for shape violations, including unknown top-level
-    keys. Unknown keys inside nested objects only emit an
-    :class:`UnknownKeyWarning`.
+    or objects nested too deeply for the decoder, and otherwise whatever
+    :func:`draft_from_dict` raises or warns.
     """
     try:
         doc = loads(data)
@@ -193,7 +192,16 @@ def parse_draft(data: bytes | str) -> Draft:
         raise DraftSyntaxError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise DraftSyntaxError("malformed JSON: nested too deeply") from None
+    return draft_from_dict(doc)
 
+
+def draft_from_dict(doc: Any) -> Draft:
+    """Build a :class:`Draft` from an already decoded JSON value.
+
+    Raises :class:`SchemaError` (with JSON path) for shape violations,
+    including unknown top-level keys. Unknown keys inside nested objects
+    only emit an :class:`UnknownKeyWarning`.
+    """
     root = _require_object(doc, "$")
     for key in root:
         if key not in TOP_LEVEL_KEYS:

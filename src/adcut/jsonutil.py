@@ -7,9 +7,9 @@ Identical values always produce identical bytes.
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-__all__ = ["RecordError", "dumps_canonical", "loads", "read_records"]
+__all__ = ["RecordError", "dumps_canonical", "loads", "read_records", "write_records"]
 
 
 class RecordError(ValueError):
@@ -47,3 +47,12 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise RecordError(path, number, f"expected a JSON object, got {type(record).__name__}")
             yield number, record
+
+
+def write_records(path: str | Path, records: Iterable[Any], append: bool = False) -> None:
+    """Write each record as a canonical JSON line, flushed as it is written. The
+    file is opened before the first record is drawn; ``OSError`` if it cannot be."""
+    with open(path, "ab" if append else "wb") as fh:
+        for record in records:
+            fh.write(dumps_canonical(record) + b"\n")
+            fh.flush()

@@ -115,6 +115,31 @@ class TestBuildDataset:
         assert code == 2
         assert "template" in err
 
+    @pytest.mark.parametrize(
+        "product, error",
+        [
+            (None, "fixtures lack product info for video 'vid-serum'"),
+            ({"name": "Serum", "selling_points": []},
+             "bad product info for video 'vid-serum': at least one selling point is required"),
+        ],
+        ids=["missing", "no selling points"],
+    )
+    def test_bad_product_info_fails_before_any_backend_call(
+        self, capsys, tmp_path, monkeypatch, video_fixtures, product, error
+    ):
+        video_fixtures["videos"]["vid-serum"]["product"] = product
+        (tmp_path / "videos.json").write_text(json.dumps(video_fixtures))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text((FIX / "adcut.ini").read_text())
+        calls = []
+        monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out), "--concurrency", "2")
+        assert code == 2
+        assert err == f"error: {error}\n"
+        assert calls == []
+        assert not out.exists()
+
 
 @pytest.fixture
 def corpus_path(tmp_path_factory):
@@ -152,6 +177,40 @@ class TestGenerate:
         assert len(lines) == 3
         assert lines[0]["draft_json"] == "{}"  # untouched
         assert {l["sample_id"] for l in lines} == {s.sample_id for s in read_corpus(corpus_path)}
+
+    def test_backend_miss_is_recorded_then_resumed(self, capsys, corpus_path, tmp_path, monkeypatch):
+        mock_backend = backends.mock_backend
+
+        def without_blender(seed, fixtures):
+            drafts = {sid: d for sid, d in fixtures["drafts"].items() if sid != "vid-blender"}
+            return mock_backend(seed, {**fixtures, "drafts": drafts})
+
+        argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
+        full = tmp_path / "full.jsonl"
+        assert main([*argv, "--out", str(full)]) == 0
+        monkeypatch.setattr(backends, "mock_backend", without_blender)
+        partial = {}
+        for concurrency in ("1", "4"):
+            partial[concurrency] = tmp_path / f"pred{concurrency}.jsonl"
+            code, _, err = run(capsys, *argv, "--concurrency", concurrency, "--out", str(partial[concurrency]))
+            assert code == 1
+            assert "warning: vid-blender: generate: no ground-truth draft for sample 'vid-blender'" in err
+            assert "Traceback" not in err
+        out = partial["1"]
+        assert out.read_bytes() == partial["4"].read_bytes()
+        assert [json.loads(l)["sample_id"] for l in out.read_text().splitlines()] == ["vid-earbuds", "vid-serum"]
+
+        monkeypatch.undo()
+        before = out.read_bytes()
+        code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
+        assert code == 0, err
+        after = out.read_bytes()
+        assert after.startswith(before)
+        assert [json.loads(l)["sample_id"] for l in after[len(before):].splitlines()] == ["vid-blender"]
+        def by_id(path):
+            return {r["sample_id"]: r["draft_json"] for r in map(json.loads, path.read_text().splitlines())}
+
+        assert by_id(out) == by_id(full)
 
 
 class TestEvaluate:
@@ -278,6 +337,7 @@ class TestHostileInput:
         "malformed JSON": "{not json",
         "missing field": '{"draft_json": "{}"}',
         "non-object line": "[1, 2]",
+        "array sample_id": None,  # the first line with its sample_id made a JSON array
     }
 
     @pytest.mark.parametrize(
@@ -285,7 +345,7 @@ class TestHostileInput:
         [
             (target, problem)
             for target in ("corpus", "predictions", "resume file")
-            for problem in ("malformed JSON", "missing field", "non-object line", "missing file")
+            for problem in ("malformed JSON", "missing field", "non-object line", "array sample_id", "missing file")
             # --resume with no output yet starts afresh, so a missing resume file is no error
             if (target, problem) != ("resume file", "missing file")
         ],
@@ -300,7 +360,8 @@ class TestHostileInput:
             bad.unlink()
         else:
             first = bad.read_text("utf-8").splitlines()[0]
-            bad.write_text(first + "\n" + self.BAD_LINES[problem] + "\n", encoding="utf-8")
+            line = self.BAD_LINES[problem] or json.dumps({**json.loads(first), "sample_id": [1]})
+            bad.write_text(first + "\n" + line + "\n", encoding="utf-8")
         if target == "resume file":
             argv = ["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
                     "--out", str(predictions), "--resume"]
@@ -411,6 +472,53 @@ def test_request_commands_skip_offline_pipeline_imports(argv, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"code": 0, "loaded": []}
+
+
+_GENERATE = ["generate", "{corpus}", "--endpoint-generate", "mock:"]
+_OUT = ["--out", "{tmp}/out.jsonl"]
+_BUILD = ["build-dataset", "--seed", "7", *_OUT]
+
+
+# case -> (argv, config file text or None, start of the error after "error: ");
+# {corpus}, {tmp}, {nodir} and {ini} are filled in by the test
+@pytest.mark.parametrize(
+    "argv, ini, error",
+    [
+        (["validate", str(FIX / "draft_template.json"), "--out", "{nodir}"], None, "{nodir}: No such file or directory"),
+        (["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", "{nodir}"], None, "{nodir}: No such file or directory"),
+        ([*_GENERATE, "--seed", "7", "--out", "{nodir}"], None, "{nodir}: No such file or directory"),
+        ([*_GENERATE, "--seed", "7"], None, "an output path is required"),
+        ([*_GENERATE, *_OUT, "--seed", "7", "--concurrency", "0"], None, "concurrency must be at least 1, got 0"),
+        ([*_GENERATE, *_OUT, "--seed", "7", "--concurrency", "-3"], None, "concurrency must be at least 1, got -3"),
+        ([*_GENERATE, *_OUT, "--config", "{ini}"], "seed = 7\n", "{ini}: File contains no section headers"),
+        ([*_GENERATE, *_OUT, "--config", "{ini}"], "[dataset]\nseed = 7\nseed = 8\n", "{ini}: While reading from"),
+        ([*_GENERATE, *_OUT, "--config", "{ini}"], "[dataset]\nseed = x\n", "{ini}: [dataset] seed: expected int, got 'x'"),
+        ([*_GENERATE, *_OUT, "--config", "{ini}"], "[dataset]\nseed = 7\nconcurrency = abc\n",
+         "{ini}: [dataset] concurrency: expected int, got 'abc'"),
+        ([*_BUILD, "--config", "{ini}"], f"[paths]\nfixtures = {FIX / 'videos.json'}\n[dataset]\ndropout_p = x\n",
+         "{ini}: [dataset] dropout_p: expected float, got 'x'"),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--dropout-p", "1.5"], None,
+         "dropout probability must be in [0, 1), got 1.5"),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--preset", "fast:x"], None, "bad preset: "),
+        (["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:x", "--seed", "7", *_OUT], None,
+         "bad mock endpoint 'mock:swap_adjacent:x': the rate is not a number"),
+    ],
+    ids=[
+        "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
+        "generate without an output path", "--concurrency 0", "--concurrency -3",
+        "no section header", "duplicate key", "seed not an int", "concurrency not an int",
+        "dropout_p not a float", "--dropout-p 1.5", "bad preset", "bad mock rate",
+    ],
+)
+def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, tmp_path, argv, ini, error):
+    names = {"corpus": corpus_path, "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.jsonl", "ini": tmp_path / "bad.ini"}
+    if ini is not None:
+        names["ini"].write_text(ini)
+    code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: " + error.format(**names)), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_endpoint_roles_match_backend_roles():
