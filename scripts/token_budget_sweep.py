@@ -31,8 +31,8 @@ def run() -> int:
             entry = plan_clip(clip, cfg)
             diff = abs(entry.fast.tokens - entry.slow.tokens)
             print(
-                f"{t:>7.1f}  {len(entry.fast.frame_indices):>11}  {entry.fast.tokens:>11}"
-                f"  {len(entry.slow.frame_indices):>11}  {entry.slow.tokens:>11}  {diff:>6}"
+                f"{t:>7.1f}  {entry.fast.frames:>11}  {entry.fast.tokens:>11}"
+                f"  {entry.slow.frames:>11}  {entry.slow.tokens:>11}  {diff:>6}"
             )
         print()
     return 0

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
-from .jsonutil import RecordError, dumps_canonical, read_records, write_records
+from .jsonutil import RecordError, dumps_canonical, read_records, trim_torn_tail, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -142,7 +142,8 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[],
 
 def _fixtures(cfg: Config) -> dict:
     """The mock fixtures file, or ``{}`` when none is configured; a configured
-    file that is missing or not a JSON object is a usage error."""
+    file that is missing, not a JSON object, or whose ``videos`` or
+    ``negative_pool`` is not shaped as the mocks read them is a usage error."""
     path = cfg.path("paths", "fixtures")
     if path is None:
         return {}
@@ -154,6 +155,17 @@ def _fixtures(cfg: Config) -> dict:
         raise CliError(f"fixtures file {path} is not JSON: {exc}") from None
     if not isinstance(fixtures, dict):
         raise CliError(f"fixtures file {path} is not a JSON object")
+    videos, pool = fixtures.get("videos", {}), fixtures.get("negative_pool", [])
+    if not isinstance(videos, dict):
+        raise CliError(f"fixtures file {path}: videos is not a JSON object")
+    for ref, video in videos.items():
+        if not isinstance(video, dict):
+            raise CliError(f"fixtures file {path}: videos.{ref} is not a JSON object")
+    if not isinstance(pool, list):
+        raise CliError(f"fixtures file {path}: negative_pool is not a JSON array")
+    for i, entry in enumerate(pool):
+        if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
+            raise CliError(f"fixtures file {path}: negative_pool[{i}] needs integer index and duration_ms")
     return fixtures
 
 
@@ -301,8 +313,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     if args.format == "table":
         lines = [
-            f"clip {c.index:>4}: fast {len(c.fast.frame_indices):>4} frames / {c.fast.tokens:>6} tokens"
-            f"   slow {len(c.slow.frame_indices):>4} frames / {c.slow.tokens:>6} tokens"
+            f"clip {c.index:>4}: fast {c.fast.frames:>4} frames / {c.fast.tokens:>6} tokens"
+            f"   slow {c.slow.frames:>4} frames / {c.slow.tokens:>6} tokens"
             for c in plan.clips
         ]
         lines.append(
@@ -339,6 +351,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         data = fixtures.get("videos", {}).get(ref, {}).get("product")
         if not data:
             raise CliError(f"fixtures lack product info for video {ref!r}")
+        if not isinstance(data, dict):
+            raise CliError(f"bad product info for video {ref!r}: not a JSON object")
         try:
             selling_points = tuple(data.get("selling_points", ()))
             product = ds.ProductInfo(data["name"], data.get("brand", ""), data.get("price", ""), selling_points)
@@ -351,7 +365,10 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         raise CliError(f"template file not found: {cfg.get('paths', 'template')}")
     template = ds.load_instruction_template(template_path)
 
-    negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
+    try:
+        negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
+    except ValueError as exc:
+        raise CliError(f"fixtures file {cfg.path('paths', 'fixtures')}: negative_pool: {exc}") from None
 
     dropout = args.dropout_p
     if dropout is None:
@@ -404,7 +421,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples))
 
     resuming = bool(args.resume and args.out and Path(args.out).is_file())
-    done = _on_file(_read_predictions, args.out) if resuming else {}
+    done = {}
+    if resuming:
+        if _on_file(trim_torn_tail, args.out):
+            print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
+        done = _on_file(_read_predictions, args.out)
     todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
     def generate_one(sample_id: str, instruction: str) -> dict:

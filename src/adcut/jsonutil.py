@@ -6,10 +6,11 @@ Identical values always produce identical bytes.
 """
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-__all__ = ["RecordError", "dumps_canonical", "loads", "read_records", "write_records"]
+__all__ = ["RecordError", "dumps_canonical", "loads", "read_records", "trim_torn_tail", "write_records"]
 
 
 class RecordError(ValueError):
@@ -47,6 +48,33 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise RecordError(path, number, f"expected a JSON object, got {type(record).__name__}")
             yield number, record
+
+
+def trim_torn_tail(path: str | Path) -> bool:
+    """Mend the end of a JSON-lines file that a killed writer may have cut short.
+
+    A last line without its newline that does not parse is truncated away,
+    and True returned; one that parses gets its newline, so records appended
+    next start on a line of their own. ``OSError`` if the file cannot be
+    opened for update.
+    """
+    with open(path, "r+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        start, tail = end, b""
+        while start and b"\n" not in tail:
+            start = max(0, start - 65536)
+            fh.seek(start)
+            tail = fh.read(end - start)
+        cut = start + tail.rfind(b"\n") + 1
+        if cut == end:
+            return False
+        try:
+            json.loads(tail[cut - start :])
+        except (ValueError, RecursionError):
+            fh.truncate(cut)
+            return True
+        fh.write(b"\n")
+        return False
 
 
 def write_records(path: str | Path, records: Iterable[Any], append: bool = False) -> None:

@@ -7,7 +7,9 @@ otherwise round(duration * fps) frames are taken uniformly. Requests are
 capped at a total fast-frame ceiling (default 600) enforced by halving the
 effective fast fps. A clip's frame count has a closed form
 (:func:`frame_total`), so a request's reduction factor is found from counts
-alone and each clip is planned once, at the final rate.
+alone and each clip is planned once, at the final rate. A plan is counts
+first: each pathway stores its clip, rate, frame count and tokens, and its
+frame indices and timestamps are built only when read.
 
 Also provides the two numeric reference ops for visual-token compression:
 query squeezing (1-D group means) and 2-D average pooling. They use only
@@ -167,14 +169,30 @@ def frame_timestamps(clip: ClipMeta, indices: list[int]) -> list[float]:
 
 @dataclass(frozen=True)
 class PathwaySample:
-    frame_indices: tuple[int, ...]
-    timestamps_s: tuple[float, ...]
+    """One pathway of one clip: ``frames`` frames at ``fps``, ``tokens`` tokens.
+
+    The frame indices and their timestamps follow from the clip and the rate,
+    so they are built on each read, never stored.
+    """
+
+    clip: ClipMeta
+    fps: float
+    frames: int
     tokens: int
 
+    @property
+    def frame_indices(self) -> tuple[int, ...]:
+        return tuple(sample_frames(self.clip, self.fps))
+
+    @property
+    def timestamps_s(self) -> tuple[float, ...]:
+        return tuple(frame_timestamps(self.clip, sample_frames(self.clip, self.fps)))
+
     def to_dict(self) -> dict:
+        indices = sample_frames(self.clip, self.fps)
         return {
-            "frame_indices": list(self.frame_indices),
-            "timestamps_s": list(self.timestamps_s),
+            "frame_indices": indices,
+            "timestamps_s": frame_timestamps(self.clip, indices),
             "tokens": self.tokens,
         }
 
@@ -198,11 +216,11 @@ class SamplingPlan:
 
     @property
     def total_fast_frames(self) -> int:
-        return sum(len(c.fast.frame_indices) for c in self.clips)
+        return sum(c.fast.frames for c in self.clips)
 
     @property
     def total_slow_frames(self) -> int:
-        return sum(len(c.slow.frame_indices) for c in self.clips)
+        return sum(c.slow.frames for c in self.clips)
 
     @property
     def total_fast_tokens(self) -> int:
@@ -228,16 +246,12 @@ class SamplingPlan:
 
 
 def _sample_pathway(clip: ClipMeta, fps: float, tokens_per_frame: int) -> PathwaySample:
-    indices = sample_frames(clip, fps)
-    return PathwaySample(
-        frame_indices=tuple(indices),
-        timestamps_s=tuple(frame_timestamps(clip, indices)),
-        tokens=tokens_per_frame * len(indices),
-    )
+    frames = frame_total(clip, fps)
+    return PathwaySample(clip=clip, fps=fps, frames=frames, tokens=tokens_per_frame * frames)
 
 
 def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | None = None) -> ClipPlan:
-    """Sample both pathways for one clip and attach token counts."""
+    """Count both pathways' frames for one clip and attach token counts."""
     fast_fps = cfg.fast.fps if effective_fast_fps is None else effective_fast_fps
     return ClipPlan(
         index=clip.index,

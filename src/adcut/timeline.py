@@ -4,11 +4,11 @@ The voice track is authoritative: each sentence span is replaced by its
 realized TTS duration and sentences are packed gaplessly from time zero.
 Video nodes are rescaled by the realized/drafted duration ratio of the
 sentences they overlap in the draft (a node overlapping no sentence keeps
-its drafted length) and re-packed gaplessly. Span arithmetic is exact
-rational math; each cumulative boundary is rounded to the nearest
-millisecond once, so rounding never drifts and the final node absorbs the
-residue. Decoration tags resolve against an asset catalog by maximum label
-overlap.
+its drafted length) and re-packed gaplessly. The cumulative boundary is
+kept exact as an integer numerator and denominator in lowest terms, and each
+one is rounded half up to the nearest millisecond once, so rounding never
+drifts and the final node absorbs the residue. Decoration tags resolve
+against an asset catalog by maximum label overlap.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .clips import ClipSet
@@ -171,10 +170,6 @@ def serialize_plan(plan: RenderPlan) -> bytes:
     return dumps_canonical(plan.to_dict())
 
 
-def _round_ms(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
 def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
     """Reconcile a validated draft with realized TTS durations.
 
@@ -205,20 +200,25 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
         realized_before.append(at)
 
     nodes: list[VideoNode] = []
-    boundary = Fraction(0)
+    num, den = 0, 1  # the exact boundary num/den in ms, in lowest terms
     prev_end = 0
     for node_pos, node in enumerate(d.video_nodes_track):
         # overlapping sentences: those ending after the node starts and
         # starting before it ends
         lo = bisect_right(ends, node.target_start)
         hi = bisect_left(starts, node.target_end)
-        span = Fraction(node.span_ms)
         if lo < hi:
+            # add span * realized / drafted
             drafted = drafted_before[hi] - drafted_before[lo]
             realized = realized_before[hi] - realized_before[lo]
-            span *= Fraction(realized, drafted)
-        boundary += span
-        end = _round_ms(boundary)
+            num = num * drafted + node.span_ms * realized * den
+            den *= drafted
+            g = math.gcd(num, den)
+            num //= g
+            den //= g
+        else:
+            num += node.span_ms * den
+        end = (2 * num + den) // (2 * den)  # round half up
         new_span = end - prev_end
         clip = clips.get(node.index)
         if clip is not None:

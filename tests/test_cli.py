@@ -121,8 +121,9 @@ class TestBuildDataset:
             (None, "fixtures lack product info for video 'vid-serum'"),
             ({"name": "Serum", "selling_points": []},
              "bad product info for video 'vid-serum': at least one selling point is required"),
+            ("Serum", "bad product info for video 'vid-serum': not a JSON object"),
         ],
-        ids=["missing", "no selling points"],
+        ids=["missing", "no selling points", "not an object"],
     )
     def test_bad_product_info_fails_before_any_backend_call(
         self, capsys, tmp_path, monkeypatch, video_fixtures, product, error
@@ -139,6 +140,27 @@ class TestBuildDataset:
         assert err == f"error: {error}\n"
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("videos", {"vid-serum": 1}, "videos.vid-serum is not a JSON object"),
+            ("negative_pool", [{"index": 0, "duration_ms": "2400"}],
+             "negative_pool[0] needs integer index and duration_ms"),
+            ("negative_pool", [{"index": 0, "duration_ms": 1}],
+             "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
+        ],
+        ids=["video not an object", "pool entry without integer duration", "pool clip too short"],
+    )
+    def test_misshapen_fixtures_are_a_usage_error(self, capsys, tmp_path, video_fixtures, key, value, reason):
+        video_fixtures[key] = value
+        fixtures = tmp_path / "videos.json"
+        fixtures.write_text(json.dumps(video_fixtures))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text((FIX / "adcut.ini").read_text())
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(tmp_path / "corpus.jsonl"))
+        assert code == 2
+        assert err == f"error: fixtures file {fixtures}: {reason}\n"
 
 
 @pytest.fixture
@@ -211,6 +233,42 @@ class TestGenerate:
             return {r["sample_id"]: r["draft_json"] for r in map(json.loads, path.read_text().splitlines())}
 
         assert by_id(out) == by_id(full)
+
+    def test_resume_drops_a_torn_last_line(self, capsys, corpus_path, tmp_path):
+        argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
+        full = tmp_path / "full.jsonl"
+        assert main([*argv, "--out", str(full)]) == 0
+        whole = full.read_bytes()
+        last = whole.rstrip(b"\n").rfind(b"\n") + 1
+        out = tmp_path / "pred.jsonl"
+        out.write_bytes(whole[: last + 100])  # a killed run cut the last line short
+        code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
+        assert code == 0, err
+        assert err == f"warning: {out}: dropped a torn last line; its sample is generated again\n"
+        assert out.read_bytes() == whole
+
+    def test_resume_terminates_a_whole_last_line(self, capsys, corpus_path, tmp_path):
+        argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
+        full = tmp_path / "full.jsonl"
+        assert main([*argv, "--out", str(full)]) == 0
+        whole = full.read_bytes()
+        out = tmp_path / "pred.jsonl"
+        out.write_bytes(whole[: whole.rstrip(b"\n").rfind(b"\n")])  # last two lines lost, newline too
+        code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
+        assert code == 0, err
+        assert out.read_bytes() == whole
+
+    def test_resume_rejects_a_torn_line_before_the_last(self, capsys, corpus_path, tmp_path):
+        argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
+        out = tmp_path / "pred.jsonl"
+        assert main([*argv, "--out", str(out)]) == 0
+        first, second, third = out.read_bytes().splitlines(keepends=True)
+        torn = first[:100] + b"\n" + second + third
+        out.write_bytes(torn)
+        code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
+        assert code == 2
+        assert err.startswith(f"error: {out}:1: malformed JSON"), err
+        assert out.read_bytes() == torn
 
 
 class TestEvaluate:
@@ -442,12 +500,13 @@ class TestEndpointResolution:
 
 
 # Runs one subcommand in a fresh interpreter and reports which of the
-# offline pipeline's modules it loaded.
+# offline pipeline's modules, and of the modules the aligner no longer
+# needs, it loaded.
 _IMPORT_PROBE = """
 import json, sys
 from adcut.cli import main
 code = main(sys.argv[1:])
-heavy = ("numpy", "adcut.backends", "adcut.dataset", "adcut.metrics", "concurrent.futures")
+heavy = ("numpy", "adcut.backends", "adcut.dataset", "adcut.metrics", "concurrent.futures", "fractions")
 print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
 """
 

@@ -14,6 +14,7 @@ from adcut.sampling import (
     PresetError,
     SamplingPlan,
     SlowFastConfig,
+    frame_timestamps,
     frame_total,
     parse_preset,
     plan_clip,
@@ -148,6 +149,21 @@ class TestPlanClip:
             slack = max(cfg.fast.tokens_per_frame, cfg.slow.tokens_per_frame)
             assert abs(entry.fast.tokens - entry.slow.tokens) <= slack
 
+    @given(clips_at_rate(), st.integers(min_value=1, max_value=64))
+    def test_lazy_pathway_matches_eager_lists(self, case, tokens_per_frame):
+        c, fps = case
+        cfg = SlowFastConfig(fast=PathwayConfig(64.0, tokens_per_frame), slow=PathwayConfig(0.01, 64))
+        pathway = plan_clip(c, cfg, effective_fast_fps=fps).fast
+        indices = sample_frames(c, fps)
+        assert pathway.frames == len(pathway.frame_indices) == len(indices)
+        assert pathway.tokens == tokens_per_frame * pathway.frames
+        assert pathway.to_dict() == {
+            "frame_indices": indices,
+            "timestamps_s": frame_timestamps(c, indices),
+            "tokens": pathway.tokens,
+        }
+        assert pathway.timestamps_s == tuple(frame_timestamps(c, indices))
+
 
 class TestPlanRequest:
     def test_no_reduction(self):
@@ -224,7 +240,11 @@ class TestPlanRequest:
         plan = plan_request(clips, cfg)
         assert plan.reduction_factor == 128
         assert plan.total_fast_frames == 600
-        assert calls == {"plan_clip": len(clips), "sample_frames": 2 * len(clips)}
+        # each clip planned once, and no frame list built while planning
+        assert calls == {"plan_clip": len(clips), "sample_frames": 0}
+        monkeypatch.undo()
+        for entry, c in zip(plan.clips, clips):
+            assert entry.fast.frame_indices == tuple(sample_frames(c, plan.effective_fast_fps))
 
 
 class TestCompressionOps:

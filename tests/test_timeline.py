@@ -123,10 +123,31 @@ def touching_case():
     return d, TtsRealization((700, 900, 250)), covering_clips(d)
 
 
+def half_ms_case():
+    # one sentence drafted over both nodes at 2000 ms, realized at 1001: node 0
+    # ends at exactly 500.5 ms, which rounds half up to 501
+    d = simple_draft([2000], [1000, 1000])
+    return d, TtsRealization((1001,)), covering_clips(d)
+
+
+def coprime_case():
+    # twelve 1000 ms nodes, each over one sentence whose drafted length is a
+    # distinct prime, so the boundary's denominator grows to their product; a
+    # realized length that is a multiple of its prime cancels with it
+    primes = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    sentences = tuple(VoiceSentence(f"s{i}", 1000 * i, 1000 * i + p) for i, p in enumerate(primes))
+    nodes = tuple(VideoNode(i, 1000 * i, 1000 * (i + 1), 0) for i in range(len(primes)))
+    d = Draft(sentences, nodes, DecorationSetting())
+    realized = tuple(2 * p if i % 3 == 0 else p + 1 for i, p in enumerate(primes))
+    return d, TtsRealization(realized), covering_clips(d)
+
+
 class TestAlign:
     @given(alignment_cases())
     @example(crossing_case())
     @example(touching_case())
+    @example(half_ms_case())
+    @example(coprime_case())
     def test_matches_all_pairs_scan(self, case):
         d, tts, clips = case
         assert validate_draft(d, clips).ok
