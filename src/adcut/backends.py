@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,7 +35,6 @@ ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
 
 BACKOFF_BASE_S = 0.25
 BACKOFF_JITTER = 0.2
-DEFAULT_IN_FLIGHT = 8
 
 # rubric id -> (prompt file, per-dimension score caps)
 RUBRICS: dict[str, tuple[str, dict[str, float]]] = {
@@ -159,7 +157,6 @@ class Client:
         transport: Any | None = None,
         sleeper: Callable[[float], None] = time.sleep,
         jitter_rng: random.Random | None = None,
-        max_in_flight: int = DEFAULT_IN_FLIGHT,
     ):
         if role not in ROLES:
             raise ValueError(f"unknown backend role {role!r}")
@@ -168,7 +165,6 @@ class Client:
         self.transport = transport or RequestsTransport()
         self._sleep = sleeper
         self._jitter = jitter_rng or random.Random(0)
-        self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -190,8 +186,7 @@ class Client:
                 base = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 self._sleep(base * (1 + self._jitter.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
             try:
-                with self._gate:
-                    status, raw = self.transport.send(self.role, url, body, self._headers(), timeout_s)
+                status, raw = self.transport.send(self.role, url, body, self._headers(), timeout_s)
             except BackendError as exc:
                 last_error = exc
                 if exc.retryable:

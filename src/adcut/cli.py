@@ -1,9 +1,12 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: validate, plan, build-dataset, generate, evaluate, align.
-Exit codes are uniform: 0 success, 1 domain violation, 2 usage or parse
-error. Every randomized subcommand takes an explicit --seed and, with mock
-endpoints, is bit-deterministic across runs and worker counts.
+Each registers --config and --out plus only the flags it reads, so a flag
+meant for another subcommand is a usage error. Exit codes are uniform: 0
+success, 1 domain violation, 2 usage or parse error. An input file that
+cannot be read, parsed or used exits 2 with ``error: <what> <path>:
+<reason>``. Every randomized subcommand takes an explicit --seed and, with
+mock endpoints, is bit-deterministic across runs and worker counts.
 
 Each process serves one subcommand, so imports follow the subcommand. The
 module level imports only what ``validate`` and ``align`` run; ``plan``
@@ -23,7 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
@@ -51,6 +54,8 @@ EXIT_USAGE = 2
 # equal to backends.ROLES (a test keeps them in step); importing backends
 # here would put it on the path of every subcommand
 ENDPOINT_ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -103,12 +108,30 @@ class Config:
 
 
 def _load_config(args: argparse.Namespace) -> Config:
-    path = getattr(args, "config", None) or os.environ.get("ADCUT_CONFIG")
-    return Config(path)
+    return Config(args.config or os.environ.get("ADCUT_CONFIG"))
+
+
+def _load(what: str, load: Callable[[Any], T], path: Any) -> T:
+    """``load(path)`` for an input file, turning every way the file can fail to
+    be read, parsed or shaped as ``load`` expects into the usage error
+    ``<what> <path>: <reason>``."""
+    try:
+        return load(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except RecursionError:
+        reason = "does not parse: nested too deeply"
+    except (json.JSONDecodeError, DraftSyntaxError) as exc:
+        reason = f"does not parse: {exc}"
+    except KeyError as exc:
+        reason = f"missing field {exc}"
+    except (ValueError, TypeError, AttributeError) as exc:
+        reason = str(exc)
+    raise CliError(f"{what} {path}: {reason}")
 
 
 def _seed(args: argparse.Namespace, cfg: Config) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     seed = cfg.number("dataset", "seed", int, None)
     if seed is None and os.environ.get("ADCUT_CI"):
@@ -117,15 +140,13 @@ def _seed(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
-    path = getattr(args, "taxonomy", None) or cfg.path("paths", "taxonomy")
-    if path:
-        return TagTaxonomy.load(path)
-    return default_taxonomy()
+    path = args.taxonomy or cfg.path("paths", "taxonomy")
+    return _load("taxonomy", TagTaxonomy.load, path) if path else default_taxonomy()
 
 
 def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | None:
-    flag = getattr(args, f"endpoint_{role}", None)
-    return flag or cfg.get("endpoints", role)
+    # build-dataset has no flag for the generate and embed clients it never calls
+    return getattr(args, f"endpoint_{role}", None) or cfg.get("endpoints", role)
 
 
 def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any]) -> be.Client:
@@ -147,12 +168,7 @@ def _fixtures(cfg: Config) -> dict:
     path = cfg.path("paths", "fixtures")
     if path is None:
         return {}
-    try:
-        fixtures = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise CliError(f"cannot read fixtures file {path}: {exc.strerror or exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise CliError(f"fixtures file {path} is not JSON: {exc}") from None
+    fixtures = _load("fixtures file", lambda p: json.loads(p.read_bytes()), path)
     if not isinstance(fixtures, dict):
         raise CliError(f"fixtures file {path} is not a JSON object")
     videos, pool = fixtures.get("videos", {}), fixtures.get("negative_pool", [])
@@ -211,9 +227,7 @@ def _run_samples(
 
     if not out:
         raise CliError("an output path is required")
-    concurrency = args.concurrency if args.concurrency is not None else cfg.number("dataset", "concurrency", int, 1)
-    if concurrency < 1:
-        raise CliError(f"concurrency must be at least 1, got {concurrency}")
+    concurrency = _concurrency(args, cfg)
     failures = []
 
     def attempt(item: tuple) -> dict | str:
@@ -240,6 +254,13 @@ def _run_samples(
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
+def _concurrency(args: argparse.Namespace, cfg: Config) -> int:
+    concurrency = args.concurrency if args.concurrency is not None else cfg.number("dataset", "concurrency", int, 1)
+    if concurrency < 1:
+        raise CliError(f"concurrency must be at least 1, got {concurrency}")
+    return concurrency
+
+
 def _preset(text: str) -> SlowFastConfig:
     from .sampling import PresetError, parse_preset
 
@@ -250,21 +271,7 @@ def _preset(text: str) -> SlowFastConfig:
 
 
 def _read_draft(path: str) -> Draft:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise CliError(f"cannot read draft: {exc}") from exc
-    try:
-        return parse_draft(data)
-    except (DraftSyntaxError, SchemaError) as exc:
-        raise CliError(f"draft does not parse: {exc}") from exc
-
-
-def _read_clips(path: str) -> ClipSet:
-    try:
-        return ClipSet.load(path)
-    except (OSError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load clip set: {exc}") from exc
+    return _load("draft", lambda p: parse_draft(Path(p).read_bytes()), path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -282,7 +289,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     draft = _read_draft(args.draft)
-    clips = _read_clips(args.clips) if args.clips else None
+    clips = _load("clip set", ClipSet.load, args.clips) if args.clips else None
     report = validate_draft(draft, clips, _taxonomy(args, cfg))
     if args.format == "table":
         if report.ok:
@@ -303,7 +310,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if not preset_text:
         raise CliError("a --preset such as fast:2/4,slow:0.5/16 is required")
     preset = _preset(preset_text)
-    clips = _read_clips(args.clips)
+    clips = _load("clip set", ClipSet.load, args.clips)
     if len(clips) == 0:
         raise CliError("clip set is empty")
     try:
@@ -361,9 +368,11 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         products.append((ref, product))
 
     template_path = cfg.path("paths", "template")
-    if cfg.get("paths", "template") and (template_path is None or not template_path.is_file()):
-        raise CliError(f"template file not found: {cfg.get('paths', 'template')}")
-    template = ds.load_instruction_template(template_path)
+    template = _load("template", ds.load_instruction_template, template_path)
+    try:  # every placeholder must be one that each sample fills
+        template.format(product_block="", materials_block="", free_prompt="")
+    except (LookupError, AttributeError, ValueError) as exc:
+        raise CliError(f"template {template_path}: bad placeholder: {exc}") from None
 
     try:
         negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
@@ -441,6 +450,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
+    _concurrency(args, cfg)  # checked as the other stages check it; evaluate runs serially
     corpus = _read_corpus(args.corpus)
     predictions = _on_file(_read_predictions, args.predictions)
 
@@ -491,13 +501,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     draft = _read_draft(args.draft)
-    clips = _read_clips(args.clips)
-    try:
-        tts = TtsRealization.load(args.tts)
-    except (OSError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load TTS realization: {exc}") from exc
-
+    clips = _load("clip set", ClipSet.load, args.clips)
+    tts = _load("TTS file", TtsRealization.load, args.tts)
     taxonomy = _taxonomy(args, cfg)
+    catalog = _load("catalog", lambda p: AssetCatalog.load(p, taxonomy), args.catalog) if args.catalog else None
     report = validate_draft(draft, clips, taxonomy)
     if not report.ok:
         for v in report.violations:
@@ -506,8 +513,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     try:
         plan = align_draft(draft, tts, clips)
-        if args.catalog:
-            catalog = AssetCatalog.load(args.catalog, taxonomy)
+        if catalog is not None:
             plan = plan.with_assets(match_decorations(draft, catalog))
             check = check_alignment(plan, catalog)
         else:
@@ -527,60 +533,55 @@ def cmd_align(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (or env ADCUT_CONFIG)")
-    parser.add_argument("--seed", type=int, help="seed for all randomized behavior")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--concurrency", type=int, help="worker pool size")
-    parser.add_argument("--out", help="write output to a file instead of stdout")
-    parser.add_argument("--taxonomy", help="tag taxonomy JSON (default: bundled)")
-    for role in ENDPOINT_ROLES:
-        parser.add_argument(f"--endpoint-{role}", dest=f"endpoint_{role}", help=f"{role} backend URL or mock:")
+# options that several subcommands share, each with the config key that backs it
+SHARED_FLAGS: dict[str, dict] = {
+    "--config": dict(help="config file (or env ADCUT_CONFIG)"),
+    "--out": dict(help="write output to a file instead of stdout"),
+    "--seed": dict(type=int, help="seed for all randomized behavior ([dataset] seed)"),
+    "--concurrency": dict(type=int, help="worker pool size ([dataset] concurrency)"),
+    "--format": dict(choices=("json", "table"), default="json"),
+    "--taxonomy": dict(help="tag taxonomy JSON ([paths] taxonomy; default: bundled)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adcut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a draft JSON file")
-    p.add_argument("draft")
+    def command(name: str, func: Callable, help: str, *args: str, roles: tuple[str, ...] = ()):
+        # --config, --out, then positionals and shared options; one --endpoint flag per role called
+        p = sub.add_parser(name, help=help)
+        for arg in ("--config", "--out", *args):
+            p.add_argument(arg, **SHARED_FLAGS.get(arg, {}))
+        for role in roles:
+            p.add_argument(f"--endpoint-{role}", help=f"{role} backend URL or mock: ([endpoints] {role})")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", cmd_validate, "validate a draft JSON file", "draft", "--format", "--taxonomy")
     p.add_argument("--clips", help="clip set JSON for bound checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("plan", help="plan slow-fast frame sampling for a clip set")
-    p.add_argument("clips")
-    p.add_argument("--preset", help="e.g. fast:2/4,slow:0.5/16")
-    _add_common(p)
-    p.set_defaults(func=cmd_plan)
+    p = command("plan", cmd_plan, "plan slow-fast frame sampling for a clip set", "clips", "--format")
+    p.add_argument("--preset", help="e.g. fast:2/4,slow:0.5/16 ([sampling] preset)")
 
-    p = sub.add_parser("build-dataset", help="build an instruction corpus from source videos")
-    p.add_argument("--dropout-p", dest="dropout_p", type=float, help="dimension dropout probability")
-    p.add_argument("--preset", help="sampling preset for frame placeholders")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_dataset)
+    p = command("build-dataset", cmd_build_dataset, "build an instruction corpus from source videos",
+                "--seed", "--concurrency", roles=("asr", "ocr", "shots", "caption", "judge"))
+    p.add_argument("--dropout-p", type=float, help="dimension dropout probability ([dataset] dropout_p)")
+    p.add_argument("--preset", help="sampling preset for frame placeholders ([sampling] preset)")
 
-    p = sub.add_parser("generate", help="request drafts for every corpus sample")
-    p.add_argument("corpus")
+    p = command("generate", cmd_generate, "request drafts for every corpus sample",
+                "corpus", "--seed", "--concurrency", roles=("generate",))
     p.add_argument("--resume", action="store_true", help="skip sample ids already in the output")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score predictions against a corpus")
-    p.add_argument("corpus")
-    p.add_argument("predictions")
-    p.add_argument("--with-judge", dest="with_judge", action="store_true")
-    p.add_argument("--with-vsr", dest="with_vsr", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p = command("evaluate", cmd_evaluate, "score predictions against a corpus",
+                "corpus", "predictions", "--seed", "--format", "--taxonomy", roles=("judge", "embed"))
+    p.add_argument("--with-judge", action="store_true")
+    p.add_argument("--with-vsr", action="store_true")
+    p.add_argument("--concurrency", type=int, help="checked like the other stages' ([dataset] concurrency), "
+                   "but evaluate runs serially")
 
-    p = sub.add_parser("align", help="align a draft with realized TTS durations")
-    p.add_argument("draft")
-    p.add_argument("tts")
-    p.add_argument("clips")
+    p = command("align", cmd_align, "align a draft with realized TTS durations", "draft", "tts", "clips", "--taxonomy")
     p.add_argument("--catalog", help="asset catalog JSON for decoration matching")
-    _add_common(p)
-    p.set_defaults(func=cmd_align)
 
     return parser
 

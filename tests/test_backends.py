@@ -120,6 +120,25 @@ class TestClient:
         assert 0.25 * 0.8 <= sleeps[0] <= 0.25 * 1.2
         assert 0.5 * 0.8 <= sleeps[1] <= 0.5 * 1.2
 
+    def test_calls_are_not_capped_below_the_caller_threads(self):
+        # every call waits until all 12 are in flight at once; a limit on
+        # in-flight calls below 12 breaks the barrier
+        barrier = threading.Barrier(12, timeout=5)
+
+        class Waiting:
+            def send(self, role, url, body, headers, timeout_s):
+                barrier.wait()
+                return 200, b"{}"
+
+        client = make_client(Waiting(), retries=0)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(client.call({}).data)) for _ in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [{}] * 12
+
 
 class TestGenerate:
     def test_mock_echoes_fixture(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import adcut
 from adcut import backends, cli
@@ -161,6 +163,28 @@ class TestBuildDataset:
         code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(tmp_path / "corpus.jsonl"))
         assert code == 2
         assert err == f"error: fixtures file {fixtures}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{product_block}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"{product_block} {unknown}", "bad placeholder: 'unknown'"),
+        ],
+        ids=["not UTF-8", "unknown placeholder"],
+    )
+    def test_bad_template_fails_before_any_backend_call(self, capsys, tmp_path, monkeypatch, content, reason):
+        template = tmp_path / "template.txt"
+        template.write_bytes(content)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\ntemplate = template.txt\n[dataset]\nseed = 7\n")
+        calls = []
+        monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out))
+        assert code == 2
+        assert err == f"error: template {template}: {reason}\n"
+        assert calls == []
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -390,6 +414,120 @@ class TestAlign:
         assert code == 1
 
 
+TAXONOMY = Path(adcut.__file__).parent / "data" / "decorative_tags.json"
+
+# input file -> (the fixture it stands in for, argv with the file as {})
+INPUT_FILES = {
+    "draft": (FIX / "draft_template.json", ["validate", "{}", "--clips", str(FIX / "clips.json")]),
+    "clip set": (FIX / "clips.json", ["plan", "{}", "--preset", "fast:2/4,slow:0.5/16"]),
+    "TTS file": (FIX / "tts_noop.json",
+                 ["align", str(FIX / "draft_template.json"), "{}", str(FIX / "clips.json")]),
+    "catalog": (FIX / "catalog.json", ["align", str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"),
+                                       str(FIX / "clips.json"), "--catalog", "{}"]),
+    "taxonomy": (TAXONOMY, ["validate", str(FIX / "draft_template.json"), "--taxonomy", "{}"]),
+}
+
+
+def _run_on(tmp_path, what, content):
+    """``main`` on the subcommand of ``INPUT_FILES[what]`` with ``content`` as that input file."""
+    path = tmp_path / "input.json"
+    if content is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    return main([arg.replace("{}", str(path)) for arg in INPUT_FILES[what][1]]), path
+
+
+def _subtrees(doc, at=()):
+    yield at
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()):
+        yield from _subtrees(value, (*at, key))
+
+
+def _replaced(doc, at, value):
+    if not at:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[at[0]] = _replaced(doc[at[0]], at[1:], value)
+    return copy
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def input_files(draw):
+    """An input file: arbitrary JSON, raw bytes, or its fixture with one subtree replaced."""
+    what = draw(st.sampled_from(sorted(INPUT_FILES)))
+    kind = draw(st.sampled_from(["json", "bytes", "fixture"]))
+    if kind == "json":
+        return what, draw(json_values)
+    if kind == "bytes":
+        return what, draw(st.binary(max_size=32))
+    fixture = json.loads(INPUT_FILES[what][0].read_text("utf-8"))
+    at = draw(st.sampled_from(list(_subtrees(fixture))))
+    return what, _replaced(fixture, at, draw(json_values))
+
+
+# the hostile inputs that printed a traceback before every input file went through one loader
+HOSTILE_INPUTS = [
+    ("clip set", {"clips": [1]}, "'int' object is not subscriptable"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
+     "'<=' not supported between instances of 'str' and 'int'"),
+    ("TTS file", [1], "list indices must be integers or slices, not str"),
+    ("catalog", {"assets": [1]}, "'int' object is not subscriptable"),
+    ("catalog", {"assets": [{"asset_id": "a", "category": "Nope"}]}, "asset a: unknown category 'Nope'"),
+    ("taxonomy", None, "No such file or directory"),
+    ("taxonomy", {"TTS": 3}, "category 'TTS' must map subcategories to label lists"),
+]
+
+
+def hostile_examples(test):
+    """``test`` with an explicit example for each of ``HOSTILE_INPUTS``."""
+    for what, content, _ in HOSTILE_INPUTS:
+        test = example((what, content))(test)
+    return test
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("what, content, reason", HOSTILE_INPUTS)
+    def test_misshapen_input_file_is_a_usage_error(self, capsys, tmp_path, what, content, reason):
+        code, path = _run_on(tmp_path, what, content)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {what} {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "what, content, reason",
+        [
+            ("clip set", {"clip": []}, "missing field 'clips'"),
+            ("TTS file", b"[[[", "does not parse: Expecting value: line 1 column 4 (char 3)"),
+            ("catalog", b"[" * 100_000, "does not parse: nested too deeply"),
+            ("draft", b"{not json", "does not parse: malformed JSON: Expecting property name enclosed in "
+                                   "double quotes: line 1 column 2 (char 1)"),
+        ],
+        ids=["missing field", "malformed JSON", "nested too deeply", "malformed draft"],
+    )
+    def test_each_failure_class_has_its_reason(self, capsys, tmp_path, what, content, reason):
+        code, path = _run_on(tmp_path, what, content)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {what} {path}: {reason}\n"
+
+    @pytest.mark.filterwarnings("ignore::adcut.draft.UnknownKeyWarning")
+    @settings(max_examples=150)
+    @given(input_files())
+    @hostile_examples
+    @example(("draft", b"\xff\xfe"))
+    @example(("taxonomy", b""))
+    @example(("catalog", {"assets": [{"asset_id": "a", "category": "TTS", "labels": [["x"]]}]}))
+    def test_no_input_file_escapes_the_exit_codes(self, tmp_path_factory, case):
+        code, _ = _run_on(tmp_path_factory.mktemp("fuzz"), *case)
+        assert code in (0, 1, 2)
+
+
 class TestHostileInput:
     BAD_LINES = {
         "malformed JSON": "{not json",
@@ -549,6 +687,7 @@ _BUILD = ["build-dataset", "--seed", "7", *_OUT]
         ([*_GENERATE, "--seed", "7"], None, "an output path is required"),
         ([*_GENERATE, *_OUT, "--seed", "7", "--concurrency", "0"], None, "concurrency must be at least 1, got 0"),
         ([*_GENERATE, *_OUT, "--seed", "7", "--concurrency", "-3"], None, "concurrency must be at least 1, got -3"),
+        (["evaluate", "{corpus}", "{corpus}", "--concurrency", "0"], None, "concurrency must be at least 1, got 0"),
         ([*_GENERATE, *_OUT, "--config", "{ini}"], "seed = 7\n", "{ini}: File contains no section headers"),
         ([*_GENERATE, *_OUT, "--config", "{ini}"], "[dataset]\nseed = 7\nseed = 8\n", "{ini}: While reading from"),
         ([*_GENERATE, *_OUT, "--config", "{ini}"], "[dataset]\nseed = x\n", "{ini}: [dataset] seed: expected int, got 'x'"),
@@ -564,7 +703,7 @@ _BUILD = ["build-dataset", "--seed", "7", *_OUT]
     ],
     ids=[
         "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
-        "generate without an output path", "--concurrency 0", "--concurrency -3",
+        "generate without an output path", "--concurrency 0", "--concurrency -3", "evaluate --concurrency 0",
         "no section header", "duplicate key", "seed not an int", "concurrency not an int",
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "bad mock rate",
     ],
@@ -578,6 +717,40 @@ def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, tmp_pat
     assert err.startswith("error: " + error.format(**names)), err
     assert "Traceback" not in err
     assert not (tmp_path / "nodir").exists()
+
+
+# subcommand -> (the flags it registers besides --config and --out, its positional
+# arguments, a flag with its value that only another subcommand registers)
+SUBCOMMAND_FLAGS = {
+    "validate": ({"--clips", "--format", "--taxonomy"}, [str(FIX / "draft_template.json")], ["--seed", "3"]),
+    "plan": ({"--preset", "--format"}, [str(FIX / "clips.json")], ["--taxonomy", "t.json"]),
+    "build-dataset": (
+        {"--dropout-p", "--preset", "--seed", "--concurrency",
+         "--endpoint-asr", "--endpoint-ocr", "--endpoint-shots", "--endpoint-caption", "--endpoint-judge"},
+        [], ["--endpoint-generate", "mock:"],
+    ),
+    "generate": ({"--resume", "--seed", "--concurrency", "--endpoint-generate"}, ["c.jsonl"],
+                 ["--endpoint-judge", "mock:"]),
+    "evaluate": (
+        {"--with-judge", "--with-vsr", "--seed", "--format", "--concurrency", "--taxonomy",
+         "--endpoint-judge", "--endpoint-embed"},
+        ["c.jsonl", "p.jsonl"], ["--catalog", "catalog.json"],
+    ),
+    "align": ({"--catalog", "--taxonomy"},
+              [str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"), str(FIX / "clips.json")],
+              ["--format", "table"]),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_subcommand_registers_only_the_flags_it_reads(capsys, command):
+    flags, positionals, foreign = SUBCOMMAND_FLAGS[command]
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {s for action in subparsers.choices[command]._actions for s in action.option_strings}
+    assert registered - {"-h", "--help"} == {"--config", "--out", *flags}
+    code, _, err = run(capsys, command, *positionals, *foreign)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(foreign)}" in err
 
 
 def test_endpoint_roles_match_backend_roles():
