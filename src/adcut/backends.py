@@ -18,7 +18,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
@@ -26,10 +26,8 @@ from typing import TYPE_CHECKING, Any, Callable
 from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
 from .jsonutil import dumps_canonical, loads
 
-if TYPE_CHECKING:  # structured request fields live in the dataset module
+if TYPE_CHECKING:
     import numpy as np
-
-    from .dataset import FreePrompt, ProductInfo
 
 ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
 
@@ -121,8 +119,6 @@ class BackendEndpoint:
 @dataclass(frozen=True)
 class CallResult:
     data: Any
-    raw: bytes
-    status: int
     retries: int
     latency_ms: float
 
@@ -201,24 +197,16 @@ class Client:
                 data = loads(raw)
             except ValueError as exc:
                 raise InvalidResponse(self.role, f"non-JSON body: {exc}") from exc
-            return CallResult(
-                data=data,
-                raw=raw,
-                status=status,
-                retries=attempt,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-            )
+            return CallResult(data=data, retries=attempt, latency_ms=(time.monotonic() - started) * 1000.0)
         assert last_error is not None
         raise last_error
 
 
 @dataclass(frozen=True)
 class BackendSet:
-    """All role clients used by the pipeline."""
+    """The role clients that corpus construction calls."""
 
-    generate: Client
     judge: Client
-    embed: Client
     asr: Client
     ocr: Client
     shots: Client
@@ -230,49 +218,17 @@ class BackendSet:
 
 
 @dataclass(frozen=True)
-class GenerationRequest:
-    """Structured request for the draft-generation model."""
-
-    product_info: "ProductInfo"
-    free_prompt: "FreePrompt"
-    clips: tuple[dict, ...]
-    sample_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.clips:
-            raise ValueError("clip list must be non-empty")
-
-    def to_wire(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "product_info": self.product_info.to_dict(),
-            "free_prompt": self.free_prompt.to_dict(),
-            "clips": list(self.clips),
-        }
-
-
-@dataclass(frozen=True)
 class GenerationResponse:
     draft_json: bytes
-    model_id: str
-    latency_ms: float
-    retries: int = 0
 
 
-def generate_draft(request: GenerationRequest | dict, client: Client) -> GenerationResponse:
+def generate_draft(request: dict, client: Client) -> GenerationResponse:
     """POST a generation request; returns the raw draft bytes unmodified."""
-    wire = request.to_wire() if isinstance(request, GenerationRequest) else request
-    result = client.call(wire)
+    result = client.call(request)
     if not isinstance(result.data, dict) or "draft" not in result.data:
         raise InvalidResponse(client.role, "response lacks a draft field")
-    return GenerationResponse(
-        draft_json=dumps_canonical(result.data["draft"])
-        if isinstance(result.data["draft"], dict)
-        else str(result.data["draft"]).encode("utf-8"),
-        model_id=result.data.get("model_id", "unknown"),
-        latency_ms=result.latency_ms,
-        retries=result.retries,
-    )
+    draft = result.data["draft"]
+    return GenerationResponse(dumps_canonical(draft) if isinstance(draft, dict) else str(draft).encode("utf-8"))
 
 
 @lru_cache(maxsize=None)
@@ -348,11 +304,11 @@ def _stable_hash(*parts: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def hashed_unit_vector(text: str, seed: int, dim: int = 32) -> np.ndarray:
+def hashed_unit_vector(text: str, seed: int) -> np.ndarray:
     import numpy as np
 
     rng = np.random.default_rng(_stable_hash(str(seed), text) % (2**63))
-    v = rng.standard_normal(dim)
+    v = rng.standard_normal(32)
     return v / np.linalg.norm(v)
 
 
@@ -362,13 +318,13 @@ class MockTransport:
     (seed, fixtures, request).
 
     Fixture keys (all optional):
-      videos:      ref -> {asr, ocr, shots, captions, tags, analysis?}
+      videos:      ref -> {asr, ocr, shots, captions, tags}
       drafts:      sample_id -> ground-truth draft dict (generation role)
       negatives:   sample_id -> negative clip indices (for inject_negative)
       corruption:  {mode: none|swap_adjacent|inject_negative|drop_tag, rate: float}
       judge:       {verify: approve|revise_always, scores: "caps" | map}
-      embeddings:  input string -> vector (overrides hashed embedding)
-      embed_dim:   int (default 32)
+
+    Embeddings are 32-dimensional hashed unit vectors.
 
     A request the fixtures cannot answer raises a non-retryable
     :class:`BackendError` for the role that sent it.
@@ -424,15 +380,7 @@ class MockTransport:
         return {"caption": text}
 
     def _handle_embed(self, payload: dict) -> dict:
-        overrides = self.fixtures.get("embeddings", {})
-        dim = int(self.fixtures.get("embed_dim", 32))
-        vectors = []
-        for item in payload["inputs"]:
-            if item in overrides:
-                vectors.append(list(overrides[item]))
-            else:
-                vectors.append([float(x) for x in hashed_unit_vector(item, self.seed, dim)])
-        return {"vectors": vectors}
+        return {"vectors": [[float(x) for x in hashed_unit_vector(item, self.seed)] for item in payload["inputs"]]}
 
     def _handle_judge(self, payload: dict) -> dict:
         task = payload.get("task")
@@ -458,12 +406,6 @@ class MockTransport:
 
     def _analyze(self, payload: dict) -> dict:
         dec = payload.get("deconstruction", {})
-        override = None
-        ref = payload.get("video_ref")
-        if ref is not None:
-            override = self.fixtures.get("videos", {}).get(ref, {}).get("analysis")
-        if override is not None:
-            return dict(override)
         shots = dec.get("shot_boundaries", [])
         captions = dec.get("shot_captions", [])
         tags = dec.get("recommended_tags", {})
@@ -499,7 +441,7 @@ class MockTransport:
         draft = loads(dumps_canonical(drafts[sample_id]))  # deep copy, fixtures stay pristine
         if sample_id in self._corrupt_ids:
             draft = self._corrupt(sample_id, draft)
-        return {"draft": draft, "model_id": f"mock-gen-seed{self.seed}"}
+        return {"draft": draft}
 
     def _corrupt(self, sample_id: str, draft: dict) -> dict:
         rng = random.Random(_stable_hash(str(self.seed), "corrupt", sample_id))
@@ -534,5 +476,4 @@ MOCK_ENDPOINT = BackendEndpoint(base_url="mock://local", timeout_ms=1000, max_re
 def mock_backend_set(seed: int, fixtures: dict | None = None) -> BackendSet:
     """A full client set wired to one shared mock transport."""
     transport = mock_backend(seed, fixtures)
-    clients = {role: Client(role, MOCK_ENDPOINT, transport=transport) for role in ROLES}
-    return BackendSet(**clients)
+    return BackendSet(**{f.name: Client(f.name, MOCK_ENDPOINT, transport=transport) for f in fields(BackendSet)})

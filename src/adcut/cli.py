@@ -51,9 +51,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# equal to backends.ROLES (a test keeps them in step); importing backends
-# here would put it on the path of every subcommand
-ENDPOINT_ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
+# the backends.BackendSet roles, each with an --endpoint flag on build-dataset
+DATASET_ROLES = ("asr", "ocr", "shots", "caption", "judge")
 
 T = TypeVar("T")
 
@@ -145,8 +144,7 @@ def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
 
 
 def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | None:
-    # build-dataset has no flag for the generate and embed clients it never calls
-    return getattr(args, f"endpoint_{role}", None) or cfg.get("endpoints", role)
+    return getattr(args, f"endpoint_{role}") or cfg.get("endpoints", role)
 
 
 def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any]) -> be.Client:
@@ -221,9 +219,11 @@ def _run_samples(
 ) -> int:
     """Write ``fn(*item)`` for each ``(sample_id, ...)`` item as a JSON line of ``out``, in
     input order as results arrive. A sample that fails in a backend, deconstruction or
-    prompt revision gets a warning instead of a line, and exit code 1."""
+    prompt revision, or whose clips no sampling plan fits, gets a warning instead of a
+    line, and exit code 1."""
     from . import backends as be
     from . import dataset as ds
+    from .sampling import CeilingUnsatisfiable
 
     if not out:
         raise CliError("an output path is required")
@@ -233,7 +233,7 @@ def _run_samples(
     def attempt(item: tuple) -> dict | str:
         try:
             return fn(*item)
-        except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid) as exc:
+        except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid, CeilingUnsatisfiable) as exc:
             return f"warning: {item[0]}: {exc}"
 
     def records(map_: Callable) -> Iterator[dict]:  # drawn only once write_records has opened ``out``
@@ -386,7 +386,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
     sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
     mock = functools.cache(lambda: be.mock_backend(seed, fixtures))
-    backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock) for role in ENDPOINT_ROLES})
+    backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock) for role in DATASET_ROLES})
 
     def build(ref: str, product: ds.ProductInfo) -> dict:
         return ds.build_sample(
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="e.g. fast:2/4,slow:0.5/16 ([sampling] preset)")
 
     p = command("build-dataset", cmd_build_dataset, "build an instruction corpus from source videos",
-                "--seed", "--concurrency", roles=("asr", "ocr", "shots", "caption", "judge"))
+                "--seed", "--concurrency", roles=DATASET_ROLES)
     p.add_argument("--dropout-p", type=float, help="dimension dropout probability ([dataset] dropout_p)")
     p.add_argument("--preset", help="sampling preset for frame placeholders ([sampling] preset)")
 

@@ -56,22 +56,8 @@ class ClipSet:
     def __iter__(self) -> Iterator[ClipMeta]:
         return iter(sorted(self._by_index.values(), key=lambda c: c.index))
 
-    def __contains__(self, index: int) -> bool:
-        return index in self._by_index
-
     def get(self, index: int) -> ClipMeta | None:
         return self._by_index.get(index)
-
-    def indices(self) -> list[int]:
-        return sorted(self._by_index)
-
-    def to_dict(self) -> dict:
-        return {
-            "clips": [
-                {"index": c.index, "duration_s": c.duration_s, "frame_count": c.frame_count}
-                for c in self
-            ]
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSet":
@@ -84,6 +70,3 @@ class ClipSet:
     def load(cls, path: str | Path) -> "ClipSet":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .backends import BackendSet, Client
+from .backends import BackendSet, Client, InvalidResponse
 from .clips import ClipMeta, ClipSet
 from .draft import (
     DECORATION_KEYS,
@@ -37,21 +37,10 @@ from .draft import (
     draft_to_dict,
 )
 from .jsonutil import RecordError, read_records, write_records
-from .sampling import SlowFastConfig, frame_total, parse_preset
+from .sampling import SlowFastConfig, parse_preset, plan_request
 
 NEGATIVE_COUNT_MEAN = 2.5
 NEGATIVE_COUNT_VARIANCE = 8.0
-
-FREE_PROMPT_DIMENSIONS = (
-    "duration",
-    "visual_storyline",
-    "target_audience",
-    "script_routine",
-    "selling_points_emphasis",
-    "avatar",
-    "tts_timbre",
-    "music_style",
-)
 
 _DIMENSION_LABELS = {
     "duration": "Video duration",
@@ -63,11 +52,13 @@ _DIMENSION_LABELS = {
     "tts_timbre": "TTS timbre",
     "music_style": "Music style",
 }
+FREE_PROMPT_DIMENSIONS = tuple(_DIMENSION_LABELS)
 
 TEMPLATE_VERSION = "v1"
 DEFAULT_SAMPLING_PRESET = "fast:2/4,slow:0.5/16"
 ASSUMED_NATIVE_FPS = 30.0
 DEFAULT_DROPOUT_P = 0.3
+VERIFY_ROUNDS = 2
 
 
 class EmptyDeconstruction(ValueError):
@@ -228,6 +219,24 @@ def _field(data: dict, key: str, kind: type, item_kind: type | None = None) -> A
     return value
 
 
+def _checked(role: str, data: Any, key: str, kind: type, item_kind: type | None = None) -> Any:
+    """:func:`_field` of a ``role`` answer, or of an entry in one; an answer
+    that is no object or lacks the field as asked raises :class:`InvalidResponse`."""
+    if not isinstance(data, dict):
+        raise InvalidResponse(role, f"expected a JSON object, got {type(data).__name__}")
+    try:
+        return _field(data, key, kind, item_kind)
+    except KeyError:
+        raise InvalidResponse(role, f"missing field {key!r}") from None
+    except TypeError as exc:
+        raise InvalidResponse(role, str(exc)) from None
+
+
+def _answer(client: Client, payload: dict, key: str, kind: type, item_kind: type | None = None) -> Any:
+    """Field ``key`` of ``client``'s answer to ``payload``, checked by :func:`_checked`."""
+    return _checked(client.role, client.call(payload).data, key, kind, item_kind)
+
+
 # ---------------------------------------------------------------------------
 # negative-clip sampling
 
@@ -249,26 +258,29 @@ def sample_seed(corpus_seed: int, sample_id: str) -> int:
 # step 1: deconstruction
 
 
-def _normalize_asr(raw: list[dict]) -> list[AsrSentence]:
-    entries = sorted(
-        (e for e in raw if str(e.get("text", "")).strip()),
-        key=lambda e: (e["start"], e["end"]),
-    )
+def _sentences(role: str, entries: list) -> list[AsrSentence]:
+    """The sentences of a ``role`` answer's ``{"text", "start", "end"}`` entries."""
+    return [
+        AsrSentence(_checked(role, e, "text", str), _checked(role, e, "start", int), _checked(role, e, "end", int))
+        for e in entries
+    ]
+
+
+def _normalize_asr(raw: list[AsrSentence]) -> list[AsrSentence]:
     out: list[AsrSentence] = []
-    for e in entries:
-        start, end, text = int(e["start"]), int(e["end"]), str(e["text"])
-        if out and start < out[-1].end_ms:
+    for s in sorted((s for s in raw if s.text.strip()), key=lambda s: (s.start_ms, s.end_ms)):
+        if out and s.start_ms < out[-1].end_ms:
             prev = out[-1]
             warnings.warn(
-                f"ASR overlap: truncating [{prev.start_ms},{prev.end_ms}] at {start}",
+                f"ASR overlap: truncating [{prev.start_ms},{prev.end_ms}] at {s.start_ms}",
                 AsrOverlapWarning,
                 stacklevel=3,
             )
-            out[-1] = AsrSentence(prev.text, prev.start_ms, start)
+            out[-1] = AsrSentence(prev.text, prev.start_ms, s.start_ms)
             if out[-1].start_ms >= out[-1].end_ms:
                 out.pop()
-        if start < end:
-            out.append(AsrSentence(text, start, end))
+        if s.start_ms < s.end_ms:
+            out.append(s)
     return out
 
 
@@ -285,31 +297,40 @@ def _asr_correction_prompt_sha256() -> str:
 
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
-    recommendations for one source video."""
-    boundaries = sorted(set(int(b) for b in backends.shots.call({"video_ref": video_ref}).data["boundaries_ms"]))
+    recommendations for one source video. An answer without the fields read
+    here, of the JSON types read, raises :class:`InvalidResponse` for its role."""
+    ref = {"video_ref": video_ref}
+    boundaries = sorted(set(_answer(backends.shots, ref, "boundaries_ms", list, int)))
 
-    raw_asr = backends.asr.call({"video_ref": video_ref}).data["sentences"]
-    sentences = _normalize_asr(raw_asr)
-    corrected = backends.judge.call(
+    sentences = _normalize_asr(_sentences(backends.asr.role, _answer(backends.asr, ref, "sentences", list)))
+    corrected = _answer(
+        backends.judge,
         {
             "task": "correct_asr",
             "prompt_sha256": _asr_correction_prompt_sha256(),
             "sentences": [s.to_dict() for s in sentences],
-        }
-    ).data["sentences"]
-    sentences = [AsrSentence(str(e["text"]), int(e["start"]), int(e["end"])) for e in corrected]
+        },
+        "sentences",
+        list,
+    )
+    sentences = _sentences(backends.judge.role, corrected)
 
-    ocr_lines = [str(line) for line in backends.ocr.call({"video_ref": video_ref}).data["lines"]]
+    ocr_lines = _answer(backends.ocr, ref, "lines", list, str)
 
-    captions = []
-    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-        resp = backends.caption.call(
-            {"video_ref": video_ref, "shot_index": i, "frame_timestamps": _sparse_timestamps(a, b)}
+    captions = [
+        _answer(
+            backends.caption,
+            {"video_ref": video_ref, "shot_index": i, "frame_timestamps": _sparse_timestamps(a, b)},
+            "caption",
+            str,
         )
-        captions.append(str(resp.data["caption"]))
+        for i, (a, b) in enumerate(zip(boundaries, boundaries[1:]))
+    ]
 
-    tags = backends.judge.call({"task": "recommend_tags", "video_ref": video_ref}).data["tags"]
-    decoration = DecorationSetting(**{key: tuple(tags.get(key, ())) for key in DECORATION_KEYS})
+    tags = _answer(backends.judge, {"task": "recommend_tags", "video_ref": video_ref}, "tags", dict)
+    decoration = DecorationSetting(
+        **{key: tuple(_checked(backends.judge.role, tags, key, list, str)) for key in DECORATION_KEYS if key in tags}
+    )
 
     return Deconstruction(
         asr_sentences=tuple(sentences),
@@ -327,8 +348,10 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
 def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None = None) -> dict[str, str | None]:
     """One analysis entry per requirement dimension; entries may be absent."""
     payload = {"task": "analyze", "video_ref": video_ref, "deconstruction": dec.to_dict()}
-    raw = judge.call(payload).data["analysis"]
-    analysis: dict[str, str | None] = {d: raw.get(d) for d in FREE_PROMPT_DIMENSIONS}
+    raw = _answer(judge, payload, "analysis", dict)
+    analysis: dict[str, str | None] = {
+        d: None if raw.get(d) is None else _checked(judge.role, raw, d, str) for d in FREE_PROMPT_DIMENSIONS
+    }
     if not dec.shot_captions:
         analysis["visual_storyline"] = None
     return analysis
@@ -360,18 +383,17 @@ def generate_free_prompt(
 # step 4: verification
 
 
-def verify_free_prompt(
-    prompt: FreePrompt, analysis: dict[str, str | None], judge: Client, max_rounds: int = 2
-) -> FreePrompt:
-    """Ask the judge to approve or revise; revisions are capped and re-checked."""
+def verify_free_prompt(prompt: FreePrompt, analysis: dict[str, str | None], judge: Client) -> FreePrompt:
+    """Ask the judge to approve or revise, for at most ``VERIFY_ROUNDS``
+    rounds; each revision is re-checked."""
     current = prompt
-    for _ in range(max_rounds):
+    for _ in range(VERIFY_ROUNDS):
         resp = judge.call(
             {"task": "verify_prompt", "dimensions": current.dimensions(), "analysis": analysis}
         ).data
-        if resp.get("approved"):
+        if _checked(judge.role, resp, "approved", bool):
             return current
-        revision = resp.get("revision") or {}
+        revision = _checked(judge.role, resp, "revision", dict)
         try:
             current = free_prompt_from_dimensions(revision)
         except ValueError as exc:
@@ -399,17 +421,16 @@ def clip_meta(index: int, duration_ms: int) -> ClipMeta:
 
 
 def _materials_block(durations_ms: list[int], cfg: SlowFastConfig) -> str:
-    lines = []
-    for pres_index, dur in enumerate(durations_ms):
-        meta = clip_meta(pres_index, dur)
-        n_fast = frame_total(meta, cfg.fast.fps)
-        n_slow = frame_total(meta, cfg.slow.fps)
-        lines.append(
-            f"Clip {pres_index} (duration {meta.duration_s:.1f}s): "
-            f"fast frames: {' '.join(['<image>'] * n_fast)}; "
-            f"slow frames: {' '.join(['<image>'] * n_slow)}"
-        )
-    return "\n".join(lines)
+    """One line per presented clip with a placeholder per frame that
+    :func:`~adcut.sampling.plan_request` samples from it."""
+    metas = [clip_meta(i, d) for i, d in enumerate(durations_ms)]
+    plan = plan_request(ClipSet(metas), cfg)
+    return "\n".join(
+        f"Clip {meta.index} (duration {meta.duration_s:.1f}s): "
+        f"fast frames: {' '.join(['<image>'] * entry.fast.frames)}; "
+        f"slow frames: {' '.join(['<image>'] * entry.slow.frames)}"
+        for meta, entry in zip(metas, plan.clips)
+    )
 
 
 def _product_block(product: ProductInfo) -> str:

@@ -54,7 +54,6 @@ class EvalSample:
     ground_truth: Draft
     predicted: Draft | None
     negatives: frozenset[int] = frozenset()
-    judge_scores: Mapping[str, Mapping[str, float]] | None = None
     frames: tuple[str, ...] = ()
 
 
@@ -273,22 +272,21 @@ def evaluate_corpus(
     """Compute the full metric set.
 
     Counting metrics always run. Judge-scored metrics (free-prompt
-    following, script quality) run when a judge client is supplied or when
-    samples already carry judge scores; relevance runs when an embedding
-    client is supplied and samples carry frame references.
+    following, script quality) run when a judge client is supplied;
+    relevance runs when an embedding client is supplied and samples carry
+    frame references.
     """
     counts = count_metrics(corpus, taxonomy)
 
     fpf_values, sq_values = [], []
-    for s in corpus:
-        scores = dict(s.judge_scores or {})
-        if judge is not None and "fpf" not in scores:
-            scores["fpf"] = judge_score({"sample_id": s.sample_id}, "free_prompt_eval", judge)
-            scores["sq"] = judge_score({"sample_id": s.sample_id}, "script_quality_eval", judge)
-        if "fpf" in scores and scores["fpf"]:
-            fpf_values.append(fpf_aggregate(scores["fpf"]))
-        if "sq" in scores and scores["sq"]:
-            sq_values.append(sq_aggregate(scores["sq"]))
+    if judge is not None:
+        for s in corpus:
+            fpf = judge_score({"sample_id": s.sample_id}, "free_prompt_eval", judge)
+            sq = judge_score({"sample_id": s.sample_id}, "script_quality_eval", judge)
+            if fpf:
+                fpf_values.append(fpf_aggregate(fpf))
+            if sq:
+                sq_values.append(sq_aggregate(sq))
 
     vsr_values = []
     if embedder is not None:

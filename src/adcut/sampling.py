@@ -5,11 +5,12 @@ frame) and a slow one (sparse frames, many tokens per frame). A clip
 shorter than one sampling interval contributes its middle frame only;
 otherwise round(duration * fps) frames are taken uniformly. Requests are
 capped at a total fast-frame ceiling (default 600) enforced by halving the
-effective fast fps. A clip's frame count has a closed form
-(:func:`frame_total`), so a request's reduction factor is found from counts
-alone and each clip is planned once, at the final rate. A plan is counts
-first: each pathway stores its clip, rate, frame count and tokens, and its
-frame indices and timestamps are built only when read.
+effective fast fps; the slow pathway never samples faster than the halved
+fast one, so it stays under the ceiling too. A clip's frame count has a
+closed form (:func:`frame_total`), so a request's reduction factor is found
+from counts alone and each clip is planned once, at the final rate. A plan
+is counts first: each pathway stores its clip, rate, frame count and
+tokens, and its frame indices and timestamps are built only when read.
 
 Also provides the two numeric reference ops for visual-token compression:
 query squeezing (1-D group means) and 2-D average pooling. They use only
@@ -78,11 +79,6 @@ class SlowFastConfig:
             raise ValueError("fast pathway must use at most as many tokens per frame as slow")
         if self.frame_ceiling < 1:
             raise ValueError("frame_ceiling must be >= 1")
-
-    @property
-    def beta(self) -> float:
-        """Fast-to-slow fps ratio (implied, never stored)."""
-        return self.fast.fps / self.slow.fps
 
     def to_dict(self) -> dict:
         return {
@@ -251,12 +247,13 @@ def _sample_pathway(clip: ClipMeta, fps: float, tokens_per_frame: int) -> Pathwa
 
 
 def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | None = None) -> ClipPlan:
-    """Count both pathways' frames for one clip and attach token counts."""
+    """Count both pathways' frames for one clip and attach token counts; the
+    slow pathway samples at its own rate or the fast one, whichever is lower."""
     fast_fps = cfg.fast.fps if effective_fast_fps is None else effective_fast_fps
     return ClipPlan(
         index=clip.index,
         fast=_sample_pathway(clip, fast_fps, cfg.fast.tokens_per_frame),
-        slow=_sample_pathway(clip, cfg.slow.fps, cfg.slow.tokens_per_frame),
+        slow=_sample_pathway(clip, min(cfg.slow.fps, fast_fps), cfg.slow.tokens_per_frame),
     )
 
 

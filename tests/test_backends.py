@@ -148,36 +148,6 @@ class TestGenerate:
         assert isinstance(resp, GenerationResponse)
         assert loads(resp.draft_json) == GT_DRAFT
 
-    def test_structured_request_wire_format(self):
-        from adcut.backends import GenerationRequest
-        from adcut.dataset import ProductInfo, free_prompt_from_dimensions
-
-        product = ProductInfo("SoundPod", "Auralis", "$49.99", ("battery",))
-        prompt = free_prompt_from_dimensions({"duration": "10s"})
-        clip_entry = {"index": 0, "duration_s": 8.0, "fast_timestamps": [0.0, 0.5], "slow_timestamps": [0.0]}
-        request = GenerationRequest(product, prompt, (clip_entry,), sample_id="s1")
-        wire = request.to_wire()
-        assert wire["sample_id"] == "s1"
-        assert wire["product_info"]["name"] == "SoundPod"
-        assert wire["free_prompt"]["duration"] == "10s"
-        assert wire["clips"] == [clip_entry]
-        # identical values -> identical wire bytes
-        assert dumps_canonical(wire) == dumps_canonical(request.to_wire())
-        transport = mock_backend(7, {"drafts": {"s1": GT_DRAFT}})
-        client = Client("generate", MOCK_ENDPOINT, transport=transport)
-        assert loads(generate_draft(request, client).draft_json) == GT_DRAFT
-
-    def test_structured_request_requires_clips(self):
-        from adcut.backends import GenerationRequest
-        from adcut.dataset import ProductInfo, free_prompt_from_dimensions
-
-        with pytest.raises(ValueError):
-            GenerationRequest(
-                ProductInfo("X", "", "", ("p",)),
-                free_prompt_from_dimensions({"duration": "5s"}),
-                (),
-            )
-
     def test_missing_draft_field(self):
         transport = CountingTransport([(200, b'{"something": 1}')])
         with pytest.raises(InvalidResponse):
@@ -224,17 +194,17 @@ class TestJudgeScore:
 
 class TestEmbed:
     def test_unit_norm_and_count(self):
-        client = mock_backend_set(3).embed
+        client = Client("embed", MOCK_ENDPOINT, transport=mock_backend(3))
         vectors = embed(["alpha", "beta", "gamma"], client)
         assert len(vectors) == 3
         for v in vectors:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_deterministic_per_input(self):
-        a = embed(["alpha"], mock_backend_set(3).embed)[0]
-        b = embed(["alpha"], mock_backend_set(3).embed)[0]
+        a = embed(["alpha"], Client("embed", MOCK_ENDPOINT, transport=mock_backend(3)))[0]
+        b = embed(["alpha"], Client("embed", MOCK_ENDPOINT, transport=mock_backend(3)))[0]
         assert np.array_equal(a, b)
-        c = embed(["alpha"], mock_backend_set(4).embed)[0]
+        c = embed(["alpha"], Client("embed", MOCK_ENDPOINT, transport=mock_backend(4)))[0]
         assert not np.array_equal(a, c)
 
     def test_normalizes_non_unit_response(self):

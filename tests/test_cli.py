@@ -72,6 +72,16 @@ class TestPlan:
         assert plan["totals"]["slow_tokens"] == 64
         assert plan["reduction_factor"] == 1
 
+    def test_slow_pathway_is_capped_with_the_fast_one(self, capsys, tmp_path):
+        # 10**6 s at 30 fps: x4096 brings fast to 488 frames; slow at its own 0.5 fps would list 500 000
+        clips = tmp_path / "long.json"
+        clips.write_text(json.dumps({"clips": [{"index": 0, "duration_s": 1e6, "frame_count": 30_000_000}]}))
+        code, out, err = run(capsys, "plan", str(clips), "--preset", "fast:2/4,slow:0.5/16")
+        assert code == 0, err
+        assert len(out) < 100_000
+        totals = json.loads(out)["totals"]
+        assert totals["slow_frames"] <= totals["fast_frames"] <= 600
+
     def test_table_one_style_preset(self, capsys):
         code, out, _ = run(capsys, "plan", str(FIX / "clips.json"), "--preset", "fast:2/4 slow:0.125/64")
         assert code == 0
@@ -637,6 +647,73 @@ class TestEndpointResolution:
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
 
+class TestBuildDatasetAnswers:
+    """A backend answer that build-dataset cannot use fails its sample only."""
+
+    def build(self, capsys, tmp_path, *argv, fixtures=None):
+        ini = FIX / "adcut.ini"
+        if fixtures is not None:
+            (tmp_path / "videos.json").write_text(json.dumps(fixtures))
+            ini = tmp_path / "cfg.ini"
+            ini.write_text((FIX / "adcut.ini").read_text())
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out), *argv)
+        return code, err, out
+
+    @pytest.mark.parametrize(
+        "role, body, reason",
+        [
+            ("shots", {}, "shots: missing field 'boundaries_ms'"),
+            ("shots", [1], "shots: expected a JSON object, got list"),
+            ("shots", {"boundaries_ms": 5}, "shots: boundaries_ms: expected list of int, got int"),
+            ("asr", {"sentences": [1]}, "asr: expected a JSON object, got int"),
+            ("ocr", {"lines": [1]}, "ocr: lines: expected list of str, got list"),
+            ("caption", {"caption": None}, "caption: caption: expected str, got NoneType"),
+            ("judge", {"tags": {"tts_tags": "Young"}}, "judge: tts_tags: expected list of str, got str"),
+        ],
+        ids=["shots {}", "shots [1]", "shots boundaries 5", "asr entry 1", "ocr line 1", "caption null",
+             "judge tags string"],
+    )
+    def test_misshapen_answer_is_a_recorded_failure(self, capsys, tmp_path, monkeypatch, video_fixtures,
+                                                     role, body, reason):
+        mock = backends.mock_backend(7, video_fixtures)
+
+        def send(self, sent_role, url, payload, headers, timeout_s):
+            if json.loads(payload).get("video_ref") == "vid-serum":
+                return 200, json.dumps(body).encode()
+            return mock.send(sent_role, url, payload, headers, timeout_s)
+
+        monkeypatch.setattr(backends.RequestsTransport, "send", send)
+        code, err, out = self.build(capsys, tmp_path, f"--endpoint-{role}", "http://stub.invalid")
+        assert code == 1
+        assert err == f"warning: vid-serum: {reason}\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_misshapen_fixture_asr_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["asr"] = [1]
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err == "warning: vid-serum: asr: expected a JSON object, got int\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_frame_placeholders_follow_the_sampling_plan(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["shots"] = [0, 10**9]  # one shot of 10**6 s
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 0, err
+        (sample,) = [s for s in read_corpus(out) if s.sample_id == "vid-serum"]
+        clips = [line.split("fast frames:")[1].split("; slow frames:") for line in sample.instruction.splitlines()
+                 if line.startswith("Clip ")]
+        fast, slow = (sum(pathway.count("<image>") for pathway in side) for side in zip(*clips))
+        assert slow <= fast <= 600
+
+    def test_clips_over_the_frame_ceiling_are_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["shots"] = list(range(0, 602_000, 1000))  # 601 shots
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err.startswith("warning: vid-serum: ") and "cannot fit a 600-frame ceiling" in err
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+
 # Runs one subcommand in a fresh interpreter and reports which of the
 # offline pipeline's modules, and of the modules the aligner no longer
 # needs, it loaded.
@@ -751,10 +828,6 @@ def test_subcommand_registers_only_the_flags_it_reads(capsys, command):
     code, _, err = run(capsys, command, *positionals, *foreign)
     assert code == 2
     assert f"unrecognized arguments: {' '.join(foreign)}" in err
-
-
-def test_endpoint_roles_match_backend_roles():
-    assert cli.ENDPOINT_ROLES == backends.ROLES
 
 
 def test_unknown_subcommand_usage_error(capsys):

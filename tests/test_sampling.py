@@ -218,7 +218,9 @@ class TestPlanRequest:
             slow=PathwayConfig(fast_fps * slow_share, 16),
             frame_ceiling=len(clips) + spare,
         )
-        assert plan_request(clips, cfg) == replan_every_halving(clips, cfg)
+        plan = plan_request(clips, cfg)
+        assert plan == replan_every_halving(clips, cfg)
+        assert plan.total_slow_frames <= plan.total_fast_frames
 
     def test_plans_each_clip_once(self, monkeypatch):
         # 10 clips x 480 s at 16 fps: 76800 fast frames, 600 at x128
