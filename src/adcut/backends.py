@@ -8,8 +8,8 @@ implement the same interface in-process as pure functions of
 reproducibly.
 
 ``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
-the only functions here that build arrays, so importing this module does
-not load it.
+the only functions here that build arrays, and ``http.client`` inside
+:meth:`HttpTransport.send`, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
+from urllib.parse import urlsplit
 
 from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
 from .jsonutil import dumps_canonical, loads
@@ -123,19 +125,100 @@ class CallResult:
     latency_ms: float
 
 
-class RequestsTransport:
-    """Real HTTP transport (requests); one instance is shareable across threads."""
+class HttpTransport:
+    """HTTP/1.1 transport on ``http.client``, shareable across threads.
+
+    Each thread keeps one keep-alive connection per origin (scheme, host,
+    port). After sending a request it sets ``TCP_QUICKACK`` where the
+    platform has it: a server that writes a response's headers and body
+    separately with Nagle's algorithm on would otherwise wait for the
+    client's delayed ACK, about 40 ms, on every reused connection. A reused
+    connection the server has closed is reopened once, which the client does
+    not count as a retry. A timeout raises :class:`RequestTimeout`; any other
+    socket or protocol error raises :class:`TransportFailure`; either drops
+    the connection. Proxy environment variables are not read.
+
+    :meth:`close` (or leaving a ``with`` block) closes every connection the
+    transport still holds, whichever thread opened it.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: set = set()
+
+    def __enter__(self) -> HttpTransport:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            conns, self._open = self._open, set()
+        self._local = threading.local()
+        for conn in conns:
+            conn.close()
 
     def send(self, role: str, url: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes]:
-        import requests
+        import http.client
 
+        scheme, netloc, path, query, _ = urlsplit(url)
+        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(scheme)
+        if factory is None or not netloc:
+            raise TransportFailure(role, f"unsupported URL {url!r}")
+        target = (path or "/") + (f"?{query}" if query else "")
+        conns = self._local.__dict__.setdefault("conns", {})
+        key = (scheme, netloc)
+        reused = key in conns
         try:
-            resp = requests.post(url, data=body, headers=headers, timeout=timeout_s)
-        except requests.Timeout as exc:
+            try:
+                conn = conns[key] if reused else self._register(conns, key, factory(netloc, timeout=timeout_s))
+                status, data, closing = _post(conn, target, body, headers, timeout_s)
+            except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected is a ConnectionResetError
+                if not reused:
+                    raise
+                self._drop(conns, key)  # the server closed the idle connection: reopen it once
+                conn = self._register(conns, key, factory(netloc, timeout=timeout_s))
+                status, data, closing = _post(conn, target, body, headers, timeout_s)
+        except TimeoutError as exc:
+            self._drop(conns, key)
             raise RequestTimeout(role, str(exc)) from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            self._drop(conns, key)
             raise TransportFailure(role, str(exc)) from exc
-        return resp.status_code, resp.content
+        if closing:
+            self._drop(conns, key)
+        return status, data
+
+    def _register(self, conns: dict, key: tuple, conn: Any) -> Any:
+        with self._lock:
+            self._open.add(conn)
+        conns[key] = conn
+        return conn
+
+    def _drop(self, conns: dict, key: tuple) -> None:
+        conn = conns.pop(key, None)
+        if conn is not None:
+            with self._lock:
+                self._open.discard(conn)
+            conn.close()
+
+
+def _post(conn: Any, target: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes, bool]:
+    """One exchange on ``conn``: the status, the body and whether the server
+    closes the connection after it. ``http.client`` sends the headers and a
+    ``bytes`` body in one write."""
+    import socket
+
+    conn.timeout = timeout_s
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout_s)
+    conn.request("POST", target, body, headers)
+    if hasattr(socket, "TCP_QUICKACK"):
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    response = conn.getresponse()
+    return response.status, response.read(), response.will_close
 
 
 class Client:
@@ -144,6 +227,8 @@ class Client:
     Transport failures, 429 and 5xx responses are retried up to
     ``endpoint.max_retries`` times with exponential backoff (base 250 ms,
     doubling, +/-20% jitter). Forwarded payload bytes are never mutated.
+    Without a ``transport`` the client gets its own :class:`HttpTransport`;
+    whoever builds the client closes it through ``client.transport``.
     """
 
     def __init__(
@@ -158,7 +243,7 @@ class Client:
             raise ValueError(f"unknown backend role {role!r}")
         self.role = role
         self.endpoint = endpoint
-        self.transport = transport or RequestsTransport()
+        self.transport = transport or HttpTransport()
         self._sleep = sleeper
         self._jitter = jitter_rng or random.Random(0)
 

@@ -147,22 +147,29 @@ def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | N
     return getattr(args, f"endpoint_{role}") or cfg.get("endpoints", role)
 
 
-def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any]) -> be.Client:
+def _client(
+    args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any], http: be.HttpTransport
+) -> be.Client:
     """The client for ``role``: over the transport ``mock()`` returns for a
-    ``mock…`` endpoint (the default), else over HTTP with the role's
+    ``mock…`` endpoint (the default), else over ``http`` with the role's
     ``[auth]`` token variable."""
     from . import backends as be
 
     value = _endpoint_value(args, cfg, role) or "mock:"
     if value.startswith("mock"):
         return be.Client(role, be.MOCK_ENDPOINT, transport=mock())
-    return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)))
+    return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=http)
+
+
+# the keys of a fixtures video that the mock role handlers read, with their JSON types
+_VIDEO_KEYS = {"asr": list, "ocr": list, "shots": list, "captions": list, "tags": dict}
 
 
 def _fixtures(cfg: Config) -> dict:
     """The mock fixtures file, or ``{}`` when none is configured; a configured
-    file that is missing, not a JSON object, or whose ``videos`` or
-    ``negative_pool`` is not shaped as the mocks read them is a usage error."""
+    file that is missing, not a JSON object, or whose ``videos`` (with the
+    keys in ``_VIDEO_KEYS``) or ``negative_pool`` is not shaped as the mocks
+    read them is a usage error."""
     path = cfg.path("paths", "fixtures")
     if path is None:
         return {}
@@ -175,6 +182,10 @@ def _fixtures(cfg: Config) -> dict:
     for ref, video in videos.items():
         if not isinstance(video, dict):
             raise CliError(f"fixtures file {path}: videos.{ref} is not a JSON object")
+        for key, kind in _VIDEO_KEYS.items():
+            if key in video and not isinstance(video[key], kind):
+                wanted = "array" if kind is list else "object"
+                raise CliError(f"fixtures file {path}: videos.{ref}.{key} is not a JSON {wanted}")
     if not isinstance(pool, list):
         raise CliError(f"fixtures file {path}: negative_pool is not a JSON array")
     for i, entry in enumerate(pool):
@@ -386,15 +397,16 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
     sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
     mock = functools.cache(lambda: be.mock_backend(seed, fixtures))
-    backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock) for role in DATASET_ROLES})
+    with be.HttpTransport() as http:
+        backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock, http) for role in DATASET_ROLES})
 
-    def build(ref: str, product: ds.ProductInfo) -> dict:
-        return ds.build_sample(
-            ref, product, backend_set, negative_pool,
-            corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
-        ).to_dict()
+        def build(ref: str, product: ds.ProductInfo) -> dict:
+            return ds.build_sample(
+                ref, product, backend_set, negative_pool,
+                corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
+            ).to_dict()
 
-    return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
+        return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
 
 
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
@@ -427,8 +439,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     endpoint_value = _endpoint_value(args, cfg, "generate")
     if not endpoint_value:
         raise CliError("--endpoint-generate is required")
-    client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples))
-
     resuming = bool(args.resume and args.out and Path(args.out).is_file())
     done = {}
     if resuming:
@@ -437,11 +447,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         done = _on_file(_read_predictions, args.out)
     todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
-    def generate_one(sample_id: str, instruction: str) -> dict:
-        response = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
-        return {"sample_id": sample_id, "draft_json": response.draft_json.decode("utf-8")}
+    with be.HttpTransport() as http:
+        client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples), http)
 
-    return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
+        def generate_one(sample_id: str, instruction: str) -> dict:
+            response = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
+            return {"sample_id": sample_id, "draft_json": response.draft_json.decode("utf-8")}
+
+        return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -487,10 +500,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     mock = functools.cache(lambda: be.mock_backend(seed, _fixtures(cfg)))
-    judge = _client(args, cfg, "judge", mock) if args.with_judge else None
-    embedder = _client(args, cfg, "embed", mock) if args.with_vsr else None
-
-    report = mx.evaluate_corpus(eval_samples, _taxonomy(args, cfg), judge=judge, embedder=embedder)
+    with be.HttpTransport() as http:
+        judge = _client(args, cfg, "judge", mock, http) if args.with_judge else None
+        embedder = _client(args, cfg, "embed", mock, http) if args.with_vsr else None
+        report = mx.evaluate_corpus(eval_samples, _taxonomy(args, cfg), judge=judge, embedder=embedder)
     if args.format == "table":
         _emit(mx.render_table(report), args.out)
     else:

@@ -298,9 +298,15 @@ def _asr_correction_prompt_sha256() -> str:
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
-    here, of the JSON types read, raises :class:`InvalidResponse` for its role."""
+    here, of the JSON types read, or with a shot too short to be a clip,
+    raises :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(_answer(backends.shots, ref, "boundaries_ms", list, int)))
+    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
+        try:
+            clip_meta(i, b - a)
+        except ValueError as exc:
+            raise InvalidResponse(backends.shots.role, f"shot {i} of {b - a} ms: {exc}") from None
 
     sentences = _normalize_asr(_sentences(backends.asr.role, _answer(backends.asr, ref, "sentences", list)))
     corrected = _answer(

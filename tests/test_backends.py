@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adcut
 from adcut import backends as backends_module
 from adcut.backends import (
     BackendEndpoint,
@@ -16,8 +23,10 @@ from adcut.backends import (
     Client,
     DimensionMismatch,
     GenerationResponse,
+    HttpTransport,
     InvalidResponse,
     MalformedScores,
+    RequestTimeout,
     TransportFailure,
     embed,
     generate_draft,
@@ -29,7 +38,11 @@ from adcut.backends import (
     MOCK_ENDPOINT,
     RUBRICS,
 )
+from adcut.cli import main
+from adcut.dataset import read_corpus
 from adcut.jsonutil import dumps_canonical, loads
+
+FIX = Path(__file__).parent / "fixtures"
 
 GT_DRAFT = {
     "voice_over_track": [{"text": "hello", "target_start": 0, "target_end": 1000}],
@@ -345,3 +358,174 @@ def test_real_http_roundtrip():
         assert result.data["path"] == "/v1/judge"
     finally:
         server.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# HttpTransport against in-process servers
+
+
+class _MockHandler(BaseHTTPRequestHandler):
+    """Answers ``/v1/<role>`` from the server's mock over HTTP/1.1 keep-alive.
+    Like any ``BaseHTTPRequestHandler``, it writes the headers and then the
+    body in a second write, with Nagle's algorithm on."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.peers.append(self.client_address)
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        if self.server.statuses:
+            status, payload = self.server.statuses.pop(0), b"{}"
+        else:
+            status, payload = self.server.mock.send(self.path.rsplit("/", 1)[1], self.path, body, {}, 1.0)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        # closing without a Connection: close header is what an idle timeout looks like to the client
+        self.close_connection = self.server.close_each
+
+    def log_message(self, *args):
+        pass
+
+
+class _MockServer(ThreadingHTTPServer):
+    def __init__(self, mock, statuses, close_each):
+        super().__init__(("127.0.0.1", 0), _MockHandler)
+        self.mock = mock
+        self.statuses = list(statuses)  # answered with an empty body before the mock answers
+        self.close_each = close_each
+        self.peers = []  # one entry per accepted connection
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@contextmanager
+def serving(mock=None, statuses=(), close_each=False):
+    server = _MockServer(mock or mock_backend(7), statuses, close_each)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def http_client(transport, url, timeout_ms=5000, retries=0):
+    ep = BackendEndpoint(base_url=url, timeout_ms=timeout_ms, max_retries=retries)
+    return Client("embed", ep, transport=transport, sleeper=lambda s: None)
+
+
+@pytest.fixture(scope="module")
+def corpus_and_predictions(tmp_path_factory):
+    out = tmp_path_factory.mktemp("http")
+    corpus, predictions = out / "corpus.jsonl", out / "pred.jsonl"
+    assert main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(corpus)]) == 0
+    assert main(["generate", str(corpus), "--endpoint-generate", "mock:swap_adjacent:0.5", "--seed", "7",
+                 "--out", str(predictions)]) == 0
+    return corpus, predictions
+
+
+class TestHttpTransport:
+    def test_sequential_calls_share_one_connection(self):
+        with serving() as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            results = [client.call({"inputs": [f"text {i}"]}) for i in range(20)]
+        assert len(server.peers) == 1
+        assert [r.retries for r in results] == [0] * 20
+        expected = [loads(mock_backend(7).send("embed", "", dumps_canonical({"inputs": [f"text {i}"]}), {}, 1.0)[1])
+                    for i in range(20)]
+        assert [r.data for r in results] == expected
+
+    def test_generate_with_two_workers_opens_at_most_two_connections(self, tmp_path, corpus_and_predictions):
+        from adcut.cli import _mock_generate
+
+        corpus, _ = corpus_and_predictions
+        argv = ["generate", str(corpus), "--seed", "7", "--concurrency", "2"]
+        with serving(_mock_generate("mock:", 7, read_corpus(corpus))) as server:
+            assert main([*argv, "--endpoint-generate", server.url, "--out", str(tmp_path / "http.jsonl")]) == 0
+        assert main([*argv, "--endpoint-generate", "mock:", "--out", str(tmp_path / "mock.jsonl")]) == 0
+        assert (tmp_path / "http.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
+        assert 1 <= len(server.peers) <= 2
+
+    def test_split_write_server_does_not_stall_a_reused_connection(self):
+        # a delayed ACK per reused call (about 40 ms each) would take at least 0.8 s
+        with serving() as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            client.call({"inputs": ["warm up"]})
+            started = time.monotonic()
+            for i in range(20):
+                client.call({"inputs": [f"text {i}"]})
+            elapsed = time.monotonic() - started
+        assert len(server.peers) == 1
+        assert elapsed < 0.5
+
+    def test_a_connection_the_server_closed_is_reopened_without_a_retry(self):
+        with serving(close_each=True) as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            retries = [client.call({"inputs": [f"text {i}"]}).retries for i in range(3)]
+        assert retries == [0, 0, 0]
+        assert len(server.peers) == 3
+
+    def test_unavailable_then_ok_is_one_retry_on_the_same_connection(self):
+        with serving(statuses=[503]) as server, HttpTransport() as transport:
+            result = http_client(transport, server.url, retries=2).call({"inputs": ["x"]})
+        assert result.retries == 1
+        assert len(server.peers) == 1
+
+    def test_a_server_that_never_answers_times_out(self):
+        # the listener's backlog completes the connection; nothing ever reads the request
+        with socket.create_server(("127.0.0.1", 0)) as listener, HttpTransport() as transport:
+            client = http_client(transport, f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_ms=200)
+            started = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                client.call({"inputs": ["x"]})
+            elapsed = time.monotonic() - started
+        assert 0.15 <= elapsed < 1.0  # 200 ms, with slack for a loaded host
+
+    def test_a_refused_connection_is_a_transport_failure(self):
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            port = closed.getsockname()[1]
+        with HttpTransport() as transport, pytest.raises(TransportFailure):
+            http_client(transport, f"http://127.0.0.1:{port}").call({"inputs": ["x"]})
+
+
+# Runs one subcommand in a fresh interpreter that turns ResourceWarning into
+# an error, collects garbage (finalizing any socket left open) and reports
+# whether ``requests`` was imported.
+_LEAK_PROBE = """
+import gc, json, sys
+from adcut.cli import main
+code = main(sys.argv[1:])
+gc.collect()
+print(json.dumps({"code": code, "requests": "requests" in sys.modules}))
+"""
+
+
+def test_evaluate_over_http_leaves_no_socket_open(capsys, corpus_and_predictions, video_fixtures):
+    corpus, predictions = corpus_and_predictions
+    argv = ["evaluate", str(corpus), str(predictions), "--with-judge", "--with-vsr", "--seed", "7"]
+    src = str(Path(adcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("ADCUT_CONFIG", None)
+    with serving(mock_backend(7, video_fixtures)) as server:
+        done = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", _LEAK_PROBE, *argv,
+             "--endpoint-judge", server.url, "--endpoint-embed", server.url],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+    assert "ResourceWarning" not in done.stderr and "unclosed <socket" not in done.stderr, done.stderr
+    *report, probe = done.stdout.splitlines()
+    assert json.loads(probe) == {"code": 0, "requests": False}, done.stderr
+    assert main(argv) == 0
+    assert report == capsys.readouterr().out.splitlines()
+    assert len(server.peers) == 1

@@ -175,6 +175,21 @@ class TestBuildDataset:
         assert err == f"error: fixtures file {fixtures}: {reason}\n"
 
     @pytest.mark.parametrize(
+        "key, kind", [("asr", "array"), ("ocr", "array"), ("shots", "array"), ("captions", "array"), ("tags", "object")]
+    )
+    def test_misshapen_video_key_is_a_usage_error(self, capsys, tmp_path, video_fixtures, key, kind):
+        video_fixtures["videos"]["vid-serum"][key] = 5
+        fixtures = tmp_path / "videos.json"
+        fixtures.write_text(json.dumps(video_fixtures))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text((FIX / "adcut.ini").read_text())
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out))
+        assert code == 2
+        assert err == f"error: fixtures file {fixtures}: videos.vid-serum.{key} is not a JSON {kind}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content, reason",
         [
             (b"\xff\xfe{product_block}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
@@ -591,7 +606,7 @@ class TestEndpointResolution:
             urls.append(url)
             return mock.send(role, url, body, headers, timeout_s)
 
-        monkeypatch.setattr(backends.RequestsTransport, "send", send)
+        monkeypatch.setattr(backends.HttpTransport, "send", send)
         return urls
 
     def test_http_caption_builds_the_all_mock_corpus(self, capsys, corpus_path, tmp_path, http_calls):
@@ -683,7 +698,7 @@ class TestBuildDatasetAnswers:
                 return 200, json.dumps(body).encode()
             return mock.send(sent_role, url, payload, headers, timeout_s)
 
-        monkeypatch.setattr(backends.RequestsTransport, "send", send)
+        monkeypatch.setattr(backends.HttpTransport, "send", send)
         code, err, out = self.build(capsys, tmp_path, f"--endpoint-{role}", "http://stub.invalid")
         assert code == 1
         assert err == f"warning: vid-serum: {reason}\n"
@@ -694,6 +709,13 @@ class TestBuildDatasetAnswers:
         code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
         assert code == 1
         assert err == "warning: vid-serum: asr: expected a JSON object, got int\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_too_short_shot_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["shots"] = [0, 1, 2000]  # a 1 ms shot is above 240 fps
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err == "warning: vid-serum: shots: shot 0 of 1 ms: native fps 1000.000 outside [1, 240] for clip 0\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
     def test_frame_placeholders_follow_the_sampling_plan(self, capsys, tmp_path, video_fixtures):
