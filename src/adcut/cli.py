@@ -168,8 +168,8 @@ _VIDEO_KEYS = {"asr": list, "ocr": list, "shots": list, "captions": list, "tags"
 def _fixtures(cfg: Config) -> dict:
     """The mock fixtures file, or ``{}`` when none is configured; a configured
     file that is missing, not a JSON object, or whose ``videos`` (with the
-    keys in ``_VIDEO_KEYS``) or ``negative_pool`` is not shaped as the mocks
-    read them is a usage error."""
+    keys in ``_VIDEO_KEYS``), ``negative_pool`` or ``judge`` is not shaped as
+    the mocks read them is a usage error."""
     path = cfg.path("paths", "fixtures")
     if path is None:
         return {}
@@ -191,6 +191,14 @@ def _fixtures(cfg: Config) -> dict:
     for i, entry in enumerate(pool):
         if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
             raise CliError(f"fixtures file {path}: negative_pool[{i}] needs integer index and duration_ms")
+    judge = fixtures.get("judge", {})
+    if not isinstance(judge, dict):
+        raise CliError(f"fixtures file {path}: judge is not a JSON object")
+    if judge.get("verify", "approve") not in ("approve", "revise_always"):
+        raise CliError(f"fixtures file {path}: judge.verify must be approve or revise_always, got {judge['verify']!r}")
+    scores = judge.get("scores", "caps")
+    if scores != "caps" and not isinstance(scores, dict):
+        raise CliError(f'fixtures file {path}: judge.scores must be "caps" or a JSON object, got {scores!r}')
     return fixtures
 
 
@@ -557,56 +565,64 @@ SHARED_FLAGS: dict[str, dict] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on the first call and shared after.
+
+    ``main`` may be called any number of times in one process, and each call
+    reuses this parser. The parser holds no command functions: ``main``
+    resolves ``cmd_<name>`` by name when it runs, so a command replaced on the
+    module after the first call (a wrapper or a test double) is the one called.
+    The module docstring is the ``adcut -h`` description.
+    """
     parser = argparse.ArgumentParser(prog="adcut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func: Callable, help: str, *args: str, roles: tuple[str, ...] = ()):
+    def command(name: str, help: str, *args: str, roles: tuple[str, ...] = ()):
         # --config, --out, then positionals and shared options; one --endpoint flag per role called
         p = sub.add_parser(name, help=help)
         for arg in ("--config", "--out", *args):
             p.add_argument(arg, **SHARED_FLAGS.get(arg, {}))
         for role in roles:
             p.add_argument(f"--endpoint-{role}", help=f"{role} backend URL or mock: ([endpoints] {role})")
-        p.set_defaults(func=func)
         return p
 
-    p = command("validate", cmd_validate, "validate a draft JSON file", "draft", "--format", "--taxonomy")
+    p = command("validate", "validate a draft JSON file", "draft", "--format", "--taxonomy")
     p.add_argument("--clips", help="clip set JSON for bound checks")
 
-    p = command("plan", cmd_plan, "plan slow-fast frame sampling for a clip set", "clips", "--format")
+    p = command("plan", "plan slow-fast frame sampling for a clip set", "clips", "--format")
     p.add_argument("--preset", help="e.g. fast:2/4,slow:0.5/16 ([sampling] preset)")
 
-    p = command("build-dataset", cmd_build_dataset, "build an instruction corpus from source videos",
+    p = command("build-dataset", "build an instruction corpus from source videos",
                 "--seed", "--concurrency", roles=DATASET_ROLES)
     p.add_argument("--dropout-p", type=float, help="dimension dropout probability ([dataset] dropout_p)")
     p.add_argument("--preset", help="sampling preset for frame placeholders ([sampling] preset)")
 
-    p = command("generate", cmd_generate, "request drafts for every corpus sample",
+    p = command("generate", "request drafts for every corpus sample",
                 "corpus", "--seed", "--concurrency", roles=("generate",))
     p.add_argument("--resume", action="store_true", help="skip sample ids already in the output")
 
-    p = command("evaluate", cmd_evaluate, "score predictions against a corpus",
+    p = command("evaluate", "score predictions against a corpus",
                 "corpus", "predictions", "--seed", "--format", "--taxonomy", roles=("judge", "embed"))
     p.add_argument("--with-judge", action="store_true")
     p.add_argument("--with-vsr", action="store_true")
     p.add_argument("--concurrency", type=int, help="checked like the other stages' ([dataset] concurrency), "
                    "but evaluate runs serially")
 
-    p = command("align", cmd_align, "align a draft with realized TTS durations", "draft", "tts", "clips", "--taxonomy")
+    p = command("align", "align a draft with realized TTS durations", "draft", "tts", "clips", "--taxonomy")
     p.add_argument("--catalog", help="asset catalog JSON for decoration matching")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call: see build_parser
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

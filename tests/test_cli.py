@@ -24,6 +24,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a fixtures file's ``judge`` value the mocks cannot read, with the reason the CLI gives
+MISSHAPEN_JUDGE = [
+    pytest.param(5, "judge is not a JSON object", id="judge not an object"),
+    pytest.param({"verify": "reject"}, "judge.verify must be approve or revise_always, got 'reject'",
+                 id="unknown judge verify"),
+    pytest.param({"scores": 5}, 'judge.scores must be "caps" or a JSON object, got 5', id="judge scores a number"),
+    pytest.param({"scores": "max"}, """judge.scores must be "caps" or a JSON object, got 'max'""",
+                 id="unknown judge scores"),
+]
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", str(FIX / "draft_template.json"), "--clips", str(FIX / "clips.json"))
@@ -161,8 +172,10 @@ class TestBuildDataset:
              "negative_pool[0] needs integer index and duration_ms"),
             ("negative_pool", [{"index": 0, "duration_ms": 1}],
              "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
+            *(("judge", *case.values) for case in MISSHAPEN_JUDGE),
         ],
-        ids=["video not an object", "pool entry without integer duration", "pool clip too short"],
+        ids=["video not an object", "pool entry without integer duration", "pool clip too short",
+             *(case.id for case in MISSHAPEN_JUDGE)],
     )
     def test_misshapen_fixtures_are_a_usage_error(self, capsys, tmp_path, video_fixtures, key, value, reason):
         video_fixtures[key] = value
@@ -383,6 +396,20 @@ class TestEvaluate:
             "--with-vsr", "--config", str(FIX / "adcut.ini"), "--seed", "7",
         )
         assert json.loads(out2)["vsr"] == report["vsr"]
+
+    @pytest.mark.parametrize("judge, reason", MISSHAPEN_JUDGE)
+    def test_misshapen_judge_fixture_is_a_usage_error(
+        self, capsys, corpus_path, tmp_path, video_fixtures, judge, reason
+    ):
+        pred = self._generate(corpus_path, tmp_path, "mock:perfect")
+        fixtures = tmp_path / "videos.json"
+        fixtures.write_text(json.dumps({**video_fixtures, "judge": judge}))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[paths]\nfixtures = videos.json\n")
+        code, _, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge",
+                           "--config", str(ini), "--seed", "7")
+        assert code == 2
+        assert err == f"error: fixtures file {fixtures}: {reason}\n"
 
 
 class TestAlign:
@@ -854,3 +881,48 @@ def test_subcommand_registers_only_the_flags_it_reads(capsys, command):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    """``main`` builds the parser once per process and picks each command by name per call."""
+
+    def fresh_parser_output(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_command_patched_after_a_call_is_the_one_run(self, capsys, monkeypatch):
+        assert run(capsys, "validate", str(FIX / "draft_template.json"))[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args.corpus) or 0)
+        assert run(capsys, "generate", "c.jsonl", "--endpoint-generate", "mock:") == (0, "", "")
+        assert calls == ["c.jsonl"]
+
+    def test_flag_values_do_not_leak_between_calls(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: seen.append((args.resume, args.seed)) or 0)
+        assert main(["generate", "c.jsonl", "--resume", "--seed", "3"]) == 0
+        assert main(["generate", "c.jsonl"]) == 0
+        assert seen == [(True, 3), (False, None)]
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert run(capsys, "validate", str(FIX / "draft_template.json"))[0] == 0
+        code, out, err = run(capsys, "validate")
+        assert (code, out) == (2, "")
+        assert err == self.fresh_parser_output(capsys, ["validate"])[1]
+        assert err.endswith("adcut validate: error: the following arguments are required: draft\n")
+
+    @pytest.mark.parametrize(
+        "command", [[], *([name] for name in SUBCOMMAND_FLAGS)], ids=lambda c: " ".join(c) or "adcut"
+    )
+    def test_help_matches_a_freshly_built_parser(self, capsys, command):
+        main(["validate", str(FIX / "draft_template.json")])
+        capsys.readouterr()
+        code, out, err = run(capsys, *command, "-h")
+        assert (code, err) == (0, "")
+        assert out == self.fresh_parser_output(capsys, [*command, "-h"])[0]
+        assert out.startswith(f"usage: adcut {command[0]}" if command else "usage: adcut")

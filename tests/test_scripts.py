@@ -3,7 +3,9 @@ check that every ``adcut`` name the benchmark tracer wraps still exists."""
 
 import importlib
 import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,67 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     from adcut.backends import Client
 
     assert callable(getattr(Client, "call", None))
+
+
+STAND_IN_RUN = '''\
+import argparse, json
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds"):
+    parser.add_argument(flag, required=True)
+args = parser.parse_args()
+speed = float(open("speed.txt").read())
+print("  build_per_s", speed * 2, "1/s")
+print("sha256 job0/report", "ab" * 32)
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"items_per_s": {"value": speed, "unit": "1/s"},
+                              "latency_p50_ms": {"value": 1000.0 / speed, "unit": "ms"},
+                              "seed": {"value": int(args.seed), "unit": ""},
+                              "seconds": {"value": float(args.seconds), "unit": "s"}}}))
+'''
+
+
+def test_bench_pairs_records_alternating_pairs_with_a_stand_in_run(tmp_path):
+    repo = tmp_path / "repo"
+    for name in ("scripts", "perfbench"):
+        (repo / name).mkdir(parents=True)
+    (repo / "scripts" / "bench_pairs.py").write_bytes((SCRIPTS / "bench_pairs.py").read_bytes())
+    (repo / "perfbench" / "run.py").write_text(STAND_IN_RUN)
+    (repo / "speed.txt").write_text("100")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "perfbench/run.py"], "run_seconds": 0.1,
+        "workloads": [{"name": "corpus"}], "end_to_end": [{"name": "latency_p50_ms", "better": "lower"}],
+    }))
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    record = [sys.executable, str(repo / "scripts" / "bench_pairs.py"), "--pr", "7"]
+
+    same = subprocess.run(record, capture_output=True, text=True, timeout=120)
+    assert same.returncode == 2
+    assert "--parent HEAD is HEAD and the working tree is clean" in same.stderr
+    assert not (repo / "BENCH_7.json").exists()
+
+    (repo / "speed.txt").write_text("150")  # the change, uncommitted
+    done = subprocess.run(record, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((repo / "BENCH_7.json").read_text())
+    assert doc["machine"]["python"] == platform.python_version()
+    assert doc["change"]["uncommitted_changes"] is True
+    corpus = doc["workloads"]["corpus"]
+    base = int(doc["parent"]["commit"][:6], 16)
+    assert corpus["seeds"] == [base + 1 + i for i in range(10)]
+    assert [p["first"] for p in corpus["pairs"]] == ["parent", "change"] * 5
+    for p in corpus["pairs"]:
+        assert (p["parent"]["values"]["items_per_s"], p["change"]["values"]["items_per_s"]) == (100.0, 150.0)
+        assert p["parent"]["values"]["seed"] == p["change"]["values"]["seed"] == p["seed"]
+        assert p["parent"]["values"]["seconds"] == p["change"]["values"]["seconds"] == 0.1
+    assert corpus["pairs"][0]["change"]["sha256"] == {"job0/report": "ab" * 32}
+    assert corpus["sha256_identical"] is True
+    summary = corpus["summary"]
+    assert summary["items_per_s"]["change"]["median"] == 150.0
+    assert summary["items_per_s"]["change_wins"] == summary["build_per_s"]["change_wins"] == 10
+    assert summary["latency_p50_ms"]["better"] == "lower" and summary["latency_p50_ms"]["change_wins"] == 10
+    assert summary["items_per_s"]["median_gain_exceeds_parent_iqr"] is True
+    assert sorted(p.name for p in repo.iterdir()) == [
+        ".git", "BENCHMARK.json", "BENCH_7.json", "perfbench", "scripts", "speed.txt"
+    ]
