@@ -302,18 +302,14 @@ class BackendSet:
 # high-level operations
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
-    draft_json: bytes
-
-
-def generate_draft(request: dict, client: Client) -> GenerationResponse:
-    """POST a generation request; returns the raw draft bytes unmodified."""
+def generate_draft(request: dict, client: Client) -> bytes:
+    """POST a generation request; returns the draft's bytes: canonical JSON for
+    a draft object, else the answer's text unmodified."""
     result = client.call(request)
     if not isinstance(result.data, dict) or "draft" not in result.data:
         raise InvalidResponse(client.role, "response lacks a draft field")
     draft = result.data["draft"]
-    return GenerationResponse(dumps_canonical(draft) if isinstance(draft, dict) else str(draft).encode("utf-8"))
+    return dumps_canonical(draft) if isinstance(draft, dict) else str(draft).encode("utf-8")
 
 
 @lru_cache(maxsize=None)
@@ -365,6 +361,8 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     vectors = result.data.get("vectors") if isinstance(result.data, dict) else None
     if not isinstance(vectors, list) or len(vectors) != len(inputs):
         raise InvalidResponse(client.role, "vector count does not match input count")
+    if not all(isinstance(v, list) for v in vectors):
+        raise InvalidResponse(client.role, "a vector is not a list")
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
@@ -372,7 +370,13 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
 
     out = []
     for v in vectors:
-        arr = np.asarray(v, dtype=np.float64)
+        try:
+            arr = np.asarray(v, dtype=np.float64)
+            numeric = arr.ndim == 1 and bool(np.isfinite(arr).all())
+        except (TypeError, ValueError):
+            numeric = False
+        if not numeric:
+            raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise InvalidResponse(client.role, "zero vector cannot be normalized")

@@ -8,13 +8,12 @@ cannot be read, parsed or used exits 2 with ``error: <what> <path>:
 <reason>``. Every randomized subcommand takes an explicit --seed and, with
 mock endpoints, is bit-deterministic across runs and worker counts.
 
-Each process serves one subcommand, so imports follow the subcommand. The
-module level imports only what ``validate`` and ``align`` run; ``plan``
-imports the sampling planner, and ``build-dataset``, ``generate`` and
-``evaluate`` import the offline pipeline (``backends``, ``dataset``,
-``metrics``) inside the command, and ``concurrent.futures`` only for
-``--concurrency`` above 1. ``numpy`` loads only when embeddings or VSR are
-computed.
+Imports follow the subcommand. The module level imports only what
+``validate`` and ``align`` run; ``plan`` imports the sampling planner, and
+``build-dataset``, ``generate`` and ``evaluate`` import the offline pipeline
+(``backends``, ``dataset``, ``metrics``) inside the command, and
+``concurrent.futures`` only for ``--concurrency`` above 1. ``numpy`` loads
+only when embeddings or VSR are computed.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
@@ -233,21 +233,14 @@ def _read_predictions(path: str) -> dict[str, str]:
     return out
 
 
-def _run_samples(
-    args: argparse.Namespace, cfg: Config, items: list[tuple], fn: Callable[..., dict], out: str | None, append=False
-) -> int:
-    """Write ``fn(*item)`` for each ``(sample_id, ...)`` item as a JSON line of ``out``, in
-    input order as results arrive. A sample that fails in a backend, deconstruction or
-    prompt revision, or whose clips no sampling plan fits, gets a warning instead of a
-    line, and exit code 1."""
+def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
+    """``fn(*item)`` for each ``(sample_id, ...)`` item, in input order, on ``concurrency``
+    threads once the first result is drawn. A sample that fails in a backend,
+    deconstruction or prompt revision, or whose clips no sampling plan fits, yields None
+    and prints ``warning: <id>: <reason>``."""
     from . import backends as be
     from . import dataset as ds
     from .sampling import CeilingUnsatisfiable
-
-    if not out:
-        raise CliError("an output path is required")
-    concurrency = _concurrency(args, cfg)
-    failures = []
 
     def attempt(item: tuple) -> dict | str:
         try:
@@ -255,22 +248,28 @@ def _run_samples(
         except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid, CeilingUnsatisfiable) as exc:
             return f"warning: {item[0]}: {exc}"
 
-    def records(map_: Callable) -> Iterator[dict]:  # drawn only once write_records has opened ``out``
-        for result in map_(attempt, items):
-            if isinstance(result, str):
-                failures.append(result)
-                print(result, file=sys.stderr)
-            else:
-                yield result
-
-    if concurrency == 1:
-        _on_file(lambda path: write_records(path, records(map), append), out)
-    else:
+    pool = None
+    if concurrency > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            _on_file(lambda path: write_records(path, records(pool.map), append), out)
-    return EXIT_VIOLATION if failures else EXIT_OK
+        pool = ThreadPoolExecutor(max_workers=concurrency)
+    with pool or nullcontext():
+        for result in (pool.map if pool else map)(attempt, items):
+            if isinstance(result, str):
+                print(result, file=sys.stderr)
+            yield result if isinstance(result, dict) else None
+
+
+def _run_samples(
+    args: argparse.Namespace, cfg: Config, items: list[tuple], fn: Callable[..., dict], out: str | None, append=False
+) -> int:
+    """Write each result of :func:`_map_samples` at ``--concurrency`` as a JSON line of
+    ``out``; a failed sample gets no line, and exit code 1."""
+    if not out:
+        raise CliError("an output path is required")
+    results = filter(None, _map_samples(_concurrency(args, cfg), items, fn))  # drawn once ``out`` is open
+    written = _on_file(lambda path: write_records(path, results, append), out)
+    return EXIT_OK if written == len(items) else EXIT_VIOLATION
 
 
 def _concurrency(args: argparse.Namespace, cfg: Config) -> int:
@@ -417,23 +416,38 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
 
 
+# the corruptions a mock generate endpoint applies, as mock:<mode>[:rate]
+MOCK_CORRUPTIONS = ("swap_adjacent", "inject_negative", "drop_tag")
+
+
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
+    """The mock generate transport for ``value``. ``mock:`` and ``mock:perfect``
+    answer each sample's ground truth; ``mock:<mode>[:rate]`` corrupts a ``rate``
+    share (0 to 1, default 1) of the samples by one of ``MOCK_CORRUPTIONS``. Any
+    other value is a usage error."""
     from . import backends as be
     from . import dataset as ds
 
-    # mock endpoint forms: mock:  mock:perfect  mock:swap_adjacent[:rate] ...
-    parts = value.split(":")
-    mode = parts[1] if len(parts) > 1 and parts[1] else "none"
-    if mode == "perfect":
-        mode = "none"
-    try:
-        rate = float(parts[2]) if len(parts) > 2 else 1.0
-    except ValueError:
-        raise CliError(f"bad mock endpoint {value!r}: the rate is not a number") from None
+    head, colon, spec = value.partition(":")
+    mode, with_rate, rate_text = spec.partition(":")
+    perfect = mode in ("", "perfect")
+    if not (head == "mock" and colon and (mode in MOCK_CORRUPTIONS or (perfect and not with_rate))):
+        raise CliError(
+            f"bad mock endpoint {value!r}: expected mock:, mock:perfect or mock:<mode>[:rate] "
+            f"with <mode> one of {', '.join(MOCK_CORRUPTIONS)}"
+        )
+    rate = 1.0
+    if with_rate:
+        try:
+            rate = float(rate_text)
+        except ValueError:
+            raise CliError(f"bad mock endpoint {value!r}: the rate is not a number") from None
+        if not 0 <= rate <= 1:
+            raise CliError(f"bad mock endpoint {value!r}: the rate must be in [0, 1], got {rate_text}")
     fixtures = {
         "drafts": {s.sample_id: ds.draft_to_dict(s.ground_truth) for s in samples},
         "negatives": {s.sample_id: list(s.negatives) for s in samples},
-        "corruption": {"mode": mode, "rate": rate},
+        "corruption": {"mode": "none" if perfect else mode, "rate": rate},
     }
     return be.mock_backend(seed, fixtures)
 
@@ -459,8 +473,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples), http)
 
         def generate_one(sample_id: str, instruction: str) -> dict:
-            response = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
-            return {"sample_id": sample_id, "draft_json": response.draft_json.decode("utf-8")}
+            draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
+            return {"sample_id": sample_id, "draft_json": draft_json.decode("utf-8")}
 
         return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
 
@@ -471,7 +485,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    _concurrency(args, cfg)  # checked as the other stages check it; evaluate runs serially
+    concurrency = _concurrency(args, cfg)
     corpus = _read_corpus(args.corpus)
     predictions = _on_file(_read_predictions, args.predictions)
 
@@ -507,11 +521,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         )
 
+    taxonomy = _taxonomy(args, cfg)
     mock = functools.cache(lambda: be.mock_backend(seed, _fixtures(cfg)))
     with be.HttpTransport() as http:
         judge = _client(args, cfg, "judge", mock, http) if args.with_judge else None
         embedder = _client(args, cfg, "embed", mock, http) if args.with_vsr else None
-        report = mx.evaluate_corpus(eval_samples, _taxonomy(args, cfg), judge=judge, embedder=embedder)
+        items = [(s.sample_id, s) for s in eval_samples]
+        scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
+    if None in scores:
+        return EXIT_VIOLATION
+    try:
+        report = mx.evaluate_corpus(eval_samples, scores, taxonomy)
+    except mx.UnknownTag as exc:
+        what, path = ("predictions", args.predictions) if exc.origin == "prediction" else ("corpus", args.corpus)
+        raise CliError(f"{what} {path}: {exc}") from None
     if args.format == "table":
         _emit(mx.render_table(report), args.out)
     else:
@@ -554,6 +577,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+DESCRIPTION = "Text-to-edit toolkit for advertising videos: drafts, sampling plans, corpora and metrics."
+
 # options that several subcommands share, each with the config key that backs it
 SHARED_FLAGS: dict[str, dict] = {
     "--config": dict(help="config file (or env ADCUT_CONFIG)"),
@@ -573,9 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     reuses this parser. The parser holds no command functions: ``main``
     resolves ``cmd_<name>`` by name when it runs, so a command replaced on the
     module after the first call (a wrapper or a test double) is the one called.
-    The module docstring is the ``adcut -h`` description.
     """
-    parser = argparse.ArgumentParser(prog="adcut", description=__doc__)
+    parser = argparse.ArgumentParser(prog="adcut", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, *args: str, roles: tuple[str, ...] = ()):
@@ -603,11 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true", help="skip sample ids already in the output")
 
     p = command("evaluate", "score predictions against a corpus",
-                "corpus", "predictions", "--seed", "--format", "--taxonomy", roles=("judge", "embed"))
+                "corpus", "predictions", "--seed", "--concurrency", "--format", "--taxonomy", roles=("judge", "embed"))
     p.add_argument("--with-judge", action="store_true")
     p.add_argument("--with-vsr", action="store_true")
-    p.add_argument("--concurrency", type=int, help="checked like the other stages' ([dataset] concurrency), "
-                   "but evaluate runs serially")
 
     p = command("align", "align a draft with realized TTS durations", "draft", "tts", "clips", "--taxonomy")
     p.add_argument("--catalog", help="asset catalog JSON for decoration matching")
@@ -626,14 +648,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except Exception as exc:
-        # resolved here so that commands which never call a backend do not import it
-        from .backends import BackendError
-
-        if not isinstance(exc, BackendError):
-            raise
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -77,10 +77,13 @@ def trim_torn_tail(path: str | Path) -> bool:
         return False
 
 
-def write_records(path: str | Path, records: Iterable[Any], append: bool = False) -> None:
-    """Write each record as a canonical JSON line, flushed as it is written. The
-    file is opened before the first record is drawn; ``OSError`` if it cannot be."""
+def write_records(path: str | Path, records: Iterable[Any], append: bool = False) -> int:
+    """Write each record as a canonical JSON line, flushed as it is written, and
+    return how many were written. The file is opened before the first record is
+    drawn; ``OSError`` if it cannot be."""
+    written = 0
     with open(path, "ab" if append else "wb") as fh:
-        for record in records:
+        for written, record in enumerate(records, 1):
             fh.write(dumps_canonical(record) + b"\n")
             fh.flush()
+    return written

@@ -5,7 +5,8 @@ decorative-tag precision/recall) plus weighted judge-score aggregation for
 free-prompt following and script quality, and a simplified embedding-based
 visual/script relevance score. All counting is one pure fold,
 :func:`count_metrics`, into :class:`MetricCounts`, from which the three
-counting metrics are derived, so results are independent of corpus order
+counting metrics are derived; :func:`evaluate_corpus` adds the per-sample
+scores of :func:`score_sample`, so results are independent of corpus order
 and of evaluation concurrency.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .backends import RUBRICS, Client, embed, judge_score
+from .backends import RUBRICS, Client, MalformedScores, embed, judge_score
 from .draft import Draft
 from .taxonomy import CATEGORIES as DTPR_CATEGORIES
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
@@ -39,7 +40,12 @@ class ScoreOutOfRange(ValueError):
 
 
 class UnknownTag(ValueError):
-    pass
+    """A draft holds a tag outside the taxonomy; ``origin`` is ``"prediction"``
+    or ``"ground truth"``."""
+
+    def __init__(self, message: str, origin: str):
+        super().__init__(message)
+        self.origin = origin
 
 
 @dataclass(frozen=True)
@@ -101,13 +107,13 @@ class MetricCounts:
         }
 
 
-def _tag_sets(draft: Draft, taxonomy: TagTaxonomy, origin: str) -> dict[str, set[str]]:
+def _tag_sets(draft: Draft, taxonomy: TagTaxonomy, sample_id: str, origin: str) -> dict[str, set[str]]:
     out = {}
     for category in DTPR_CATEGORIES:
         tags = set(draft.decoration_setting.tags_for(_CATEGORY_FIELD[category]))
         unknown = tags - taxonomy.labels(category)
         if unknown:
-            raise UnknownTag(f"{origin}: {sorted(unknown)} not in {category} taxonomy")
+            raise UnknownTag(f"{sample_id} {origin}: {sorted(unknown)} not in {category} taxonomy", origin)
         out[category] = tags
     return out
 
@@ -142,10 +148,10 @@ def count_metrics(corpus: Sequence[EvalSample], taxonomy: TagTaxonomy | None = N
     taxonomy = taxonomy or default_taxonomy()
     counts = MetricCounts(total=len(corpus))
     for s in corpus:
-        truth = _tag_sets(s.ground_truth, taxonomy, f"{s.sample_id} ground truth")
+        truth = _tag_sets(s.ground_truth, taxonomy, s.sample_id, "ground truth")
         pred = _NO_TAGS
         if s.predicted is not None:
-            pred = _tag_sets(s.predicted, taxonomy, f"{s.sample_id} prediction")
+            pred = _tag_sets(s.predicted, taxonomy, s.sample_id, "prediction")
             sequence = s.predicted.clip_sequence()
             if sequence == s.ground_truth.clip_sequence():
                 counts.rank_correct += 1
@@ -223,14 +229,18 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
 
     Mean of (a) cosine similarity between the whole-script embedding and
     the mean frame embedding and (b) the per-sentence mean of the maximum
-    per-frame cosine similarity, scaled by 100.
+    per-frame cosine similarity, scaled by 100. A draft with no voice-over
+    sentences has no script to relate to the frames: it scores 0.0 and
+    makes no embed call.
     """
     draft = sample.predicted if sample.predicted is not None else sample.ground_truth
+    if not sample.frames:
+        raise ValueError(f"{sample.sample_id}: VSR needs frame references")
+    sentences = [s.text for s in draft.voice_over_track]
+    if not sentences:
+        return 0.0
     import numpy as np
 
-    sentences = [s.text for s in draft.voice_over_track]
-    if not sentences or not sample.frames:
-        raise ValueError(f"{sample.sample_id}: VSR needs both a script and frame references")
     script = " ".join(sentences)
     vectors = embed([script] + sentences + list(sample.frames), embed_client)
     script_vec = vectors[0]
@@ -239,6 +249,24 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
     whole = _cosine(script_vec, np.mean(frame_vecs, axis=0))
     per_sentence = [max(_cosine(sv, fv) for fv in frame_vecs) for sv in sentence_vecs]
     return 100.0 * (whole + sum(per_sentence) / len(per_sentence)) / 2.0
+
+
+def score_sample(sample: EvalSample, judge: Client | None, embedder: Client | None) -> dict[str, float | None]:
+    """One sample's ``fpf`` and ``sq`` from the judge and ``vsr`` from the embedder,
+    each None without its client, for an empty score map, or (``vsr``) without frames.
+    A failed call, or a score map the aggregate rejects, raises a ``BackendError``."""
+    out: dict[str, float | None] = {"fpf": None, "sq": None, "vsr": None}
+    if judge is not None:
+        for key, rubric_id, aggregate in (("fpf", "free_prompt_eval", fpf_aggregate),
+                                          ("sq", "script_quality_eval", sq_aggregate)):
+            scores = judge_score({"sample_id": sample.sample_id}, rubric_id, judge)
+            try:
+                out[key] = aggregate(scores) if scores else None
+            except ValueError as exc:
+                raise MalformedScores(judge.role, str(exc)) from None
+    if embedder is not None and sample.frames:
+        out["vsr"] = vsr(sample, embedder)
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,41 +293,24 @@ class EvalReport:
 
 def evaluate_corpus(
     corpus: Sequence[EvalSample],
+    scores: Sequence[Mapping[str, float | None]],
     taxonomy: TagTaxonomy | None = None,
-    judge: Client | None = None,
-    embedder: Client | None = None,
 ) -> EvalReport:
-    """Compute the full metric set.
-
-    Counting metrics always run. Judge-scored metrics (free-prompt
-    following, script quality) run when a judge client is supplied;
-    relevance runs when an embedding client is supplied and samples carry
-    frame references.
-    """
+    """The report: :func:`count_metrics` over ``corpus`` plus the mean of each
+    backend score over ``scores`` (one :func:`score_sample` result per sample,
+    in corpus order), skipping Nones. A score that no sample has is None."""
     counts = count_metrics(corpus, taxonomy)
 
-    fpf_values, sq_values = [], []
-    if judge is not None:
-        for s in corpus:
-            fpf = judge_score({"sample_id": s.sample_id}, "free_prompt_eval", judge)
-            sq = judge_score({"sample_id": s.sample_id}, "script_quality_eval", judge)
-            if fpf:
-                fpf_values.append(fpf_aggregate(fpf))
-            if sq:
-                sq_values.append(sq_aggregate(sq))
-
-    vsr_values = []
-    if embedder is not None:
-        for s in corpus:
-            if s.frames:
-                vsr_values.append(vsr(s, embedder))
+    def mean(key: str) -> float | None:
+        values = [s[key] for s in scores if s[key] is not None]
+        return sum(values) / len(values) if values else None
 
     return EvalReport(
         cra=counts.cra,
         csa=counts.csa,
-        fpf=sum(fpf_values) / len(fpf_values) if fpf_values else None,
-        vsr=sum(vsr_values) / len(vsr_values) if vsr_values else None,
-        sq=sum(sq_values) / len(sq_values) if sq_values else None,
+        fpf=mean("fpf"),
+        vsr=mean("vsr"),
+        sq=mean("sq"),
         dtpr=counts.dtpr(),
         counts=counts,
     )

@@ -202,7 +202,7 @@ def test_criterion_5_metric_oracles():
         client = Client("generate", MOCK_ENDPOINT, transport=transport)
         swapped = []
         for sid, gt_dict in drafts.items():
-            predicted = parse_draft(generate_draft({"sample_id": sid}, client).draft_json)
+            predicted = parse_draft(generate_draft({"sample_id": sid}, client))
             gt = parse_draft(dumps_canonical(gt_dict))
             swapped.append(EvalSample(sid, gt, predicted, frozenset(negatives[sid])))
         assert cra(swapped) == 0.0

@@ -22,7 +22,6 @@ from adcut.backends import (
     BadStatus,
     Client,
     DimensionMismatch,
-    GenerationResponse,
     HttpTransport,
     InvalidResponse,
     MalformedScores,
@@ -157,9 +156,9 @@ class TestGenerate:
     def test_mock_echoes_fixture(self):
         transport = mock_backend(7, {"drafts": {"s1": GT_DRAFT}})
         client = Client("generate", MOCK_ENDPOINT, transport=transport)
-        resp = generate_draft({"sample_id": "s1"}, client)
-        assert isinstance(resp, GenerationResponse)
-        assert loads(resp.draft_json) == GT_DRAFT
+        draft_json = generate_draft({"sample_id": "s1"}, client)
+        assert isinstance(draft_json, bytes)
+        assert loads(draft_json) == GT_DRAFT
 
     def test_missing_draft_field(self):
         transport = CountingTransport([(200, b'{"something": 1}')])
@@ -232,6 +231,14 @@ class TestEmbed:
         with pytest.raises(DimensionMismatch):
             embed(["a", "b"], client)
 
+    @pytest.mark.parametrize("vectors", [b'[["a"]]', b"[5]", b"[[[1.0]]]", b"[[NaN]]", b"[[1.0, Infinity]]"],
+                             ids=["string", "number", "nested", "nan", "infinity"])
+    def test_non_numeric_vector_is_an_invalid_response(self, vectors):
+        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        with pytest.raises(InvalidResponse, match="embed: a vector is not a list"):
+            embed(["a"], client)
+
 
 class TestMockPurity:
     def test_replay_identical(self):
@@ -285,7 +292,7 @@ class TestMockCorruption:
         client = Client("generate", MOCK_ENDPOINT, transport=transport)
         out = {}
         for sid in fixtures["drafts"]:
-            out[sid] = loads(generate_draft({"sample_id": sid}, client).draft_json)
+            out[sid] = loads(generate_draft({"sample_id": sid}, client))
         return out
 
     def test_rate_zero_perfect(self):

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -412,6 +414,115 @@ class TestEvaluate:
         assert err == f"error: fixtures file {fixtures}: {reason}\n"
 
 
+class TestEvaluateRunner:
+    """evaluate scores its samples on the shared runner: a pool of --concurrency
+    threads, and a warning for each sample whose scoring fails."""
+
+    ARGV = ["--config", str(FIX / "adcut.ini"), "--seed", "7"]
+
+    @pytest.fixture
+    def pred(self, corpus_path, tmp_path):
+        out = tmp_path / "pred.jsonl"
+        assert main(["generate", str(corpus_path), "--endpoint-generate", "mock:swap_adjacent:0.5", "--seed", "7",
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.fixture
+    def serve(self, monkeypatch, video_fixtures):
+        """Install ``answer(role, payload)`` as the HTTP stand-in; where it returns None
+        the fixtures mock answers."""
+        mock = backends.mock_backend(7, video_fixtures)
+
+        def install(answer):
+            def send(transport, role, url, body, headers, timeout_s):
+                return answer(role, json.loads(body)) or mock.send(role, url, body, headers, timeout_s)
+
+            monkeypatch.setattr(backends.HttpTransport, "send", send)
+
+        return install
+
+    def test_report_is_identical_across_concurrency(self, capsys, corpus_path, pred):
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so shared clients interleave
+        try:
+            for concurrency in ("1", "2", "4"):
+                code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge", "--with-vsr",
+                                     *self.ARGV, "--concurrency", concurrency)
+                assert code == 0, err
+                reports[concurrency] = out
+        finally:
+            sys.setswitchinterval(interval)
+        assert json.loads(reports["1"])["vsr"] is not None
+        assert reports["2"] == reports["1"]
+        assert reports["4"] == reports["1"]
+
+    def test_judge_calls_run_on_several_threads(self, capsys, corpus_path, pred, serve):
+        threads = set()
+
+        def answer(role, payload):
+            if role == "judge":
+                threads.add(threading.get_ident())
+                time.sleep(0.02)
+
+        serve(answer)
+        code, _, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge", *self.ARGV,
+                           "--endpoint-judge", "http://stub.invalid", "--concurrency", "2")
+        assert code == 0, err
+        assert len(threads) > 1
+
+    def test_a_failing_embed_call_fails_its_sample_only(self, capsys, corpus_path, pred, serve, tmp_path):
+        drafts = {r["sample_id"]: json.loads(r["draft_json"]) for r in map(json.loads, pred.read_text().splitlines())}
+        script = " ".join(s["text"] for s in drafts["vid-blender"]["voice_over_track"])
+        embedded = []
+
+        def answer(role, payload):
+            if role == "embed":
+                embedded.append(payload["inputs"][0])
+                if payload["inputs"][0] == script:
+                    return 400, b"{}"
+
+        serve(answer)
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                           "--endpoint-embed", "http://stub.invalid", "--concurrency", "2", "--out", str(report))
+        assert code == 1
+        assert err == "warning: vid-blender: embed: HTTP status 400\n"
+        assert len(embedded) == 3  # every other sample is still scored
+        assert not report.exists()
+
+    def test_incomplete_script_quality_scores_fail_each_sample(self, capsys, corpus_path, pred, serve):
+        def answer(role, payload):
+            if payload.get("rubric_id") == "script_quality_eval":
+                return 200, dumps_canonical({"scores": {"basic": 10}})
+
+        serve(answer)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge", *self.ARGV,
+                             "--endpoint-judge", "http://stub.invalid")
+        assert (code, out) == (1, "")
+        missing = "['creative_narrative', 'native_language_tone', 'touch_the_audience']"
+        assert err.splitlines() == [f"warning: {s.sample_id}: judge: missing script-quality categories: {missing}"
+                                    for s in read_corpus(corpus_path)]
+
+    def test_a_prediction_without_a_script_scores_zero_vsr(self, capsys, corpus_path, pred, serve):
+        records = [json.loads(line) for line in pred.read_text().splitlines()]
+        records[0]["draft_json"] = json.dumps({**json.loads(records[0]["draft_json"]), "voice_over_track": []})
+        pred.write_text("".join(json.dumps(r) + "\n" for r in records))
+        embedded = []
+
+        def answer(role, payload):  # one vector for every input: each scripted sample scores 100
+            if role == "embed":
+                embedded.append(payload)
+                return 200, dumps_canonical({"vectors": [[1.0, 0.0]] * len(payload["inputs"])})
+
+        serve(answer)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                             "--endpoint-embed", "http://stub.invalid")
+        assert code == 0, err
+        assert len(embedded) == len(records) - 1
+        assert json.loads(out)["vsr"] == pytest.approx(100.0 * (len(records) - 1) / len(records))
+
+
 class TestAlign:
     def test_noop_alignment(self, capsys, tmp_path):
         code, out, _ = run(
@@ -802,8 +913,30 @@ _OUT = ["--out", "{tmp}/out.jsonl"]
 _BUILD = ["build-dataset", "--seed", "7", *_OUT]
 
 
-# case -> (argv, config file text or None, start of the error after "error: ");
-# {corpus}, {tmp}, {nodir} and {ini} are filled in by the test
+@pytest.fixture
+def polka_files(corpus_path, tmp_path_factory):
+    """Perfect predictions for the fixture corpus, and copies of it and of them whose
+    first draft carries the music tag Polka, which the taxonomy lacks."""
+    out = tmp_path_factory.mktemp("polka")
+    paths = {name: out / f"{name}.jsonl" for name in ("predictions", "polka_predictions", "polka_corpus")}
+    assert main(["generate", str(corpus_path), "--endpoint-generate", "mock:", "--seed", "7",
+                 "--out", str(paths["predictions"])]) == 0
+
+    def with_polka(draft):
+        return {**draft, "decoration_setting": {**draft["decoration_setting"], "music_tags": ["Polka"]}}
+
+    for source, name, field in ((paths["predictions"], "polka_predictions", "draft_json"),
+                                (corpus_path, "polka_corpus", "ground_truth")):
+        first, *rest = source.read_text("utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        draft = record[field]
+        record[field] = json.dumps(with_polka(json.loads(draft))) if isinstance(draft, str) else with_polka(draft)
+        paths[name].write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    return paths
+
+
+# case -> (argv, config file text or None, start of the error after "error: "); {corpus},
+# {tmp}, {nodir}, {ini} and the paths of polka_files are filled in by the test
 @pytest.mark.parametrize(
     "argv, ini, error",
     [
@@ -826,16 +959,33 @@ _BUILD = ["build-dataset", "--seed", "7", *_OUT]
         ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--preset", "fast:x"], None, "bad preset: "),
         (["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:x", "--seed", "7", *_OUT], None,
          "bad mock endpoint 'mock:swap_adjacent:x': the rate is not a number"),
+        *(
+            (["generate", "{corpus}", "--endpoint-generate", endpoint, "--seed", "7", *_OUT], None,
+             f"bad mock endpoint '{endpoint}': {reason}")
+            for endpoint, reason in [
+                ("mock:swap_adjacent:5", "the rate must be in [0, 1], got 5"),
+                ("mock:swap_adjacent:-1", "the rate must be in [0, 1], got -1"),
+                ("mock:swap_adjacent:nan", "the rate must be in [0, 1], got nan"),
+                ("mock:bogus", "expected mock:, mock:perfect or mock:<mode>[:rate]"),
+            ]
+        ),
+        (["evaluate", "{corpus}", "{polka_predictions}"], None,
+         "predictions {polka_predictions}: vid-earbuds prediction: ['Polka'] not in Music taxonomy"),
+        (["evaluate", "{polka_corpus}", "{predictions}"], None,
+         "corpus {polka_corpus}: vid-earbuds ground truth: ['Polka'] not in Music taxonomy"),
     ],
     ids=[
         "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
         "generate without an output path", "--concurrency 0", "--concurrency -3", "evaluate --concurrency 0",
         "no section header", "duplicate key", "seed not an int", "concurrency not an int",
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "bad mock rate",
+        "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",
+        "prediction tag outside the taxonomy", "ground-truth tag outside the taxonomy",
     ],
 )
-def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, tmp_path, argv, ini, error):
+def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, polka_files, tmp_path, argv, ini, error):
     names = {"corpus": corpus_path, "tmp": tmp_path, "nodir": tmp_path / "nodir" / "out.jsonl", "ini": tmp_path / "bad.ini"}
+    names.update(polka_files)
     if ini is not None:
         names["ini"].write_text(ini)
     code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
@@ -881,6 +1031,12 @@ def test_subcommand_registers_only_the_flags_it_reads(capsys, command):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_top_level_help_is_a_one_line_description(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    assert " ".join(out.split("\n\n")[1].split()) == cli.DESCRIPTION
 
 
 class TestParserReuse:

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from adcut.backends import BackendEndpoint, Client, mock_backend_set
+from adcut.backends import BackendEndpoint, Client, MalformedScores, mock_backend_set
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence
-from adcut.jsonutil import dumps_canonical
+from adcut.jsonutil import dumps_canonical, loads
 from adcut.metrics import (
     EmptyCorpus,
     EvalSample,
@@ -17,6 +17,7 @@ from adcut.metrics import (
     evaluate_corpus,
     fpf_aggregate,
     render_table,
+    score_sample,
     sq_aggregate,
     vsr,
 )
@@ -268,6 +269,46 @@ class TestVsr:
         with pytest.raises(ValueError):
             vsr(s, embed_client({}))
 
+    def test_no_script_scores_zero_without_an_embed_call(self):
+        draft = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
+        s = EvalSample("s", draft, draft, frames=("f0",))
+        assert vsr(s, embed_client({})) == 0.0  # the empty table fails any call
+
+
+class RubricScoresTransport:
+    """A judge that answers each rubric with a fixed score map."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def send(self, role, url, body, headers, timeout_s):
+        return 200, dumps_canonical({"scores": self.scores[loads(body)["rubric_id"]]})
+
+
+def judge_client(scores):
+    return Client("judge", BackendEndpoint("mock://fixed"), transport=RubricScoresTransport(scores))
+
+
+class TestScoreSample:
+    def test_unrequested_scores_are_none(self):
+        assert score_sample(sample([0], [0]), None, None) == {"fpf": None, "sq": None, "vsr": None}
+
+    def test_empty_score_map_is_none(self):
+        judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {}})
+        assert score_sample(sample([0], [0]), judge, None) == {"fpf": 50.0, "sq": None, "vsr": None}
+
+    def test_score_map_the_aggregate_rejects_is_malformed(self):
+        judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {"basic": 10}})
+        with pytest.raises(MalformedScores, match="judge: missing script-quality categories"):
+            score_sample(sample([0], [0]), judge, None)
+
+    def test_vsr_needs_frames(self):
+        s = sample([0], [0])
+        framed = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0",))
+        client = embed_client({"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0]})
+        assert score_sample(s, None, client)["vsr"] is None
+        assert score_sample(framed, None, client)["vsr"] == pytest.approx(100.0)
+
 
 class TestCorpusInvariants:
     def test_permutation_invariance(self):
@@ -298,7 +339,7 @@ class TestEvaluateCorpus:
     def test_full_report_with_mock_judge(self):
         corpus = perturbed_corpus(10, seed=6)
         judge = mock_backend_set(2).judge
-        report = evaluate_corpus(corpus, judge=judge)
+        report = evaluate_corpus(corpus, [score_sample(s, judge, None) for s in corpus])
         assert report.cra == recount_cra(corpus)
         assert report.csa == recount_csa(corpus)
         assert report.fpf == 100.0  # caps mock
@@ -310,13 +351,20 @@ class TestEvaluateCorpus:
     def test_counts_equal_brute_force_recount(self):
         corpus = perturbed_corpus(40, seed=7)
         corpus += [EvalSample(f"u{i}", s.ground_truth, None, s.negatives) for i, s in enumerate(corpus[:8])]
-        report = evaluate_corpus(corpus)
+        report = evaluate_corpus(corpus, [])
         assert report.counts.to_dict() == recount_counts(corpus)
         assert (report.cra, report.csa) == (recount_cra(corpus), recount_csa(corpus))
 
+    def test_scores_fold_to_their_means_skipping_none(self):
+        corpus = [sample([0], [0], sid="a"), sample([0], [1], sid="b")]
+        scores = [{"fpf": 50.0, "sq": None, "vsr": None}, {"fpf": 100.0, "sq": None, "vsr": -10.0}]
+        report = evaluate_corpus(corpus, scores)
+        assert (report.fpf, report.sq, report.vsr) == (75.0, None, -10.0)
+        assert report.cra == 50.0
+
     def test_render_table_layout(self):
         corpus = [sample([0], [0])]
-        report = evaluate_corpus(corpus)
+        report = evaluate_corpus(corpus, [])
         table = render_table(report)
         header = table.splitlines()[0]
         assert header.split() == ["CRA", "CSA", "FPF", "VSR", "SQ", "DTPR"]
