@@ -136,7 +136,9 @@ class HttpTransport:
     connection the server has closed is reopened once, which the client does
     not count as a retry. A timeout raises :class:`RequestTimeout`; any other
     socket or protocol error raises :class:`TransportFailure`; either drops
-    the connection. Proxy environment variables are not read.
+    the connection. A URL that is not ``http`` or ``https`` with a host raises
+    a :class:`BackendError` that is not retried. Proxy environment variables
+    are not read.
 
     :meth:`close` (or leaving a ``with`` block) closes every connection the
     transport still holds, whichever thread opened it.
@@ -166,7 +168,7 @@ class HttpTransport:
         scheme, netloc, path, query, _ = urlsplit(url)
         factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(scheme)
         if factory is None or not netloc:
-            raise TransportFailure(role, f"unsupported URL {url!r}")
+            raise BackendError(role, f"unsupported URL {url!r}")
         target = (path or "/") + (f"?{query}" if query else "")
         conns = self._local.__dict__.setdefault("conns", {})
         key = (scheme, netloc)
@@ -282,6 +284,8 @@ class Client:
                 data = loads(raw)
             except ValueError as exc:
                 raise InvalidResponse(self.role, f"non-JSON body: {exc}") from exc
+            except RecursionError:
+                raise InvalidResponse(self.role, "JSON body nested too deeply") from None
             return CallResult(data=data, retries=attempt, latency_ms=(time.monotonic() - started) * 1000.0)
         assert last_error is not None
         raise last_error
@@ -401,6 +405,13 @@ def hashed_unit_vector(text: str, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# the keys of a fixtures video that the role handlers read, with their JSON types
+_VIDEO_KEYS = {"asr": list, "ocr": list, "shots": list, "captions": list, "tags": dict}
+
+# the corruptions the generate handler applies to a ground-truth draft
+CORRUPTIONS = ("swap_adjacent", "inject_negative", "drop_tag")
+
+
 @dataclass
 class MockTransport:
     """In-process stand-in for every role; a pure function of
@@ -410,10 +421,11 @@ class MockTransport:
       videos:      ref -> {asr, ocr, shots, captions, tags}
       drafts:      sample_id -> ground-truth draft dict (generation role)
       negatives:   sample_id -> negative clip indices (for inject_negative)
-      corruption:  {mode: none|swap_adjacent|inject_negative|drop_tag, rate: float}
+      corruption:  {mode: none or one of CORRUPTIONS, rate: float}
       judge:       {verify: approve|revise_always, scores: "caps" | map}
 
-    Embeddings are 32-dimensional hashed unit vectors.
+    Embeddings are 32-dimensional hashed unit vectors. Building the mock
+    raises ``ValueError`` for ``videos`` or ``judge`` not shaped as above.
 
     A request the fixtures cannot answer raises a non-retryable
     :class:`BackendError` for the role that sent it.
@@ -423,10 +435,27 @@ class MockTransport:
     fixtures: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        videos = self.fixtures.get("videos", {})
+        if not isinstance(videos, dict):
+            raise ValueError("videos is not a JSON object")
+        for ref, video in videos.items():
+            if not isinstance(video, dict):
+                raise ValueError(f"videos.{ref} is not a JSON object")
+            for key, kind in _VIDEO_KEYS.items():
+                if key in video and not isinstance(video[key], kind):
+                    raise ValueError(f"videos.{ref}.{key} is not a JSON {'array' if kind is list else 'object'}")
+        judge = self.fixtures.get("judge", {})
+        if not isinstance(judge, dict):
+            raise ValueError("judge is not a JSON object")
+        if judge.get("verify", "approve") not in ("approve", "revise_always"):
+            raise ValueError(f"judge.verify must be approve or revise_always, got {judge['verify']!r}")
+        scores = judge.get("scores", "caps")
+        if scores != "caps" and not isinstance(scores, dict):
+            raise ValueError(f'judge.scores must be "caps" or a JSON object, got {scores!r}')
         drafts = self.fixtures.get("drafts", {})
-        corruption = self.fixtures.get("corruption", {}) or {}
+        corruption = self.fixtures.get("corruption", {})
         mode = corruption.get("mode", "none")
-        rate = float(corruption.get("rate", 1.0 if mode != "none" else 0.0))
+        rate = corruption.get("rate", 1.0 if mode != "none" else 0.0)
         ids = list(drafts)
         k = round(rate * len(ids))
         rng = random.Random(self.seed)
@@ -481,7 +510,7 @@ class MockTransport:
         if task == "analyze":
             return {"analysis": self._analyze(payload)}
         if task == "verify_prompt":
-            behavior = (self.fixtures.get("judge", {}) or {}).get("verify", "approve")
+            behavior = self.fixtures.get("judge", {}).get("verify", "approve")
             if behavior == "revise_always":
                 revised = dict(payload.get("dimensions", {}))
                 for key in revised:
@@ -513,14 +542,12 @@ class MockTransport:
     def _scores(self, payload: dict) -> dict:
         rubric_id = payload.get("rubric_id", "")
         _, caps = _rubric(rubric_id)
-        behavior = (self.fixtures.get("judge", {}) or {}).get("scores", "caps")
+        behavior = self.fixtures.get("judge", {}).get("scores", "caps")
         if behavior == "caps":
             present = payload.get("dimensions")
             keys = [k for k in caps if present is None or k in present]
             return {k: caps[k] for k in keys}
-        if isinstance(behavior, dict):
-            return dict(behavior)
-        raise _NoAnswer(f"unknown scores behavior {behavior!r}")
+        return dict(behavior)
 
     def _handle_generate(self, payload: dict) -> dict:
         sample_id = payload.get("sample_id")

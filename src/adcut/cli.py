@@ -143,63 +143,51 @@ def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
     return _load("taxonomy", TagTaxonomy.load, path) if path else default_taxonomy()
 
 
-def _endpoint_value(args: argparse.Namespace, cfg: Config, role: str) -> str | None:
-    return getattr(args, f"endpoint_{role}") or cfg.get("endpoints", role)
-
-
 def _client(
-    args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[], Any], http: be.HttpTransport
+    args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[str], Any], http: be.HttpTransport
 ) -> be.Client:
-    """The client for ``role``: over the transport ``mock()`` returns for a
-    ``mock…`` endpoint (the default), else over ``http`` with the role's
-    ``[auth]`` token variable."""
+    """The client for ``role``, whose endpoint is the ``--endpoint-<role>`` flag, else the
+    ``[endpoints]`` key, else ``mock:``. ``mock:`` (for generate, any ``mock:…``) runs over
+    ``mock(value)``; an http(s) URL with a host runs over ``http`` with the role's
+    ``[auth]`` token variable; any other value is a usage error."""
+    from urllib.parse import urlsplit
+
     from . import backends as be
 
-    value = _endpoint_value(args, cfg, role) or "mock:"
-    if value.startswith("mock"):
-        return be.Client(role, be.MOCK_ENDPOINT, transport=mock())
-    return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=http)
+    value = getattr(args, f"endpoint_{role}") or cfg.get("endpoints", role) or "mock:"
+    head, colon, spec = value.partition(":")
+    if head == "mock" and colon and (not spec or role == "generate"):
+        return be.Client(role, be.MOCK_ENDPOINT, transport=mock(value))
+    try:
+        url = urlsplit(value)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        url = None
+    if url and url.scheme in ("http", "https") and url.netloc:
+        return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=http)
+    raise CliError(f"bad {role} endpoint {value!r}: expected mock: or an http:// or https:// URL")
 
 
-# the keys of a fixtures video that the mock role handlers read, with their JSON types
-_VIDEO_KEYS = {"asr": list, "ocr": list, "shots": list, "captions": list, "tags": dict}
+def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
+    """The mock fixtures file (``{}`` when none is configured) and the mock that serves it. A
+    configured file that is missing, not a JSON object, whose ``negative_pool`` is not an array
+    of integer clips, or that the mock rejects is a usage error."""
+    from . import backends as be
 
-
-def _fixtures(cfg: Config) -> dict:
-    """The mock fixtures file, or ``{}`` when none is configured; a configured
-    file that is missing, not a JSON object, or whose ``videos`` (with the
-    keys in ``_VIDEO_KEYS``), ``negative_pool`` or ``judge`` is not shaped as
-    the mocks read them is a usage error."""
     path = cfg.path("paths", "fixtures")
-    if path is None:
-        return {}
-    fixtures = _load("fixtures file", lambda p: json.loads(p.read_bytes()), path)
+    fixtures = {} if path is None else _load("fixtures file", lambda p: json.loads(p.read_bytes()), path)
     if not isinstance(fixtures, dict):
         raise CliError(f"fixtures file {path} is not a JSON object")
-    videos, pool = fixtures.get("videos", {}), fixtures.get("negative_pool", [])
-    if not isinstance(videos, dict):
-        raise CliError(f"fixtures file {path}: videos is not a JSON object")
-    for ref, video in videos.items():
-        if not isinstance(video, dict):
-            raise CliError(f"fixtures file {path}: videos.{ref} is not a JSON object")
-        for key, kind in _VIDEO_KEYS.items():
-            if key in video and not isinstance(video[key], kind):
-                wanted = "array" if kind is list else "object"
-                raise CliError(f"fixtures file {path}: videos.{ref}.{key} is not a JSON {wanted}")
+    try:
+        mock = be.mock_backend(seed, fixtures)
+    except ValueError as exc:
+        raise CliError(f"fixtures file {path}: {exc}") from None
+    pool = fixtures.get("negative_pool", [])
     if not isinstance(pool, list):
         raise CliError(f"fixtures file {path}: negative_pool is not a JSON array")
     for i, entry in enumerate(pool):
         if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
             raise CliError(f"fixtures file {path}: negative_pool[{i}] needs integer index and duration_ms")
-    judge = fixtures.get("judge", {})
-    if not isinstance(judge, dict):
-        raise CliError(f"fixtures file {path}: judge is not a JSON object")
-    if judge.get("verify", "approve") not in ("approve", "revise_always"):
-        raise CliError(f"fixtures file {path}: judge.verify must be approve or revise_always, got {judge['verify']!r}")
-    scores = judge.get("scores", "caps")
-    if scores != "caps" and not isinstance(scores, dict):
-        raise CliError(f'fixtures file {path}: judge.scores must be "caps" or a JSON object, got {scores!r}')
-    return fixtures
+    return fixtures, mock
 
 
 def _on_file(use: Callable[[str], Any], path: str) -> Any:
@@ -361,7 +349,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     seed = _seed(args, cfg)
 
     videos_value = cfg.get("dataset", "videos")
-    fixtures = _fixtures(cfg)
+    fixtures, mock = _fixtures(cfg, seed)
     if not fixtures:
         raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
     video_refs = (
@@ -403,9 +391,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     if not 0 <= dropout < 1:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
     sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
-    mock = functools.cache(lambda: be.mock_backend(seed, fixtures))
     with be.HttpTransport() as http:
-        backend_set = be.BackendSet(**{role: _client(args, cfg, role, mock, http) for role in DATASET_ROLES})
+        backend_set = be.BackendSet(**{r: _client(args, cfg, r, lambda _: mock, http) for r in DATASET_ROLES})
 
         def build(ref: str, product: ds.ProductInfo) -> dict:
             return ds.build_sample(
@@ -416,25 +403,19 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
 
 
-# the corruptions a mock generate endpoint applies, as mock:<mode>[:rate]
-MOCK_CORRUPTIONS = ("swap_adjacent", "inject_negative", "drop_tag")
-
-
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
-    """The mock generate transport for ``value``. ``mock:`` and ``mock:perfect``
-    answer each sample's ground truth; ``mock:<mode>[:rate]`` corrupts a ``rate``
-    share (0 to 1, default 1) of the samples by one of ``MOCK_CORRUPTIONS``. Any
-    other value is a usage error."""
+    """The mock generate transport for the ``mock:…`` endpoint ``value``. ``mock:`` and
+    ``mock:perfect`` answer each sample's ground truth; ``mock:<mode>[:rate]`` corrupts a ``rate``
+    share (0 to 1, default 1) of the samples by one of ``backends.CORRUPTIONS``. Any other is a usage error."""
     from . import backends as be
     from . import dataset as ds
 
-    head, colon, spec = value.partition(":")
-    mode, with_rate, rate_text = spec.partition(":")
+    mode, with_rate, rate_text = value.partition(":")[2].partition(":")
     perfect = mode in ("", "perfect")
-    if not (head == "mock" and colon and (mode in MOCK_CORRUPTIONS or (perfect and not with_rate))):
+    if not (mode in be.CORRUPTIONS or (perfect and not with_rate)):
         raise CliError(
             f"bad mock endpoint {value!r}: expected mock:, mock:perfect or mock:<mode>[:rate] "
-            f"with <mode> one of {', '.join(MOCK_CORRUPTIONS)}"
+            f"with <mode> one of {', '.join(be.CORRUPTIONS)}"
         )
     rate = 1.0
     if with_rate:
@@ -458,19 +439,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     samples = _read_corpus(args.corpus)
-    endpoint_value = _endpoint_value(args, cfg, "generate")
-    if not endpoint_value:
-        raise CliError("--endpoint-generate is required")
-    resuming = bool(args.resume and args.out and Path(args.out).is_file())
-    done = {}
-    if resuming:
-        if _on_file(trim_torn_tail, args.out):
-            print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
-        done = _on_file(_read_predictions, args.out)
-    todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
-
     with be.HttpTransport() as http:
-        client = _client(args, cfg, "generate", lambda: _mock_generate(endpoint_value, seed, samples), http)
+        client = _client(args, cfg, "generate", lambda value: _mock_generate(value, seed, samples), http)
+        resuming = bool(args.resume and args.out and Path(args.out).is_file())
+        done = {}
+        if resuming:
+            if _on_file(trim_torn_tail, args.out):
+                print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
+            done = _on_file(_read_predictions, args.out)
+        todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
         def generate_one(sample_id: str, instruction: str) -> dict:
             draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
@@ -522,7 +499,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     taxonomy = _taxonomy(args, cfg)
-    mock = functools.cache(lambda: be.mock_backend(seed, _fixtures(cfg)))
+    try:  # a tag outside the taxonomy fails here, before any backend call
+        mx.count_metrics(eval_samples, taxonomy)
+    except mx.UnknownTag as exc:
+        what, path = ("predictions", args.predictions) if exc.origin == "prediction" else ("corpus", args.corpus)
+        raise CliError(f"{what} {path}: {exc}") from None
+    mock = functools.cache(lambda _: _fixtures(cfg, seed)[1])
     with be.HttpTransport() as http:
         judge = _client(args, cfg, "judge", mock, http) if args.with_judge else None
         embedder = _client(args, cfg, "embed", mock, http) if args.with_vsr else None
@@ -530,11 +512,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
     if None in scores:
         return EXIT_VIOLATION
-    try:
-        report = mx.evaluate_corpus(eval_samples, scores, taxonomy)
-    except mx.UnknownTag as exc:
-        what, path = ("predictions", args.predictions) if exc.origin == "prediction" else ("corpus", args.corpus)
-        raise CliError(f"{what} {path}: {exc}") from None
+    report = mx.evaluate_corpus(eval_samples, scores, taxonomy)
     if args.format == "table":
         _emit(mx.render_table(report), args.out)
     else:

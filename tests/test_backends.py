@@ -258,6 +258,11 @@ class TestMockPurity:
         assert fixtures["drafts"]["s1"] == GT_DRAFT
 
 
+def test_mock_rejects_a_judge_fixture_that_is_not_an_object():
+    with pytest.raises(ValueError, match="judge is not a JSON object"):
+        mock_backend(7, {"judge": 5})
+
+
 class TestMockMiss:
     @pytest.mark.parametrize(
         "role, payload",
@@ -504,6 +509,21 @@ class TestHttpTransport:
             port = closed.getsockname()[1]
         with HttpTransport() as transport, pytest.raises(TransportFailure):
             http_client(transport, f"http://127.0.0.1:{port}").call({"inputs": ["x"]})
+
+    @pytest.mark.parametrize("url", ["ftp://h/x", "localhost:8080", "http:///x"])
+    def test_an_unsupported_url_is_sent_once(self, url):
+        sends, sleeps = [], []
+
+        class Recording(HttpTransport):
+            def send(self, *args):
+                sends.append(args[1])
+                return super().send(*args)
+
+        ep = BackendEndpoint(base_url=url, max_retries=2)
+        with Recording() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
+            Client("embed", ep, transport=transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+        assert not info.value.retryable
+        assert (sends, sleeps) == ([url.rstrip("/") + "/v1/embed"], [])
 
 
 # Runs one subcommand in a fresh interpreter that turns ResourceWarning into

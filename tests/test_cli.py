@@ -504,6 +504,15 @@ class TestEvaluateRunner:
         assert err.splitlines() == [f"warning: {s.sample_id}: judge: missing script-quality categories: {missing}"
                                     for s in read_corpus(corpus_path)]
 
+    def test_a_deeply_nested_judge_answer_fails_each_sample(self, capsys, corpus_path, pred, serve):
+        serve(lambda role, payload: (200, b"[" * 100_000 + b"]" * 100_000) if role == "judge" else None)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge", *self.ARGV,
+                             "--endpoint-judge", "http://stub.invalid")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"warning: {s.sample_id}: judge: JSON body nested too deeply"
+                                    for s in read_corpus(corpus_path)]
+
     def test_a_prediction_without_a_script_scores_zero_vsr(self, capsys, corpus_path, pred, serve):
         records = [json.loads(line) for line in pred.read_text().splitlines()]
         records[0]["draft_json"] = json.dumps({**json.loads(records[0]["draft_json"]), "voice_over_track": []})
@@ -911,6 +920,8 @@ def test_request_commands_skip_offline_pipeline_imports(argv, tmp_path):
 _GENERATE = ["generate", "{corpus}", "--endpoint-generate", "mock:"]
 _OUT = ["--out", "{tmp}/out.jsonl"]
 _BUILD = ["build-dataset", "--seed", "7", *_OUT]
+# endpoint values that are neither mock: nor an http(s) URL with a host
+_BAD_ENDPOINTS = ["mockingbird.example:8080", "mock:bogus", "mock://x", "localhost:8080", "ftp://h/x"]
 
 
 @pytest.fixture
@@ -973,6 +984,13 @@ def polka_files(corpus_path, tmp_path_factory):
          "predictions {polka_predictions}: vid-earbuds prediction: ['Polka'] not in Music taxonomy"),
         (["evaluate", "{polka_corpus}", "{predictions}"], None,
          "corpus {polka_corpus}: vid-earbuds ground truth: ['Polka'] not in Music taxonomy"),
+        *(
+            (["evaluate", "{corpus}", "{predictions}", "--with-judge", "--endpoint-judge", endpoint], None,
+             f"bad judge endpoint '{endpoint}': expected mock: or an http:// or https:// URL")
+            for endpoint in _BAD_ENDPOINTS
+        ),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--endpoint-asr", "mockingbird:1"], None,
+         "bad asr endpoint 'mockingbird:1': expected mock: or an http:// or https:// URL"),
     ],
     ids=[
         "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
@@ -981,6 +999,7 @@ def polka_files(corpus_path, tmp_path_factory):
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "bad mock rate",
         "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",
         "prediction tag outside the taxonomy", "ground-truth tag outside the taxonomy",
+        *(f"judge endpoint {endpoint}" for endpoint in _BAD_ENDPOINTS), "asr endpoint mockingbird:1",
     ],
 )
 def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, polka_files, tmp_path, argv, ini, error):
@@ -993,6 +1012,16 @@ def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, polka_f
     assert err.startswith("error: " + error.format(**names)), err
     assert "Traceback" not in err
     assert not (tmp_path / "nodir").exists()
+
+
+def test_a_tag_outside_the_taxonomy_fails_before_any_backend_call(capsys, corpus_path, polka_files, monkeypatch):
+    calls = []
+    monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+    code, out, err = run(capsys, "evaluate", str(corpus_path), str(polka_files["polka_predictions"]),
+                         "--with-judge", "--with-vsr", "--config", str(FIX / "adcut.ini"), "--seed", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: predictions {polka_files['polka_predictions']}: vid-earbuds prediction:"), err
+    assert calls == []
 
 
 # subcommand -> (the flags it registers besides --config and --out, its positional
