@@ -136,10 +136,15 @@ class HttpTransport:
     connection the server has closed is reopened once, which the client does
     not count as a retry. A timeout raises :class:`RequestTimeout`; any other
     socket or protocol error raises :class:`TransportFailure`; either drops
-    the connection. A URL that is not ``http`` or ``https`` with a host raises
+    the connection. A URL that is not ``http`` or ``https`` with a host, or
+    that ``http.client`` rejects (such as a port that is not a number), raises
     a :class:`BackendError` that is not retried. Proxy environment variables
     are not read.
 
+    A connection lives as long as its thread and the transport, so threads
+    that outlive one batch of calls reuse their connections in the next; the
+    CLI keeps one transport, and a worker pool per ``--concurrency`` value,
+    for the life of the process.
     :meth:`close` (or leaving a ``with`` block) closes every connection the
     transport still holds, whichever thread opened it.
     """
@@ -186,6 +191,9 @@ class HttpTransport:
         except TimeoutError as exc:
             self._drop(conns, key)
             raise RequestTimeout(role, str(exc)) from exc
+        except http.client.InvalidURL as exc:
+            self._drop(conns, key)
+            raise BackendError(role, f"unsupported URL {url!r}: {exc}") from None
         except (OSError, http.client.HTTPException) as exc:
             self._drop(conns, key)
             raise TransportFailure(role, str(exc)) from exc
@@ -425,7 +433,8 @@ class MockTransport:
       judge:       {verify: approve|revise_always, scores: "caps" | map}
 
     Embeddings are 32-dimensional hashed unit vectors. Building the mock
-    raises ``ValueError`` for ``videos`` or ``judge`` not shaped as above.
+    raises ``ValueError`` for a fixture key not shaped as above (a ``rate``
+    is a number in [0, 1]).
 
     A request the fixtures cannot answer raises a non-retryable
     :class:`BackendError` for the role that sent it.
@@ -453,9 +462,22 @@ class MockTransport:
         if scores != "caps" and not isinstance(scores, dict):
             raise ValueError(f'judge.scores must be "caps" or a JSON object, got {scores!r}')
         drafts = self.fixtures.get("drafts", {})
+        if not (isinstance(drafts, dict) and all(isinstance(d, dict) for d in drafts.values())):
+            raise ValueError("drafts is not a JSON object of draft objects")
+        negatives = self.fixtures.get("negatives", {})
+        if not (isinstance(negatives, dict) and all(
+            isinstance(n, list) and all(type(i) is int for i in n) for n in negatives.values()
+        )):
+            raise ValueError("negatives is not a JSON object of integer arrays")
         corruption = self.fixtures.get("corruption", {})
+        if not isinstance(corruption, dict):
+            raise ValueError("corruption is not a JSON object")
         mode = corruption.get("mode", "none")
+        if mode not in ("none", *CORRUPTIONS):
+            raise ValueError(f"corruption.mode must be none or one of {', '.join(CORRUPTIONS)}, got {mode!r}")
         rate = corruption.get("rate", 1.0 if mode != "none" else 0.0)
+        if type(rate) not in (int, float) or not 0 <= rate <= 1:
+            raise ValueError(f"corruption.rate must be a number in [0, 1], got {rate!r}")
         ids = list(drafts)
         k = round(rate * len(ids))
         rng = random.Random(self.seed)

@@ -11,20 +11,25 @@ mock endpoints, is bit-deterministic across runs and worker counts.
 Imports follow the subcommand. The module level imports only what
 ``validate`` and ``align`` run; ``plan`` imports the sampling planner, and
 ``build-dataset``, ``generate`` and ``evaluate`` import the offline pipeline
-(``backends``, ``dataset``, ``metrics``) inside the command, and
-``concurrent.futures`` only for ``--concurrency`` above 1. ``numpy`` loads
+(``backends``, ``dataset``, ``metrics``) inside the command. ``numpy`` loads
 only when embeddings or VSR are computed.
+
+``main`` may run any number of commands in one process, and they share two
+things, each built on first use: a worker pool per ``--concurrency`` value
+(:func:`_pool`), and one HTTP transport (:func:`_http`), closed at exit. Worker
+threads and their keep-alive connections therefore serve every later command.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import configparser
 import functools
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
@@ -43,6 +48,8 @@ from .timeline import (
 )
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from . import backends as be
     from . import dataset as ds
     from .sampling import SlowFastConfig
@@ -143,13 +150,31 @@ def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
     return _load("taxonomy", TagTaxonomy.load, path) if path else default_taxonomy()
 
 
-def _client(
-    args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[str], Any], http: be.HttpTransport
-) -> be.Client:
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The pool of ``workers`` threads that maps samples at ``--concurrency workers``. It is
+    built on first use and kept for the life of the process, so every later command reuses
+    its threads and the keep-alive connections they hold."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"adcut-c{workers}")
+
+
+@functools.cache
+def _http() -> be.HttpTransport:
+    """The HTTP transport of every command in the process: built on first use, closed at exit."""
+    from . import backends as be
+
+    http = be.HttpTransport()
+    atexit.register(http.close)
+    return http
+
+
+def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[str], Any]) -> be.Client:
     """The client for ``role``, whose endpoint is the ``--endpoint-<role>`` flag, else the
     ``[endpoints]`` key, else ``mock:``. ``mock:`` (for generate, any ``mock:…``) runs over
-    ``mock(value)``; an http(s) URL with a host runs over ``http`` with the role's
-    ``[auth]`` token variable; any other value is a usage error."""
+    ``mock(value)``; an http(s) URL with a host and a valid port runs over :func:`_http` with
+    the role's ``[auth]`` token variable; any other value is a usage error."""
     from urllib.parse import urlsplit
 
     from . import backends as be
@@ -160,10 +185,12 @@ def _client(
         return be.Client(role, be.MOCK_ENDPOINT, transport=mock(value))
     try:
         url = urlsplit(value)
-    except ValueError:  # e.g. an unclosed IPv6 bracket
-        url = None
-    if url and url.scheme in ("http", "https") and url.netloc:
-        return be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=http)
+        url.port  # a port that is not a number in [0, 65535] raises ValueError
+    except ValueError as exc:  # also an unclosed IPv6 bracket
+        raise CliError(f"bad {role} endpoint {value!r}: {exc}") from None
+    if url.scheme in ("http", "https") and url.netloc:
+        endpoint = be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role))
+        return be.Client(role, endpoint, transport=_http())
     raise CliError(f"bad {role} endpoint {value!r}: expected mock: or an http:// or https:// URL")
 
 
@@ -222,10 +249,15 @@ def _read_predictions(path: str) -> dict[str, str]:
 
 
 def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
-    """``fn(*item)`` for each ``(sample_id, ...)`` item, in input order, on ``concurrency``
-    threads once the first result is drawn. A sample that fails in a backend,
-    deconstruction or prompt revision, or whose clips no sampling plan fits, yields None
-    and prints ``warning: <id>: <reason>``."""
+    """``fn(*item)`` for each ``(sample_id, ...)`` item on the process's pool of
+    ``concurrency`` threads (:func:`_pool`), yielded in input order; the items go to the
+    pool when the first result is drawn. A sample that fails in a backend, deconstruction
+    or prompt revision, or whose clips no sampling plan fits, yields None and prints
+    ``warning: <id>: <reason>``. Once the caller stops drawing, or ``fn`` raises anything
+    else, the items not started are cancelled and the running ones waited for, so no
+    sample work outlives the command."""
+    from concurrent.futures import wait
+
     from . import backends as be
     from . import dataset as ds
     from .sampling import CeilingUnsatisfiable
@@ -236,16 +268,17 @@ def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) 
         except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid, CeilingUnsatisfiable) as exc:
             return f"warning: {item[0]}: {exc}"
 
-    pool = None
-    if concurrency > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=concurrency)
-    with pool or nullcontext():
-        for result in (pool.map if pool else map)(attempt, items):
+    futures = [_pool(concurrency).submit(attempt, item) for item in items]
+    try:
+        for future in futures:
+            result = future.result()
             if isinstance(result, str):
                 print(result, file=sys.stderr)
             yield result if isinstance(result, dict) else None
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _run_samples(
@@ -255,8 +288,8 @@ def _run_samples(
     ``out``; a failed sample gets no line, and exit code 1."""
     if not out:
         raise CliError("an output path is required")
-    results = filter(None, _map_samples(_concurrency(args, cfg), items, fn))  # drawn once ``out`` is open
-    written = _on_file(lambda path: write_records(path, results, append), out)
+    with closing(_map_samples(_concurrency(args, cfg), items, fn)) as results:  # drawn once ``out`` is open
+        written = _on_file(lambda path: write_records(path, filter(None, results), append), out)
     return EXIT_OK if written == len(items) else EXIT_VIOLATION
 
 
@@ -391,16 +424,15 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     if not 0 <= dropout < 1:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
     sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
-    with be.HttpTransport() as http:
-        backend_set = be.BackendSet(**{r: _client(args, cfg, r, lambda _: mock, http) for r in DATASET_ROLES})
+    backend_set = be.BackendSet(**{r: _client(args, cfg, r, lambda _: mock) for r in DATASET_ROLES})
 
-        def build(ref: str, product: ds.ProductInfo) -> dict:
-            return ds.build_sample(
-                ref, product, backend_set, negative_pool,
-                corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
-            ).to_dict()
+    def build(ref: str, product: ds.ProductInfo) -> dict:
+        return ds.build_sample(
+            ref, product, backend_set, negative_pool,
+            corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
+        ).to_dict()
 
-        return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
+    return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
 
 
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
@@ -439,25 +471,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
     samples = _read_corpus(args.corpus)
-    with be.HttpTransport() as http:
-        client = _client(args, cfg, "generate", lambda value: _mock_generate(value, seed, samples), http)
-        resuming = bool(args.resume and args.out and Path(args.out).is_file())
-        done = {}
-        if resuming:
-            if _on_file(trim_torn_tail, args.out):
-                print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
-            done = _on_file(_read_predictions, args.out)
-        todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
+    client = _client(args, cfg, "generate", lambda value: _mock_generate(value, seed, samples))
+    resuming = bool(args.resume and args.out and Path(args.out).is_file())
+    done = {}
+    if resuming:
+        if _on_file(trim_torn_tail, args.out):
+            print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
+        done = _on_file(_read_predictions, args.out)
+    todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
-        def generate_one(sample_id: str, instruction: str) -> dict:
-            draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
-            return {"sample_id": sample_id, "draft_json": draft_json.decode("utf-8")}
+    def generate_one(sample_id: str, instruction: str) -> dict:
+        draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
+        return {"sample_id": sample_id, "draft_json": draft_json.decode("utf-8")}
 
-        return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
+    return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from . import backends as be
     from . import metrics as mx
 
     cfg = _load_config(args)
@@ -505,11 +535,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         what, path = ("predictions", args.predictions) if exc.origin == "prediction" else ("corpus", args.corpus)
         raise CliError(f"{what} {path}: {exc}") from None
     mock = functools.cache(lambda _: _fixtures(cfg, seed)[1])
-    with be.HttpTransport() as http:
-        judge = _client(args, cfg, "judge", mock, http) if args.with_judge else None
-        embedder = _client(args, cfg, "embed", mock, http) if args.with_vsr else None
-        items = [(s.sample_id, s) for s in eval_samples]
-        scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
+    judge = _client(args, cfg, "judge", mock) if args.with_judge else None
+    embedder = _client(args, cfg, "embed", mock) if args.with_vsr else None
+    items = [(s.sample_id, s) for s in eval_samples]
+    scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
     if None in scores:
         return EXIT_VIOLATION
     report = mx.evaluate_corpus(eval_samples, scores, taxonomy)

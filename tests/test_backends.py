@@ -458,16 +458,30 @@ class TestHttpTransport:
                     for i in range(20)]
         assert [r.data for r in results] == expected
 
-    def test_generate_with_two_workers_opens_at_most_two_connections(self, tmp_path, corpus_and_predictions):
+    def test_two_generate_runs_with_two_workers_open_at_most_two_connections(self, tmp_path, corpus_and_predictions):
         from adcut.cli import _mock_generate
 
         corpus, _ = corpus_and_predictions
         argv = ["generate", str(corpus), "--seed", "7", "--concurrency", "2"]
         with serving(_mock_generate("mock:", 7, read_corpus(corpus))) as server:
-            assert main([*argv, "--endpoint-generate", server.url, "--out", str(tmp_path / "http.jsonl")]) == 0
+            for run in ("http1", "http2"):
+                assert main([*argv, "--endpoint-generate", server.url, "--out", str(tmp_path / f"{run}.jsonl")]) == 0
         assert main([*argv, "--endpoint-generate", "mock:", "--out", str(tmp_path / "mock.jsonl")]) == 0
-        assert (tmp_path / "http.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
+        assert (tmp_path / "http1.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
+        assert (tmp_path / "http2.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
         assert 1 <= len(server.peers) <= 2
+
+    def test_generate_then_evaluate_share_one_connection(self, capsys, tmp_path, corpus_and_predictions):
+        from adcut.cli import _mock_generate
+
+        corpus, _ = corpus_and_predictions
+        with serving(_mock_generate("mock:", 7, read_corpus(corpus))) as server:
+            chain = _chain(corpus, tmp_path / "http.jsonl", server.url)
+            assert [main(argv) for argv in chain] == [0, 0]
+        http_report = capsys.readouterr().out
+        assert [main(argv) for argv in _chain(corpus, tmp_path / "mock.jsonl", "mock:")] == [0, 0]
+        assert capsys.readouterr().out == http_report
+        assert len(server.peers) == 1
 
     def test_split_write_server_does_not_stall_a_reused_connection(self):
         # a delayed ACK per reused call (about 40 ms each) would take at least 0.8 s
@@ -510,7 +524,7 @@ class TestHttpTransport:
         with HttpTransport() as transport, pytest.raises(TransportFailure):
             http_client(transport, f"http://127.0.0.1:{port}").call({"inputs": ["x"]})
 
-    @pytest.mark.parametrize("url", ["ftp://h/x", "localhost:8080", "http:///x"])
+    @pytest.mark.parametrize("url", ["ftp://h/x", "localhost:8080", "http:///x", "http://127.0.0.1:abc"])
     def test_an_unsupported_url_is_sent_once(self, url):
         sends, sleeps = [], []
 
@@ -526,33 +540,45 @@ class TestHttpTransport:
         assert (sends, sleeps) == ([url.rstrip("/") + "/v1/embed"], [])
 
 
-# Runs one subcommand in a fresh interpreter that turns ResourceWarning into
-# an error, collects garbage (finalizing any socket left open) and reports
-# whether ``requests`` was imported.
+def _chain(corpus, predictions, endpoint):
+    """argv for generate, then evaluate with judge and VSR, every role at ``endpoint``."""
+    common = ["--seed", "7", "--concurrency", "1"]
+    return [
+        ["generate", str(corpus), *common, "--endpoint-generate", endpoint, "--out", str(predictions)],
+        ["evaluate", str(corpus), str(predictions), *common, "--with-judge", "--with-vsr",
+         "--endpoint-judge", endpoint, "--endpoint-embed", endpoint],
+    ]
+
+
+# Runs the commands of a JSON list of argv in one fresh interpreter that turns
+# ResourceWarning into an error, collects garbage (finalizing any socket left
+# open) and exits (closing the process's transport), and reports whether
+# ``requests`` was imported.
 _LEAK_PROBE = """
 import gc, json, sys
 from adcut.cli import main
-code = main(sys.argv[1:])
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
 gc.collect()
-print(json.dumps({"code": code, "requests": "requests" in sys.modules}))
+print(json.dumps({"codes": codes, "requests": "requests" in sys.modules}))
 """
 
 
-def test_evaluate_over_http_leaves_no_socket_open(capsys, corpus_and_predictions, video_fixtures):
-    corpus, predictions = corpus_and_predictions
-    argv = ["evaluate", str(corpus), str(predictions), "--with-judge", "--with-vsr", "--seed", "7"]
+def test_two_commands_over_http_leave_no_socket_open(capsys, tmp_path, corpus_and_predictions):
+    from adcut.cli import _mock_generate
+
+    corpus, _ = corpus_and_predictions
     src = str(Path(adcut.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("ADCUT_CONFIG", None)
-    with serving(mock_backend(7, video_fixtures)) as server:
+    with serving(_mock_generate("mock:", 7, read_corpus(corpus))) as server:
         done = subprocess.run(
-            [sys.executable, "-W", "error::ResourceWarning", "-c", _LEAK_PROBE, *argv,
-             "--endpoint-judge", server.url, "--endpoint-embed", server.url],
+            [sys.executable, "-W", "error::ResourceWarning", "-c", _LEAK_PROBE,
+             json.dumps(_chain(corpus, tmp_path / "http.jsonl", server.url))],
             capture_output=True, text=True, env=env, timeout=120,
         )
     assert "ResourceWarning" not in done.stderr and "unclosed <socket" not in done.stderr, done.stderr
     *report, probe = done.stdout.splitlines()
-    assert json.loads(probe) == {"code": 0, "requests": False}, done.stderr
-    assert main(argv) == 0
+    assert json.loads(probe) == {"codes": [0, 0], "requests": False}, done.stderr
+    assert [main(argv) for argv in _chain(corpus, tmp_path / "mock.jsonl", "mock:")] == [0, 0]
     assert report == capsys.readouterr().out.splitlines()
     assert len(server.peers) == 1

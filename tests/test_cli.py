@@ -175,9 +175,20 @@ class TestBuildDataset:
             ("negative_pool", [{"index": 0, "duration_ms": 1}],
              "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
             *(("judge", *case.values) for case in MISSHAPEN_JUDGE),
+            ("corruption", 5, "corruption is not a JSON object"),
+            ("corruption", {"mode": "bogus"},
+             "corruption.mode must be none or one of swap_adjacent, inject_negative, drop_tag, got 'bogus'"),
+            ("corruption", {"mode": "drop_tag", "rate": 5}, "corruption.rate must be a number in [0, 1], got 5"),
+            ("corruption", {"rate": "0.5"}, "corruption.rate must be a number in [0, 1], got '0.5'"),
+            ("drafts", 5, "drafts is not a JSON object of draft objects"),
+            ("drafts", {"vid-serum": []}, "drafts is not a JSON object of draft objects"),
+            ("negatives", {"vid-serum": [1, "2"]}, "negatives is not a JSON object of integer arrays"),
+            ("negatives", [], "negatives is not a JSON object of integer arrays"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
-             *(case.id for case in MISSHAPEN_JUDGE)],
+             *(case.id for case in MISSHAPEN_JUDGE), "corruption a number", "unknown corruption mode",
+             "corruption rate 5", "corruption rate a string", "drafts a number", "draft an array",
+             "negative a string", "negatives an array"],
     )
     def test_misshapen_fixtures_are_a_usage_error(self, capsys, tmp_path, video_fixtures, key, value, reason):
         video_fixtures[key] = value
@@ -1012,6 +1023,61 @@ def test_bad_output_path_or_config_is_a_usage_error(capsys, corpus_path, polka_f
     assert err.startswith("error: " + error.format(**names)), err
     assert "Traceback" not in err
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["evaluate", "{corpus}", "{predictions}", "--with-judge", "--endpoint-judge", "http://127.0.0.1:abc"],
+         "bad judge endpoint 'http://127.0.0.1:abc': Port could not be cast to integer value as 'abc'"),
+        (["evaluate", "{corpus}", "{predictions}", "--with-vsr", "--endpoint-embed", "http://127.0.0.1:70000/v"],
+         "bad embed endpoint 'http://127.0.0.1:70000/v': Port out of range 0-65535"),
+        (["generate", "{corpus}", "--endpoint-generate", "https://[::1]:99999", "--out", "{tmp}/out.jsonl"],
+         "bad generate endpoint 'https://[::1]:99999': Port out of range 0-65535"),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--endpoint-shots", "http://h:-1"],
+         "bad shots endpoint 'http://h:-1': Port could not be cast to integer value as '-1'"),
+    ],
+    ids=["nonnumeric judge port", "embed port 70000", "generate port 99999", "negative shots port"],
+)
+def test_a_bad_endpoint_port_fails_before_any_backend_call(
+    capsys, corpus_path, polka_files, tmp_path, monkeypatch, argv, error
+):
+    calls = []
+    monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+    names = {"corpus": corpus_path, "predictions": polka_files["predictions"], "tmp": tmp_path}
+    code, out, err = run(capsys, *(arg.format(**names) for arg in argv), "--seed", "7")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert calls == []
+
+
+def test_an_unexpected_error_cancels_the_pending_samples_of_its_command(capsys, corpus_path, tmp_path, monkeypatch):
+    records = [json.loads(line) for line in corpus_path.read_text("utf-8").splitlines()]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({**r, "sample_id": f"{r['sample_id']}-{k}"}) + "\n"
+                              for k in range(4) for r in records))
+    first = f"{records[0]['sample_id']}-0"
+    started, finished = [], []
+    another_started = threading.Event()
+
+    def generate_draft(request, client):
+        started.append(request["sample_id"])
+        if request["sample_id"] == first:
+            assert another_started.wait(timeout=10)
+            raise RuntimeError("not a sample failure")
+        another_started.set()
+        time.sleep(0.1)
+        finished.append(request["sample_id"])
+        return b"{}"
+
+    monkeypatch.setattr(backends, "generate_draft", generate_draft)
+    with pytest.raises(RuntimeError, match="not a sample failure"):
+        main(["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7", "--concurrency", "2",
+              "--out", str(tmp_path / "pred.jsonl")])
+    ran = list(started)
+    assert sorted(finished) == sorted(set(ran) - {first})  # each sample that started has finished
+    assert len(ran) <= 4 < 4 * len(records)  # the samples not started were cancelled
+    time.sleep(0.2)
+    assert started == ran
 
 
 def test_a_tag_outside_the_taxonomy_fails_before_any_backend_call(capsys, corpus_path, polka_files, monkeypatch):
