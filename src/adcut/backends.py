@@ -122,7 +122,6 @@ class BackendEndpoint:
 class CallResult:
     data: Any
     retries: int
-    latency_ms: float
 
 
 class HttpTransport:
@@ -136,23 +135,22 @@ class HttpTransport:
     connection the server has closed is reopened once, which the client does
     not count as a retry. A timeout raises :class:`RequestTimeout`; any other
     socket or protocol error raises :class:`TransportFailure`; either drops
-    the connection. A URL that is not ``http`` or ``https`` with a host, or
-    that ``http.client`` rejects (such as a port that is not a number), raises
+    the connection. A URL that is not ``http`` or ``https`` with a host, whose
+    port is not a number in [0, 65535], or that ``http.client`` rejects, raises
     a :class:`BackendError` that is not retried. Proxy environment variables
     are not read.
 
-    A connection lives as long as its thread and the transport, so threads
-    that outlive one batch of calls reuse their connections in the next; the
-    CLI keeps one transport, and a worker pool per ``--concurrency`` value,
-    for the life of the process.
-    :meth:`close` (or leaving a ``with`` block) closes every connection the
-    transport still holds, whichever thread opened it.
+    The transport holds each connection until it fails, the server closes
+    it, or :meth:`close` (or leaving a ``with`` block) closes every
+    connection it holds, whichever thread opened it. So threads that outlive
+    one batch of calls reuse their connections in the next; the CLI keeps one
+    transport, and a worker pool per ``--concurrency`` value, for the life of
+    the process.
     """
 
     def __init__(self) -> None:
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._open: set = set()
+        self._conns: dict[tuple, Any] = {}  # (thread id, scheme, netloc) -> connection
 
     def __enter__(self) -> HttpTransport:
         return self
@@ -162,56 +160,58 @@ class HttpTransport:
 
     def close(self) -> None:
         with self._lock:
-            conns, self._open = self._open, set()
-        self._local = threading.local()
-        for conn in conns:
+            conns, self._conns = self._conns, {}
+        for conn in conns.values():
             conn.close()
 
     def send(self, role: str, url: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes]:
         import http.client
 
-        scheme, netloc, path, query, _ = urlsplit(url)
+        try:
+            scheme, netloc, path, query, _ = split = urlsplit(url)
+            split.port  # out of [0, 65535] raises ValueError; http.client would dial the port modulo 65536
+        except ValueError as exc:
+            raise BackendError(role, f"unsupported URL {url!r}: {exc}") from None
         factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(scheme)
         if factory is None or not netloc:
             raise BackendError(role, f"unsupported URL {url!r}")
         target = (path or "/") + (f"?{query}" if query else "")
-        conns = self._local.__dict__.setdefault("conns", {})
-        key = (scheme, netloc)
-        reused = key in conns
+        key = (threading.get_ident(), scheme, netloc)
+        with self._lock:
+            conn = self._conns.get(key)
+        reused = conn is not None
         try:
             try:
-                conn = conns[key] if reused else self._register(conns, key, factory(netloc, timeout=timeout_s))
+                conn = conn if reused else self._keep(key, factory(netloc, timeout=timeout_s))
                 status, data, closing = _post(conn, target, body, headers, timeout_s)
             except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected is a ConnectionResetError
                 if not reused:
                     raise
-                self._drop(conns, key)  # the server closed the idle connection: reopen it once
-                conn = self._register(conns, key, factory(netloc, timeout=timeout_s))
+                self._drop(key)  # the server closed the idle connection: reopen it once
+                conn = self._keep(key, factory(netloc, timeout=timeout_s))
                 status, data, closing = _post(conn, target, body, headers, timeout_s)
         except TimeoutError as exc:
-            self._drop(conns, key)
+            self._drop(key)
             raise RequestTimeout(role, str(exc)) from exc
         except http.client.InvalidURL as exc:
-            self._drop(conns, key)
+            self._drop(key)
             raise BackendError(role, f"unsupported URL {url!r}: {exc}") from None
         except (OSError, http.client.HTTPException) as exc:
-            self._drop(conns, key)
+            self._drop(key)
             raise TransportFailure(role, str(exc)) from exc
         if closing:
-            self._drop(conns, key)
+            self._drop(key)
         return status, data
 
-    def _register(self, conns: dict, key: tuple, conn: Any) -> Any:
+    def _keep(self, key: tuple, conn: Any) -> Any:
         with self._lock:
-            self._open.add(conn)
-        conns[key] = conn
+            self._conns[key] = conn
         return conn
 
-    def _drop(self, conns: dict, key: tuple) -> None:
-        conn = conns.pop(key, None)
+    def _drop(self, key: tuple) -> None:
+        with self._lock:
+            conn = self._conns.pop(key, None)
         if conn is not None:
-            with self._lock:
-                self._open.discard(conn)
             conn.close()
 
 
@@ -237,15 +237,13 @@ class Client:
     Transport failures, 429 and 5xx responses are retried up to
     ``endpoint.max_retries`` times with exponential backoff (base 250 ms,
     doubling, +/-20% jitter). Forwarded payload bytes are never mutated.
-    Without a ``transport`` the client gets its own :class:`HttpTransport`;
-    whoever builds the client closes it through ``client.transport``.
     """
 
     def __init__(
         self,
         role: str,
         endpoint: BackendEndpoint,
-        transport: Any | None = None,
+        transport: Any,
         sleeper: Callable[[float], None] = time.sleep,
         jitter_rng: random.Random | None = None,
     ):
@@ -253,7 +251,7 @@ class Client:
             raise ValueError(f"unknown backend role {role!r}")
         self.role = role
         self.endpoint = endpoint
-        self.transport = transport or HttpTransport()
+        self.transport = transport
         self._sleep = sleeper
         self._jitter = jitter_rng or random.Random(0)
 
@@ -270,7 +268,6 @@ class Client:
         url = self.endpoint.base_url.rstrip("/") + "/v1/" + self.role
         timeout_s = self.endpoint.timeout_ms / 1000.0
         attempts = self.endpoint.max_retries + 1
-        started = time.monotonic()
         last_error: BackendError | None = None
         for attempt in range(attempts):
             if attempt:
@@ -294,7 +291,7 @@ class Client:
                 raise InvalidResponse(self.role, f"non-JSON body: {exc}") from exc
             except RecursionError:
                 raise InvalidResponse(self.role, "JSON body nested too deeply") from None
-            return CallResult(data=data, retries=attempt, latency_ms=(time.monotonic() - started) * 1000.0)
+            return CallResult(data=data, retries=attempt)
         assert last_error is not None
         raise last_error
 
@@ -325,15 +322,23 @@ def generate_draft(request: dict, client: Client) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def rubric_text(rubric_id: str) -> str:
-    """Verbatim rubric prompt text shipped under prompts/ (read once per rubric)."""
-    filename, _ = _rubric(rubric_id)
+def prompt_text(filename: str) -> str:
+    """Verbatim prompt text shipped under prompts/ (read once per file)."""
     return resources.files("adcut").joinpath(f"prompts/{filename}").read_text("utf-8")
 
 
 @lru_cache(maxsize=None)
+def prompt_sha256(filename: str) -> str:
+    """SHA-256 of :func:`prompt_text`, which requests carry to name the prompt they follow."""
+    return hashlib.sha256(prompt_text(filename).encode("utf-8")).hexdigest()
+
+
+def rubric_text(rubric_id: str) -> str:
+    return prompt_text(_rubric(rubric_id)[0])
+
+
 def rubric_hash(rubric_id: str) -> str:
-    return hashlib.sha256(rubric_text(rubric_id).encode("utf-8")).hexdigest()
+    return prompt_sha256(_rubric(rubric_id)[0])
 
 
 def _rubric(rubric_id: str) -> tuple[str, dict[str, float]]:

@@ -196,8 +196,7 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[st
 
 def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
     """The mock fixtures file (``{}`` when none is configured) and the mock that serves it. A
-    configured file that is missing, not a JSON object, whose ``negative_pool`` is not an array
-    of integer clips, or that the mock rejects is a usage error."""
+    configured file that is missing, not a JSON object, or that the mock rejects is a usage error."""
     from . import backends as be
 
     path = cfg.path("paths", "fixtures")
@@ -208,12 +207,6 @@ def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
         mock = be.mock_backend(seed, fixtures)
     except ValueError as exc:
         raise CliError(f"fixtures file {path}: {exc}") from None
-    pool = fixtures.get("negative_pool", [])
-    if not isinstance(pool, list):
-        raise CliError(f"fixtures file {path}: negative_pool is not a JSON array")
-    for i, entry in enumerate(pool):
-        if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
-            raise CliError(f"fixtures file {path}: negative_pool[{i}] needs integer index and duration_ms")
     return fixtures, mock
 
 
@@ -355,8 +348,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         plan = plan_request(clips, preset)
     except CeilingUnsatisfiable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise CliError(str(exc), EXIT_VIOLATION) from None
     if args.format == "table":
         lines = [
             f"clip {c.index:>4}: fast {c.fast.frames:>4} frames / {c.fast.tokens:>6} tokens"
@@ -385,6 +377,19 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     fixtures, mock = _fixtures(cfg, seed)
     if not fixtures:
         raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
+    where = f"fixtures file {cfg.path('paths', 'fixtures')}: negative_pool"
+    pool = fixtures.get("negative_pool", [])
+    if not isinstance(pool, list):
+        raise CliError(f"{where} is not a JSON array")
+    try:
+        clips = []
+        for i, entry in enumerate(pool):
+            if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
+                raise CliError(f"{where}[{i}] needs integer index and duration_ms")
+            clips.append(ds.clip_meta(entry["index"], entry["duration_ms"]))
+        negative_pool = ClipSet(clips)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from None
     video_refs = (
         [v.strip() for v in videos_value.split(",") if v.strip()]
         if videos_value
@@ -400,11 +405,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         if not isinstance(data, dict):
             raise CliError(f"bad product info for video {ref!r}: not a JSON object")
         try:
-            selling_points = tuple(data.get("selling_points", ()))
-            product = ds.ProductInfo(data["name"], data.get("brand", ""), data.get("price", ""), selling_points)
+            products.append((ref, ds.ProductInfo.from_dict(data)))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad product info for video {ref!r}: {exc}") from None
-        products.append((ref, product))
 
     template_path = cfg.path("paths", "template")
     template = _load("template", ds.load_instruction_template, template_path)
@@ -412,11 +415,6 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         template.format(product_block="", materials_block="", free_prompt="")
     except (LookupError, AttributeError, ValueError) as exc:
         raise CliError(f"template {template_path}: bad placeholder: {exc}") from None
-
-    try:
-        negative_pool = ClipSet(ds.clip_meta(e["index"], e["duration_ms"]) for e in fixtures.get("negative_pool", []))
-    except ValueError as exc:
-        raise CliError(f"fixtures file {cfg.path('paths', 'fixtures')}: negative_pool: {exc}") from None
 
     dropout = args.dropout_p
     if dropout is None:
@@ -566,12 +564,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         plan = align_draft(draft, tts, clips)
         if catalog is not None:
             plan = plan.with_assets(match_decorations(draft, catalog))
-            check = check_alignment(plan, catalog)
-        else:
-            check = check_alignment(plan)
     except AlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise CliError(str(exc), EXIT_VIOLATION) from None
+    check = check_alignment(plan, catalog)
     if not check.ok:
         for v in check.violations:
             print(f"plan violation: {v.rule} at {v.path}: {v.message}", file=sys.stderr)

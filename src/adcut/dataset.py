@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .backends import BackendSet, Client, InvalidResponse
+from .backends import BackendSet, Client, InvalidResponse, prompt_sha256
 from .clips import ClipMeta, ClipSet
 from .draft import (
     DECORATION_KEYS,
@@ -94,6 +94,20 @@ class ProductInfo:
             "selling_points": list(self.selling_points),
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ProductInfo":
+        """The product a fixtures ``product`` object describes; ``brand`` and
+        ``price`` default to ``""`` and ``selling_points`` to none. Raises
+        ``KeyError`` for a missing name, ``TypeError`` for a field of the wrong
+        JSON type and ``ValueError`` for a blank name or no selling points."""
+        data = {"brand": "", "price": "", "selling_points": [], **data}
+        return cls(
+            name=_field(data, "name", str),
+            brand=_field(data, "brand", str),
+            price=_field(data, "price", str),
+            selling_points=tuple(_field(data, "selling_points", list, str)),
+        )
+
 
 @dataclass(frozen=True)
 class FreePrompt:
@@ -152,14 +166,6 @@ class Deconstruction:
     shot_boundaries: tuple[int, ...]
     shot_captions: tuple[str, ...]
     recommended_tags: DecorationSetting
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.shot_boundaries, self.shot_boundaries[1:]):
-            if b <= a:
-                raise ValueError("shot boundaries must be strictly increasing")
-        for prev, cur in zip(self.asr_sentences, self.asr_sentences[1:]):
-            if cur.start_ms < prev.end_ms:
-                raise ValueError("ASR sentences must be non-overlapping")
 
     def shot_count(self) -> int:
         return max(0, len(self.shot_boundaries) - 1)
@@ -289,17 +295,12 @@ def _sparse_timestamps(start_ms: int, end_ms: int, count: int = 3) -> list[float
     return [start_ms / 1000.0 + span * (i + 0.5) / count for i in range(count)]
 
 
-@lru_cache(maxsize=1)
-def _asr_correction_prompt_sha256() -> str:
-    prompt = resources.files("adcut").joinpath("prompts/asr_correction.txt").read_text("utf-8")
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
-    here, of the JSON types read, or with a shot too short to be a clip,
-    raises :class:`InvalidResponse` for its role."""
+    here, of the JSON types read, with a shot too short to be a clip, or with
+    corrected sentences that are blank, not ``0 <= start < end``, unsorted or
+    overlapping, raises :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(_answer(backends.shots, ref, "boundaries_ms", list, int)))
     for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
@@ -313,13 +314,20 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         backends.judge,
         {
             "task": "correct_asr",
-            "prompt_sha256": _asr_correction_prompt_sha256(),
+            "prompt_sha256": prompt_sha256("asr_correction.txt"),
             "sentences": [s.to_dict() for s in sentences],
         },
         "sentences",
         list,
     )
     sentences = _sentences(backends.judge.role, corrected)
+    for i, s in enumerate(sentences):
+        if not s.text.strip():
+            raise InvalidResponse(backends.judge.role, f"corrected sentence {i} has blank text")
+        if not 0 <= s.start_ms < s.end_ms:
+            raise InvalidResponse(backends.judge.role, f"corrected sentence {i} spans [{s.start_ms}, {s.end_ms}]")
+        if i and s.start_ms < sentences[i - 1].end_ms:
+            raise InvalidResponse(backends.judge.role, f"corrected sentence {i} starts before sentence {i - 1} ends")
 
     ocr_lines = _answer(backends.ocr, ref, "lines", list, str)
 
@@ -352,7 +360,8 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
 
 
 def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None = None) -> dict[str, str | None]:
-    """One analysis entry per requirement dimension; entries may be absent."""
+    """One analysis entry per requirement dimension; entries may be absent,
+    but an analysis with no usable dimension raises :class:`InvalidResponse`."""
     payload = {"task": "analyze", "video_ref": video_ref, "deconstruction": dec.to_dict()}
     raw = _answer(judge, payload, "analysis", dict)
     analysis: dict[str, str | None] = {
@@ -360,6 +369,8 @@ def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None
     }
     if not dec.shot_captions:
         analysis["visual_storyline"] = None
+    if not any(analysis.values()):
+        raise InvalidResponse(judge.role, "analysis contains no usable dimensions")
     return analysis
 
 

@@ -25,7 +25,7 @@ from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
 TOP_LEVEL_KEYS = ("voice_over_track", "video_nodes_track", "decoration_setting")
 SENTENCE_KEYS = ("text", "target_start", "target_end")
 NODE_KEYS = ("index", "target_start", "target_end", "source_start")
-DECORATION_KEYS = ("tts_tags", "avatar_tags", "music_tags")
+DECORATION_KEYS = tuple(TAG_FIELD_CATEGORY)
 
 
 class DraftSyntaxError(ValueError):
@@ -238,9 +238,7 @@ def draft_from_dict(doc: Any) -> Draft:
     deco = _require_object(_get(root, "decoration_setting", "$"), deco_path)
     _warn_unknown(deco, DECORATION_KEYS, deco_path)
     decoration = DecorationSetting(
-        tts_tags=_parse_tag_list(_get(deco, "tts_tags", deco_path), f"{deco_path}.tts_tags"),
-        avatar_tags=_parse_tag_list(_get(deco, "avatar_tags", deco_path), f"{deco_path}.avatar_tags"),
-        music_tags=_parse_tag_list(_get(deco, "music_tags", deco_path), f"{deco_path}.music_tags"),
+        **{key: _parse_tag_list(_get(deco, key, deco_path), f"{deco_path}.{key}") for key in DECORATION_KEYS}
     )
 
     return Draft(tuple(sentences), tuple(nodes), decoration)
@@ -284,92 +282,84 @@ def serialize_draft(d: Draft) -> bytes:
 # validation
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.violations: list[Violation] = []
-
-    def add(self, rule: str, path: str, message: str) -> None:
-        self.violations.append(Violation(rule, path, message))
-
-
-def _check_voice(track: tuple[VoiceSentence, ...], out: _Collector) -> None:
+def _check_voice(track: tuple[VoiceSentence, ...], out: list[Violation]) -> None:
     for i, s in enumerate(track):
         path = f"$.voice_over_track[{i}]"
         if not s.text.strip():
-            out.add("voice_empty_text", f"{path}.text", "sentence text is empty")
+            out.append(Violation("voice_empty_text", f"{path}.text", "sentence text is empty"))
         if s.target_start >= s.target_end:
-            out.add(
+            out.append(Violation(
                 "voice_time_order",
                 path,
                 f"target_start {s.target_start} must be < target_end {s.target_end}",
-            )
+            ))
     for i in range(1, len(track)):
         prev, cur = track[i - 1], track[i]
         path = f"$.voice_over_track[{i}]"
         if cur.target_start < prev.target_start:
-            out.add("voice_order", path, "sentences not sorted by target_start")
+            out.append(Violation("voice_order", path, "sentences not sorted by target_start"))
         elif cur.target_start < prev.target_end:
-            out.add(
+            out.append(Violation(
                 "voice_overlap",
                 path,
                 f"sentence starts at {cur.target_start} before previous ends at {prev.target_end}",
-            )
+            ))
 
 
-def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: _Collector) -> None:
+def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[Violation]) -> None:
     seen: dict[int, int] = {}
     for i, n in enumerate(track):
         path = f"$.video_nodes_track[{i}]"
         if n.target_start >= n.target_end:
-            out.add(
+            out.append(Violation(
                 "node_time_order",
                 path,
                 f"target_start {n.target_start} must be < target_end {n.target_end}",
-            )
+            ))
         if n.source_start < 0:
-            out.add("node_negative_source", f"{path}.source_start", "source_start must be >= 0")
+            out.append(Violation("node_negative_source", f"{path}.source_start", "source_start must be >= 0"))
         if n.index in seen:
-            out.add(
+            out.append(Violation(
                 "duplicate_clip_index",
                 f"{path}.index",
                 f"clip {n.index} already used by node {seen[n.index]}",
-            )
+            ))
         else:
             seen[n.index] = i
         if clips is not None:
             clip = clips.get(n.index)
             if clip is None:
-                out.add(
+                out.append(Violation(
                     "unknown_clip_index",
                     f"{path}.index",
                     f"clip {n.index} not in the {len(clips)}-clip set",
-                )
+                ))
             elif n.source_start + n.span_ms > clip.duration_ms:
-                out.add(
+                out.append(Violation(
                     "clip_overrun",
                     path,
                     f"needs {n.source_start + n.span_ms} ms from a {clip.duration_ms} ms clip",
-                )
+                ))
     for i in range(1, len(track)):
         prev, cur = track[i - 1], track[i]
         path = f"$.video_nodes_track[{i}]"
         if cur.target_start < prev.target_start:
-            out.add("node_order", path, "nodes not sorted by target_start")
+            out.append(Violation("node_order", path, "nodes not sorted by target_start"))
         elif cur.target_start < prev.target_end:
-            out.add(
+            out.append(Violation(
                 "node_overlap",
                 path,
                 f"node starts at {cur.target_start} before previous ends at {prev.target_end}",
-            )
+            ))
         elif cur.target_start > prev.target_end:
-            out.add(
+            out.append(Violation(
                 "node_gap",
                 path,
                 f"gap of {cur.target_start - prev.target_end} ms after previous node",
-            )
+            ))
 
 
-def _check_decoration(deco: DecorationSetting, taxonomy: TagTaxonomy, out: _Collector) -> None:
+def _check_decoration(deco: DecorationSetting, taxonomy: TagTaxonomy, out: list[Violation]) -> None:
     for field_name, category in TAG_FIELD_CATEGORY.items():
         tags = deco.tags_for(field_name)
         known = taxonomy.labels(category)
@@ -377,10 +367,10 @@ def _check_decoration(deco: DecorationSetting, taxonomy: TagTaxonomy, out: _Coll
         for i, tag in enumerate(tags):
             path = f"$.decoration_setting.{field_name}[{i}]"
             if tag in seen:
-                out.add("duplicate_tag", path, f"{tag!r} repeated in {field_name}")
+                out.append(Violation("duplicate_tag", path, f"{tag!r} repeated in {field_name}"))
             seen.add(tag)
             if tag not in known:
-                out.add("unknown_tag", path, f"{tag!r} is not a {category} label")
+                out.append(Violation("unknown_tag", path, f"{tag!r} is not a {category} label"))
 
 
 def validate_draft(
@@ -395,8 +385,8 @@ def validate_draft(
     """
     if taxonomy is None:
         taxonomy = default_taxonomy()
-    out = _Collector()
+    out: list[Violation] = []
     _check_voice(d.voice_over_track, out)
     _check_nodes(d.video_nodes_track, clips, out)
     _check_decoration(d.decoration_setting, taxonomy, out)
-    return ValidationReport(tuple(out.violations))
+    return ValidationReport(tuple(out))

@@ -28,8 +28,6 @@ DTPR_DISPLAY = {"TTS": "TTS Timbre", "Avatar": "Avatar", "Music": "Music"}
 FPF_WEIGHTS = RUBRICS["free_prompt_eval"][1]
 SQ_WEIGHTS = RUBRICS["script_quality_eval"][1]
 
-_CATEGORY_FIELD = {cat: fld for fld, cat in TAG_FIELD_CATEGORY.items()}
-
 
 class EmptyCorpus(ValueError):
     pass
@@ -109,8 +107,8 @@ class MetricCounts:
 
 def _tag_sets(draft: Draft, taxonomy: TagTaxonomy, sample_id: str, origin: str) -> dict[str, set[str]]:
     out = {}
-    for category in DTPR_CATEGORIES:
-        tags = set(draft.decoration_setting.tags_for(_CATEGORY_FIELD[category]))
+    for field_name, category in TAG_FIELD_CATEGORY.items():
+        tags = set(draft.decoration_setting.tags_for(field_name))
         unknown = tags - taxonomy.labels(category)
         if unknown:
             raise UnknownTag(f"{sample_id} {origin}: {sorted(unknown)} not in {category} taxonomy", origin)

@@ -364,8 +364,9 @@ def test_real_http_roundtrip():
     thread.start()
     try:
         port = server.server_address[1]
-        client = Client("judge", BackendEndpoint(base_url=f"http://127.0.0.1:{port}", max_retries=0))
-        result = client.call({"ping": 1})
+        with HttpTransport() as http:
+            client = Client("judge", BackendEndpoint(base_url=f"http://127.0.0.1:{port}", max_retries=0), http)
+            result = client.call({"ping": 1})
         assert result.data["echo"] == {"ping": 1}
         assert result.data["path"] == "/v1/judge"
     finally:
@@ -538,6 +539,22 @@ class TestHttpTransport:
             Client("embed", ep, transport=transport, sleeper=sleeps.append).call({"inputs": ["x"]})
         assert not info.value.retryable
         assert (sends, sleeps) == ([url.rstrip("/") + "/v1/embed"], [])
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_a_port_outside_the_tcp_range_is_never_dialled(self, port, monkeypatch):
+        # http.client would dial port 70000 as 70000 % 65536 == 4464
+        dialled, sleeps = [], []
+
+        def dial(address, *args, **kwargs):
+            dialled.append(address)
+            raise ConnectionRefusedError
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        ep = BackendEndpoint(base_url=f"http://127.0.0.1:{port}", max_retries=2)
+        with HttpTransport() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
+            Client("embed", ep, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+        assert not info.value.retryable
+        assert (dialled, sleeps) == ([], [])
 
 
 def _chain(corpus, predictions, endpoint):

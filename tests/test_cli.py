@@ -5,7 +5,10 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -95,6 +98,13 @@ class TestPlan:
         totals = json.loads(out)["totals"]
         assert totals["slow_frames"] <= totals["fast_frames"] <= 600
 
+    def test_more_clips_than_the_frame_ceiling_is_a_violation(self, capsys, tmp_path):
+        clips = tmp_path / "many.json"
+        clips.write_text(json.dumps({"clips": [{"index": i, "duration_s": 1.0, "frame_count": 30} for i in range(601)]}))
+        code, out, err = run(capsys, "plan", str(clips), "--preset", "fast:2/4,slow:0.5/16")
+        assert (code, out) == (1, "")
+        assert err == "error: 601 clips cannot fit a 600-frame ceiling at one frame per clip\n"
+
     def test_table_one_style_preset(self, capsys):
         code, out, _ = run(capsys, "plan", str(FIX / "clips.json"), "--preset", "fast:2/4 slow:0.125/64")
         assert code == 0
@@ -147,8 +157,15 @@ class TestBuildDataset:
             ({"name": "Serum", "selling_points": []},
              "bad product info for video 'vid-serum': at least one selling point is required"),
             ("Serum", "bad product info for video 'vid-serum': not a JSON object"),
+            ({"name": 5, "selling_points": ["glow"]},
+             "bad product info for video 'vid-serum': name: expected str, got int"),
+            ({"name": "Serum", "selling_points": [1]},
+             "bad product info for video 'vid-serum': selling_points: expected list of str, got list"),
+            ({"name": "Serum", "selling_points": "abc"},
+             "bad product info for video 'vid-serum': selling_points: expected list of str, got str"),
         ],
-        ids=["missing", "no selling points", "not an object"],
+        ids=["missing", "no selling points", "not an object", "name a number", "selling point a number",
+             "selling points a string"],
     )
     def test_bad_product_info_fails_before_any_backend_call(
         self, capsys, tmp_path, monkeypatch, video_fixtures, product, error
@@ -820,6 +837,12 @@ class TestEndpointResolution:
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
 
+# a judge's corrected ASR sentence: blank or not, with any order of start and end, negative ones too
+CORRECTED_SENTENCE = st.fixed_dictionaries(
+    {"text": st.sampled_from(["Buy now.", "", "  "]), "start": st.integers(-1000, 6000), "end": st.integers(-1000, 6000)}
+)
+
+
 class TestBuildDatasetAnswers:
     """A backend answer that build-dataset cannot use fails its sample only."""
 
@@ -861,6 +884,54 @@ class TestBuildDatasetAnswers:
         assert code == 1
         assert err == f"warning: vid-serum: {reason}\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_an_analysis_with_no_usable_dimension_is_a_recorded_failure(self, capsys, tmp_path, monkeypatch,
+                                                                         video_fixtures):
+        mock = backends.mock_backend(7, video_fixtures)
+
+        def send(self, role, url, payload, headers, timeout_s):
+            request = json.loads(payload)
+            if (request.get("task"), request.get("video_ref")) == ("analyze", "vid-serum"):
+                return 200, b'{"analysis": {}}'
+            return mock.send(role, url, payload, headers, timeout_s)
+
+        monkeypatch.setattr(backends.HttpTransport, "send", send)
+        code, err, out = self.build(capsys, tmp_path, "--endpoint-judge", "http://stub.invalid")
+        assert code == 1
+        assert err == "warning: vid-serum: judge: analysis contains no usable dimensions\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    @given(st.lists(CORRECTED_SENTENCE, min_size=1, max_size=4))
+    @example([{"text": "a", "start": 0, "end": 2000}, {"text": "b", "start": 1000, "end": 3000}])  # overlapping
+    @example([{"text": "a", "start": 3000, "end": 1000}])  # inverted
+    @example([{"text": "a", "start": 2000, "end": 3000}, {"text": "b", "start": 0, "end": 1000}])  # unsorted
+    @example([{"text": "a", "start": -500, "end": 1000}])  # negative
+    @example([{"text": " ", "start": 0, "end": 1000}])  # blank
+    @example([{"text": "a", "start": 0, "end": 1000}, {"text": "b", "start": 1000, "end": 2500}])  # usable
+    def test_every_corrected_asr_answer_fails_its_sample_or_makes_a_valid_ground_truth(self, tmp_path_factory,
+                                                                                      sentences):
+        stock = backends.mock_backend(7, json.loads((FIX / "videos.json").read_text()))
+
+        def send(self, role, url, payload, headers, timeout_s):
+            if json.loads(payload).get("task") == "correct_asr":
+                return 200, dumps_canonical({"sentences": sentences})
+            return stock.send(role, url, payload, headers, timeout_s)
+
+        out, err = tmp_path_factory.mktemp("asr") / "corpus.jsonl", StringIO()
+        with patch.object(backends.HttpTransport, "send", send), redirect_stderr(err):
+            code = main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(out),
+                         "--endpoint-judge", "http://stub.invalid"])
+        written = {s.sample_id: s.ground_truth for s in read_corpus(out)}
+        usable = all(s["text"].strip() and 0 <= s["start"] < s["end"] for s in sentences) and all(
+            a["end"] <= b["start"] for a, b in zip(sentences, sentences[1:]))
+        assert "Traceback" not in err.getvalue()
+        assert code == (0 if usable else 1)
+        for ref in ("vid-earbuds", "vid-blender", "vid-serum"):
+            if usable:
+                assert validate_draft(written[ref]).ok
+            else:
+                assert ref not in written
+                assert f"warning: {ref}: judge: corrected sentence " in err.getvalue()
 
     def test_misshapen_fixture_asr_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
         video_fixtures["videos"]["vid-serum"]["asr"] = [1]

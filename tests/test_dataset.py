@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from adcut import dataset as dataset_module
-from adcut.backends import Client, MOCK_ENDPOINT, mock_backend, mock_backend_set
+from adcut.backends import RUBRICS, Client, MOCK_ENDPOINT, mock_backend, mock_backend_set
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
+    FREE_PROMPT_DIMENSIONS,
     AsrOverlapWarning,
     AsrSentence,
     DatasetSample,
@@ -31,8 +32,9 @@ from adcut.dataset import (
     verify_free_prompt,
     write_corpus,
 )
-from adcut.draft import DecorationSetting, validate_draft
+from adcut.draft import DECORATION_KEYS, DecorationSetting, validate_draft
 from adcut.jsonutil import dumps_canonical, loads
+from adcut.taxonomy import TAG_FIELD_CATEGORY
 
 PRODUCT = ProductInfo(
     name="SoundPod Mini",
@@ -377,3 +379,12 @@ def test_build_sample_end_to_end_deterministic(video_fixtures):
     assert outs[0] == outs[1]
     sample = DatasetSample.from_dict(loads(outs[0]))
     assert validate_draft(sample.ground_truth).ok
+
+
+def test_one_vocabulary_of_prompt_dimensions_and_decoration_fields():
+    # the free prompt, the corpus builder, the judge rubric and the mock judge name the same dimensions in order
+    prompt_fields = tuple(f.name for f in dataclasses.fields(FreePrompt) if f.name != "rendered")
+    mock_analysis = mock_backend(1)._analyze({"deconstruction": DEC.to_dict()})
+    assert prompt_fields == FREE_PROMPT_DIMENSIONS == tuple(RUBRICS["free_prompt_eval"][1]) == tuple(mock_analysis)
+    decoration_fields = tuple(f.name for f in dataclasses.fields(DecorationSetting))
+    assert decoration_fields == tuple(TAG_FIELD_CATEGORY) == DECORATION_KEYS
