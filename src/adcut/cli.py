@@ -528,7 +528,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     taxonomy = _taxonomy(args, cfg)
     try:  # a tag outside the taxonomy fails here, before any backend call
-        mx.count_metrics(eval_samples, taxonomy)
+        counts = mx.count_metrics(eval_samples, taxonomy)
     except mx.UnknownTag as exc:
         what, path = ("predictions", args.predictions) if exc.origin == "prediction" else ("corpus", args.corpus)
         raise CliError(f"{what} {path}: {exc}") from None
@@ -539,7 +539,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
     if None in scores:
         return EXIT_VIOLATION
-    report = mx.evaluate_corpus(eval_samples, scores, taxonomy)
+    report = mx.evaluate_corpus(counts, scores)
     if args.format == "table":
         _emit(mx.render_table(report), args.out)
     else:

@@ -21,6 +21,9 @@ class ClipMeta:
     frame_count: int
 
     def __post_init__(self) -> None:
+        for name in ("index", "duration_s", "frame_count"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name}: expected a number, got bool")
         if self.index < 0:
             raise ValueError(f"clip index must be >= 0, got {self.index}")
         if self.frame_count < 1:

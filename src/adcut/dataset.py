@@ -58,6 +58,7 @@ TEMPLATE_VERSION = "v1"
 DEFAULT_SAMPLING_PRESET = "fast:2/4,slow:0.5/16"
 ASSUMED_NATIVE_FPS = 30.0
 DEFAULT_DROPOUT_P = 0.3
+CAPTION_FRAMES = 3  # sparse frames a shot caption is asked from
 VERIFY_ROUNDS = 2
 
 
@@ -85,14 +86,6 @@ class ProductInfo:
             raise ValueError("product name must be non-empty")
         if not self.selling_points:
             raise ValueError("at least one selling point is required")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "brand": self.brand,
-            "price": self.price,
-            "selling_points": list(self.selling_points),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProductInfo":
@@ -214,12 +207,15 @@ class DatasetSample:
         )
 
 
+def _is(value: Any, kind: type) -> bool:
+    """Whether ``value`` is a ``kind``, where a JSON bool is no int."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _field(data: dict, key: str, kind: type, item_kind: type | None = None) -> Any:
     """``data[key]`` if it is a ``kind`` (a list of ``item_kind``; a bool is no int)."""
     value = data[key]
-    if not isinstance(value, kind) or (
-        item_kind is not None and not all(isinstance(i, item_kind) and not isinstance(i, bool) for i in value)
-    ):
+    if not _is(value, kind) or (item_kind is not None and not all(_is(i, item_kind) for i in value)):
         wanted = kind.__name__ + (f" of {item_kind.__name__}" if item_kind else "")
         raise TypeError(f"{key}: expected {wanted}, got {type(value).__name__}")
     return value
@@ -290,17 +286,18 @@ def _normalize_asr(raw: list[AsrSentence]) -> list[AsrSentence]:
     return out
 
 
-def _sparse_timestamps(start_ms: int, end_ms: int, count: int = 3) -> list[float]:
+def _sparse_timestamps(start_ms: int, end_ms: int) -> list[float]:
     span = (end_ms - start_ms) / 1000.0
-    return [start_ms / 1000.0 + span * (i + 0.5) / count for i in range(count)]
+    return [start_ms / 1000.0 + span * (i + 0.5) / CAPTION_FRAMES for i in range(CAPTION_FRAMES)]
 
 
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
-    here, of the JSON types read, with a shot too short to be a clip, or with
-    corrected sentences that are blank, not ``0 <= start < end``, unsorted or
-    overlapping, raises :class:`InvalidResponse` for its role."""
+    here, of the JSON types read, with a shot too short to be a clip, with an
+    ASR sentence starting before 0, or with corrected sentences that are
+    blank, not ``0 <= start < end``, unsorted or overlapping, raises
+    :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(_answer(backends.shots, ref, "boundaries_ms", list, int)))
     for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
@@ -309,7 +306,11 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         except ValueError as exc:
             raise InvalidResponse(backends.shots.role, f"shot {i} of {b - a} ms: {exc}") from None
 
-    sentences = _normalize_asr(_sentences(backends.asr.role, _answer(backends.asr, ref, "sentences", list)))
+    sentences = _sentences(backends.asr.role, _answer(backends.asr, ref, "sentences", list))
+    for i, s in enumerate(sentences):
+        if s.start_ms < 0:
+            raise InvalidResponse(backends.asr.role, f"sentence {i} starts at {s.start_ms}")
+    sentences = _normalize_asr(sentences)
     corrected = _answer(
         backends.judge,
         {

@@ -282,6 +282,31 @@ def serialize_draft(d: Draft) -> bytes:
 # validation
 
 
+def _check_neighbours(track: tuple[VoiceSentence, ...] | tuple[VideoNode, ...], key: str, name: str,
+                      out: list[Violation]) -> None:
+    """Report ``<name>_order`` and ``<name>_overlap`` between neighbouring
+    spans of the track at ``$.<key>`` and, on the video-nodes track, a gap
+    between them as ``<name>_gap``."""
+    nodes = key == "video_nodes_track"
+    noun = "node" if nodes else "sentence"
+    for i in range(1, len(track)):
+        prev, cur = track[i - 1], track[i]
+        if cur.target_start < prev.target_start:
+            out.append(Violation(f"{name}_order", f"$.{key}[{i}]", f"{noun}s not sorted by target_start"))
+        elif cur.target_start < prev.target_end:
+            out.append(Violation(
+                f"{name}_overlap",
+                f"$.{key}[{i}]",
+                f"{noun} starts at {cur.target_start} before previous ends at {prev.target_end}",
+            ))
+        elif nodes and cur.target_start > prev.target_end:
+            out.append(Violation(
+                f"{name}_gap",
+                f"$.{key}[{i}]",
+                f"gap of {cur.target_start - prev.target_end} ms after previous node",
+            ))
+
+
 def _check_voice(track: tuple[VoiceSentence, ...], out: list[Violation]) -> None:
     for i, s in enumerate(track):
         path = f"$.voice_over_track[{i}]"
@@ -293,17 +318,7 @@ def _check_voice(track: tuple[VoiceSentence, ...], out: list[Violation]) -> None
                 path,
                 f"target_start {s.target_start} must be < target_end {s.target_end}",
             ))
-    for i in range(1, len(track)):
-        prev, cur = track[i - 1], track[i]
-        path = f"$.voice_over_track[{i}]"
-        if cur.target_start < prev.target_start:
-            out.append(Violation("voice_order", path, "sentences not sorted by target_start"))
-        elif cur.target_start < prev.target_end:
-            out.append(Violation(
-                "voice_overlap",
-                path,
-                f"sentence starts at {cur.target_start} before previous ends at {prev.target_end}",
-            ))
+    _check_neighbours(track, "voice_over_track", "voice", out)
 
 
 def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[Violation]) -> None:
@@ -340,23 +355,7 @@ def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[
                     path,
                     f"needs {n.source_start + n.span_ms} ms from a {clip.duration_ms} ms clip",
                 ))
-    for i in range(1, len(track)):
-        prev, cur = track[i - 1], track[i]
-        path = f"$.video_nodes_track[{i}]"
-        if cur.target_start < prev.target_start:
-            out.append(Violation("node_order", path, "nodes not sorted by target_start"))
-        elif cur.target_start < prev.target_end:
-            out.append(Violation(
-                "node_overlap",
-                path,
-                f"node starts at {cur.target_start} before previous ends at {prev.target_end}",
-            ))
-        elif cur.target_start > prev.target_end:
-            out.append(Violation(
-                "node_gap",
-                path,
-                f"gap of {cur.target_start - prev.target_end} ms after previous node",
-            ))
+    _check_neighbours(track, "video_nodes_track", "node", out)
 
 
 def _check_decoration(deco: DecorationSetting, taxonomy: TagTaxonomy, out: list[Violation]) -> None:

@@ -289,15 +289,11 @@ class EvalReport:
         }
 
 
-def evaluate_corpus(
-    corpus: Sequence[EvalSample],
-    scores: Sequence[Mapping[str, float | None]],
-    taxonomy: TagTaxonomy | None = None,
-) -> EvalReport:
-    """The report: :func:`count_metrics` over ``corpus`` plus the mean of each
-    backend score over ``scores`` (one :func:`score_sample` result per sample,
-    in corpus order), skipping Nones. A score that no sample has is None."""
-    counts = count_metrics(corpus, taxonomy)
+def evaluate_corpus(counts: MetricCounts, scores: Sequence[Mapping[str, float | None]]) -> EvalReport:
+    """The report: the counting metrics of ``counts`` (a corpus's
+    :func:`count_metrics`) plus the mean of each backend score over ``scores``
+    (one :func:`score_sample` result per sample, in corpus order), skipping
+    Nones. A score that no sample has is None."""
 
     def mean(key: str) -> float | None:
         values = [s[key] for s in scores if s[key] is not None]

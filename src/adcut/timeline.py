@@ -26,6 +26,7 @@ from .draft import (
     VideoNode,
     Violation,
     VoiceSentence,
+    _check_neighbours,
     nodes_track_to_list,
     voice_track_to_list,
 )
@@ -269,26 +270,14 @@ def check_alignment(plan: RenderPlan, catalog: AssetCatalog | None = None) -> Va
     """Re-verify every RenderPlan invariant; empty report means valid."""
     out: list[Violation] = []
 
-    track = plan.voice_over_track
-    for i, s in enumerate(track):
-        if s.target_start >= s.target_end:
-            out.append(Violation("plan_voice_time_order", f"$.voice_over_track[{i}]", "empty or inverted span"))
-    for i in range(1, len(track)):
-        if track[i].target_start < track[i - 1].target_start:
-            out.append(Violation("plan_voice_order", f"$.voice_over_track[{i}]", "not sorted"))
-        elif track[i].target_start < track[i - 1].target_end:
-            out.append(Violation("plan_voice_overlap", f"$.voice_over_track[{i}]", "overlaps previous sentence"))
+    for key, name in (("voice_over_track", "plan_voice"), ("video_nodes_track", "plan_node")):
+        track = getattr(plan, key)
+        for i, span in enumerate(track):
+            if span.target_start >= span.target_end:
+                out.append(Violation(f"{name}_time_order", f"$.{key}[{i}]", "empty or inverted span"))
+        _check_neighbours(track, key, name, out)
 
-    nodes = plan.video_nodes_track
-    for i, n in enumerate(nodes):
-        if n.target_start >= n.target_end:
-            out.append(Violation("plan_node_time_order", f"$.video_nodes_track[{i}]", "empty or inverted span"))
-    for i in range(1, len(nodes)):
-        if nodes[i].target_start < nodes[i - 1].target_start:
-            out.append(Violation("plan_node_order", f"$.video_nodes_track[{i}]", "not sorted"))
-        elif nodes[i].target_start < nodes[i - 1].target_end:
-            out.append(Violation("plan_node_overlap", f"$.video_nodes_track[{i}]", "overlaps previous node"))
-
+    voice, nodes = plan.voice_over_track, plan.video_nodes_track
     expected_total = nodes[-1].target_end if nodes else 0
     if plan.total_duration != expected_total:
         out.append(
@@ -298,12 +287,12 @@ def check_alignment(plan: RenderPlan, catalog: AssetCatalog | None = None) -> Va
                 f"total {plan.total_duration} != last node end {expected_total}",
             )
         )
-    if track and track[-1].target_end > plan.total_duration:
+    if voice and voice[-1].target_end > plan.total_duration:
         out.append(
             Violation(
                 "voice_past_end",
-                f"$.voice_over_track[{len(track) - 1}]",
-                f"voice ends at {track[-1].target_end}, video at {plan.total_duration}",
+                f"$.voice_over_track[{len(voice) - 1}]",
+                f"voice ends at {voice[-1].target_end}, video at {plan.total_duration}",
             )
         )
 

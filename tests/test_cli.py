@@ -68,6 +68,38 @@ class TestValidate:
         assert code == 0
         assert "ok" in out
 
+    def test_violations_golden_bytes(self, capsys):
+        # one draft with thirteen kinds of violation: rule ids, paths, messages
+        # and their order (per-item checks of a track before its neighbour
+        # checks) are part of the output format
+        code, out, _ = run(capsys, "validate", str(FIX / "draft_violations.json"), "--clips", str(FIX / "clips.json"),
+                           "--format", "json")
+        assert code == 1
+        assert out == (
+            '{"ok":false,"violations":['
+            '{"rule":"voice_empty_text","path":"$.voice_over_track[0].text","message":"sentence text is empty"},'
+            '{"rule":"voice_time_order","path":"$.voice_over_track[1]",'
+            '"message":"target_start 3000 must be < target_end 2000"},'
+            '{"rule":"voice_order","path":"$.voice_over_track[2]","message":"sentences not sorted by target_start"},'
+            '{"rule":"voice_overlap","path":"$.voice_over_track[3]",'
+            '"message":"sentence starts at 2000 before previous ends at 2500"},'
+            '{"rule":"node_time_order","path":"$.video_nodes_track[1]",'
+            '"message":"target_start 2500 must be < target_end 2000"},'
+            '{"rule":"duplicate_clip_index","path":"$.video_nodes_track[1].index",'
+            '"message":"clip 2 already used by node 0"},'
+            '{"rule":"unknown_clip_index","path":"$.video_nodes_track[2].index",'
+            '"message":"clip 9 not in the 5-clip set"},'
+            '{"rule":"clip_overrun","path":"$.video_nodes_track[3]","message":"needs 6500 ms from a 5500 ms clip"},'
+            '{"rule":"node_gap","path":"$.video_nodes_track[2]","message":"gap of 1000 ms after previous node"},'
+            '{"rule":"node_order","path":"$.video_nodes_track[3]","message":"nodes not sorted by target_start"},'
+            '{"rule":"node_overlap","path":"$.video_nodes_track[4]",'
+            '"message":"node starts at 7000 before previous ends at 8000"},'
+            '{"rule":"duplicate_tag","path":"$.decoration_setting.tts_tags[1]",'
+            '"message":"\'Young\' repeated in tts_tags"},'
+            '{"rule":"unknown_tag","path":"$.decoration_setting.tts_tags[2]",'
+            '"message":"\'Martian\' is not a TTS label"}]}\n'
+        )
+
     def test_deeply_nested_draft_is_a_parse_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100_000)
@@ -673,7 +705,8 @@ def input_files(draw):
     return what, _replaced(fixture, at, draw(json_values))
 
 
-# the hostile inputs that printed a traceback before every input file went through one loader
+# hostile input files: those that printed a traceback before every input file went through one loader,
+# and a JSON bool that a clip set took for a number
 HOSTILE_INPUTS = [
     ("clip set", {"clips": [1]}, "'int' object is not subscriptable"),
     ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
@@ -683,6 +716,8 @@ HOSTILE_INPUTS = [
     ("catalog", {"assets": [{"asset_id": "a", "category": "Nope"}]}, "asset a: unknown category 'Nope'"),
     ("taxonomy", None, "No such file or directory"),
     ("taxonomy", {"TTS": 3}, "category 'TTS' must map subcategories to label lists"),
+    ("clip set", {"clips": [{"index": True, "duration_s": 2.0, "frame_count": 60}]},
+     "index: expected a number, got bool"),
 ]
 
 
@@ -938,6 +973,22 @@ class TestBuildDatasetAnswers:
         code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
         assert code == 1
         assert err == "warning: vid-serum: asr: expected a JSON object, got int\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    @pytest.mark.parametrize(
+        "first, reason",
+        [
+            ({"start": False, "end": True}, "asr: start: expected int, got bool"),
+            ({"start": -500}, "asr: sentence 0 starts at -500"),
+        ],
+        ids=["bool times", "negative start"],
+    )
+    def test_unusable_fixture_asr_times_are_a_recorded_failure(self, capsys, tmp_path, video_fixtures, first,
+                                                               reason):
+        video_fixtures["videos"]["vid-serum"]["asr"][0].update(first)
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err == f"warning: vid-serum: {reason}\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
     def test_too_short_shot_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):

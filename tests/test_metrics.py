@@ -11,6 +11,7 @@ from adcut.metrics import (
     EvalSample,
     ScoreOutOfRange,
     UnknownTag,
+    count_metrics,
     cra,
     csa,
     dtpr,
@@ -339,7 +340,7 @@ class TestEvaluateCorpus:
     def test_full_report_with_mock_judge(self):
         corpus = perturbed_corpus(10, seed=6)
         judge = mock_backend_set(2).judge
-        report = evaluate_corpus(corpus, [score_sample(s, judge, None) for s in corpus])
+        report = evaluate_corpus(count_metrics(corpus), [score_sample(s, judge, None) for s in corpus])
         assert report.cra == recount_cra(corpus)
         assert report.csa == recount_csa(corpus)
         assert report.fpf == 100.0  # caps mock
@@ -351,20 +352,20 @@ class TestEvaluateCorpus:
     def test_counts_equal_brute_force_recount(self):
         corpus = perturbed_corpus(40, seed=7)
         corpus += [EvalSample(f"u{i}", s.ground_truth, None, s.negatives) for i, s in enumerate(corpus[:8])]
-        report = evaluate_corpus(corpus, [])
+        report = evaluate_corpus(count_metrics(corpus), [])
         assert report.counts.to_dict() == recount_counts(corpus)
         assert (report.cra, report.csa) == (recount_cra(corpus), recount_csa(corpus))
 
     def test_scores_fold_to_their_means_skipping_none(self):
         corpus = [sample([0], [0], sid="a"), sample([0], [1], sid="b")]
         scores = [{"fpf": 50.0, "sq": None, "vsr": None}, {"fpf": 100.0, "sq": None, "vsr": -10.0}]
-        report = evaluate_corpus(corpus, scores)
+        report = evaluate_corpus(count_metrics(corpus), scores)
         assert (report.fpf, report.sq, report.vsr) == (75.0, None, -10.0)
         assert report.cra == 50.0
 
     def test_render_table_layout(self):
         corpus = [sample([0], [0])]
-        report = evaluate_corpus(corpus, [])
+        report = evaluate_corpus(count_metrics(corpus), [])
         table = render_table(report)
         header = table.splitlines()[0]
         assert header.split() == ["CRA", "CSA", "FPF", "VSR", "SQ", "DTPR"]

@@ -247,6 +247,19 @@ class TestAlign:
                 assert (b.target_start, b.target_end) == (2 * a.target_start, 2 * a.target_end)
 
 
+# per track rule of check_alignment: voice and node spans of a plan that
+# breaks only that rule, and the path it is reported at
+PLAN_TRACK_CASES = {
+    "plan_voice_time_order": ([(0, 1000), (1000, 1000)], [(0, 1000)], "$.voice_over_track[1]"),
+    "plan_voice_order": ([(1000, 2000), (0, 500)], [(0, 2000)], "$.voice_over_track[1]"),
+    "plan_voice_overlap": ([(0, 1500), (1000, 2000)], [(0, 2000)], "$.voice_over_track[1]"),
+    "plan_node_time_order": ([], [(0, 1000), (1000, 1000)], "$.video_nodes_track[1]"),
+    "plan_node_order": ([], [(1000, 2000), (0, 1000)], "$.video_nodes_track[1]"),
+    "plan_node_overlap": ([], [(0, 1500), (1000, 2000)], "$.video_nodes_track[1]"),
+    "plan_node_gap": ([], [(0, 1000), (1500, 2000)], "$.video_nodes_track[1]"),
+}
+
+
 class TestCheckAlignment:
     def test_align_output_passes(self):
         rng = random.Random(43)
@@ -259,6 +272,16 @@ class TestCheckAlignment:
             # voice may legitimately outlast the video when the draft's voice
             # extends past the last node; anything else is a defect
             assert report.rules() <= {"voice_past_end"}
+
+    @pytest.mark.parametrize("rule", PLAN_TRACK_CASES)
+    def test_track_rule_reports_its_id_and_path(self, rule):
+        voice, nodes, path = PLAN_TRACK_CASES[rule]
+        plan = RenderPlan(
+            voice_over_track=tuple(VoiceSentence(f"s{i}", a, b) for i, (a, b) in enumerate(voice)),
+            video_nodes_track=tuple(VideoNode(i, a, b, 0) for i, (a, b) in enumerate(nodes)),
+            total_duration=nodes[-1][1],
+        )
+        assert [(v.rule, v.path) for v in check_alignment(plan).violations] == [(rule, path)]
 
     def test_voice_past_end_detected(self):
         plan = RenderPlan(
