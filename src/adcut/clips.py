@@ -24,6 +24,10 @@ class ClipMeta:
         for name in ("index", "duration_s", "frame_count"):
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name}: expected a number, got bool")
+        for name in ("index", "frame_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise TypeError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.index < 0:
             raise ValueError(f"clip index must be >= 0, got {self.index}")
         if self.frame_count < 1:

@@ -7,10 +7,13 @@ otherwise round(duration * fps) frames are taken uniformly. Requests are
 capped at a total fast-frame ceiling (default 600) enforced by halving the
 effective fast fps; the slow pathway never samples faster than the halved
 fast one, so it stays under the ceiling too. A clip's frame count has a
-closed form (:func:`frame_total`), so a request's reduction factor is found
-from counts alone and each clip is planned once, at the final rate. A plan
-is counts first: each pathway stores its clip, rate, frame count and
-tokens, and its frame indices and timestamps are built only when read.
+closed form (:func:`frame_totals`), so a request's reduction factor is found
+from counts alone: each halving is one pass that counts each clip at most
+once and stops as soon as the running total goes over the ceiling, and the
+plan is built from the counts of the pass that fits (the slow pathway
+reuses them when it samples at the fast rate). A plan is counts
+first: each pathway stores its clip, rate, frame count and tokens, and its
+frame indices and timestamps are built only when read.
 
 Also provides the two numeric reference ops for visual-token compression:
 query squeezing (1-D group means) and 2-D average pooling. They use only
@@ -28,6 +31,8 @@ from typing import TYPE_CHECKING
 from .clips import ClipMeta, ClipSet
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 DEFAULT_FRAME_CEILING = 600
@@ -48,10 +53,6 @@ class CeilingUnsatisfiable(RuntimeError):
         super().__init__(f"{clip_count} clips cannot fit a {ceiling}-frame ceiling at one frame per clip")
         self.clip_count = clip_count
         self.ceiling = ceiling
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,33 @@ def parse_preset(text: str) -> SlowFastConfig:
 # frame sampling
 
 
-def frame_total(clip: ClipMeta, fps: float) -> int:
-    """Number of frames :func:`sample_frames` takes from ``clip`` at ``fps``.
+def frame_totals(clips: Iterable[ClipMeta], fps: float, limit: int | None = None) -> list[int] | None:
+    """Number of frames :func:`sample_frames` takes from each clip at ``fps``.
 
-    One for a clip shorter than one interval; otherwise round(duration *
-    fps), clamped to the clip's frame count.
+    One for a clip shorter than one interval; otherwise duration * fps
+    rounded half up, clamped to the clip's frame count. Returns None as
+    soon as the running total goes over ``limit``, so the clips after that
+    point are never counted.
     """
     if fps <= 0:
         raise ValueError(f"fps must be > 0, got {fps}")
-    if clip.duration_s < 1.0 / fps:
-        return 1
-    return min(_round_half_up(clip.duration_s * fps), clip.frame_count)
+    interval = 1.0 / fps
+    bound = math.inf if limit is None else limit
+    counts = []
+    total = 0
+    for clip in clips:
+        t = clip.duration_s
+        n = 1 if t < interval else min(math.floor(t * fps + 0.5), clip.frame_count)
+        total += n
+        if total > bound:
+            return None
+        counts.append(n)
+    return counts
+
+
+def frame_total(clip: ClipMeta, fps: float) -> int:
+    """Number of frames :func:`sample_frames` takes from ``clip`` at ``fps``."""
+    return frame_totals((clip,), fps)[0]
 
 
 def sample_frames(clip: ClipMeta, fps: float) -> list[int]:
@@ -241,28 +258,36 @@ class SamplingPlan:
         }
 
 
-def _sample_pathway(clip: ClipMeta, fps: float, tokens_per_frame: int) -> PathwaySample:
-    frames = frame_total(clip, fps)
-    return PathwaySample(clip=clip, fps=fps, frames=frames, tokens=tokens_per_frame * frames)
+def _plan_clips(clips: list[ClipMeta], cfg: SlowFastConfig, fast_fps: float, fast: list[int]) -> tuple[ClipPlan, ...]:
+    """Plans for ``clips`` whose fast pathway takes ``fast`` frames each at
+    ``fast_fps``. The slow pathway samples at its own rate or the fast one,
+    whichever is lower, and reuses the fast counts when that is the fast one."""
+    slow_fps = min(cfg.slow.fps, fast_fps)
+    slow = fast if slow_fps == fast_fps else frame_totals(clips, slow_fps)
+    fast_tokens, slow_tokens = cfg.fast.tokens_per_frame, cfg.slow.tokens_per_frame
+    return tuple(
+        ClipPlan(
+            clip.index,
+            PathwaySample(clip, fast_fps, f, fast_tokens * f),
+            PathwaySample(clip, slow_fps, s, slow_tokens * s),
+        )
+        for clip, f, s in zip(clips, fast, slow)
+    )
 
 
 def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | None = None) -> ClipPlan:
-    """Count both pathways' frames for one clip and attach token counts; the
-    slow pathway samples at its own rate or the fast one, whichever is lower."""
+    """Count both pathways' frames for one clip and attach token counts."""
     fast_fps = cfg.fast.fps if effective_fast_fps is None else effective_fast_fps
-    return ClipPlan(
-        index=clip.index,
-        fast=_sample_pathway(clip, fast_fps, cfg.fast.tokens_per_frame),
-        slow=_sample_pathway(clip, min(cfg.slow.fps, fast_fps), cfg.slow.tokens_per_frame),
-    )
+    return _plan_clips([clip], cfg, fast_fps, [frame_total(clip, fast_fps)])[0]
 
 
 def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
     """Plan a whole request, halving the effective fast fps until the
     fast-frame total fits the ceiling. Clips are never dropped.
 
-    The halving runs over :func:`frame_total` counts; each clip is then
-    planned once, at the final rate.
+    Each halving is one :func:`frame_totals` pass that stops at the first
+    clip that takes the total over the ceiling; the plan is built from the
+    counts of the pass that fits.
     """
     if len(clips) == 0:
         raise ValueError("clip set is empty")
@@ -270,14 +295,14 @@ def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
         raise CeilingUnsatisfiable(len(clips), cfg.frame_ceiling)
     ordered = list(clips)
     reduction = 1
-    while sum(frame_total(c, cfg.fast.fps / reduction) for c in ordered) > cfg.frame_ceiling:
+    while (fast := frame_totals(ordered, cfg.fast.fps / reduction, cfg.frame_ceiling)) is None:
         reduction *= 2
     eff = cfg.fast.fps / reduction
     return SamplingPlan(
         config=cfg,
         effective_fast_fps=eff,
         reduction_factor=reduction,
-        clips=tuple(plan_clip(c, cfg, effective_fast_fps=eff) for c in ordered),
+        clips=_plan_clips(ordered, cfg, eff, fast),
     )
 
 

@@ -4,6 +4,7 @@ Oracles here deliberately use naive loops and set arithmetic so they stay
 independent of the library code paths they check.
 """
 
+import math
 import random
 
 from adcut.clips import ClipMeta, ClipSet
@@ -94,6 +95,19 @@ def aligned_draft_and_clips(rng: random.Random, scale: int = 1):
         for n in nodes
     ]
     return draft, realized, ClipSet(metas)
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle
+
+
+def frames_at(duration_s: float, frame_count: int, fps: float) -> int:
+    """Frames the planner takes from a clip at ``fps``, in closed form: one
+    (the middle frame) if the clip is shorter than one interval, else the
+    duration times the rate rounded half up, at most the clip's frames."""
+    if duration_s < 1.0 / fps:
+        return 1
+    return min(math.floor(duration_s * fps + 0.5), frame_count)
 
 
 # ---------------------------------------------------------------------------

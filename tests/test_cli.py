@@ -706,7 +706,7 @@ def input_files(draw):
 
 
 # hostile input files: those that printed a traceback before every input file went through one loader,
-# and a JSON bool that a clip set took for a number
+# and a JSON bool or a fractional index that a clip set took for a number
 HOSTILE_INPUTS = [
     ("clip set", {"clips": [1]}, "'int' object is not subscriptable"),
     ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
@@ -718,6 +718,8 @@ HOSTILE_INPUTS = [
     ("taxonomy", {"TTS": 3}, "category 'TTS' must map subcategories to label lists"),
     ("clip set", {"clips": [{"index": True, "duration_s": 2.0, "frame_count": 60}]},
      "index: expected a number, got bool"),
+    ("clip set", {"clips": [{"index": 1.5, "duration_s": 2.0, "frame_count": 60.5}]},
+     "index: expected an integer, got float"),
 ]
 
 

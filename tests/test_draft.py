@@ -233,6 +233,28 @@ class TestValidate:
         report = validate_draft(Draft((), nodes, DecorationSetting()), clips)
         assert "clip_overrun" in report.rules()
 
+    def test_equal_starts_overlap_and_are_in_order(self):
+        track = (VoiceSentence("a", 0, 2000), VoiceSentence("b", 0, 1000))
+        report = validate_draft(Draft(track, (), DecorationSetting()))
+        assert [(v.rule, v.path) for v in report.violations] == [("voice_overlap", "$.voice_over_track[1]")]
+
+    def test_zero_length_sentence(self):
+        track = (VoiceSentence("a", 500, 500),)
+        report = validate_draft(Draft(track, (), DecorationSetting()))
+        assert [(v.rule, v.path) for v in report.violations] == [("voice_time_order", "$.voice_over_track[0]")]
+
+    def test_zero_length_node(self):
+        nodes = (VideoNode(0, 1000, 1000, 0),)
+        report = validate_draft(Draft((), nodes, DecorationSetting()))
+        assert [(v.rule, v.path) for v in report.violations] == [("node_time_order", "$.video_nodes_track[0]")]
+
+    def test_node_may_use_a_clip_to_its_last_millisecond(self):
+        clips = ClipSet([ClipMeta(0, 2.5, 75)])
+        exact = (VideoNode(0, 0, 2000, 500),)  # 500 + 2000 == 2500 ms
+        assert validate_draft(Draft((), exact, DecorationSetting()), clips).ok
+        over = (VideoNode(0, 0, 2000, 501),)
+        assert validate_draft(Draft((), over, DecorationSetting()), clips).rules() == {"clip_overrun"}
+
     def test_empty_text(self):
         track = (VoiceSentence("   ", 0, 1000),)
         assert "voice_empty_text" in validate_draft(Draft(track, (), DecorationSetting())).rules()

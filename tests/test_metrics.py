@@ -11,6 +11,7 @@ from adcut.metrics import (
     EvalSample,
     ScoreOutOfRange,
     UnknownTag,
+    _cosine,
     count_metrics,
     cra,
     csa,
@@ -122,6 +123,13 @@ class TestDtpr:
         music = report.per_category["Music"]
         assert music["precision"] == pytest.approx(100 * 2 / 3)
         assert music["recall"] == pytest.approx(100 * 2 / 3)
+
+    def test_as_many_false_positives_as_true_positives(self):
+        # Music: tp = fp = fn = 1
+        truth = DecorationSetting(music_tags=("Pop", "Happy"))
+        pred = DecorationSetting(music_tags=("Pop", "Jazz"))
+        music = dtpr([sample([0], [0], pred_tags=pred, truth_tags=truth)]).per_category["Music"]
+        assert music == {"precision": 50.0, "recall": 50.0, "tp": 1, "fp": 1, "fn": 1}
 
     def test_identity(self):
         tags = DecorationSetting(tts_tags=("Young",), music_tags=("Pop",), avatar_tags=("Casual",))
@@ -264,6 +272,18 @@ class TestVsr:
         # per-sentence maxima: a->1 (f0), b->1 (f1), c->0 ; b_term = 2/3
         expected = 100.0 * (0.25 / np.sqrt(0.375) + 2.0 / 3.0) / 2.0
         assert vsr(s, embed_client(table)) == pytest.approx(expected)
+
+    def test_frames_that_cancel_out_score_zero_against_the_script(self):
+        # the mean of f0 and f1 is the zero vector: the whole-script term is 0,
+        # and the best frame per sentence matches exactly
+        s = sample([0], [0])
+        s = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0", "f1"))
+        table = {"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0], "f1": [-1.0, 0.0, 0.0, 0.0]}
+        assert vsr(s, embed_client(table)) == 50.0
+
+    def test_cosine_with_a_zero_vector_is_zero(self):
+        zero, unit = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])
+        assert _cosine(zero, unit) == _cosine(unit, zero) == _cosine(zero, zero) == 0.0
 
     def test_requires_script_and_frames(self):
         s = sample([0], [0])

@@ -9,13 +9,16 @@ from adcut import sampling
 from adcut.clips import ClipMeta, ClipSet
 from adcut.sampling import (
     CeilingUnsatisfiable,
+    ClipPlan,
     NonDivisible,
     PathwayConfig,
+    PathwaySample,
     PresetError,
     SamplingPlan,
     SlowFastConfig,
     frame_timestamps,
     frame_total,
+    frame_totals,
     parse_preset,
     plan_clip,
     plan_request,
@@ -23,6 +26,8 @@ from adcut.sampling import (
     sample_frames,
     squeeze_queries,
 )
+
+from helpers import frames_at
 
 FAST24 = SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.5, 16))
 FAST24_SLOW64 = SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.125, 64))
@@ -50,15 +55,50 @@ def clips_at_rate(draw):
 
 
 def replan_every_halving(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
-    """Reference planner: plans every clip again on each halving and
-    measures the fast total from the frame lists themselves."""
+    """Reference planner: counts every clip again on each halving with the
+    closed form of ``helpers.frames_at``, which shares no code with the planner."""
     reduction = 1
-    while True:
-        eff = cfg.fast.fps / reduction
-        entries = tuple(plan_clip(c, cfg, effective_fast_fps=eff) for c in clips)
-        if sum(len(e.fast.frame_indices) for e in entries) <= cfg.frame_ceiling:
-            return SamplingPlan(config=cfg, effective_fast_fps=eff, reduction_factor=reduction, clips=entries)
+    while sum(frames_at(c.duration_s, c.frame_count, cfg.fast.fps / reduction) for c in clips) > cfg.frame_ceiling:
         reduction *= 2
+    eff = cfg.fast.fps / reduction
+    slow_fps = min(cfg.slow.fps, eff)
+    entries = []
+    for c in clips:
+        fast = frames_at(c.duration_s, c.frame_count, eff)
+        slow = frames_at(c.duration_s, c.frame_count, slow_fps)
+        entries.append(ClipPlan(
+            c.index,
+            PathwaySample(c, eff, fast, cfg.fast.tokens_per_frame * fast),
+            PathwaySample(c, slow_fps, slow, cfg.slow.tokens_per_frame * slow),
+        ))
+    return SamplingPlan(config=cfg, effective_fast_fps=eff, reduction_factor=reduction, clips=tuple(entries))
+
+
+def visiting(metas, visited: list[int]):
+    """Yield ``metas``, recording each clip's index in ``visited`` as it is read."""
+    for c in metas:
+        visited.append(c.index)
+        yield c
+
+
+def counting_passes(monkeypatch) -> list[tuple[float, list[int]]]:
+    """Record each ``frame_totals`` pass as (fps, indices of the clips it
+    visited), and fail on any per-clip counting or frame list."""
+    passes: list[tuple[float, list[int]]] = []
+    original = sampling.frame_totals
+
+    def counted(metas, fps, limit=None):
+        visited: list[int] = []
+        passes.append((fps, visited))
+        return original(visiting(metas, visited), fps, limit)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("plan_request counts or samples clip by clip")
+
+    monkeypatch.setattr(sampling, "frame_totals", counted)
+    for name in ("frame_total", "plan_clip", "sample_frames"):
+        monkeypatch.setattr(sampling, name, forbidden)
+    return passes
 
 
 class TestSampleFrames:
@@ -95,6 +135,21 @@ class TestSampleFrames:
         assert len(indices) == frame_total(c, fps)
         assert indices == sorted(set(indices))
         assert all(0 <= i < c.frame_count for i in indices)
+
+    def test_frame_totals_stops_past_the_limit(self):
+        # 4 frames each from four 2 s clips at 2 fps, then 5 from a 2.5 s clip
+        metas = [clip(2.0, 60, i) for i in range(4)] + [clip(2.5, 75, 4)]
+        assert frame_totals(metas, 2.0) == [4, 4, 4, 4, 5]
+        assert frame_totals(metas, 2.0, limit=21) == [4, 4, 4, 4, 5]
+        assert frame_totals(metas, 2.0, limit=20) is None
+        visited = []
+        assert frame_totals(visiting(metas, visited), 2.0, limit=7) is None
+        assert visited == [0, 1]  # 8 > 7 after the second clip; the rest are never read
+
+    @given(clips_at_rate())
+    def test_frame_total_matches_closed_form(self, case):
+        c, fps = case
+        assert frame_total(c, fps) == frame_totals([c], fps)[0] == frames_at(c.duration_s, c.frame_count, fps)
 
     def test_frame_total_clamps_to_frame_count(self):
         # 10 s at 4 fps asks for 40 frames of a 20-frame clip
@@ -220,33 +275,50 @@ class TestPlanRequest:
         )
         plan = plan_request(clips, cfg)
         assert plan == replan_every_halving(clips, cfg)
+        assert plan.total_fast_frames == sum(len(e.fast.frame_indices) for e in plan.clips)
         assert plan.total_slow_frames <= plan.total_fast_frames
 
+    def test_total_at_the_ceiling_stays_unreduced(self):
+        # five 2 s clips at 2 fps: 20 fast frames under a 20-frame ceiling
+        cfg = SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.5, 16), frame_ceiling=20)
+        plan = plan_request(ClipSet(clip(2.0, 60, i) for i in range(5)), cfg)
+        assert (plan.reduction_factor, plan.effective_fast_fps, plan.total_fast_frames) == (1, 2.0, 20)
+
+    def test_one_frame_over_the_ceiling_halves(self):
+        # 4 + 4 + 4 + 4 + 5 = 21 frames at 2 fps; at 1 fps, 2 + 2 + 2 + 2 + 3 = 11
+        cfg = SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.5, 16), frame_ceiling=20)
+        clips = ClipSet([clip(2.0, 60, i) for i in range(4)] + [clip(2.5, 75, 4)])
+        plan = plan_request(clips, cfg)
+        assert (plan.reduction_factor, plan.effective_fast_fps, plan.total_fast_frames) == (2, 1.0, 11)
+
     def test_plans_each_clip_once(self, monkeypatch):
-        # 10 clips x 480 s at 16 fps: 76800 fast frames, 600 at x128
+        # 10 clips x 480 s at 16 fps: 7680 fast frames a clip, 600 in all at x128.
+        # Each pass stops at the first clip that takes the total over 600: one
+        # clip at x1 to x8, two at x16 (480 frames each), three at x32 (240),
+        # six at x64 (120) and all ten at x128 (60). The slow 0.5 fps is above
+        # the final 0.125, so the slow pathway reuses the fast counts.
         clips = ClipSet(clip(480.0, 14400, i) for i in range(10))
         cfg = SlowFastConfig(fast=PathwayConfig(16, 4), slow=PathwayConfig(0.5, 16))
-        calls = {"plan_clip": 0, "sample_frames": 0}
-
-        def counted(name):
-            original = getattr(sampling, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(sampling, name, counted(name))
+        passes = counting_passes(monkeypatch)
         plan = plan_request(clips, cfg)
         assert plan.reduction_factor == 128
         assert plan.total_fast_frames == 600
-        # each clip planned once, and no frame list built while planning
-        assert calls == {"plan_clip": len(clips), "sample_frames": 0}
+        assert [(fps, len(visited)) for fps, visited in passes] == [
+            (16.0, 1), (8.0, 1), (4.0, 1), (2.0, 1), (1.0, 2), (0.5, 3), (0.25, 6), (0.125, 10),
+        ]
+        assert sum(len(visited) for _, visited in passes) == 25
         monkeypatch.undo()
         for entry, c in zip(plan.clips, clips):
             assert entry.fast.frame_indices == tuple(sample_frames(c, plan.effective_fast_fps))
+            assert entry.slow.fps == plan.effective_fast_fps
+
+    def test_slow_pathway_takes_one_pass_below_the_fast_rate(self, monkeypatch):
+        # 80 fast frames at 2 fps fit at x1; the slow pathway samples at 0.5 fps
+        clips = ClipSet(clip(8.0, 240, i) for i in range(5))
+        passes = counting_passes(monkeypatch)
+        plan = plan_request(clips, FAST24)
+        assert [(fps, visited) for fps, visited in passes] == [(2.0, [0, 1, 2, 3, 4]), (0.5, [0, 1, 2, 3, 4])]
+        assert (plan.total_fast_frames, plan.total_slow_frames) == (80, 20)
 
 
 class TestCompressionOps:
