@@ -27,6 +27,7 @@ from urllib.parse import urlsplit
 
 from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
 from .jsonutil import dumps_canonical, loads
+from .jsonutil import field as json_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -438,8 +439,9 @@ class MockTransport:
       judge:       {verify: approve|revise_always, scores: "caps" | map}
 
     Embeddings are 32-dimensional hashed unit vectors. Building the mock
-    raises ``ValueError`` for a fixture key not shaped as above (a ``rate``
-    is a number in [0, 1]).
+    raises ``ValueError`` (:class:`~adcut.jsonutil.FieldError` for a wrong
+    JSON type) for a fixture key not shaped as above (a ``rate`` is a number
+    in [0, 1]).
 
     A request the fixtures cannot answer raises a non-retryable
     :class:`BackendError` for the role that sent it.
@@ -449,34 +451,24 @@ class MockTransport:
     fixtures: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        videos = self.fixtures.get("videos", {})
-        if not isinstance(videos, dict):
-            raise ValueError("videos is not a JSON object")
-        for ref, video in videos.items():
-            if not isinstance(video, dict):
-                raise ValueError(f"videos.{ref} is not a JSON object")
+        videos = json_field(self.fixtures, "videos", dict, default={})
+        for ref in videos:
+            video, path = json_field(videos, ref, dict, "videos"), f"videos.{ref}"
             for key, kind in _VIDEO_KEYS.items():
-                if key in video and not isinstance(video[key], kind):
-                    raise ValueError(f"videos.{ref}.{key} is not a JSON {'array' if kind is list else 'object'}")
-        judge = self.fixtures.get("judge", {})
-        if not isinstance(judge, dict):
-            raise ValueError("judge is not a JSON object")
+                json_field(video, key, kind, path, default=None)
+        judge = json_field(self.fixtures, "judge", dict, default={})
         if judge.get("verify", "approve") not in ("approve", "revise_always"):
             raise ValueError(f"judge.verify must be approve or revise_always, got {judge['verify']!r}")
         scores = judge.get("scores", "caps")
         if scores != "caps" and not isinstance(scores, dict):
             raise ValueError(f'judge.scores must be "caps" or a JSON object, got {scores!r}')
-        drafts = self.fixtures.get("drafts", {})
-        if not (isinstance(drafts, dict) and all(isinstance(d, dict) for d in drafts.values())):
-            raise ValueError("drafts is not a JSON object of draft objects")
-        negatives = self.fixtures.get("negatives", {})
-        if not (isinstance(negatives, dict) and all(
-            isinstance(n, list) and all(type(i) is int for i in n) for n in negatives.values()
-        )):
-            raise ValueError("negatives is not a JSON object of integer arrays")
-        corruption = self.fixtures.get("corruption", {})
-        if not isinstance(corruption, dict):
-            raise ValueError("corruption is not a JSON object")
+        drafts = json_field(self.fixtures, "drafts", dict, default={})
+        for sample_id in drafts:
+            json_field(drafts, sample_id, dict, "drafts")
+        negatives = json_field(self.fixtures, "negatives", dict, default={})
+        for sample_id in negatives:
+            json_field(negatives, sample_id, list, "negatives", int)
+        corruption = json_field(self.fixtures, "corruption", dict, default={})
         mode = corruption.get("mode", "none")
         if mode not in ("none", *CORRUPTIONS):
             raise ValueError(f"corruption.mode must be none or one of {', '.join(CORRUPTIONS)}, got {mode!r}")

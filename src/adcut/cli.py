@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
-from .jsonutil import RecordError, dumps_canonical, read_records, trim_torn_tail, write_records
+from .jsonutil import FieldError, RecordError, dumps_canonical, field, read_records, trim_torn_tail, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -232,13 +232,7 @@ def _read_corpus(path: str) -> list[ds.DatasetSample]:
 
 def _read_predictions(path: str) -> dict[str, str]:
     """``sample_id -> draft_json`` from a predictions file, as ``generate`` writes it."""
-    out = {}
-    for number, record in read_records(path):
-        sample_id, draft_json = record.get("sample_id"), record.get("draft_json")
-        if not (isinstance(sample_id, str) and isinstance(draft_json, str)):
-            raise RecordError(path, number, "needs string fields sample_id and draft_json")
-        out[sample_id] = draft_json
-    return out
+    return dict(read_records(path, lambda r: (field(r, "sample_id", str), field(r, "draft_json", str))))
 
 
 def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
@@ -377,19 +371,19 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     fixtures, mock = _fixtures(cfg, seed)
     if not fixtures:
         raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
-    where = f"fixtures file {cfg.path('paths', 'fixtures')}: negative_pool"
-    pool = fixtures.get("negative_pool", [])
-    if not isinstance(pool, list):
-        raise CliError(f"{where} is not a JSON array")
+    where = f"fixtures file {cfg.path('paths', 'fixtures')}"
     try:
         clips = []
-        for i, entry in enumerate(pool):
-            if not (isinstance(entry, dict) and all(type(entry.get(key)) is int for key in ("index", "duration_ms"))):
-                raise CliError(f"{where}[{i}] needs integer index and duration_ms")
-            clips.append(ds.clip_meta(entry["index"], entry["duration_ms"]))
+        for i, entry in enumerate(field(fixtures, "negative_pool", list, item=dict, default=[])):
+            path = f"negative_pool[{i}]"
+            clips.append(ds.clip_meta(field(entry, "index", int, path), field(entry, "duration_ms", int, path)))
         negative_pool = ClipSet(clips)
-    except ValueError as exc:
+    except KeyError as exc:
+        raise CliError(f"{where}: missing field {exc}") from None
+    except FieldError as exc:
         raise CliError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise CliError(f"{where}: negative_pool: {exc}") from None
     video_refs = (
         [v.strip() for v in videos_value.split(",") if v.strip()]
         if videos_value

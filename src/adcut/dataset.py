@@ -36,7 +36,7 @@ from .draft import (
     draft_from_dict,
     draft_to_dict,
 )
-from .jsonutil import RecordError, read_records, write_records
+from .jsonutil import FieldError, field, read_records, write_records
 from .sampling import SlowFastConfig, parse_preset, plan_request
 
 NEGATIVE_COUNT_MEAN = 2.5
@@ -91,14 +91,14 @@ class ProductInfo:
     def from_dict(cls, data: dict) -> "ProductInfo":
         """The product a fixtures ``product`` object describes; ``brand`` and
         ``price`` default to ``""`` and ``selling_points`` to none. Raises
-        ``KeyError`` for a missing name, ``TypeError`` for a field of the wrong
-        JSON type and ``ValueError`` for a blank name or no selling points."""
-        data = {"brand": "", "price": "", "selling_points": [], **data}
+        ``KeyError`` for a missing name, :class:`~adcut.jsonutil.FieldError` for
+        a field of the wrong JSON type and ``ValueError`` for a blank name or no
+        selling points."""
         return cls(
-            name=_field(data, "name", str),
-            brand=_field(data, "brand", str),
-            price=_field(data, "price", str),
-            selling_points=tuple(_field(data, "selling_points", list, str)),
+            name=field(data, "name", str),
+            brand=field(data, "brand", str, default=""),
+            price=field(data, "price", str, default=""),
+            selling_points=tuple(field(data, "selling_points", list, item=str, default=())),
         )
 
 
@@ -195,42 +195,29 @@ class DatasetSample:
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSample":
         """The sample a decoded corpus line holds. Raises ``KeyError`` for a
-        missing field, ``TypeError`` for a field of the wrong JSON type and
-        :class:`~adcut.draft.SchemaError` for a ground truth that is no draft."""
+        missing field, :class:`~adcut.jsonutil.FieldError` for a field of the
+        wrong JSON type and :class:`~adcut.draft.SchemaError` for a ground truth
+        that is no draft."""
         return cls(
-            sample_id=_field(data, "sample_id", str),
-            instruction=_field(data, "instruction", str),
-            clip_order=tuple(_field(data, "clip_order", list, str)),
-            negatives=tuple(_field(data, "negatives", list, int)),
-            negatives_capped=_field(data, "negatives_capped", bool),
-            ground_truth=draft_from_dict(_field(data, "ground_truth", dict)),
+            sample_id=field(data, "sample_id", str),
+            instruction=field(data, "instruction", str),
+            clip_order=tuple(field(data, "clip_order", list, item=str)),
+            negatives=tuple(field(data, "negatives", list, item=int)),
+            negatives_capped=field(data, "negatives_capped", bool),
+            ground_truth=draft_from_dict(field(data, "ground_truth", dict)),
         )
 
 
-def _is(value: Any, kind: type) -> bool:
-    """Whether ``value`` is a ``kind``, where a JSON bool is no int."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def _field(data: dict, key: str, kind: type, item_kind: type | None = None) -> Any:
-    """``data[key]`` if it is a ``kind`` (a list of ``item_kind``; a bool is no int)."""
-    value = data[key]
-    if not _is(value, kind) or (item_kind is not None and not all(_is(i, item_kind) for i in value)):
-        wanted = kind.__name__ + (f" of {item_kind.__name__}" if item_kind else "")
-        raise TypeError(f"{key}: expected {wanted}, got {type(value).__name__}")
-    return value
-
-
 def _checked(role: str, data: Any, key: str, kind: type, item_kind: type | None = None) -> Any:
-    """:func:`_field` of a ``role`` answer, or of an entry in one; an answer
-    that is no object or lacks the field as asked raises :class:`InvalidResponse`."""
-    if not isinstance(data, dict):
+    """:func:`~adcut.jsonutil.field` of a ``role`` answer, or of an entry in one; an
+    answer that is no object or lacks the field as asked raises :class:`InvalidResponse`."""
+    if type(data) is not dict:
         raise InvalidResponse(role, f"expected a JSON object, got {type(data).__name__}")
     try:
-        return _field(data, key, kind, item_kind)
+        return field(data, key, kind, item=item_kind)
     except KeyError:
         raise InvalidResponse(role, f"missing field {key!r}") from None
-    except TypeError as exc:
+    except FieldError as exc:
         raise InvalidResponse(role, str(exc)) from None
 
 
@@ -582,12 +569,4 @@ def write_corpus(samples: list[DatasetSample], path: str | Path) -> None:
 def read_corpus(path: str | Path) -> list[DatasetSample]:
     """Samples in file order. Raises ``OSError`` when the file cannot be read
     and :class:`~adcut.jsonutil.RecordError` for a line that is not a sample."""
-    out = []
-    for number, record in read_records(path):
-        try:
-            out.append(DatasetSample.from_dict(record))
-        except KeyError as exc:
-            raise RecordError(path, number, f"missing field {exc}") from None
-        except (ValueError, TypeError) as exc:
-            raise RecordError(path, number, str(exc)) from None
-    return out
+    return list(read_records(path, DatasetSample.from_dict))

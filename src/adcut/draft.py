@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .clips import ClipSet
-from .jsonutil import dumps_canonical, loads
+from .jsonutil import FieldError, MissingField, dumps_canonical, field, json_path, loads
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
 
 TOP_LEVEL_KEYS = ("voice_over_track", "video_nodes_track", "decoration_setting")
@@ -121,49 +121,23 @@ class ValidationReport:
 # parsing
 
 
-def _require_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected object, got {type(value).__name__}")
-    return value
-
-
-def _require_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected array, got {type(value).__name__}")
-    return value
-
-
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return obj[key]
-
-
-def _parse_time(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected integer milliseconds, got {type(value).__name__}")
-    if isinstance(value, float):
+def parse_time(obj: Any, key: str | int, path: str) -> int:
+    """``obj[key]`` read by :func:`~adcut.jsonutil.field` as a time: a non-negative,
+    finite, integral number of milliseconds, an integral float becoming an
+    ``int``. Any other number raises :class:`TimeValueError` at the field's path."""
+    try:
+        value = field(obj, key, int, path)
+    except FieldError as exc:
+        value = obj[key]
+        if type(value) is not float:
+            raise
         if not math.isfinite(value):
-            raise TimeValueError(path, f"time {value} is not a finite number")
+            raise TimeValueError(exc.path, f"time {value} is not a finite number") from None
         if not value.is_integer():
-            raise TimeValueError(path, f"time {value} has a fractional millisecond part")
+            raise TimeValueError(exc.path, f"time {value} has a fractional millisecond part") from None
         value = int(value)
     if value < 0:
-        raise TimeValueError(path, f"time must be non-negative, got {value}")
-    return value
-
-
-def _parse_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, f"expected string, got {type(value).__name__}")
-    return value
-
-
-def _parse_index(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected integer clip index, got {type(value).__name__}")
-    if value < 0:
-        raise SchemaError(path, f"clip index must be >= 0, got {value}")
+        raise TimeValueError(json_path(path, key), f"time must be non-negative, got {value}")
     return value
 
 
@@ -172,11 +146,6 @@ def _warn_unknown(obj: dict, known: Iterable[str], path: str) -> None:
         if key not in known:
             # stacklevel 4 names the caller of parse_draft, past draft_from_dict
             warnings.warn(f"{path}.{key}: unknown key ignored", UnknownKeyWarning, stacklevel=4)
-
-
-def _parse_tag_list(value: Any, path: str) -> tuple[str, ...]:
-    items = _require_list(value, path)
-    return tuple(_parse_str(item, f"{path}[{i}]") for i, item in enumerate(items))
 
 
 def parse_draft(data: bytes | str) -> Draft:
@@ -202,46 +171,50 @@ def draft_from_dict(doc: Any) -> Draft:
     including unknown top-level keys. Unknown keys inside nested objects
     only emit an :class:`UnknownKeyWarning`.
     """
-    root = _require_object(doc, "$")
-    for key in root:
+    if type(doc) is not dict:
+        raise SchemaError("$", f"expected dict, got {type(doc).__name__}")
+    for key in doc:
         if key not in TOP_LEVEL_KEYS:
             raise SchemaError(f"$.{key}", "unknown top-level key")
+    try:
+        sentences = []
+        track = field(doc, "voice_over_track", list, "$")
+        for i in range(len(track)):
+            obj = field(track, i, dict, "$.voice_over_track")
+            path = f"$.voice_over_track[{i}]"
+            _warn_unknown(obj, SENTENCE_KEYS, path)
+            sentences.append(VoiceSentence(
+                field(obj, "text", str, path), parse_time(obj, "target_start", path), parse_time(obj, "target_end", path)
+            ))
 
-    sentences = []
-    for i, raw in enumerate(_require_list(_get(root, "voice_over_track", "$"), "$.voice_over_track")):
-        path = f"$.voice_over_track[{i}]"
-        obj = _require_object(raw, path)
-        _warn_unknown(obj, SENTENCE_KEYS, path)
-        sentences.append(
-            VoiceSentence(
-                text=_parse_str(_get(obj, "text", path), f"{path}.text"),
-                target_start=_parse_time(_get(obj, "target_start", path), f"{path}.target_start"),
-                target_end=_parse_time(_get(obj, "target_end", path), f"{path}.target_end"),
-            )
-        )
+        nodes = []
+        track = field(doc, "video_nodes_track", list, "$")
+        for i in range(len(track)):
+            obj = field(track, i, dict, "$.video_nodes_track")
+            path = f"$.video_nodes_track[{i}]"
+            _warn_unknown(obj, NODE_KEYS, path)
+            index = field(obj, "index", int, path)
+            if index < 0:
+                raise SchemaError(f"{path}.index", f"clip index must be >= 0, got {index}")
+            nodes.append(VideoNode(
+                index,
+                parse_time(obj, "target_start", path),
+                parse_time(obj, "target_end", path),
+                parse_time(obj, "source_start", path),
+            ))
 
-    nodes = []
-    for i, raw in enumerate(_require_list(_get(root, "video_nodes_track", "$"), "$.video_nodes_track")):
-        path = f"$.video_nodes_track[{i}]"
-        obj = _require_object(raw, path)
-        _warn_unknown(obj, NODE_KEYS, path)
-        nodes.append(
-            VideoNode(
-                index=_parse_index(_get(obj, "index", path), f"{path}.index"),
-                target_start=_parse_time(_get(obj, "target_start", path), f"{path}.target_start"),
-                target_end=_parse_time(_get(obj, "target_end", path), f"{path}.target_end"),
-                source_start=_parse_time(_get(obj, "source_start", path), f"{path}.source_start"),
-            )
-        )
-
-    deco_path = "$.decoration_setting"
-    deco = _require_object(_get(root, "decoration_setting", "$"), deco_path)
-    _warn_unknown(deco, DECORATION_KEYS, deco_path)
-    decoration = DecorationSetting(
-        **{key: _parse_tag_list(_get(deco, key, deco_path), f"{deco_path}.{key}") for key in DECORATION_KEYS}
-    )
-
-    return Draft(tuple(sentences), tuple(nodes), decoration)
+        path = "$.decoration_setting"
+        deco = field(doc, "decoration_setting", dict, "$")
+        _warn_unknown(deco, DECORATION_KEYS, path)
+        tags = {}
+        for key in DECORATION_KEYS:
+            items = field(deco, key, list, path)
+            tags[key] = tuple(field(items, j, str, f"{path}.{key}") for j in range(len(items)))
+    except FieldError as exc:
+        raise SchemaError(exc.path, exc.reason) from None
+    except MissingField as exc:
+        raise SchemaError(exc.path, "missing required field") from None
+    return Draft(tuple(sentences), tuple(nodes), DecorationSetting(**tags))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,30 @@
-"""Canonical JSON helpers shared by every module that writes wire or file bytes.
+"""JSON helpers shared by every module that reads or writes wire or file bytes.
 
 Canonical form: UTF-8, no insignificant whitespace, keys emitted in the
 order the producing code inserts them (never alphabetically re-sorted).
 Identical values always produce identical bytes.
+
+The draft, corpus and predictions lines, backend answers, fixtures, asset
+catalog and TTS file read their fields through :func:`field`, so each type
+rule lives in one place: a wrong type is :class:`FieldError` ``<path>:
+expected <kind>[ of <item>], got <type>`` and an absent field
+:class:`MissingField`. Callers turn both into their own error class at their
+boundary. (The clip set and the taxonomy keep checkers of their own, whose
+messages are pinned.)
 """
 
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-__all__ = ["RecordError", "dumps_canonical", "loads", "read_records", "trim_torn_tail", "write_records"]
+__all__ = [
+    "FieldError", "MissingField", "RecordError", "dumps_canonical", "field", "json_path", "loads", "read_records",
+    "trim_torn_tail", "write_records",
+]
+
+T = TypeVar("T")
+_REQUIRED = object()
 
 
 class RecordError(ValueError):
@@ -18,6 +32,54 @@ class RecordError(ValueError):
 
     def __init__(self, path: str | Path, line: int, reason: str):
         super().__init__(f"{path}:{line}: {reason}")
+
+
+class FieldError(ValueError):
+    """A JSON field of the wrong type; ``path`` names it and ``reason`` says what was expected."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+class MissingField(KeyError):
+    """A required JSON field that is absent; its one argument is the field's path."""
+
+    @property
+    def path(self) -> str:
+        return self.args[0]
+
+
+def json_path(path: str, key: str | int) -> str:
+    """The path of ``key`` inside the value at ``path``: ``path.key``, ``path[key]``
+    for a list index, and ``key`` alone when ``path`` is empty."""
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def field(obj: Any, key: str | int, kind: type, path: str = "", item: type | None = None,
+          default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` if its type is exactly ``kind`` (so a JSON bool is no ``int``)
+    and, when ``item`` is given, it is a list whose items' types are each exactly
+    ``item``.
+
+    ``path`` is the JSON path of ``obj``; the field's own path is built only on
+    failure. A wrong type raises :class:`FieldError`. An absent key returns
+    ``default`` when one is given and otherwise raises :class:`MissingField`.
+    ``obj`` that cannot be subscripted by ``key`` raises what the subscript does.
+    """
+    try:
+        value = obj[key]
+    except KeyError:
+        if default is not _REQUIRED:
+            return default
+        raise MissingField(json_path(path, key)) from None
+    if type(value) is kind and (item is None or all(type(v) is item for v in value)):
+        return value
+    wanted = kind.__name__ + (f" of {item.__name__}" if item else "")
+    raise FieldError(json_path(path, key), f"expected {wanted}, got {type(value).__name__}")
 
 
 def dumps_canonical(obj: Any) -> bytes:
@@ -31,11 +93,12 @@ def loads(data: bytes | str) -> Any:
     return json.loads(data)
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSON-lines file.
+def read_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Yield ``parse(object)`` for each non-blank line of a JSON-lines file.
 
     Raises ``OSError`` when the file cannot be read and :class:`RecordError`
-    for a line that is not a JSON object.
+    for a line that is not a JSON object or that ``parse`` rejects with a
+    ``KeyError`` (``missing field <key>``), ``ValueError`` or ``TypeError``.
     """
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -47,7 +110,13 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise RecordError(path, number, f"malformed JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise RecordError(path, number, f"expected a JSON object, got {type(record).__name__}")
-            yield number, record
+            try:
+                value = parse(record)
+            except KeyError as exc:
+                raise RecordError(path, number, f"missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise RecordError(path, number, str(exc)) from None
+            yield value
 
 
 def trim_torn_tail(path: str | Path) -> bool:

@@ -54,13 +54,6 @@ class TagTaxonomy:
         category, label = item
         return label in self.labels(category)
 
-    def label_count(self) -> int:
-        """Total number of label entries (slots, not distinct strings)."""
-        return sum(len(labels) for subs in self.categories.values() for labels in subs.values())
-
-    def subcategory_counts(self) -> dict[str, int]:
-        return {cat: len(subs) for cat, subs in self.categories.items()}
-
     def to_dict(self) -> dict:
         return {cat: {sub: list(labels) for sub, labels in subs.items()} for cat, subs in self.categories.items()}
 
@@ -83,11 +76,6 @@ class TagTaxonomy:
     def load(cls, path: str | Path) -> "TagTaxonomy":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
 
 
 @lru_cache(maxsize=1)

@@ -28,9 +28,10 @@ from .draft import (
     VoiceSentence,
     _check_neighbours,
     nodes_track_to_list,
+    parse_time,
     voice_track_to_list,
 )
-from .jsonutil import dumps_canonical
+from .jsonutil import dumps_canonical, field
 from .taxonomy import CATEGORIES, TagTaxonomy, default_taxonomy
 
 
@@ -69,7 +70,7 @@ class TtsRealization:
 
     def __post_init__(self) -> None:
         for i, d in enumerate(self.durations_ms):
-            if isinstance(d, bool) or not isinstance(d, int):
+            if type(d) is not int:
                 raise ValueError(f"realized duration [{i}] must be integer milliseconds, got {d!r}")
             if d <= 0:
                 raise ValueError(f"realized duration [{i}] must be > 0, got {d}")
@@ -79,14 +80,11 @@ class TtsRealization:
 
     @classmethod
     def load(cls, path: str | Path) -> "TtsRealization":
+        """The realization a ``{"durations_ms": [...]}`` file holds, each duration
+        read by :func:`~adcut.draft.parse_time`."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)["durations_ms"]
-        values = []
-        for d in raw:
-            if isinstance(d, float) and d.is_integer():
-                d = int(d)
-            values.append(d)
-        return cls(tuple(values))
+            durations = field(json.load(fh), "durations_ms", list)
+        return cls(tuple(parse_time(durations, i, "durations_ms") for i in range(len(durations))))
 
 
 @dataclass(frozen=True)
@@ -120,17 +118,19 @@ class AssetCatalog:
 
     @classmethod
     def load(cls, path: str | Path, taxonomy: TagTaxonomy | None = None) -> "AssetCatalog":
+        """The catalog a ``{"assets": [...]}`` file holds; ``labels`` (strings)
+        and ``uri`` may be left out, ``asset_id`` and ``category`` are strings."""
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries = [
-            AssetEntry(
-                asset_id=e["asset_id"],
-                category=e["category"],
-                labels=tuple(e.get("labels", ())),
-                uri=e.get("uri", ""),
-            )
-            for e in data["assets"]
-        ]
+            assets = field(json.load(fh), "assets", list)
+        entries = []
+        for i, e in enumerate(assets):
+            path = f"assets[{i}]"
+            entries.append(AssetEntry(
+                asset_id=field(e, "asset_id", str, path),
+                category=field(e, "category", str, path),
+                labels=tuple(field(e, "labels", list, path, str, default=())),
+                uri=field(e, "uri", str, path, default=""),
+            ))
         return cls(entries, taxonomy)
 
 

@@ -259,7 +259,7 @@ class TestMockPurity:
 
 
 def test_mock_rejects_a_judge_fixture_that_is_not_an_object():
-    with pytest.raises(ValueError, match="judge is not a JSON object"):
+    with pytest.raises(ValueError, match="^judge: expected dict, got int$"):
         mock_backend(7, {"judge": 5})
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ def run(capsys, *argv):
 
 # a fixtures file's ``judge`` value the mocks cannot read, with the reason the CLI gives
 MISSHAPEN_JUDGE = [
-    pytest.param(5, "judge is not a JSON object", id="judge not an object"),
+    pytest.param(5, "judge: expected dict, got int", id="judge not an object"),
     pytest.param({"verify": "reject"}, "judge.verify must be approve or revise_always, got 'reject'",
                  id="unknown judge verify"),
     pytest.param({"scores": 5}, 'judge.scores must be "caps" or a JSON object, got 5', id="judge scores a number"),
@@ -218,21 +219,21 @@ class TestBuildDataset:
     @pytest.mark.parametrize(
         "key, value, reason",
         [
-            ("videos", {"vid-serum": 1}, "videos.vid-serum is not a JSON object"),
+            ("videos", {"vid-serum": 1}, "videos.vid-serum: expected dict, got int"),
             ("negative_pool", [{"index": 0, "duration_ms": "2400"}],
-             "negative_pool[0] needs integer index and duration_ms"),
+             "negative_pool[0].duration_ms: expected int, got str"),
             ("negative_pool", [{"index": 0, "duration_ms": 1}],
              "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
             *(("judge", *case.values) for case in MISSHAPEN_JUDGE),
-            ("corruption", 5, "corruption is not a JSON object"),
+            ("corruption", 5, "corruption: expected dict, got int"),
             ("corruption", {"mode": "bogus"},
              "corruption.mode must be none or one of swap_adjacent, inject_negative, drop_tag, got 'bogus'"),
             ("corruption", {"mode": "drop_tag", "rate": 5}, "corruption.rate must be a number in [0, 1], got 5"),
             ("corruption", {"rate": "0.5"}, "corruption.rate must be a number in [0, 1], got '0.5'"),
-            ("drafts", 5, "drafts is not a JSON object of draft objects"),
-            ("drafts", {"vid-serum": []}, "drafts is not a JSON object of draft objects"),
-            ("negatives", {"vid-serum": [1, "2"]}, "negatives is not a JSON object of integer arrays"),
-            ("negatives", [], "negatives is not a JSON object of integer arrays"),
+            ("drafts", 5, "drafts: expected dict, got int"),
+            ("drafts", {"vid-serum": []}, "drafts.vid-serum: expected dict, got list"),
+            ("negatives", {"vid-serum": [1, "2"]}, "negatives.vid-serum: expected list of int, got list"),
+            ("negatives", [], "negatives: expected dict, got list"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
              *(case.id for case in MISSHAPEN_JUDGE), "corruption a number", "unknown corruption mode",
@@ -261,7 +262,8 @@ class TestBuildDataset:
         out = tmp_path / "corpus.jsonl"
         code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out))
         assert code == 2
-        assert err == f"error: fixtures file {fixtures}: videos.vid-serum.{key} is not a JSON {kind}\n"
+        python_kind = {"array": "list", "object": "dict"}[kind]
+        assert err == f"error: fixtures file {fixtures}: videos.vid-serum.{key}: expected {python_kind}, got int\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -706,7 +708,8 @@ def input_files(draw):
 
 
 # hostile input files: those that printed a traceback before every input file went through one loader,
-# and a JSON bool or a fractional index that a clip set took for a number
+# a JSON bool or a fractional index that a clip set took for a number, and catalog or TTS fields of the
+# wrong JSON type that align took as they came
 HOSTILE_INPUTS = [
     ("clip set", {"clips": [1]}, "'int' object is not subscriptable"),
     ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
@@ -720,6 +723,12 @@ HOSTILE_INPUTS = [
      "index: expected a number, got bool"),
     ("clip set", {"clips": [{"index": 1.5, "duration_s": 2.0, "frame_count": 60.5}]},
      "index: expected an integer, got float"),
+    ("catalog", {"assets": [{"asset_id": 5, "category": "TTS"}]}, "assets[0].asset_id: expected str, got int"),
+    ("catalog", {"assets": [{"asset_id": None, "category": "TTS"}]},
+     "assets[0].asset_id: expected str, got NoneType"),
+    ("catalog", {"assets": [{"asset_id": "a", "category": "TTS", "labels": {"Young": 1}}]},
+     "assets[0].labels: expected list of str, got dict"),
+    ("TTS file", {"durations_ms": "123"}, "durations_ms: expected list, got str"),
 ]
 
 
@@ -760,6 +769,11 @@ class TestInputFiles:
     @example(("draft", b"\xff\xfe"))
     @example(("taxonomy", b""))
     @example(("catalog", {"assets": [{"asset_id": "a", "category": "TTS", "labels": [["x"]]}]}))
+    @example(("clip set", {"clips": [{"index": 0, "duration_s": math.nan, "frame_count": 60}]}))
+    @example(("clip set", {"clips": [{"index": 0, "duration_s": math.inf, "frame_count": 60}]}))
+    @example(("clip set", {"clips": [{"index": 0, "duration_s": 1e308, "frame_count": 60}]}))
+    @example(("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 60.0}]}))
+    @example(("TTS file", {"durations_ms": [2800.0, math.nan]}))
     def test_no_input_file_escapes_the_exit_codes(self, tmp_path_factory, case):
         code, _ = _run_on(tmp_path_factory.mktemp("fuzz"), *case)
         assert code in (0, 1, 2)

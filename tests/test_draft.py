@@ -109,6 +109,13 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_draft(json.dumps(doc))
 
+    def test_string_clip_index_rejected(self):
+        doc = json.loads(MINIMAL)
+        doc["video_nodes_track"][0]["index"] = "1"
+        with pytest.raises(SchemaError) as err:
+            parse_draft(json.dumps(doc))
+        assert err.value.path == "$.video_nodes_track[0].index"
+
     def test_wrong_container_types(self):
         with pytest.raises(SchemaError):
             parse_draft(b"[1,2,3]")
@@ -272,9 +279,9 @@ class TestValidate:
 
 class TestTaxonomy:
     def test_default_counts(self):
-        tax = default_taxonomy()
-        assert tax.label_count() == 98
-        assert tax.subcategory_counts() == {"TTS": 3, "Avatar": 14, "Music": 2}
+        doc = default_taxonomy().to_dict()
+        assert sum(len(labels) for subs in doc.values() for labels in subs.values()) == 98
+        assert {cat: len(subs) for cat, subs in doc.items()} == {"TTS": 3, "Avatar": 14, "Music": 2}
 
     def test_membership(self):
         tax = default_taxonomy()
@@ -285,7 +292,7 @@ class TestTaxonomy:
     def test_roundtrip_load_save(self, tmp_path):
         tax = default_taxonomy()
         out = tmp_path / "tags.json"
-        tax.save(out)
+        out.write_text(json.dumps(tax.to_dict(), ensure_ascii=False), encoding="utf-8")
         again = TagTaxonomy.load(out)
+        assert again == tax
         assert again.to_dict() == tax.to_dict()
-        assert again.label_count() == 98

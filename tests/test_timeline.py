@@ -187,6 +187,24 @@ class TestAlign:
         assert err.value.shortfall_ms == 500
         assert err.value.node_index == 0
 
+    def test_clip_fits_to_the_millisecond(self):
+        # 3000 ms of clip 0 remain after source_start 500: a 3000 ms span fits, 3001 ms does not
+        d = simple_draft([2000], [2000], source_starts=[500])
+        clips = ClipSet([ClipMeta(0, 3.5, 105)])
+        assert align_draft(d, TtsRealization((3000,)), clips).video_nodes_track[0].span_ms == 3000
+        with pytest.raises(ClipTooShort) as err:
+            align_draft(d, TtsRealization((3001,)), clips)
+        assert err.value.shortfall_ms == 1
+
+    @pytest.mark.parametrize("durations, message", [
+        ((True,), "realized duration [0] must be integer milliseconds, got True"),
+        ((0,), "realized duration [0] must be > 0, got 0"),
+    ])
+    def test_realization_rejects_a_bool_or_empty_duration(self, durations, message):
+        with pytest.raises(ValueError) as err:
+            TtsRealization(durations)
+        assert str(err.value) == message
+
     def test_length_mismatch(self):
         d = simple_draft([2000], [2000])
         with pytest.raises(LengthMismatch):
@@ -285,11 +303,12 @@ class TestCheckAlignment:
 
     def test_voice_past_end_detected(self):
         plan = RenderPlan(
-            voice_over_track=(VoiceSentence("s", 0, 5000),),
+            voice_over_track=(VoiceSentence("s", 0, 2000), VoiceSentence("t", 2000, 5000)),
             video_nodes_track=(VideoNode(0, 0, 3000, 0),),
             total_duration=3000,
         )
-        assert "voice_past_end" in check_alignment(plan).rules()
+        violations = check_alignment(plan).violations
+        assert [(v.rule, v.path) for v in violations] == [("voice_past_end", "$.voice_over_track[1]")]
 
     def test_total_mismatch_detected(self):
         plan = RenderPlan(
@@ -307,7 +326,9 @@ class TestCheckAlignment:
             total_duration=1000,
             assets=ResolvedAssets(tts_asset="nope", music_asset="music-pop-happy"),
         )
-        assert "unknown_asset" in check_alignment(plan, catalog).rules()
+        violations = check_alignment(plan, catalog).violations
+        assert [(v.rule, v.path) for v in violations] == [("unknown_asset", "$.assets.tts_asset")]
+        assert check_alignment(plan).ok  # with no catalog, asset ids go unchecked
 
 
 class TestMatchDecorations:
