@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
 from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
-from .jsonutil import dumps_canonical, loads
+from .jsonutil import FieldError, dumps_canonical, loads
 from .jsonutil import field as json_field
 
 if TYPE_CHECKING:
@@ -297,6 +297,24 @@ class Client:
         raise last_error
 
 
+def checked(role: str, data: Any, key: str, kind: type, item: type | None = None) -> Any:
+    """:func:`~adcut.jsonutil.field` of a ``role`` answer, or of an entry in one; an
+    answer that is no object or lacks the field as asked raises :class:`InvalidResponse`."""
+    if type(data) is not dict:
+        raise InvalidResponse(role, f"expected a JSON object, got {type(data).__name__}")
+    try:
+        return json_field(data, key, kind, item=item)
+    except KeyError:
+        raise InvalidResponse(role, f"missing field {key!r}") from None
+    except FieldError as exc:
+        raise InvalidResponse(role, str(exc)) from None
+
+
+def answer(client: Client, payload: dict, key: str, kind: type, item: type | None = None) -> Any:
+    """Field ``key`` of ``client``'s answer to ``payload``, checked by :func:`checked`."""
+    return checked(client.role, client.call(payload).data, key, kind, item)
+
+
 @dataclass(frozen=True)
 class BackendSet:
     """The role clients that corpus construction calls."""
@@ -349,38 +367,33 @@ def _rubric(rubric_id: str) -> tuple[str, dict[str, float]]:
 
 
 def judge_score(payload: dict, rubric_id: str, client: Client) -> dict[str, float]:
-    """Request per-dimension scores; numbers are validated against rubric caps."""
+    """Request per-dimension scores. An answer without a ``scores`` object of
+    numbers raises :class:`InvalidResponse` (:func:`checked`), and a
+    dimension outside the rubric or a score outside its cap :class:`MalformedScores`."""
     _, caps = _rubric(rubric_id)
     wire = dict(payload)
     wire["task"] = "score"
     wire["rubric_id"] = rubric_id
     wire["rubric_sha256"] = rubric_hash(rubric_id)
-    result = client.call(wire)
-    scores = result.data.get("scores") if isinstance(result.data, dict) else None
-    if not isinstance(scores, dict):
-        raise MalformedScores(client.role, "response lacks a scores map")
-    checked: dict[str, float] = {}
-    for dim, value in scores.items():
+    scores = answer(client, wire, "scores", dict)
+    out: dict[str, float] = {}
+    for dim in scores:
         if dim not in caps:
             raise MalformedScores(client.role, f"unknown dimension {dim!r} for rubric {rubric_id}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise MalformedScores(client.role, f"non-numeric score for {dim!r}")
+        value = checked(client.role, scores, dim, float)
         if not 0 <= value <= caps[dim]:
             raise MalformedScores(client.role, f"{dim} score {value} outside [0, {caps[dim]}]")
-        checked[dim] = float(value)
-    return checked
+        out[dim] = float(value)
+    return out
 
 
 def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     """Embed texts or frame references; vectors are L2-normalized client-side."""
     if not inputs:
         raise ValueError("embed requires at least one input")
-    result = client.call({"inputs": list(inputs)})
-    vectors = result.data.get("vectors") if isinstance(result.data, dict) else None
-    if not isinstance(vectors, list) or len(vectors) != len(inputs):
+    vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
+    if len(vectors) != len(inputs):
         raise InvalidResponse(client.role, "vector count does not match input count")
-    if not all(isinstance(v, list) for v in vectors):
-        raise InvalidResponse(client.role, "a vector is not a list")
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")

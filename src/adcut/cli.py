@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
-from .jsonutil import FieldError, RecordError, dumps_canonical, field, read_records, trim_torn_tail, write_records
+from .jsonutil import FieldError, RecordError, dumps_canonical, field, read_object, read_records
+from .jsonutil import trim_torn_tail, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
     AlignmentError,
@@ -200,9 +201,7 @@ def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
     from . import backends as be
 
     path = cfg.path("paths", "fixtures")
-    fixtures = {} if path is None else _load("fixtures file", lambda p: json.loads(p.read_bytes()), path)
-    if not isinstance(fixtures, dict):
-        raise CliError(f"fixtures file {path} is not a JSON object")
+    fixtures = {} if path is None else _load("fixtures file", read_object, path)
     try:
         mock = be.mock_backend(seed, fixtures)
     except ValueError as exc:
@@ -232,7 +231,7 @@ def _read_corpus(path: str) -> list[ds.DatasetSample]:
 
 def _read_predictions(path: str) -> dict[str, str]:
     """``sample_id -> draft_json`` from a predictions file, as ``generate`` writes it."""
-    return dict(read_records(path, lambda r: (field(r, "sample_id", str), field(r, "draft_json", str))))
+    return dict(read_records(path, lambda r: (field(r, "sample_id", str), field(r, "draft_json", str)), "sample_id"))
 
 
 def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
@@ -391,6 +390,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     )
     if not video_refs:
         raise CliError("no source videos configured")
+    if len(set(video_refs)) < len(video_refs):  # each video is one sample_id
+        raise CliError(f"[dataset] videos names a video twice: {videos_value}")
     products = []
     for ref in video_refs:  # all checked before the first backend call
         data = fixtures.get("videos", {}).get(ref, {}).get("product")
@@ -400,7 +401,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
             raise CliError(f"bad product info for video {ref!r}: not a JSON object")
         try:
             products.append((ref, ds.ProductInfo.from_dict(data)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise CliError(f"bad product info for video {ref!r}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad product info for video {ref!r}: {exc}") from None
 
     template_path = cfg.path("paths", "template")

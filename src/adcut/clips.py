@@ -6,10 +6,11 @@ decoding happens here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .jsonutil import field, objects, read_object
 
 
 @dataclass(frozen=True)
@@ -21,26 +22,23 @@ class ClipMeta:
     frame_count: int
 
     def __post_init__(self) -> None:
-        for name in ("index", "duration_s", "frame_count"):
-            if isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name}: expected a number, got bool")
-        for name in ("index", "frame_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise TypeError(f"{name}: expected an integer, got {type(value).__name__}")
         if self.index < 0:
             raise ValueError(f"clip index must be >= 0, got {self.index}")
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        fps = self.native_fps
+        try:
+            fps = self.native_fps
+        except OverflowError:
+            raise ValueError(f"clip {self.index}: frame_count or duration_s too large") from None
         if not 1.0 <= fps <= 240.0:
             raise ValueError(f"native fps {fps:.3f} outside [1, 240] for clip {self.index}")
 
     @property
     def native_fps(self) -> float:
-        return self.frame_count / self.duration_s
+        # the duration as a float, as sampling takes it, so a clip past the float range fails here
+        return self.frame_count / float(self.duration_s)
 
     @property
     def duration_ms(self) -> int:
@@ -68,12 +66,13 @@ class ClipSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSet":
+        """The clips of ``{"clips": [{"index": int, "duration_s": float, "frame_count":
+        int}, ...]}``, each field read by :func:`~adcut.jsonutil.field`."""
         return cls(
-            ClipMeta(index=e["index"], duration_s=e["duration_s"], frame_count=e["frame_count"])
-            for e in data["clips"]
+            ClipMeta(field(c, "index", int, at), field(c, "duration_s", float, at), field(c, "frame_count", int, at))
+            for at, c in objects(data, "clips")
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ClipSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_object(path))

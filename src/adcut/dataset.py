@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any
 
-from .backends import BackendSet, Client, InvalidResponse, prompt_sha256
+from .backends import BackendSet, Client, InvalidResponse, answer, checked, prompt_sha256
 from .clips import ClipMeta, ClipSet
 from .draft import (
     DECORATION_KEYS,
@@ -36,7 +35,7 @@ from .draft import (
     draft_from_dict,
     draft_to_dict,
 )
-from .jsonutil import FieldError, field, read_records, write_records
+from .jsonutil import field, read_records, write_records
 from .sampling import SlowFastConfig, parse_preset, plan_request
 
 NEGATIVE_COUNT_MEAN = 2.5
@@ -208,24 +207,6 @@ class DatasetSample:
         )
 
 
-def _checked(role: str, data: Any, key: str, kind: type, item_kind: type | None = None) -> Any:
-    """:func:`~adcut.jsonutil.field` of a ``role`` answer, or of an entry in one; an
-    answer that is no object or lacks the field as asked raises :class:`InvalidResponse`."""
-    if type(data) is not dict:
-        raise InvalidResponse(role, f"expected a JSON object, got {type(data).__name__}")
-    try:
-        return field(data, key, kind, item=item_kind)
-    except KeyError:
-        raise InvalidResponse(role, f"missing field {key!r}") from None
-    except FieldError as exc:
-        raise InvalidResponse(role, str(exc)) from None
-
-
-def _answer(client: Client, payload: dict, key: str, kind: type, item_kind: type | None = None) -> Any:
-    """Field ``key`` of ``client``'s answer to ``payload``, checked by :func:`_checked`."""
-    return _checked(client.role, client.call(payload).data, key, kind, item_kind)
-
-
 # ---------------------------------------------------------------------------
 # negative-clip sampling
 
@@ -250,7 +231,7 @@ def sample_seed(corpus_seed: int, sample_id: str) -> int:
 def _sentences(role: str, entries: list) -> list[AsrSentence]:
     """The sentences of a ``role`` answer's ``{"text", "start", "end"}`` entries."""
     return [
-        AsrSentence(_checked(role, e, "text", str), _checked(role, e, "start", int), _checked(role, e, "end", int))
+        AsrSentence(checked(role, e, "text", str), checked(role, e, "start", int), checked(role, e, "end", int))
         for e in entries
     ]
 
@@ -286,19 +267,19 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     blank, not ``0 <= start < end``, unsorted or overlapping, raises
     :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
-    boundaries = sorted(set(_answer(backends.shots, ref, "boundaries_ms", list, int)))
+    boundaries = sorted(set(answer(backends.shots, ref, "boundaries_ms", list, int)))
     for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
         try:
             clip_meta(i, b - a)
         except ValueError as exc:
             raise InvalidResponse(backends.shots.role, f"shot {i} of {b - a} ms: {exc}") from None
 
-    sentences = _sentences(backends.asr.role, _answer(backends.asr, ref, "sentences", list))
+    sentences = _sentences(backends.asr.role, answer(backends.asr, ref, "sentences", list))
     for i, s in enumerate(sentences):
         if s.start_ms < 0:
             raise InvalidResponse(backends.asr.role, f"sentence {i} starts at {s.start_ms}")
     sentences = _normalize_asr(sentences)
-    corrected = _answer(
+    corrected = answer(
         backends.judge,
         {
             "task": "correct_asr",
@@ -317,10 +298,10 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         if i and s.start_ms < sentences[i - 1].end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} starts before sentence {i - 1} ends")
 
-    ocr_lines = _answer(backends.ocr, ref, "lines", list, str)
+    ocr_lines = answer(backends.ocr, ref, "lines", list, str)
 
     captions = [
-        _answer(
+        answer(
             backends.caption,
             {"video_ref": video_ref, "shot_index": i, "frame_timestamps": _sparse_timestamps(a, b)},
             "caption",
@@ -329,9 +310,9 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         for i, (a, b) in enumerate(zip(boundaries, boundaries[1:]))
     ]
 
-    tags = _answer(backends.judge, {"task": "recommend_tags", "video_ref": video_ref}, "tags", dict)
+    tags = answer(backends.judge, {"task": "recommend_tags", "video_ref": video_ref}, "tags", dict)
     decoration = DecorationSetting(
-        **{key: tuple(_checked(backends.judge.role, tags, key, list, str)) for key in DECORATION_KEYS if key in tags}
+        **{key: tuple(checked(backends.judge.role, tags, key, list, str)) for key in DECORATION_KEYS if key in tags}
     )
 
     return Deconstruction(
@@ -351,9 +332,9 @@ def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None
     """One analysis entry per requirement dimension; entries may be absent,
     but an analysis with no usable dimension raises :class:`InvalidResponse`."""
     payload = {"task": "analyze", "video_ref": video_ref, "deconstruction": dec.to_dict()}
-    raw = _answer(judge, payload, "analysis", dict)
+    raw = answer(judge, payload, "analysis", dict)
     analysis: dict[str, str | None] = {
-        d: None if raw.get(d) is None else _checked(judge.role, raw, d, str) for d in FREE_PROMPT_DIMENSIONS
+        d: None if raw.get(d) is None else checked(judge.role, raw, d, str) for d in FREE_PROMPT_DIMENSIONS
     }
     if not dec.shot_captions:
         analysis["visual_storyline"] = None
@@ -396,9 +377,9 @@ def verify_free_prompt(prompt: FreePrompt, analysis: dict[str, str | None], judg
         resp = judge.call(
             {"task": "verify_prompt", "dimensions": current.dimensions(), "analysis": analysis}
         ).data
-        if _checked(judge.role, resp, "approved", bool):
+        if checked(judge.role, resp, "approved", bool):
             return current
-        revision = _checked(judge.role, resp, "revision", dict)
+        revision = checked(judge.role, resp, "revision", dict)
         try:
             current = free_prompt_from_dimensions(revision)
         except ValueError as exc:
@@ -416,8 +397,12 @@ def _positive_clips(dec: Deconstruction) -> list[int]:
 
 
 def clip_meta(index: int, duration_ms: int) -> ClipMeta:
-    """A clip of ``duration_ms`` at the assumed native frame rate."""
-    duration_s = duration_ms / 1000.0
+    """A clip of ``duration_ms`` at the assumed native frame rate; ``ValueError``
+    if :class:`~adcut.clips.ClipMeta` rejects it or it is too long for a float."""
+    try:
+        duration_s = duration_ms / 1000.0
+    except OverflowError:
+        raise ValueError(f"clip {index}: duration_ms too large") from None
     return ClipMeta(
         index=index,
         duration_s=duration_s,
@@ -568,5 +553,6 @@ def write_corpus(samples: list[DatasetSample], path: str | Path) -> None:
 
 def read_corpus(path: str | Path) -> list[DatasetSample]:
     """Samples in file order. Raises ``OSError`` when the file cannot be read
-    and :class:`~adcut.jsonutil.RecordError` for a line that is not a sample."""
-    return list(read_records(path, DatasetSample.from_dict))
+    and :class:`~adcut.jsonutil.RecordError` for a line that is not a sample or
+    repeats an earlier line's ``sample_id``."""
+    return list(read_records(path, DatasetSample.from_dict, "sample_id"))

@@ -4,13 +4,15 @@ Canonical form: UTF-8, no insignificant whitespace, keys emitted in the
 order the producing code inserts them (never alphabetically re-sorted).
 Identical values always produce identical bytes.
 
-The draft, corpus and predictions lines, backend answers, fixtures, asset
+Every input file is read by :func:`read_object` (a whole file) or
+:func:`read_records` (JSON lines), so a root that is not an object fails as
+``expected a JSON object, got <type>`` in both. The draft, corpus and
+predictions lines, backend answers, fixtures, clip set, taxonomy, asset
 catalog and TTS file read their fields through :func:`field`, so each type
 rule lives in one place: a wrong type is :class:`FieldError` ``<path>:
 expected <kind>[ of <item>], got <type>`` and an absent field
 :class:`MissingField`. Callers turn both into their own error class at their
-boundary. (The clip set and the taxonomy keep checkers of their own, whose
-messages are pinned.)
+boundary.
 """
 
 import json
@@ -19,8 +21,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
-    "FieldError", "MissingField", "RecordError", "dumps_canonical", "field", "json_path", "loads", "read_records",
-    "trim_torn_tail", "write_records",
+    "FieldError", "MissingField", "RecordError", "dumps_canonical", "field", "json_path", "loads", "objects",
+    "read_object", "read_records", "trim_torn_tail", "write_records",
 ]
 
 T = TypeVar("T")
@@ -61,9 +63,9 @@ def json_path(path: str, key: str | int) -> str:
 
 def field(obj: Any, key: str | int, kind: type, path: str = "", item: type | None = None,
           default: Any = _REQUIRED) -> Any:
-    """``obj[key]`` if its type is exactly ``kind`` (so a JSON bool is no ``int``)
-    and, when ``item`` is given, it is a list whose items' types are each exactly
-    ``item``.
+    """``obj[key]`` if its type is exactly ``kind`` (so neither a JSON bool nor
+    ``60.0`` is an ``int``) or is ``int`` where ``kind`` is ``float``, and, when
+    ``item`` is given, it is a list whose items' types are each exactly ``item``.
 
     ``path`` is the JSON path of ``obj``; the field's own path is built only on
     failure. A wrong type raises :class:`FieldError`. An absent key returns
@@ -76,10 +78,20 @@ def field(obj: Any, key: str | int, kind: type, path: str = "", item: type | Non
         if default is not _REQUIRED:
             return default
         raise MissingField(json_path(path, key)) from None
-    if type(value) is kind and (item is None or all(type(v) is item for v in value)):
+    if (type(value) is kind or kind is float and type(value) is int) and (
+        item is None or all(type(v) is item for v in value)
+    ):
         return value
     wanted = kind.__name__ + (f" of {item.__name__}" if item else "")
     raise FieldError(json_path(path, key), f"expected {wanted}, got {type(value).__name__}")
+
+
+def objects(obj: Any, key: str, path: str = "") -> Iterator[tuple[str, dict]]:
+    """``(path, entry)`` for each entry of the list ``obj[key]``, both read by
+    :func:`field`, the list eagerly and each entry, a ``dict``, when drawn."""
+    entries = field(obj, key, list, path)
+    path = json_path(path, key)
+    return ((json_path(path, i), field(entries, i, dict, path)) for i in range(len(entries)))
 
 
 def dumps_canonical(obj: Any) -> bytes:
@@ -93,13 +105,29 @@ def loads(data: bytes | str) -> Any:
     return json.loads(data)
 
 
-def read_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
-    """Yield ``parse(object)`` for each non-blank line of a JSON-lines file.
+def _object(value: Any) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_object(path: str | Path) -> dict:
+    """The JSON object a UTF-8 file holds. Raises ``OSError`` when the file cannot be
+    read, ``RecursionError`` or ``ValueError`` when it does not decode or parse, and
+    ``ValueError`` ``expected a JSON object, got <type>`` for any other root."""
+    return _object(loads(Path(path).read_bytes()))
+
+
+def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iterator[T]:
+    """Yield ``parse(object)`` for each non-blank line of a JSON-lines file
+    whose records are told apart by their field ``key``, which ``parse`` requires.
 
     Raises ``OSError`` when the file cannot be read and :class:`RecordError`
-    for a line that is not a JSON object or that ``parse`` rejects with a
-    ``KeyError`` (``missing field <key>``), ``ValueError`` or ``TypeError``.
+    for a line that is not a JSON object, that ``parse`` rejects with a
+    ``KeyError`` (``missing field <name>``), ``ValueError`` or ``TypeError``, or
+    whose ``key`` an earlier line has (``repeated <key> <value>``).
     """
+    seen = set()
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -108,14 +136,15 @@ def read_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise RecordError(path, number, f"malformed JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise RecordError(path, number, f"expected a JSON object, got {type(record).__name__}")
             try:
-                value = parse(record)
+                value = parse(_object(record))
             except KeyError as exc:
                 raise RecordError(path, number, f"missing field {exc}") from None
             except (ValueError, TypeError) as exc:
                 raise RecordError(path, number, str(exc)) from None
+            if record[key] in seen:
+                raise RecordError(path, number, f"repeated {key} {record[key]!r}")
+            seen.add(record[key])
             yield value
 
 

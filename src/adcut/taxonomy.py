@@ -9,11 +9,13 @@ a hair color under Avatar); membership checks use (category, label).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+
+from .jsonutil import field as json_field
+from .jsonutil import loads, read_object
 
 CATEGORIES = ("TTS", "Avatar", "Music")
 
@@ -23,10 +25,6 @@ TAG_FIELD_CATEGORY = {
     "avatar_tags": "Avatar",
     "music_tags": "Music",
 }
-
-
-class TaxonomyError(ValueError):
-    """Raised for a malformed taxonomy document."""
 
 
 @dataclass(frozen=True)
@@ -39,10 +37,10 @@ class TagTaxonomy:
     def __post_init__(self) -> None:
         for cat, subs in self.categories.items():
             if cat not in CATEGORIES:
-                raise TaxonomyError(f"unknown category {cat!r}")
+                raise ValueError(f"unknown category {cat!r}")
             for sub, labels in subs.items():
                 if len(set(labels)) != len(labels):
-                    raise TaxonomyError(f"duplicate label in {cat}/{sub}")
+                    raise ValueError(f"duplicate label in {cat}/{sub}")
         sets = {cat: frozenset(l for sub in subs.values() for l in sub) for cat, subs in self.categories.items()}
         object.__setattr__(self, "_label_sets", sets)
 
@@ -59,27 +57,17 @@ class TagTaxonomy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TagTaxonomy":
-        if not isinstance(data, dict):
-            raise TaxonomyError("taxonomy document must be a JSON object")
-        cats: dict[str, dict[str, tuple[str, ...]]] = {}
-        for cat, subs in data.items():
-            if not isinstance(subs, dict):
-                raise TaxonomyError(f"category {cat!r} must map subcategories to label lists")
-            cats[cat] = {}
-            for sub, labels in subs.items():
-                if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-                    raise TaxonomyError(f"{cat}/{sub} must be a list of strings")
-                cats[cat][sub] = tuple(labels)
-        return cls(cats)
+        """The taxonomy of ``{category: {subcategory: [label, ...]}}``, each
+        level read by :func:`~adcut.jsonutil.field`."""
+        cats = {cat: json_field(data, cat, dict) for cat in data}
+        return cls({cat: {s: tuple(json_field(subs, s, list, cat, str)) for s in subs} for cat, subs in cats.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "TagTaxonomy":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_object(path))
 
 
 @lru_cache(maxsize=1)
 def default_taxonomy() -> TagTaxonomy:
     """Taxonomy bundled with the package (98 labels)."""
-    text = resources.files("adcut").joinpath("data/decorative_tags.json").read_text("utf-8")
-    return TagTaxonomy.from_dict(json.loads(text))
+    return TagTaxonomy.from_dict(loads(resources.files("adcut").joinpath("data/decorative_tags.json").read_bytes()))

@@ -13,7 +13,6 @@ against an asset catalog by maximum label overlap.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .draft import (
     parse_time,
     voice_track_to_list,
 )
-from .jsonutil import dumps_canonical, field
+from .jsonutil import dumps_canonical, field, objects, read_object
 from .taxonomy import CATEGORIES, TagTaxonomy, default_taxonomy
 
 
@@ -82,8 +81,7 @@ class TtsRealization:
     def load(cls, path: str | Path) -> "TtsRealization":
         """The realization a ``{"durations_ms": [...]}`` file holds, each duration
         read by :func:`~adcut.draft.parse_time`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            durations = field(json.load(fh), "durations_ms", list)
+        durations = field(read_object(path), "durations_ms", list)
         return cls(tuple(parse_time(durations, i, "durations_ms") for i in range(len(durations))))
 
 
@@ -120,17 +118,15 @@ class AssetCatalog:
     def load(cls, path: str | Path, taxonomy: TagTaxonomy | None = None) -> "AssetCatalog":
         """The catalog a ``{"assets": [...]}`` file holds; ``labels`` (strings)
         and ``uri`` may be left out, ``asset_id`` and ``category`` are strings."""
-        with open(path, "r", encoding="utf-8") as fh:
-            assets = field(json.load(fh), "assets", list)
-        entries = []
-        for i, e in enumerate(assets):
-            path = f"assets[{i}]"
-            entries.append(AssetEntry(
-                asset_id=field(e, "asset_id", str, path),
-                category=field(e, "category", str, path),
-                labels=tuple(field(e, "labels", list, path, str, default=())),
-                uri=field(e, "uri", str, path, default=""),
-            ))
+        entries = [
+            AssetEntry(
+                asset_id=field(e, "asset_id", str, at),
+                category=field(e, "category", str, at),
+                labels=tuple(field(e, "labels", list, at, str, default=())),
+                uri=field(e, "uri", str, at, default=""),
+            )
+            for at, e in objects(read_object(path), "assets")
+        ]
         return cls(entries, taxonomy)
 
 

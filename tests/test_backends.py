@@ -231,13 +231,23 @@ class TestEmbed:
         with pytest.raises(DimensionMismatch):
             embed(["a", "b"], client)
 
-    @pytest.mark.parametrize("vectors", [b'[["a"]]', b"[5]", b"[[[1.0]]]", b"[[NaN]]", b"[[1.0, Infinity]]"],
-                             ids=["string", "number", "nested", "nan", "infinity"])
-    def test_non_numeric_vector_is_an_invalid_response(self, vectors):
+    @pytest.mark.parametrize(
+        "vectors, reason",
+        [
+            (b'[["a"]]', "a vector is not a list of finite numbers"),
+            (b"[5]", "vectors: expected list of list, got list"),
+            (b"[[[1.0]]]", "a vector is not a list of finite numbers"),
+            (b"[[NaN]]", "a vector is not a list of finite numbers"),
+            (b"[[1.0, Infinity]]", "a vector is not a list of finite numbers"),
+        ],
+        ids=["string", "number", "nested", "nan", "infinity"],
+    )
+    def test_non_numeric_vector_is_an_invalid_response(self, vectors, reason):
         transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
-        with pytest.raises(InvalidResponse, match="embed: a vector is not a list"):
+        with pytest.raises(InvalidResponse) as raised:
             embed(["a"], client)
+        assert str(raised.value) == f"embed: {reason}"
 
 
 class TestMockPurity:

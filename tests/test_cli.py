@@ -183,6 +183,17 @@ class TestBuildDataset:
         assert code == 2
         assert "template" in err
 
+    def test_a_video_named_twice_is_a_usage_error(self, capsys, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text((FIX / "adcut.ini").read_text().replace(
+            "videos = vid-earbuds,vid-blender,vid-serum", "videos = vid-serum,vid-earbuds,vid-serum"))
+        (tmp_path / "videos.json").write_bytes((FIX / "videos.json").read_bytes())
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "build-dataset", "--config", str(ini), "--out", str(out))
+        assert code == 2
+        assert err == "error: [dataset] videos names a video twice: vid-serum,vid-earbuds,vid-serum\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "product, error",
         [
@@ -196,9 +207,10 @@ class TestBuildDataset:
              "bad product info for video 'vid-serum': selling_points: expected list of str, got list"),
             ({"name": "Serum", "selling_points": "abc"},
              "bad product info for video 'vid-serum': selling_points: expected list of str, got str"),
+            ({"selling_points": ["a"]}, "bad product info for video 'vid-serum': missing field 'name'"),
         ],
         ids=["missing", "no selling points", "not an object", "name a number", "selling point a number",
-             "selling points a string"],
+             "selling points a string", "no name"],
     )
     def test_bad_product_info_fails_before_any_backend_call(
         self, capsys, tmp_path, monkeypatch, video_fixtures, product, error
@@ -224,6 +236,7 @@ class TestBuildDataset:
              "negative_pool[0].duration_ms: expected int, got str"),
             ("negative_pool", [{"index": 0, "duration_ms": 1}],
              "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
+            ("negative_pool", [{"index": 0, "duration_ms": 10**400}], "negative_pool: clip 0: duration_ms too large"),
             *(("judge", *case.values) for case in MISSHAPEN_JUDGE),
             ("corruption", 5, "corruption: expected dict, got int"),
             ("corruption", {"mode": "bogus"},
@@ -236,6 +249,7 @@ class TestBuildDataset:
             ("negatives", [], "negatives: expected dict, got list"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
+             "pool clip past the float range",
              *(case.id for case in MISSHAPEN_JUDGE), "corruption a number", "unknown corruption mode",
              "corruption rate 5", "corruption rate a string", "drafts a number", "draft an array",
              "negative a string", "negatives an array"],
@@ -708,27 +722,29 @@ def input_files(draw):
 
 
 # hostile input files: those that printed a traceback before every input file went through one loader,
-# a JSON bool or a fractional index that a clip set took for a number, and catalog or TTS fields of the
-# wrong JSON type that align took as they came
+# a JSON bool or a fractional index that a clip set took for a number, catalog or TTS fields of the
+# wrong JSON type that align took as they came, and a frame count too large for a float
 HOSTILE_INPUTS = [
-    ("clip set", {"clips": [1]}, "'int' object is not subscriptable"),
+    ("clip set", {"clips": [1]}, "clips[0]: expected dict, got int"),
     ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
-     "'<=' not supported between instances of 'str' and 'int'"),
-    ("TTS file", [1], "list indices must be integers or slices, not str"),
-    ("catalog", {"assets": [1]}, "'int' object is not subscriptable"),
+     "clips[0].duration_s: expected float, got str"),
+    ("TTS file", [1], "expected a JSON object, got list"),
+    ("catalog", {"assets": [1]}, "assets[0]: expected dict, got int"),
     ("catalog", {"assets": [{"asset_id": "a", "category": "Nope"}]}, "asset a: unknown category 'Nope'"),
     ("taxonomy", None, "No such file or directory"),
-    ("taxonomy", {"TTS": 3}, "category 'TTS' must map subcategories to label lists"),
+    ("taxonomy", {"TTS": 3}, "TTS: expected dict, got int"),
     ("clip set", {"clips": [{"index": True, "duration_s": 2.0, "frame_count": 60}]},
-     "index: expected a number, got bool"),
+     "clips[0].index: expected int, got bool"),
     ("clip set", {"clips": [{"index": 1.5, "duration_s": 2.0, "frame_count": 60.5}]},
-     "index: expected an integer, got float"),
+     "clips[0].index: expected int, got float"),
     ("catalog", {"assets": [{"asset_id": 5, "category": "TTS"}]}, "assets[0].asset_id: expected str, got int"),
     ("catalog", {"assets": [{"asset_id": None, "category": "TTS"}]},
      "assets[0].asset_id: expected str, got NoneType"),
     ("catalog", {"assets": [{"asset_id": "a", "category": "TTS", "labels": {"Young": 1}}]},
      "assets[0].labels: expected list of str, got dict"),
     ("TTS file", {"durations_ms": "123"}, "durations_ms: expected list, got str"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 10**400}]},
+     "clip 0: frame_count or duration_s too large"),
 ]
 
 
@@ -762,6 +778,18 @@ class TestInputFiles:
         assert code == 2
         assert capsys.readouterr().err == f"error: {what} {path}: {reason}\n"
 
+    @pytest.mark.parametrize("what", ["clip set", "TTS file", "catalog", "taxonomy", "fixtures file"])
+    def test_a_root_that_is_no_object_is_a_usage_error(self, capsys, tmp_path, what):
+        if what == "fixtures file":
+            path = tmp_path / "fixtures.json"
+            path.write_text("[]")
+            (tmp_path / "cfg.ini").write_text(f"[paths]\nfixtures = {path}\n")
+            code = main(["build-dataset", "--config", str(tmp_path / "cfg.ini"), "--out", str(tmp_path / "c.jsonl")])
+        else:
+            code, path = _run_on(tmp_path, what, [])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {what} {path}: expected a JSON object, got list\n"
+
     @pytest.mark.filterwarnings("ignore::adcut.draft.UnknownKeyWarning")
     @settings(max_examples=150)
     @given(input_files())
@@ -773,6 +801,7 @@ class TestInputFiles:
     @example(("clip set", {"clips": [{"index": 0, "duration_s": math.inf, "frame_count": 60}]}))
     @example(("clip set", {"clips": [{"index": 0, "duration_s": 1e308, "frame_count": 60}]}))
     @example(("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 60.0}]}))
+    @example(("clip set", {"clips": [{"index": 0, "duration_s": 10**398, "frame_count": 10**400}]}))
     @example(("TTS file", {"durations_ms": [2800.0, math.nan]}))
     def test_no_input_file_escapes_the_exit_codes(self, tmp_path_factory, case):
         code, _ = _run_on(tmp_path_factory.mktemp("fuzz"), *case)
@@ -780,11 +809,13 @@ class TestInputFiles:
 
 
 class TestHostileInput:
+    # the second line of a file, given its first line
     BAD_LINES = {
-        "malformed JSON": "{not json",
-        "missing field": '{"draft_json": "{}"}',
-        "non-object line": "[1, 2]",
-        "array sample_id": None,  # the first line with its sample_id made a JSON array
+        "malformed JSON": lambda first: "{not json",
+        "missing field": lambda first: '{"draft_json": "{}"}',
+        "non-object line": lambda first: "[1, 2]",
+        "array sample_id": lambda first: json.dumps({**json.loads(first), "sample_id": [1]}),
+        "repeated sample_id": lambda first: first,
     }
 
     @pytest.mark.parametrize(
@@ -792,7 +823,8 @@ class TestHostileInput:
         [
             (target, problem)
             for target in ("corpus", "predictions", "resume file")
-            for problem in ("malformed JSON", "missing field", "non-object line", "array sample_id", "missing file")
+            for problem in ("malformed JSON", "missing field", "non-object line", "array sample_id",
+                            "repeated sample_id", "missing file")
             # --resume with no output yet starts afresh, so a missing resume file is no error
             if (target, problem) != ("resume file", "missing file")
         ],
@@ -807,8 +839,7 @@ class TestHostileInput:
             bad.unlink()
         else:
             first = bad.read_text("utf-8").splitlines()[0]
-            line = self.BAD_LINES[problem] or json.dumps({**json.loads(first), "sample_id": [1]})
-            bad.write_text(first + "\n" + line + "\n", encoding="utf-8")
+            bad.write_text(first + "\n" + self.BAD_LINES[problem](first) + "\n", encoding="utf-8")
         if target == "resume file":
             argv = ["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
                     "--out", str(predictions), "--resume"]
@@ -819,6 +850,8 @@ class TestHostileInput:
         prefix = f"error: {bad}: " if problem == "missing file" else f"error: {bad}:2: "
         assert err.startswith(prefix), err
         assert "Traceback" not in err
+        if problem == "repeated sample_id":
+            assert err == f"{prefix}repeated sample_id {json.loads(first)['sample_id']!r}\n"
 
 
 class TestEndpointResolution:
@@ -1012,6 +1045,13 @@ class TestBuildDatasetAnswers:
         code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
         assert code == 1
         assert err == "warning: vid-serum: shots: shot 0 of 1 ms: native fps 1000.000 outside [1, 240] for clip 0\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_a_shot_past_the_float_range_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["shots"] = [0, 10**400]
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err == f"warning: vid-serum: shots: shot 0 of {10**400} ms: clip 0: duration_ms too large\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
     def test_frame_placeholders_follow_the_sampling_plan(self, capsys, tmp_path, video_fixtures):
