@@ -263,8 +263,9 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
     here, of the JSON types read, with a shot too short to be a clip, with an
-    ASR sentence starting before 0, or with corrected sentences that are
-    blank, not ``0 <= start < end``, unsorted or overlapping, raises
+    ASR sentence starting before 0 or ending after the last shot boundary, or
+    with corrected sentences that are blank, not ``0 <= start < end``, ending
+    after the last shot boundary, unsorted or overlapping, raises
     :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(answer(backends.shots, ref, "boundaries_ms", list, int)))
@@ -274,10 +275,15 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         except ValueError as exc:
             raise InvalidResponse(backends.shots.role, f"shot {i} of {b - a} ms: {exc}") from None
 
+    video_end = boundaries[-1] if boundaries else math.inf  # no shots: assemble_sample rejects the video
     sentences = _sentences(backends.asr.role, answer(backends.asr, ref, "sentences", list))
     for i, s in enumerate(sentences):
         if s.start_ms < 0:
             raise InvalidResponse(backends.asr.role, f"sentence {i} starts at {s.start_ms}")
+        if s.end_ms > video_end:
+            raise InvalidResponse(
+                backends.asr.role, f"sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
+            )
     sentences = _normalize_asr(sentences)
     corrected = answer(
         backends.judge,
@@ -295,6 +301,10 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} has blank text")
         if not 0 <= s.start_ms < s.end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} spans [{s.start_ms}, {s.end_ms}]")
+        if s.end_ms > video_end:
+            raise InvalidResponse(
+                backends.judge.role, f"corrected sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
+            )
         if i and s.start_ms < sentences[i - 1].end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} starts before sentence {i - 1} ends")
 

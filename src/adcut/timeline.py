@@ -5,8 +5,8 @@ realized TTS duration and sentences are packed gaplessly from time zero.
 Video nodes are rescaled by the realized/drafted duration ratio of the
 sentences they overlap in the draft (a node overlapping no sentence keeps
 its drafted length) and re-packed gaplessly. The cumulative boundary is
-kept exact as an integer numerator and denominator in lowest terms, and each
-one is rounded half up to the nearest millisecond once, so rounding never
+kept exact as an integer numerator and denominator, and each one is
+rounded half up to the nearest millisecond once, so rounding never
 drifts and the final node absorbs the residue. Decoration tags resolve
 against an asset catalog by maximum label overlap.
 """
@@ -174,8 +174,9 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
     violations; alignment relies on what that guarantees: both tracks are
     sorted, free of overlaps and made of non-empty spans. The sentences a
     node overlaps are then one contiguous run, found by bisection, and
-    prefix sums give their drafted and realized totals, so the cost is
-    O((n + m) log m) for n nodes and m sentences.
+    prefix sums give their drafted and realized totals. Each node costs
+    O(log m) for m sentences, plus work linear in the size of the exact
+    boundary's denominator, the lcm of the drafted runs met so far.
     Raises :class:`LengthMismatch` or :class:`ClipTooShort`.
     """
     sentences = d.voice_over_track
@@ -197,7 +198,9 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
         realized_before.append(at)
 
     nodes: list[VideoNode] = []
-    num, den = 0, 1  # the exact boundary num/den in ms, in lowest terms
+    # the exact boundary is whole + num/den ms with 0 <= num < den, den the
+    # lcm of the drafted runs whose term left a remainder
+    whole, num, den = 0, 0, 1
     prev_end = 0
     for node_pos, node in enumerate(d.video_nodes_track):
         # overlapping sentences: those ending after the node starts and
@@ -207,15 +210,18 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
         if lo < hi:
             # add span * realized / drafted
             drafted = drafted_before[hi] - drafted_before[lo]
-            realized = realized_before[hi] - realized_before[lo]
-            num = num * drafted + node.span_ms * realized * den
-            den *= drafted
-            g = math.gcd(num, den)
-            num //= g
-            den //= g
+            q, r = divmod(node.span_ms * (realized_before[hi] - realized_before[lo]), drafted)
+            whole += q
+            if r:
+                g = math.gcd(den % drafted, drafted)
+                num = num * (drafted // g) + r * (den // g)
+                den *= drafted // g
+                if num >= den:  # both parts were below 1 ms, so one carry restores num < den
+                    whole += 1
+                    num -= den
         else:
-            num += node.span_ms * den
-        end = (2 * num + den) // (2 * den)  # round half up
+            whole += node.span_ms
+        end = whole + (2 * num >= den)  # round half up
         new_span = end - prev_end
         clip = clips.get(node.index)
         if clip is not None:

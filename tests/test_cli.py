@@ -923,7 +923,7 @@ class TestEndpointResolution:
 
 # a judge's corrected ASR sentence: blank or not, with any order of start and end, negative ones too
 CORRECTED_SENTENCE = st.fixed_dictionaries(
-    {"text": st.sampled_from(["Buy now.", "", "  "]), "start": st.integers(-1000, 6000), "end": st.integers(-1000, 6000)}
+    {"text": st.sampled_from(["Buy now.", "", "  "]), "start": st.integers(-1000, 6000), "end": st.integers(-1000, 11000)}
 )
 
 
@@ -992,6 +992,8 @@ class TestBuildDatasetAnswers:
     @example([{"text": "a", "start": -500, "end": 1000}])  # negative
     @example([{"text": " ", "start": 0, "end": 1000}])  # blank
     @example([{"text": "a", "start": 0, "end": 1000}, {"text": "b", "start": 1000, "end": 2500}])  # usable
+    @example([{"text": "a", "start": 0, "end": 1000}, {"text": "b", "start": 1000, "end": 9000}])  # past vid-blender
+    @example([{"text": "a", "start": 0, "end": 10501}])  # past every video
     def test_every_corrected_asr_answer_fails_its_sample_or_makes_a_valid_ground_truth(self, tmp_path_factory,
                                                                                       sentences):
         stock = backends.mock_backend(7, json.loads((FIX / "videos.json").read_text()))
@@ -1006,12 +1008,14 @@ class TestBuildDatasetAnswers:
             code = main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(out),
                          "--endpoint-judge", "http://stub.invalid"])
         written = {s.sample_id: s.ground_truth for s in read_corpus(out)}
-        usable = all(s["text"].strip() and 0 <= s["start"] < s["end"] for s in sentences) and all(
+        well_formed = all(s["text"].strip() and 0 <= s["start"] < s["end"] for s in sentences) and all(
             a["end"] <= b["start"] for a, b in zip(sentences, sentences[1:]))
+        video_end = {"vid-earbuds": 9000, "vid-blender": 6200, "vid-serum": 10500}  # last shot boundaries
+        usable = {ref: well_formed and sentences[-1]["end"] <= end for ref, end in video_end.items()}
         assert "Traceback" not in err.getvalue()
-        assert code == (0 if usable else 1)
-        for ref in ("vid-earbuds", "vid-blender", "vid-serum"):
-            if usable:
+        assert code == (0 if all(usable.values()) else 1)
+        for ref in video_end:
+            if usable[ref]:
                 assert validate_draft(written[ref]).ok
             else:
                 assert ref not in written
@@ -1029,8 +1033,9 @@ class TestBuildDatasetAnswers:
         [
             ({"start": False, "end": True}, "asr: start: expected int, got bool"),
             ({"start": -500}, "asr: sentence 0 starts at -500"),
+            ({"end": 20000}, "asr: sentence 0 ends at 20000, after the last shot boundary 10500"),
         ],
-        ids=["bool times", "negative start"],
+        ids=["bool times", "negative start", "end past the video"],
     )
     def test_unusable_fixture_asr_times_are_a_recorded_failure(self, capsys, tmp_path, video_fixtures, first,
                                                                reason):

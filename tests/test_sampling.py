@@ -151,6 +151,13 @@ class TestSampleFrames:
         c, fps = case
         assert frame_total(c, fps) == frame_totals([c], fps)[0] == frames_at(c.duration_s, c.frame_count, fps)
 
+    def test_a_zero_rate_is_rejected(self):
+        # 1 / 0 would raise ZeroDivisionError; the rate check names the bad rate first
+        with pytest.raises(ValueError, match=r"^fps must be > 0, got 0$"):
+            frame_totals([clip(1.0, 30)], 0)
+        with pytest.raises(ValueError, match=r"^fps must be > 0, got 0$"):
+            sample_frames(clip(1.0, 30), 0)
+
     def test_frame_total_clamps_to_frame_count(self):
         # 10 s at 4 fps asks for 40 frames of a 20-frame clip
         assert frame_total(clip(10.0, 20), 4.0) == 20
@@ -396,6 +403,16 @@ class TestPresets:
     def test_bad_presets(self, bad):
         with pytest.raises(PresetError):
             parse_preset(bad)
+
+    @pytest.mark.parametrize("preset, message", [
+        ("0/4", "fps must be > 0, got 0.0"),
+        ("fast:2/4,slow:0.0/16", "fps must be > 0, got 0.0"),
+        ("2/0", "tokens_per_frame must be >= 1, got 0"),
+    ])
+    def test_a_zero_rate_or_token_count_is_rejected(self, preset, message):
+        with pytest.raises(ValueError) as err:
+            parse_preset(preset)
+        assert str(err.value) == message
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):

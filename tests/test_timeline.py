@@ -142,12 +142,34 @@ def coprime_case():
     return d, TtsRealization(realized), covering_clips(d)
 
 
+def exact_carry_case():
+    # nodes 0 and 1 each take 1000 * 1001 / 2000 = 500.5 ms, so their halves
+    # sum to exactly one carried ms at 1001; the thirds of s2 then carry again
+    # over nodes 4-6, and node 7 overlaps no sentence
+    sentences = (VoiceSentence("s0", 0, 2000), VoiceSentence("s1", 2000, 4000), VoiceSentence("s2", 4000, 7000))
+    nodes = tuple(VideoNode(i, 1000 * i, 1000 * (i + 1), 0) for i in range(8))
+    d = Draft(sentences, nodes, DecorationSetting())
+    return d, TtsRealization((1001, 1000, 1000)), covering_clips(d)
+
+
+def long_form_case():
+    # 320 nodes, node i over one sentence of drafted length 500 + i, so every
+    # drafted run is distinct and the boundary's denominator keeps growing
+    count = 320
+    sentences = tuple(VoiceSentence(f"s{i}", 1000 * i, 1000 * i + 500 + i) for i in range(count))
+    nodes = tuple(VideoNode(i, 1000 * i, 1000 * (i + 1), 0) for i in range(count))
+    d = Draft(sentences, nodes, DecorationSetting())
+    return d, TtsRealization(tuple(400 + 37 * i % 701 for i in range(count))), covering_clips(d)
+
+
 class TestAlign:
     @given(alignment_cases())
     @example(crossing_case())
     @example(touching_case())
     @example(half_ms_case())
     @example(coprime_case())
+    @example(exact_carry_case())
+    @example(long_form_case())
     def test_matches_all_pairs_scan(self, case):
         d, tts, clips = case
         assert validate_draft(d, clips).ok
