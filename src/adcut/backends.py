@@ -530,7 +530,7 @@ class MockTransport:
         return {"caption": text}
 
     def _handle_embed(self, payload: dict) -> dict:
-        return {"vectors": [[float(x) for x in hashed_unit_vector(item, self.seed)] for item in payload["inputs"]]}
+        return {"vectors": [hashed_unit_vector(item, self.seed).tolist() for item in payload["inputs"]]}
 
     def _handle_judge(self, payload: dict) -> dict:
         task = payload.get("task")

@@ -263,10 +263,10 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
     here, of the JSON types read, with a shot too short to be a clip, with an
-    ASR sentence starting before 0 or ending after the last shot boundary, or
-    with corrected sentences that are blank, not ``0 <= start < end``, ending
-    after the last shot boundary, unsorted or overlapping, raises
-    :class:`InvalidResponse` for its role."""
+    ASR sentence starting before 0 or the first shot boundary or ending after
+    the last, or with corrected sentences that are blank, not ``0 <= start <
+    end``, starting before the first shot boundary or ending after the last,
+    unsorted or overlapping, raises :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(answer(backends.shots, ref, "boundaries_ms", list, int)))
     for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
@@ -275,11 +275,16 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
         except ValueError as exc:
             raise InvalidResponse(backends.shots.role, f"shot {i} of {b - a} ms: {exc}") from None
 
-    video_end = boundaries[-1] if boundaries else math.inf  # no shots: assemble_sample rejects the video
+    # no shots: assemble_sample rejects the video
+    video_start, video_end = (boundaries[0], boundaries[-1]) if boundaries else (0, math.inf)
     sentences = _sentences(backends.asr.role, answer(backends.asr, ref, "sentences", list))
     for i, s in enumerate(sentences):
         if s.start_ms < 0:
             raise InvalidResponse(backends.asr.role, f"sentence {i} starts at {s.start_ms}")
+        if s.start_ms < video_start:
+            raise InvalidResponse(
+                backends.asr.role, f"sentence {i} starts at {s.start_ms}, before the first shot boundary {video_start}"
+            )
         if s.end_ms > video_end:
             raise InvalidResponse(
                 backends.asr.role, f"sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
@@ -301,6 +306,11 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} has blank text")
         if not 0 <= s.start_ms < s.end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} spans [{s.start_ms}, {s.end_ms}]")
+        if s.start_ms < video_start:
+            raise InvalidResponse(
+                backends.judge.role,
+                f"corrected sentence {i} starts at {s.start_ms}, before the first shot boundary {video_start}",
+            )
         if s.end_ms > video_end:
             raise InvalidResponse(
                 backends.judge.role, f"corrected sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
@@ -465,7 +475,8 @@ def assemble_sample(
     template: str | None = None,
 ) -> DatasetSample:
     """Shuffle positives with drawn negatives, render the instruction and
-    rebuild the ground-truth draft from the deconstruction."""
+    rebuild the ground-truth draft from the deconstruction. Nodes are packed
+    from 0, so voice times move from source time by the first shot boundary."""
     if dec.shot_count() == 0 or not dec.asr_sentences:
         raise EmptyDeconstruction(f"{sample_id}: deconstruction has no shots or no speech")
     cfg = sampling or parse_preset(DEFAULT_SAMPLING_PRESET)
@@ -498,8 +509,9 @@ def assemble_sample(
         )
         at += dur
 
+    origin = dec.shot_boundaries[0]
     voice = tuple(
-        VoiceSentence(text=s.text, target_start=s.start_ms, target_end=s.end_ms)
+        VoiceSentence(text=s.text, target_start=s.start_ms - origin, target_end=s.end_ms - origin)
         for s in dec.asr_sentences
     )
     ground_truth = Draft(

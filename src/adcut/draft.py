@@ -7,6 +7,14 @@ protocol shape; semantic rules (ordering, overlap, contiguity, tag and
 clip references) are checked separately by :func:`validate_draft`, which
 reports violations as data rather than raising.
 
+A voice sentence or video node of the plain shape (a ``dict`` with no key
+outside the protocol, ``text`` exactly ``str``, every index and time exactly
+``int`` and ``>= 0``) is accepted by one test and built at once. Any other
+span is read field by field, which is the only code that names an error, a
+path or an unknown key, or turns an integral float into an ``int``; so both
+ways read a span alike. Validation builds a violation's path only when it
+reports one.
+
 Canonical serialization emits a fixed key order and no insignificant
 whitespace, so equal drafts always produce identical bytes.
 """
@@ -26,6 +34,8 @@ TOP_LEVEL_KEYS = ("voice_over_track", "video_nodes_track", "decoration_setting")
 SENTENCE_KEYS = ("text", "target_start", "target_end")
 NODE_KEYS = ("index", "target_start", "target_end", "source_start")
 DECORATION_KEYS = tuple(TAG_FIELD_CATEGORY)
+_SENTENCE_KEY_SET = frozenset(SENTENCE_KEYS)
+_NODE_KEY_SET = frozenset(NODE_KEYS)
 
 
 class DraftSyntaxError(ValueError):
@@ -179,7 +189,13 @@ def draft_from_dict(doc: Any) -> Draft:
     try:
         sentences = []
         track = field(doc, "voice_over_track", list, "$")
-        for i in range(len(track)):
+        for i, obj in enumerate(track):
+            # a span of the plain shape is built at once; any other is read field by field below
+            if type(obj) is dict and obj.keys() <= _SENTENCE_KEY_SET:
+                text, start, end = obj.get("text"), obj.get("target_start"), obj.get("target_end")
+                if type(text) is str and type(start) is int and type(end) is int and start >= 0 and end >= 0:
+                    sentences.append(VoiceSentence(text, start, end))
+                    continue
             obj = field(track, i, dict, "$.voice_over_track")
             path = f"$.voice_over_track[{i}]"
             _warn_unknown(obj, SENTENCE_KEYS, path)
@@ -189,7 +205,15 @@ def draft_from_dict(doc: Any) -> Draft:
 
         nodes = []
         track = field(doc, "video_nodes_track", list, "$")
-        for i in range(len(track)):
+        for i, obj in enumerate(track):
+            if type(obj) is dict and obj.keys() <= _NODE_KEY_SET:
+                index, start, end, source = (
+                    obj.get("index"), obj.get("target_start"), obj.get("target_end"), obj.get("source_start")
+                )
+                if (type(index) is int and type(start) is int and type(end) is int and type(source) is int
+                        and index >= 0 and start >= 0 and end >= 0 and source >= 0):
+                    nodes.append(VideoNode(index, start, end, source))
+                    continue
             obj = field(track, i, dict, "$.video_nodes_track")
             path = f"$.video_nodes_track[{i}]"
             _warn_unknown(obj, NODE_KEYS, path)
@@ -282,13 +306,12 @@ def _check_neighbours(track: tuple[VoiceSentence, ...] | tuple[VideoNode, ...], 
 
 def _check_voice(track: tuple[VoiceSentence, ...], out: list[Violation]) -> None:
     for i, s in enumerate(track):
-        path = f"$.voice_over_track[{i}]"
         if not s.text.strip():
-            out.append(Violation("voice_empty_text", f"{path}.text", "sentence text is empty"))
+            out.append(Violation("voice_empty_text", f"$.voice_over_track[{i}].text", "sentence text is empty"))
         if s.target_start >= s.target_end:
             out.append(Violation(
                 "voice_time_order",
-                path,
+                f"$.voice_over_track[{i}]",
                 f"target_start {s.target_start} must be < target_end {s.target_end}",
             ))
     _check_neighbours(track, "voice_over_track", "voice", out)
@@ -297,19 +320,20 @@ def _check_voice(track: tuple[VoiceSentence, ...], out: list[Violation]) -> None
 def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[Violation]) -> None:
     seen: dict[int, int] = {}
     for i, n in enumerate(track):
-        path = f"$.video_nodes_track[{i}]"
         if n.target_start >= n.target_end:
             out.append(Violation(
                 "node_time_order",
-                path,
+                f"$.video_nodes_track[{i}]",
                 f"target_start {n.target_start} must be < target_end {n.target_end}",
             ))
         if n.source_start < 0:
-            out.append(Violation("node_negative_source", f"{path}.source_start", "source_start must be >= 0"))
+            out.append(Violation(
+                "node_negative_source", f"$.video_nodes_track[{i}].source_start", "source_start must be >= 0"
+            ))
         if n.index in seen:
             out.append(Violation(
                 "duplicate_clip_index",
-                f"{path}.index",
+                f"$.video_nodes_track[{i}].index",
                 f"clip {n.index} already used by node {seen[n.index]}",
             ))
         else:
@@ -319,13 +343,13 @@ def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[
             if clip is None:
                 out.append(Violation(
                     "unknown_clip_index",
-                    f"{path}.index",
+                    f"$.video_nodes_track[{i}].index",
                     f"clip {n.index} not in the {len(clips)}-clip set",
                 ))
             elif n.source_start + n.span_ms > clip.duration_ms:
                 out.append(Violation(
                     "clip_overrun",
-                    path,
+                    f"$.video_nodes_track[{i}]",
                     f"needs {n.source_start + n.span_ms} ms from a {clip.duration_ms} ms clip",
                 ))
     _check_neighbours(track, "video_nodes_track", "node", out)
@@ -337,12 +361,15 @@ def _check_decoration(deco: DecorationSetting, taxonomy: TagTaxonomy, out: list[
         known = taxonomy.labels(category)
         seen: set[str] = set()
         for i, tag in enumerate(tags):
-            path = f"$.decoration_setting.{field_name}[{i}]"
             if tag in seen:
-                out.append(Violation("duplicate_tag", path, f"{tag!r} repeated in {field_name}"))
+                out.append(Violation(
+                    "duplicate_tag", f"$.decoration_setting.{field_name}[{i}]", f"{tag!r} repeated in {field_name}"
+                ))
             seen.add(tag)
             if tag not in known:
-                out.append(Violation("unknown_tag", path, f"{tag!r} is not a {category} label"))
+                out.append(Violation(
+                    "unknown_tag", f"$.decoration_setting.{field_name}[{i}]", f"{tag!r} is not a {category} label"
+                ))
 
 
 def validate_draft(

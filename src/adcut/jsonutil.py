@@ -12,7 +12,9 @@ catalog and TTS file read their fields through :func:`field`, so each type
 rule lives in one place: a wrong type is :class:`FieldError` ``<path>:
 expected <kind>[ of <item>], got <type>`` and an absent field
 :class:`MissingField`. Callers turn both into their own error class at their
-boundary.
+boundary. A draft span of the plain shape is accepted by one exact-type
+test in the draft reader, and every other span is read by :func:`field`, so
+the draft's errors are still only those of :func:`field`.
 """
 
 import json

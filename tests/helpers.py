@@ -181,3 +181,55 @@ def recount_counts(samples) -> dict:
         "selection_clean": selection_clean,
         "tag_counts": {cat: {k: tags[cat][k] for k in ("tp", "fp", "fn")} for cat in tags},
     }
+
+
+# ---------------------------------------------------------------------------
+# draft reader oracle
+
+SPAN_FIELDS = {
+    "voice_over_track": ("text", "target_start", "target_end"),
+    "video_nodes_track": ("index", "target_start", "target_end", "source_start"),
+}
+
+
+def _read_span_field(span: dict, name: str) -> tuple[bool, object]:
+    """``(True, value read)`` if the draft reader must accept ``span[name]``, else ``(False, None)``."""
+    if name not in span:
+        return False, None
+    value = span[name]
+    if name == "text":
+        return type(value) is str, value
+    if type(value) is float and name != "index":  # a time may be a float of whole milliseconds
+        if value % 1 != 0:  # NaN % 1 is NaN, so NaN fails here too
+            return False, None
+        value = int(value)
+    if type(value) is not int or value < 0:
+        return False, None
+    return True, value
+
+
+def expected_draft_read(doc: dict) -> tuple[dict | None, str | None, list[str]]:
+    """What reading a draft document with a well-formed decoration must give,
+    as ``(tracks, error_path, warned)``.
+
+    ``tracks`` maps each track name to its spans as tuples of field values in
+    protocol key order, or is None when the reader must raise at
+    ``error_path``, the first bad field in track, span and protocol key order.
+    ``warned`` holds the path of each span with a key outside the protocol,
+    up to and including the span that fails."""
+    tracks, warned = {}, []
+    for track, names in SPAN_FIELDS.items():
+        spans = []
+        for i, span in enumerate(doc[track]):
+            at = f"$.{track}[{i}]"
+            if set(span) - set(names):
+                warned.append(at)
+            values = []
+            for name in names:
+                ok, value = _read_span_field(span, name)
+                if not ok:
+                    return None, f"{at}.{name}", warned
+                values.append(value)
+            spans.append(tuple(values))
+        tracks[track] = spans
+    return tracks, None, warned

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import redirect_stderr
+from contextlib import nullcontext, redirect_stderr
 from io import StringIO
 from pathlib import Path
 from unittest.mock import patch
@@ -1043,6 +1043,40 @@ class TestBuildDatasetAnswers:
         code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
         assert code == 1
         assert err == f"warning: vid-serum: {reason}\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_voice_times_move_with_the_nodes_to_the_first_shot_boundary(self, capsys, tmp_path, video_fixtures):
+        serum = video_fixtures["videos"]["vid-serum"]
+        serum["shots"] = [2300, 4600, 7500, 10500]
+        del serum["asr"][0]  # the rest span [2300, 10400]
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 0, err
+        (truth,) = [s.ground_truth for s in read_corpus(out) if s.sample_id == "vid-serum"]
+        assert [(s.target_start, s.target_end) for s in truth.voice_over_track] == [(0, 2700), (2700, 5300),
+                                                                                   (5300, 8100)]
+        assert [(n.target_start, n.target_end) for n in truth.video_nodes_track] == [(0, 2300), (2300, 5200),
+                                                                                    (5200, 8200)]
+        assert validate_draft(truth).ok
+
+    @pytest.mark.parametrize("role", ["asr", "judge"])
+    def test_speech_before_the_first_shot_boundary_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures,
+                                                                        role):
+        serum = video_fixtures["videos"]["vid-serum"]
+        serum["shots"] = [1000, 2000, 4600, 7500, 10500]
+        serum["asr"][0]["start"] = 500 if role == "asr" else 1000
+        stock = backends.MockTransport._handle_judge
+
+        def judge(self, payload):  # moves each video's first corrected sentence to start at 500
+            answer = stock(self, payload)
+            if payload["task"] == "correct_asr":
+                answer["sentences"][0] = {**answer["sentences"][0], "start": 500}
+            return answer
+
+        with patch.object(backends.MockTransport, "_handle_judge", judge) if role == "judge" else nullcontext():
+            code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        sentence = "sentence" if role == "asr" else "corrected sentence"
+        assert err == f"warning: vid-serum: {role}: {sentence} 0 starts at 500, before the first shot boundary 1000\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
     def test_too_short_shot_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):

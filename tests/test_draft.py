@@ -1,8 +1,10 @@
 import json
+import math
 import random
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adcut.clips import ClipMeta, ClipSet
 from adcut.draft import (
@@ -20,7 +22,7 @@ from adcut.draft import (
 )
 from adcut.taxonomy import TagTaxonomy, default_taxonomy
 
-from helpers import random_draft
+from helpers import SPAN_FIELDS, expected_draft_read, random_draft
 
 MINIMAL = (
     '{"voice_over_track":[{"text":"hi","target_start":0,"target_end":2000}],'
@@ -123,6 +125,84 @@ class TestParse:
         doc["voice_over_track"] = {}
         with pytest.raises(SchemaError):
             parse_draft(json.dumps(doc))
+
+
+    def test_unknown_key_warning_names_the_caller(self):
+        doc = json.loads(MINIMAL)
+        for obj in (doc["voice_over_track"][0], doc["video_nodes_track"][0], doc["decoration_setting"]):
+            obj["note"] = "annotation"
+        with pytest.warns(UnknownKeyWarning) as record:
+            parse_draft(json.dumps(doc))
+        assert [w.filename for w in record] == [__file__] * 3
+
+
+MISSING = object()
+SPAN_VALUE = st.one_of(
+    st.integers(1, 10**6),
+    st.just(0),
+    st.integers(-(10**6), -1),
+    st.integers(-(10**6), 10**6).map(float),  # integral
+    st.integers(-(10**6), 10**6).map(lambda n: n + 0.5),  # fractional
+    st.just(math.nan),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.just(MISSING),
+)
+
+
+@st.composite
+def span(draw, names):
+    obj = {}
+    for name in draw(st.permutations(names)):  # the reader must not depend on the document's key order
+        if draw(st.integers(0, 3)):  # three fields in four take a plain value, so many drafts are accepted
+            value = draw(st.text(max_size=8) if name == "text" else st.integers(0, 10**6))
+        else:
+            value = draw(SPAN_VALUE)
+        if value is not MISSING:
+            obj[name] = value
+    if draw(st.booleans()):
+        obj["note"] = draw(SPAN_VALUE.filter(lambda v: v is not MISSING))
+    return obj
+
+
+@st.composite
+def draft_document(draw):
+    doc = {track: draw(st.lists(span(names), max_size=2)) for track, names in SPAN_FIELDS.items()}
+    doc["decoration_setting"] = {"tts_tags": [], "avatar_tags": [], "music_tags": []}
+    return doc
+
+
+@settings(max_examples=300)
+@given(draft_document())
+@example({"voice_over_track": [{"text": "a", "target_start": 0, "target_end": 0}], "video_nodes_track": [
+    {"index": 0, "target_start": 0, "target_end": 0, "source_start": 0}], "decoration_setting": {
+    "tts_tags": [], "avatar_tags": [], "music_tags": []}})
+@example({"voice_over_track": [], "video_nodes_track": [
+    {"index": 2.0, "target_start": 0, "target_end": 1, "source_start": 0}], "decoration_setting": {
+    "tts_tags": [], "avatar_tags": [], "music_tags": []}})
+@example({"voice_over_track": [{"text": "a", "target_start": True, "target_end": 1}], "video_nodes_track": [],
+          "decoration_setting": {"tts_tags": [], "avatar_tags": [], "music_tags": []}})
+def test_reader_matches_the_field_oracle(doc):
+    tracks, path, warned = expected_draft_read(doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = parse_draft(json.dumps(doc))
+        except SchemaError as exc:
+            assert exc.path == path
+        else:
+            assert path is None
+            read = {
+                "voice_over_track": [(s.text, s.target_start, s.target_end) for s in d.voice_over_track],
+                "video_nodes_track": [(n.index, n.target_start, n.target_end, n.source_start)
+                                      for n in d.video_nodes_track],
+            }
+            assert read == tracks
+            times = [v for s in read["voice_over_track"] for v in s[1:]]
+            assert all(type(v) is int for v in times + [v for n in read["video_nodes_track"] for v in n])
+    assert [str(w.message) for w in caught if w.category is UnknownKeyWarning] == [
+        f"{at}.note: unknown key ignored" for at in warned]
 
 
 class TestSerialize:
