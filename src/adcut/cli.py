@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from .clips import ClipSet
-from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft, validate_draft
+from .draft import Draft, DraftSyntaxError, parse_draft, validate_draft
 from .jsonutil import FieldError, RecordError, dumps_canonical, field, read_object, read_records
 from .jsonutil import trim_torn_tail, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
@@ -406,12 +406,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad product info for video {ref!r}: {exc}") from None
 
-    template_path = cfg.path("paths", "template")
-    template = _load("template", ds.load_instruction_template, template_path)
-    try:  # every placeholder must be one that each sample fills
-        template.format(product_block="", materials_block="", free_prompt="")
-    except (LookupError, AttributeError, ValueError) as exc:
-        raise CliError(f"template {template_path}: bad placeholder: {exc}") from None
+    template = _load("template", ds.load_instruction_template, cfg.path("paths", "template"))
 
     dropout = args.dropout_p
     if dropout is None:
@@ -501,27 +496,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"missing prediction: {sid}", file=sys.stderr)
         return EXIT_VIOLATION
 
-    eval_samples = []
-    for sample in corpus:
-        try:
-            predicted = parse_draft(predictions[sample.sample_id])
-        except (DraftSyntaxError, SchemaError):
-            predicted = None
-        frames: tuple[str, ...] = ()
-        if args.with_vsr:
-            # frame references as (clip index, frame index, timestamp) strings
-            frames = tuple(
-                f"frame:{n.index}:0:{n.target_start}" for n in sample.ground_truth.video_nodes_track
-            )
-        eval_samples.append(
-            mx.EvalSample(
-                sample_id=sample.sample_id,
-                ground_truth=sample.ground_truth,
-                predicted=predicted,
-                negatives=frozenset(sample.negatives),
-                frames=frames,
-            )
-        )
+    eval_samples = [mx.eval_sample(s, predictions[s.sample_id]) for s in corpus]
 
     taxonomy = _taxonomy(args, cfg)
     try:  # a tag outside the taxonomy fails here, before any backend call

@@ -6,6 +6,7 @@ decoding happens here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -15,11 +16,13 @@ from .jsonutil import field, objects, read_object
 
 @dataclass(frozen=True)
 class ClipMeta:
-    """Duration and frame-count metadata for one source clip."""
+    """Duration and frame-count metadata for one source clip; ``duration_ms``
+    is the duration rounded to whole milliseconds, computed once here."""
 
     index: int
     duration_s: float
     frame_count: int
+    duration_ms: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -30,6 +33,7 @@ class ClipMeta:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         try:
             fps = self.native_fps
+            object.__setattr__(self, "duration_ms", round(self.duration_s * 1000))
         except OverflowError:
             raise ValueError(f"clip {self.index}: frame_count or duration_s too large") from None
         if not 1.0 <= fps <= 240.0:
@@ -39,10 +43,6 @@ class ClipMeta:
     def native_fps(self) -> float:
         # the duration as a float, as sampling takes it, so a clip past the float range fails here
         return self.frame_count / float(self.duration_s)
-
-    @property
-    def duration_ms(self) -> int:
-        return round(self.duration_s * 1000)
 
 
 class ClipSet:

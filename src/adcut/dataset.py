@@ -259,16 +259,28 @@ def _sparse_timestamps(start_ms: int, end_ms: int) -> list[float]:
     return [start_ms / 1000.0 + span * (i + 0.5) / CAPTION_FRAMES for i in range(CAPTION_FRAMES)]
 
 
+def _check_within_shots(role: str, what: str, s: AsrSentence, video_start: int, video_end: float) -> None:
+    """``InvalidResponse`` for ``role`` when sentence ``what`` starts before the
+    first shot boundary or ends after the last."""
+    if s.start_ms < video_start:
+        raise InvalidResponse(role, f"{what} starts at {s.start_ms}, before the first shot boundary {video_start}")
+    if s.end_ms > video_end:
+        raise InvalidResponse(role, f"{what} ends at {s.end_ms}, after the last shot boundary {video_end}")
+
+
 def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     """Extract voice, subtitles, shot boundaries, captions and tag
     recommendations for one source video. An answer without the fields read
-    here, of the JSON types read, with a shot too short to be a clip, with an
-    ASR sentence starting before 0 or the first shot boundary or ending after
-    the last, or with corrected sentences that are blank, not ``0 <= start <
-    end``, starting before the first shot boundary or ending after the last,
-    unsorted or overlapping, raises :class:`InvalidResponse` for its role."""
+    here, of the JSON types read, with a shot boundary below 0 or a shot too
+    short to be a clip, with an ASR sentence starting before 0 or the first
+    shot boundary or ending after the last, or with corrected sentences that
+    are blank, not ``0 <= start < end``, starting before the first shot
+    boundary or ending after the last, unsorted or overlapping, raises
+    :class:`InvalidResponse` for its role."""
     ref = {"video_ref": video_ref}
     boundaries = sorted(set(answer(backends.shots, ref, "boundaries_ms", list, int)))
+    if boundaries and boundaries[0] < 0:
+        raise InvalidResponse(backends.shots.role, f"first boundary at {boundaries[0]}, before 0")
     for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
         try:
             clip_meta(i, b - a)
@@ -281,14 +293,7 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
     for i, s in enumerate(sentences):
         if s.start_ms < 0:
             raise InvalidResponse(backends.asr.role, f"sentence {i} starts at {s.start_ms}")
-        if s.start_ms < video_start:
-            raise InvalidResponse(
-                backends.asr.role, f"sentence {i} starts at {s.start_ms}, before the first shot boundary {video_start}"
-            )
-        if s.end_ms > video_end:
-            raise InvalidResponse(
-                backends.asr.role, f"sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
-            )
+        _check_within_shots(backends.asr.role, f"sentence {i}", s, video_start, video_end)
     sentences = _normalize_asr(sentences)
     corrected = answer(
         backends.judge,
@@ -306,15 +311,7 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} has blank text")
         if not 0 <= s.start_ms < s.end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} spans [{s.start_ms}, {s.end_ms}]")
-        if s.start_ms < video_start:
-            raise InvalidResponse(
-                backends.judge.role,
-                f"corrected sentence {i} starts at {s.start_ms}, before the first shot boundary {video_start}",
-            )
-        if s.end_ms > video_end:
-            raise InvalidResponse(
-                backends.judge.role, f"corrected sentence {i} ends at {s.end_ms}, after the last shot boundary {video_end}"
-            )
+        _check_within_shots(backends.judge.role, f"corrected sentence {i}", s, video_start, video_end)
         if i and s.start_ms < sentences[i - 1].end_ms:
             raise InvalidResponse(backends.judge.role, f"corrected sentence {i} starts before sentence {i - 1} ends")
 
@@ -459,9 +456,14 @@ def _bundled_template() -> str:
 
 
 def load_instruction_template(path: str | Path | None = None) -> str:
-    if path is not None:
-        return Path(path).read_text(encoding="utf-8")
-    return _bundled_template()
+    """The template at ``path`` (default: bundled). Raises ``ValueError`` for a
+    placeholder other than the three that each sample fills."""
+    template = _bundled_template() if path is None else Path(path).read_text(encoding="utf-8")
+    try:
+        template.format(product_block="", materials_block="", free_prompt="")
+    except (LookupError, AttributeError, ValueError) as exc:
+        raise ValueError(f"bad placeholder: {exc}") from None
+    return template
 
 
 def assemble_sample(

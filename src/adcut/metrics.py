@@ -3,7 +3,8 @@
 Exact counting metrics (clip rank accuracy, clip selection accuracy,
 decorative-tag precision/recall) plus weighted judge-score aggregation for
 free-prompt following and script quality, and a simplified embedding-based
-visual/script relevance score. All counting is one pure fold,
+visual/script relevance score. :func:`eval_sample` builds each scored pair
+from a corpus sample and its model output. All counting is one pure fold,
 :func:`count_metrics`, into :class:`MetricCounts`, from which the three
 counting metrics are derived; :func:`evaluate_corpus` adds the per-sample
 scores of :func:`score_sample`, so results are independent of corpus order
@@ -16,12 +17,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .backends import RUBRICS, Client, MalformedScores, embed, judge_score
-from .draft import Draft
+from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft
 from .taxonomy import CATEGORIES as DTPR_CATEGORIES
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .dataset import DatasetSample
 
 DTPR_DISPLAY = {"TTS": "TTS Timbre", "Avatar": "Avatar", "Music": "Music"}
 
@@ -59,6 +62,23 @@ class EvalSample:
     predicted: Draft | None
     negatives: frozenset[int] = frozenset()
     frames: tuple[str, ...] = ()
+
+
+def eval_sample(sample: DatasetSample, draft_json: str) -> EvalSample:
+    """The pair to score for corpus ``sample`` and its model output
+    ``draft_json``: a prediction that does not parse is None, and the frame
+    references are one ``frame:<clip>:0:<target_start>`` per ground-truth node."""
+    try:
+        predicted = parse_draft(draft_json)
+    except (DraftSyntaxError, SchemaError):
+        predicted = None
+    return EvalSample(
+        sample_id=sample.sample_id,
+        ground_truth=sample.ground_truth,
+        predicted=predicted,
+        negatives=frozenset(sample.negatives),
+        frames=tuple(f"frame:{n.index}:0:{n.target_start}" for n in sample.ground_truth.video_nodes_track),
+    )
 
 
 @dataclass

@@ -474,6 +474,13 @@ class TestEvaluate:
             "--with-vsr", "--config", str(FIX / "adcut.ini"), "--seed", "7",
         )
         assert json.loads(out2)["vsr"] == report["vsr"]
+        # --with-vsr adds VSR to the judge's report and changes nothing else
+        argv = ["evaluate", str(corpus_path), str(pred), "--with-judge", "--config", str(FIX / "adcut.ini"),
+                "--seed", "7"]
+        judged, with_vsr = (json.loads(run(capsys, *argv, *more)[1]) for more in ([], ["--with-vsr"]))
+        assert judged["vsr"] is None and with_vsr["vsr"] == report["vsr"]
+        for key in ("cra", "csa", "fpf", "sq", "counts"):
+            assert with_vsr[key] == judged[key], key
 
     @pytest.mark.parametrize("judge, reason", MISSHAPEN_JUDGE)
     def test_misshapen_judge_fixture_is_a_usage_error(
@@ -723,7 +730,8 @@ def input_files(draw):
 
 # hostile input files: those that printed a traceback before every input file went through one loader,
 # a JSON bool or a fractional index that a clip set took for a number, catalog or TTS fields of the
-# wrong JSON type that align took as they came, and a frame count too large for a float
+# wrong JSON type that align took as they came, a frame count too large for a float, and a clip
+# whose duration in milliseconds is too large for a float
 HOSTILE_INPUTS = [
     ("clip set", {"clips": [1]}, "clips[0]: expected dict, got int"),
     ("clip set", {"clips": [{"index": 0, "duration_s": "5", "frame_count": 150}]},
@@ -744,6 +752,8 @@ HOSTILE_INPUTS = [
      "assets[0].labels: expected list of str, got dict"),
     ("TTS file", {"durations_ms": "123"}, "durations_ms: expected list, got str"),
     ("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 10**400}]},
+     "clip 0: frame_count or duration_s too large"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": 1e306, "frame_count": 3 * 10**306}]},
      "clip 0: frame_count or duration_s too large"),
 ]
 
@@ -1084,6 +1094,13 @@ class TestBuildDatasetAnswers:
         code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
         assert code == 1
         assert err == "warning: vid-serum: shots: shot 0 of 1 ms: native fps 1000.000 outside [1, 240] for clip 0\n"
+        assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
+
+    def test_a_negative_first_shot_boundary_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):
+        video_fixtures["videos"]["vid-serum"]["shots"] = [-1000, 2000, 4600, 7500, 10500]
+        code, err, out = self.build(capsys, tmp_path, fixtures=video_fixtures)
+        assert code == 1
+        assert err == "warning: vid-serum: shots: first boundary at -1000, before 0\n"
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
     def test_a_shot_past_the_float_range_is_a_recorded_failure(self, capsys, tmp_path, video_fixtures):

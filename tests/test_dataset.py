@@ -25,6 +25,7 @@ from adcut.dataset import (
     deconstruct,
     free_prompt_from_dimensions,
     generate_free_prompt,
+    load_instruction_template,
     read_corpus,
     render_free_prompt,
     sample_negative_count,
@@ -273,6 +274,14 @@ class TestAnalyze:
 class TestAssemble:
     def prompt(self):
         return free_prompt_from_dimensions({"duration": "about 6 seconds"})
+
+    @pytest.mark.parametrize("text", ["{unknown}", "{0}", "{free_prompt.x}", "{product_block"],
+                             ids=["unknown name", "positional", "attribute", "unclosed"])
+    def test_template_with_a_placeholder_no_sample_fills_is_rejected(self, tmp_path, text):
+        path = tmp_path / "template.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^bad placeholder: "):
+            load_instruction_template(path)
 
     def test_zero_negatives_permutation_of_positives(self):
         empty_pool = ClipSet([])

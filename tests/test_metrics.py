@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adcut.backends import BackendEndpoint, Client, MalformedScores, mock_backend_set
-from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence
+from adcut.dataset import DatasetSample
+from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, serialize_draft
 from adcut.jsonutil import dumps_canonical, loads
 from adcut.metrics import (
     EmptyCorpus,
@@ -16,6 +17,7 @@ from adcut.metrics import (
     cra,
     csa,
     dtpr,
+    eval_sample,
     evaluate_corpus,
     fpf_aggregate,
     render_table,
@@ -308,6 +310,26 @@ class RubricScoresTransport:
 
 def judge_client(scores):
     return Client("judge", BackendEndpoint("mock://fixed"), transport=RubricScoresTransport(scores))
+
+
+class TestEvalSample:
+    CORPUS_LINE = DatasetSample(sample_id="s", instruction="i", clip_order=("pos:1", "neg:0", "pos:0"),
+                                negatives=(1,), negatives_capped=False, ground_truth=draft_with([2, 0]))
+
+    @pytest.mark.parametrize("draft_json", ["{", "{}", "[]"], ids=["malformed JSON", "no fields", "not an object"])
+    def test_unparseable_prediction_is_none(self, draft_json):
+        assert eval_sample(self.CORPUS_LINE, draft_json).predicted is None
+
+    def test_fields_come_from_the_corpus_line_and_the_prediction(self):
+        predicted = draft_with([0, 1, 2])
+        s = eval_sample(self.CORPUS_LINE, serialize_draft(predicted).decode("utf-8"))
+        assert (s.sample_id, s.ground_truth, s.predicted) == ("s", self.CORPUS_LINE.ground_truth, predicted)
+        assert s.negatives == frozenset({1}) and isinstance(s.negatives, frozenset)
+
+    @pytest.mark.parametrize("draft_json", ["{", serialize_draft(draft_with([1])).decode("utf-8")],
+                             ids=["unparseable", "parsed"])
+    def test_frames_are_the_ground_truth_nodes_in_order(self, draft_json):
+        assert eval_sample(self.CORPUS_LINE, draft_json).frames == ("frame:2:0:0", "frame:0:0:1000")
 
 
 class TestScoreSample:
