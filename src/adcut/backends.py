@@ -19,7 +19,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
@@ -352,10 +352,6 @@ def prompt_sha256(filename: str) -> str:
     return hashlib.sha256(prompt_text(filename).encode("utf-8")).hexdigest()
 
 
-def rubric_text(rubric_id: str) -> str:
-    return prompt_text(_rubric(rubric_id)[0])
-
-
 def rubric_hash(rubric_id: str) -> str:
     return prompt_sha256(_rubric(rubric_id)[0])
 
@@ -388,7 +384,10 @@ def judge_score(payload: dict, rubric_id: str, client: Client) -> dict[str, floa
 
 
 def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
-    """Embed texts or frame references; vectors are L2-normalized client-side."""
+    """Embed texts or frame references; vectors are L2-normalized client-side.
+
+    The answer is checked as one array: a value that is not a finite number
+    anywhere in it fails before any zero vector does."""
     if not inputs:
         raise ValueError("embed requires at least one input")
     vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
@@ -399,20 +398,17 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
         raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
     import numpy as np
 
-    out = []
-    for v in vectors:
-        try:
-            arr = np.asarray(v, dtype=np.float64)
-            numeric = arr.ndim == 1 and bool(np.isfinite(arr).all())
-        except (TypeError, ValueError):
-            numeric = False
-        if not numeric:
-            raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise InvalidResponse(client.role, "zero vector cannot be normalized")
-        out.append(arr / norm)
-    return out
+    try:
+        arr = np.asarray(vectors, dtype=np.float64)
+        numeric = arr.ndim == 2 and bool(np.isfinite(arr).all())
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if not numeric:
+        raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
+    norms = np.array([np.linalg.norm(row) for row in arr])
+    if not norms.all():
+        raise InvalidResponse(client.role, "zero vector cannot be normalized")
+    return list(arr / norms[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +615,3 @@ def mock_backend(seed: int, fixtures: dict | None = None) -> MockTransport:
 
 
 MOCK_ENDPOINT = BackendEndpoint(base_url="mock://local", timeout_ms=1000, max_retries=0)
-
-
-def mock_backend_set(seed: int, fixtures: dict | None = None) -> BackendSet:
-    """A full client set wired to one shared mock transport."""
-    transport = mock_backend(seed, fixtures)
-    return BackendSet(**{f.name: Client(f.name, MOCK_ENDPOINT, transport=transport) for f in fields(BackendSet)})

@@ -234,6 +234,18 @@ def _read_predictions(path: str) -> dict[str, str]:
     return dict(read_records(path, lambda r: (field(r, "sample_id", str), field(r, "draft_json", str)), "sample_id"))
 
 
+def _sort_predictions(path: str, ids: list[str]) -> None:
+    """Rewrite the predictions file ``path`` in the order of ``ids`` through
+    ``<path>.partial`` and a rename, so a crash leaves the whole file; lines of
+    other ids keep their order at the end."""
+    predictions = _on_file(_read_predictions, path)
+    rank = {sid: n for n, sid in enumerate(ids)}
+    order = sorted(predictions, key=lambda sid: rank.get(sid, len(rank)))
+    partial = f"{path}.partial"
+    _on_file(lambda p: write_records(p, ({"sample_id": sid, "draft_json": predictions[sid]} for sid in order)), partial)
+    _on_file(lambda p: os.replace(p, path), partial)
+
+
 def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
     """``fn(*item)`` for each ``(sample_id, ...)`` item on the process's pool of
     ``concurrency`` threads (:func:`_pool`), yielded in input order; the items go to the
@@ -468,13 +480,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if _on_file(trim_torn_tail, args.out):
             print(f"warning: {args.out}: dropped a torn last line; its sample is generated again", file=sys.stderr)
         done = _on_file(_read_predictions, args.out)
+    ids = [s.sample_id for s in samples]
     todo = [(s.sample_id, s.instruction) for s in samples if s.sample_id not in done]
 
     def generate_one(sample_id: str, instruction: str) -> dict:
         draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
         return {"sample_id": sample_id, "draft_json": draft_json.decode("utf-8")}
 
-    return _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
+    code = _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
+    if code == EXIT_OK and list(done) != ids[: len(done)]:  # a resumed gap was appended after later samples
+        _sort_predictions(args.out, ids)
+    return code
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

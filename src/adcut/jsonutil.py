@@ -96,9 +96,13 @@ def objects(obj: Any, key: str, path: str = "") -> Iterator[tuple[str, dict]]:
     return ((json_path(path, i), field(entries, i, dict, path)) for i in range(len(entries)))
 
 
+# built once: ``json.dumps`` builds a new encoder on every call that passes it options
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps_canonical(obj: Any) -> bytes:
     """Serialize to canonical JSON bytes (compact, UTF-8, insertion order)."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def loads(data: bytes | str) -> Any:

@@ -233,13 +233,12 @@ def sq_aggregate(scores: Mapping[str, float]) -> float:
     return float(sum(scores.values()))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    import numpy as np
-
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """Cosine similarity of ``a`` and ``b`` from their norms ``na`` and ``nb``; 0.0
+    when either is zero."""
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return float(a.dot(b) / (na * nb))
 
 
 def vsr(sample: EvalSample, embed_client: Client) -> float:
@@ -249,7 +248,8 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
     the mean frame embedding and (b) the per-sentence mean of the maximum
     per-frame cosine similarity, scaled by 100. A draft with no voice-over
     sentences has no script to relate to the frames: it scores 0.0 and
-    makes no embed call.
+    makes no embed call. Each vector's norm is taken once, so a pair costs
+    one dot product.
     """
     draft = sample.predicted if sample.predicted is not None else sample.ground_truth
     if not sample.frames:
@@ -259,13 +259,14 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
         return 0.0
     import numpy as np
 
-    script = " ".join(sentences)
-    vectors = embed([script] + sentences + list(sample.frames), embed_client)
-    script_vec = vectors[0]
-    sentence_vecs = vectors[1 : 1 + len(sentences)]
-    frame_vecs = vectors[1 + len(sentences) :]
-    whole = _cosine(script_vec, np.mean(frame_vecs, axis=0))
-    per_sentence = [max(_cosine(sv, fv) for fv in frame_vecs) for sv in sentence_vecs]
+    vectors = embed([" ".join(sentences)] + sentences + list(sample.frames), embed_client)
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    first_frame = 1 + len(sentences)
+    mean = np.mean(vectors[first_frame:], axis=0)
+    whole = _cosine(vectors[0], norms[0], mean, float(np.linalg.norm(mean)))
+    frames = list(zip(vectors[first_frame:], norms[first_frame:]))
+    per_sentence = [max(_cosine(sv, ns, fv, nf) for fv, nf in frames)
+                    for sv, ns in zip(vectors[1:first_frame], norms[1:first_frame])]
     return 100.0 * (whole + sum(per_sentence) / len(per_sentence)) / 2.0
 
 

@@ -6,7 +6,22 @@ independent of the library code paths they check.
 
 import math
 import random
+from dataclasses import fields
 
+import numpy as np
+
+from adcut.backends import (
+    MOCK_ENDPOINT,
+    RUBRICS,
+    BackendSet,
+    Client,
+    DimensionMismatch,
+    InvalidResponse,
+    answer,
+    embed,
+    mock_backend,
+    prompt_text,
+)
 from adcut.clips import ClipMeta, ClipSet
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence
 from adcut.taxonomy import default_taxonomy
@@ -95,6 +110,21 @@ def aligned_draft_and_clips(rng: random.Random, scale: int = 1):
         for n in nodes
     ]
     return draft, realized, ClipSet(metas)
+
+
+# ---------------------------------------------------------------------------
+# mock backends
+
+
+def mock_backend_set(seed: int, fixtures: dict | None = None) -> BackendSet:
+    """A full client set wired to one shared mock transport."""
+    transport = mock_backend(seed, fixtures)
+    return BackendSet(**{f.name: Client(f.name, MOCK_ENDPOINT, transport=transport) for f in fields(BackendSet)})
+
+
+def rubric_text(rubric_id: str) -> str:
+    """The verbatim prompt of a judge rubric."""
+    return prompt_text(RUBRICS[rubric_id][0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +263,59 @@ def expected_draft_read(doc: dict) -> tuple[dict | None, str | None, list[str]]:
             spans.append(tuple(values))
         tracks[track] = spans
     return tracks, None, warned
+
+
+# ---------------------------------------------------------------------------
+# VSR and embed oracles: the per-pair and per-vector arithmetic the library
+# must match bit for bit
+
+
+def reference_embed(inputs: list[str], client: Client) -> list[np.ndarray]:
+    """Each vector of the answer checked, normalized and copied on its own."""
+    if not inputs:
+        raise ValueError("embed requires at least one input")
+    vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
+    if len(vectors) != len(inputs):
+        raise InvalidResponse(client.role, "vector count does not match input count")
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
+
+    out = []
+    for v in vectors:
+        try:
+            arr = np.asarray(v, dtype=np.float64)
+            numeric = arr.ndim == 1 and bool(np.isfinite(arr).all())
+        except (TypeError, ValueError):
+            numeric = False
+        if not numeric:
+            raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
+        norm = float(np.linalg.norm(arr))
+        if norm == 0.0:
+            raise InvalidResponse(client.role, "zero vector cannot be normalized")
+        out.append(arr / norm)
+    return out
+
+
+def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity with both norms taken per call; 0.0 for a zero vector."""
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def reference_vsr(sample, embed_client: Client) -> float:
+    """VSR with two norms per sentence×frame pair."""
+    draft = sample.predicted if sample.predicted is not None else sample.ground_truth
+    sentences = [s.text for s in draft.voice_over_track]
+    if not sentences:
+        return 0.0
+    script = " ".join(sentences)
+    vectors = embed([script] + sentences + list(sample.frames), embed_client)
+    script_vec = vectors[0]
+    sentence_vecs = vectors[1 : 1 + len(sentences)]
+    frame_vecs = vectors[1 + len(sentences) :]
+    whole = reference_cosine(script_vec, np.mean(frame_vecs, axis=0))
+    per_sentence = [max(reference_cosine(sv, fv) for fv in frame_vecs) for sv in sentence_vecs]
+    return 100.0 * (whole + sum(per_sentence) / len(per_sentence)) / 2.0

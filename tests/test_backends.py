@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import adcut
 from adcut import backends as backends_module
@@ -31,15 +33,14 @@ from adcut.backends import (
     generate_draft,
     judge_score,
     mock_backend,
-    mock_backend_set,
     rubric_hash,
-    rubric_text,
     MOCK_ENDPOINT,
     RUBRICS,
 )
 from adcut.cli import main
 from adcut.dataset import read_corpus
 from adcut.jsonutil import dumps_canonical, loads
+from helpers import mock_backend_set, reference_embed, rubric_text
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -239,8 +240,9 @@ class TestEmbed:
             (b"[[[1.0]]]", "a vector is not a list of finite numbers"),
             (b"[[NaN]]", "a vector is not a list of finite numbers"),
             (b"[[1.0, Infinity]]", "a vector is not a list of finite numbers"),
+            (b"[[1" + b"0" * 400 + b"]]", "a vector is not a list of finite numbers"),
         ],
-        ids=["string", "number", "nested", "nan", "infinity"],
+        ids=["string", "number", "nested", "nan", "infinity", "overflow"],
     )
     def test_non_numeric_vector_is_an_invalid_response(self, vectors, reason):
         transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
@@ -248,6 +250,49 @@ class TestEmbed:
         with pytest.raises(InvalidResponse) as raised:
             embed(["a"], client)
         assert str(raised.value) == f"embed: {reason}"
+
+    @pytest.mark.parametrize("vectors", [b"[[0.0], [NaN]]", b'[[0.0], ["a"]]', b"[[0.0, 0.0], [[1], [2]]]"],
+                             ids=["nan", "string", "nested"])
+    def test_a_non_number_fails_before_an_earlier_zero_vector(self, vectors):
+        # the whole answer is checked for numbers first, then each vector's norm
+        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        with pytest.raises(InvalidResponse, match="^embed: a vector is not a list of finite numbers$"):
+            embed(["a", "b"], client)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(st.data())
+    def test_stacked_vectors_equal_the_per_vector_reference(self, data):
+        dim = data.draw(st.integers(0, 40))
+        count = data.draw(st.integers(1, 5))
+        scales = st.sampled_from([1e-200, 1e-8, 1.0, 3.0, 1e8, 1e200])  # underflowing and overflowing norms too
+        unscaled = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+        vectors = []
+        for _ in range(count):
+            scale = data.draw(scales)
+            vectors.append([x * scale for x in data.draw(unscaled)])
+        fault = data.draw(st.sampled_from([None, None, None, 0.0, float("nan"), float("inf")]))
+        if fault is not None and dim:  # one vector zeroed, or one element not finite
+            row = data.draw(st.integers(0, count - 1))
+            if fault == 0.0:
+                vectors[row] = [0.0] * dim
+            else:
+                vectors[row][data.draw(st.integers(0, dim - 1))] = fault
+        body = dumps_canonical({"vectors": vectors})
+        inputs = [f"in{i}" for i in range(count)]
+
+        def client():
+            return Client("embed", BackendEndpoint("http://unit.test"), transport=CountingTransport([(200, body)]))
+
+        try:
+            expected = reference_embed(inputs, client())
+        except InvalidResponse:
+            with pytest.raises(InvalidResponse):  # the message may differ when two vectors are faulty
+                embed(inputs, client())
+            return
+        got = embed(inputs, client())
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+        assert [v.shape for v in got] == [v.shape for v in expected]
 
 
 class TestMockPurity:

@@ -363,16 +363,21 @@ class TestGenerate:
         assert [json.loads(l)["sample_id"] for l in out.read_text().splitlines()] == ["vid-earbuds", "vid-serum"]
 
         monkeypatch.undo()
-        before = out.read_bytes()
         code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
         assert code == 0, err
-        after = out.read_bytes()
-        assert after.startswith(before)
-        assert [json.loads(l)["sample_id"] for l in after[len(before):].splitlines()] == ["vid-blender"]
-        def by_id(path):
-            return {r["sample_id"]: r["draft_json"] for r in map(json.loads, path.read_text().splitlines())}
+        assert out.read_bytes() == full.read_bytes()  # the resumed sample's line is in corpus order
 
-        assert by_id(out) == by_id(full)
+    def test_resume_after_a_gap_writes_corpus_order(self, capsys, corpus_path, tmp_path):
+        argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
+        full = tmp_path / "full.jsonl"
+        assert main([*argv, "--out", str(full)]) == 0
+        first, second, third = full.read_bytes().splitlines(keepends=True)
+        out = tmp_path / "pred.jsonl"
+        out.write_bytes(first + third)
+        code, _, err = run(capsys, *argv, "--out", str(out), "--resume")
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == full.read_bytes()
+        assert not Path(f"{out}.partial").exists()
 
     def test_resume_drops_a_torn_last_line(self, capsys, corpus_path, tmp_path):
         argv = ["generate", str(corpus_path), "--endpoint-generate", "mock:perfect", "--seed", "7"]
@@ -594,6 +599,20 @@ class TestEvaluateRunner:
         assert (code, out) == (1, "")
         assert "Traceback" not in err
         assert err.splitlines() == [f"warning: {s.sample_id}: judge: JSON body nested too deeply"
+                                    for s in read_corpus(corpus_path)]
+
+    def test_an_embed_number_past_the_float_range_fails_each_sample(self, capsys, corpus_path, pred, serve):
+        def answer(role, payload):  # one 401-digit integer per vector
+            if role == "embed":
+                rows = ",".join(["[1" + "0" * 400 + "]"] * len(payload["inputs"]))
+                return 200, f'{{"vectors":[{rows}]}}'.encode()
+
+        serve(answer)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                             "--endpoint-embed", "http://stub.invalid")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"warning: {s.sample_id}: embed: a vector is not a list of finite numbers"
                                     for s in read_corpus(corpus_path)]
 
     def test_a_prediction_without_a_script_scores_zero_vsr(self, capsys, corpus_path, pred, serve):

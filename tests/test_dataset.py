@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from adcut import dataset as dataset_module
-from adcut.backends import RUBRICS, Client, MOCK_ENDPOINT, mock_backend, mock_backend_set
+from adcut.backends import RUBRICS, Client, MOCK_ENDPOINT, mock_backend
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
     FREE_PROMPT_DIMENSIONS,
@@ -36,6 +36,7 @@ from adcut.dataset import (
 from adcut.draft import DECORATION_KEYS, DecorationSetting, validate_draft
 from adcut.jsonutil import dumps_canonical, loads
 from adcut.taxonomy import TAG_FIELD_CATEGORY
+from helpers import mock_backend_set
 
 PRODUCT = ProductInfo(
     name="SoundPod Mini",

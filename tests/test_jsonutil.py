@@ -1,6 +1,23 @@
-import pytest
+import json
 
-from adcut.jsonutil import FieldError, field, trim_torn_tail
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from adcut.jsonutil import FieldError, dumps_canonical, field, trim_torn_tail
+
+# any JSON value: non-ASCII and control characters in keys and strings, floats of every
+# magnitude, integers past 64 bits, and nesting
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_canonical_bytes_are_those_of_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 WHOLE = b'{"a":1}\n{"b":2}\n'
 LONG = b'{"c":"' + b"x" * 200_000  # longer than one backward read

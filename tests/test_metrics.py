@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from adcut.backends import BackendEndpoint, Client, MalformedScores, mock_backend_set
+from adcut.backends import BackendEndpoint, Client, MalformedScores
 from adcut.dataset import DatasetSample
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, serialize_draft
 from adcut.jsonutil import dumps_canonical, loads
@@ -26,7 +28,15 @@ from adcut.metrics import (
     vsr,
 )
 
-from helpers import random_draft, recount_counts, recount_cra, recount_csa, recount_dtpr
+from helpers import (
+    mock_backend_set,
+    random_draft,
+    recount_counts,
+    recount_cra,
+    recount_csa,
+    recount_dtpr,
+    reference_vsr,
+)
 
 
 def draft_with(indices, tags=None) -> Draft:
@@ -237,6 +247,16 @@ class FixedEmbedTransport:
         return 200, dumps_canonical({"vectors": vectors})
 
 
+class AnswerTransport:
+    """Answers every embed request with the same vectors."""
+
+    def __init__(self, vectors):
+        self.body = dumps_canonical({"vectors": vectors})
+
+    def send(self, role, url, body, headers, timeout_s):
+        return 200, self.body
+
+
 def embed_client(table, dim=4):
     return Client("embed", BackendEndpoint("mock://fixed"), transport=FixedEmbedTransport(table, dim))
 
@@ -285,7 +305,29 @@ class TestVsr:
 
     def test_cosine_with_a_zero_vector_is_zero(self):
         zero, unit = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])
-        assert _cosine(zero, unit) == _cosine(unit, zero) == _cosine(zero, zero) == 0.0
+        assert _cosine(zero, 0.0, unit, 1.0) == _cosine(unit, 1.0, zero, 0.0) == _cosine(zero, 0.0, zero, 0.0) == 0.0
+
+    @given(st.data())
+    def test_equals_the_pairwise_reference(self, data):
+        dim = data.draw(st.integers(1, 8))
+        n_sentences, n_frames = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        scales = st.sampled_from([1e-150, 1e-6, 1.0, 7.0, 1e6, 1e150])  # mixed magnitudes, per vector
+        element = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)  # no norm underflows
+        unit = st.lists(element, min_size=dim, max_size=dim).filter(any)
+
+        def vector():
+            scale = data.draw(scales)
+            return [x * scale for x in data.draw(unit)]
+
+        script = [vector() for _ in range(1 + n_sentences)]
+        frames = [vector() for _ in range(n_frames)]
+        if data.draw(st.booleans()):  # each frame followed by its negation: the mean frame is zero
+            frames = [f for v in frames for f in (v, [-x for x in v])]
+        voice = tuple(VoiceSentence(f"s{i}", 1000 * i, 1000 * i + 1000) for i in range(n_sentences))
+        draft = Draft(voice, draft_with([0]).video_nodes_track, DecorationSetting())
+        s = EvalSample("s", draft, draft, frames=tuple(f"f{i}" for i in range(len(frames))))
+        client = Client("embed", BackendEndpoint("mock://fixed"), transport=AnswerTransport(script + frames))
+        assert vsr(s, client) == reference_vsr(s, client)
 
     def test_requires_script_and_frames(self):
         s = sample([0], [0])
