@@ -5,7 +5,12 @@ ocr|shots|caption} with a canonical-JSON body and a JSON response. The
 concrete services behind each role are configuration. Mock transports
 implement the same interface in-process as pure functions of
 (seed, fixtures, request) so the whole pipeline runs offline and
-reproducibly.
+reproducibly. :meth:`Client.call` still encodes every request to a
+:class:`MockTransport` as canonical JSON, which the mock decodes, but takes
+the mock's answer as it is built, skipping only the response codec: a JSON
+round trip gives back equal values of the same types, so no caller can tell.
+Any other transport, including one that wraps a mock (or the benchmark's HTTP
+stub, which serves one), exchanges canonical bytes both ways.
 
 ``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
 the only functions here that build arrays, and ``http.client`` inside
@@ -22,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
@@ -266,6 +272,9 @@ class Client:
 
     def call(self, payload: dict) -> CallResult:
         body = dumps_canonical(payload)
+        if type(self.transport) is MockTransport:
+            # in-process: the answer is never encoded, and no mock error is retryable
+            return CallResult(data=self.transport.answer(self.role, loads(body)), retries=0)
         url = self.endpoint.base_url.rstrip("/") + "/v1/" + self.role
         timeout_s = self.endpoint.timeout_ms / 1000.0
         attempts = self.endpoint.max_retries + 1
@@ -386,8 +395,9 @@ def judge_score(payload: dict, rubric_id: str, client: Client) -> dict[str, floa
 def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     """Embed texts or frame references; vectors are L2-normalized client-side.
 
-    The answer is checked as one array: a value that is not a finite number
-    anywhere in it fails before any zero vector does."""
+    The answer is checked as one array: a value that is not a finite JSON
+    number (a string or a bool is not one) anywhere in it fails before any
+    zero vector, or vector whose norm overflows, does."""
     if not inputs:
         raise ValueError("embed requires at least one input")
     vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
@@ -398,16 +408,19 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
         raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
     import numpy as np
 
+    numeric = set(map(type, chain.from_iterable(vectors))) <= {float, int}  # numpy reads "3" and true as numbers
     try:
-        arr = np.asarray(vectors, dtype=np.float64)
-        numeric = arr.ndim == 2 and bool(np.isfinite(arr).all())
-    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(vectors, dtype=np.float64) if numeric else None
+    except OverflowError:  # an integer past the float range
         numeric = False
-    if not numeric:
+    if not numeric or not np.isfinite(arr).all():
         raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
-    norms = np.array([np.linalg.norm(row) for row in arr])
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in arr])
     if not norms.all():
         raise InvalidResponse(client.role, "zero vector cannot be normalized")
+    if not np.isfinite(norms).all():
+        raise InvalidResponse(client.role, "a vector's norm overflows")
     return list(arr / norms[:, None])
 
 
@@ -494,11 +507,16 @@ class MockTransport:
     def send(self, role: str, url: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes]:
         del url, headers, timeout_s
         payload = loads(body)
-        handler = getattr(self, f"_handle_{role}", None)
-        if handler is None:
+        if role not in ROLES:
             return 404, b"{}"
+        return 200, dumps_canonical(self.answer(role, payload))
+
+    def answer(self, role: str, payload: dict) -> Any:
+        """The answer of ``role`` to ``payload`` as JSON values, not encoded. It may
+        share lists and objects with the fixtures, so callers copy what they keep
+        and mutate none of it."""
         try:
-            return 200, dumps_canonical(handler(payload))
+            return getattr(self, f"_handle_{role}")(payload)
         except _NoAnswer as exc:
             raise BackendError(role, str(exc)) from None
 

@@ -293,6 +293,8 @@ def reference_embed(inputs: list[str], client: Client) -> list[np.ndarray]:
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise InvalidResponse(client.role, "zero vector cannot be normalized")
+        if not math.isfinite(norm):
+            raise InvalidResponse(client.role, "a vector's norm overflows")
         out.append(arr / norm)
     return out
 

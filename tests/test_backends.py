@@ -7,18 +7,21 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adcut
 from adcut import backends as backends_module
 from adcut.backends import (
+    CORRUPTIONS,
+    ROLES,
     BackendEndpoint,
     BackendError,
     BadStatus,
@@ -27,6 +30,7 @@ from adcut.backends import (
     HttpTransport,
     InvalidResponse,
     MalformedScores,
+    MockTransport,
     RequestTimeout,
     TransportFailure,
     embed,
@@ -241,8 +245,10 @@ class TestEmbed:
             (b"[[NaN]]", "a vector is not a list of finite numbers"),
             (b"[[1.0, Infinity]]", "a vector is not a list of finite numbers"),
             (b"[[1" + b"0" * 400 + b"]]", "a vector is not a list of finite numbers"),
+            (b'[["3", "4"]]', "a vector is not a list of finite numbers"),
+            (b"[[true, 1.5]]", "a vector is not a list of finite numbers"),
         ],
-        ids=["string", "number", "nested", "nan", "infinity", "overflow"],
+        ids=["string", "number", "nested", "nan", "infinity", "overflow", "numeric-string", "bool"],
     )
     def test_non_numeric_vector_is_an_invalid_response(self, vectors, reason):
         transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
@@ -259,6 +265,16 @@ class TestEmbed:
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
         with pytest.raises(InvalidResponse, match="^embed: a vector is not a list of finite numbers$"):
             embed(["a", "b"], client)
+
+    @pytest.mark.parametrize("vectors", [b"[[1e200, 1e200]]", b"[[1.0, 0.0], [1e300, -1e300]]"], ids=["one", "second"])
+    def test_an_overflowing_norm_is_an_invalid_response_and_prints_nothing(self, vectors, capfd):
+        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidResponse, match="^embed: a vector's norm overflows$"):
+                embed(["a"] * len(loads(vectors)), client)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @given(st.data())
@@ -318,17 +334,22 @@ def test_mock_rejects_a_judge_fixture_that_is_not_an_object():
         mock_backend(7, {"judge": 5})
 
 
+MISSES = [
+    ("asr", {"video_ref": "vid-unknown"}),
+    ("caption", {"video_ref": "vid-unknown", "shot_index": 0}),
+    ("judge", {"task": "recommend_tags", "video_ref": "vid-unknown"}),
+    ("generate", {"sample_id": "s-unknown"}),
+]
+
+
 class TestMockMiss:
     @pytest.mark.parametrize(
-        "role, payload",
-        [
-            ("asr", {"video_ref": "vid-unknown"}),
-            ("caption", {"video_ref": "vid-unknown", "shot_index": 0}),
-            ("judge", {"task": "recommend_tags", "video_ref": "vid-unknown"}),
-            ("generate", {"sample_id": "s-unknown"}),
-        ],
+        "role, payload, in_process",
+        [pytest.param(role, payload, in_process, id=f"{role}-payload{i}" + "-in-process" * in_process)
+         for in_process in (False, True) for i, (role, payload) in enumerate(MISSES)],
     )
-    def test_miss_is_not_retried_and_names_the_role(self, role, payload):
+    def test_miss_is_not_retried_and_names_the_role(self, role, payload, in_process):
+        # through a wrapping transport the miss comes from the mock's send, else from its answer
         mock = mock_backend(3)
         sends, sleeps = [], []
 
@@ -338,12 +359,115 @@ class TestMockMiss:
                 return mock.send(*args)
 
         ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
-        client = Client(role, ep, transport=Recording(), sleeper=sleeps.append)
+        client = Client(role, ep, transport=mock if in_process else Recording(), sleeper=sleeps.append)
         with pytest.raises(BackendError) as info:
             client.call(payload)
         assert not info.value.retryable
         assert info.value.role == role
-        assert (sends, sleeps) == ([role], [])
+        assert (sends, sleeps) == ([] if in_process else [role], [])
+
+    def test_send_answers_an_unknown_role_with_404(self):
+        assert mock_backend(3).send("tts", "", b"{}", {}, 1.0) == (404, b"{}")
+
+
+def same_json(a, b) -> bool:
+    """``a == b`` with each value of the same type, object keys in the same order and NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b or a != a and b != b
+
+
+VIDEOS = json.loads((FIX / "videos.json").read_text("utf-8"))["videos"]
+# integral float times, so answers hold both int and float times, also in inject_negative's new node
+FLOAT_DRAFT = {**GT_DRAFT, "video_nodes_track": [
+    {"index": 0, "target_start": 0, "target_end": 500.0, "source_start": 0},
+    {"index": 1, "target_start": 500.0, "target_end": 1000.0, "source_start": 0.0},
+]}
+PARITY_DRAFTS = {"s1": GT_DRAFT, "s2": FLOAT_DRAFT, "s3": {**GT_DRAFT, "video_nodes_track": []}}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+video_ref = st.sampled_from([*VIDEOS, "vid-unknown"])
+texts = st.lists(st.text(max_size=8), max_size=3)
+tags = st.fixed_dictionaries({}, optional={key: texts for key in ("tts_tags", "avatar_tags", "music_tags")})
+# one request for each role but judge and one for each judge task, shaped as the pipeline sends them
+REQUESTS = st.tuples(*(st.tuples(st.just(role), st.fixed_dictionaries(payload)) for role, payload in [
+    ("generate", {"sample_id": st.sampled_from([*PARITY_DRAFTS, "s-unknown"])}),
+    ("embed", {"inputs": st.lists(st.text(max_size=12), min_size=1, max_size=4)}),
+    ("asr", {"video_ref": video_ref}),
+    ("ocr", {"video_ref": video_ref}),
+    ("shots", {"video_ref": video_ref}),
+    ("caption", {"video_ref": video_ref, "shot_index": st.integers(0, 6),
+                 "frame_timestamps": st.lists(st.floats(0, 60), max_size=3)}),
+    ("judge", {"task": st.just("recommend_tags"), "video_ref": video_ref}),
+    ("judge", {"task": st.just("correct_asr"), "sentences": st.lists(json_values, max_size=3)}),
+    ("judge", {"task": st.just("analyze"), "video_ref": video_ref, "deconstruction": st.fixed_dictionaries(
+        {"shot_boundaries": st.lists(st.integers(0, 10**6), max_size=6), "shot_captions": texts,
+         "recommended_tags": tags})}),
+    ("judge", {"task": st.just("verify_prompt"), "dimensions": st.dictionaries(
+        st.text(max_size=6), st.none() | st.text(max_size=8) | st.integers() | st.floats(), max_size=4)}),
+    ("judge", {"task": st.just("score"), "rubric_id": st.sampled_from(sorted(RUBRICS)),
+               "dimensions": st.none() | st.lists(st.sampled_from(sorted({k for _, caps in RUBRICS.values()
+                                                                          for k in caps})), unique=True)}),
+    ("judge", {"task": st.text(max_size=6)}),
+]))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return "answer", call()
+    except Exception as exc:  # noqa: BLE001 - both paths must fail alike, whatever the failure
+        return "error", type(exc), str(exc)
+
+
+class TestInProcessParity:
+    @pytest.mark.parametrize("scores", ["caps", {"basic": 30, "touch_the_audience": 7.5, "duration": 0}])
+    @pytest.mark.parametrize("mode", ["none", *CORRUPTIONS])
+    @settings(max_examples=25)
+    @given(requests=REQUESTS, seed=st.integers(0, 2**32), verify=st.sampled_from(["approve", "revise_always"]))
+    def test_in_process_answer_equals_the_decoded_wire_answer(self, mode, scores, requests, seed, verify):
+        fixtures = {"videos": VIDEOS, "drafts": PARITY_DRAFTS, "negatives": {"s1": [9, 0], "s2": [1, 7]},
+                    "corruption": {"mode": mode, "rate": 0.5},
+                    "judge": {"verify": verify, "scores": scores}}
+        mock = mock_backend(seed, json.loads(json.dumps(fixtures)))
+        assert {role for role, _ in requests} == set(ROLES)
+        for role, payload in requests:
+            wire = outcome(lambda: loads(mock.send(role, "mock://local/v1/" + role, dumps_canonical(payload),
+                                                   {}, 1.0)[1]))
+            direct = outcome(lambda: Client(role, MOCK_ENDPOINT, transport=mock).call(payload))
+            if direct[0] == "answer":
+                assert direct[1].retries == 0
+                direct = "answer", direct[1].data
+            assert same_json(wire, direct), (role, payload, wire, direct)
+        assert mock.fixtures == fixtures  # neither path changed the fixtures
+
+    def test_only_a_bare_mock_skips_the_response_codec(self, monkeypatch):
+        encoded = []
+        encode = backends_module.dumps_canonical
+        monkeypatch.setattr(backends_module, "dumps_canonical", lambda obj: encoded.append(obj) or encode(obj))
+        mock = mock_backend(3)
+
+        class Wrapping:
+            def send(self, *args):
+                return mock.send(*args)
+
+        class Subclass(MockTransport):
+            pass
+
+        answers = []
+        for transport, encodings in ((mock, 1), (Wrapping(), 2), (Subclass(3), 2)):
+            encoded.clear()
+            answers.append(Client("embed", MOCK_ENDPOINT, transport=transport).call({"inputs": ["a"]}).data)
+            assert len(encoded) == encodings  # the request, then the answer unless the mock is called itself
+        assert answers[0] == answers[1] == answers[2]
 
 
 class TestMockCorruption:
