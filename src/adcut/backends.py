@@ -5,12 +5,12 @@ ocr|shots|caption} with a canonical-JSON body and a JSON response. The
 concrete services behind each role are configuration. Mock transports
 implement the same interface in-process as pure functions of
 (seed, fixtures, request) so the whole pipeline runs offline and
-reproducibly. :meth:`Client.call` still encodes every request to a
-:class:`MockTransport` as canonical JSON, which the mock decodes, but takes
-the mock's answer as it is built, skipping only the response codec: a JSON
-round trip gives back equal values of the same types, so no caller can tell.
-Any other transport, including one that wraps a mock (or the benchmark's HTTP
-stub, which serves one), exchanges canonical bytes both ways.
+reproducibly. :meth:`Client.call` hands a bare :class:`MockTransport` the
+request as it is built and takes the mock's answer as it is built, with no
+JSON codec either way: the handlers only read their payload, and a JSON round
+trip gives back equal values of the same types, so no caller can tell. Any
+other transport, including one that wraps a mock or subclasses it (or the
+benchmark's HTTP stub, which serves one), exchanges canonical bytes both ways.
 
 ``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
 the only functions here that build arrays, and ``http.client`` inside
@@ -20,6 +20,7 @@ the only functions here that build arrays, and ``http.client`` inside
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import threading
@@ -271,10 +272,10 @@ class Client:
         return headers
 
     def call(self, payload: dict) -> CallResult:
-        body = dumps_canonical(payload)
         if type(self.transport) is MockTransport:
-            # in-process: the answer is never encoded, and no mock error is retryable
-            return CallResult(data=self.transport.answer(self.role, loads(body)), retries=0)
+            # in-process: neither the request nor the answer is encoded, and no mock error is retryable
+            return CallResult(data=self.transport.answer(self.role, payload), retries=0)
+        body = dumps_canonical(payload)
         url = self.endpoint.base_url.rstrip("/") + "/v1/" + self.role
         timeout_s = self.endpoint.timeout_ms / 1000.0
         attempts = self.endpoint.max_retries + 1
@@ -416,7 +417,7 @@ def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     if not numeric or not np.isfinite(arr).all():
         raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
     with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(row) for row in arr])
+        norms = np.array([math.sqrt(row.dot(row)) for row in arr])
     if not norms.all():
         raise InvalidResponse(client.role, "zero vector cannot be normalized")
     if not np.isfinite(norms).all():
@@ -438,7 +439,7 @@ def hashed_unit_vector(text: str, seed: int) -> np.ndarray:
 
     rng = np.random.default_rng(_stable_hash(str(seed), text) % (2**63))
     v = rng.standard_normal(32)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 # the keys of a fixtures video that the role handlers read, with their JSON types
@@ -512,9 +513,10 @@ class MockTransport:
         return 200, dumps_canonical(self.answer(role, payload))
 
     def answer(self, role: str, payload: dict) -> Any:
-        """The answer of ``role`` to ``payload`` as JSON values, not encoded. It may
-        share lists and objects with the fixtures, so callers copy what they keep
-        and mutate none of it."""
+        """The answer of ``role`` to ``payload`` as JSON values, not encoded. No
+        handler mutates ``payload``. The answer may share lists and objects with
+        the fixtures and with ``payload`` (``correct_asr`` echoes its
+        ``sentences``), so callers copy what they keep and mutate none of it."""
         try:
             return getattr(self, f"_handle_{role}")(payload)
         except _NoAnswer as exc:
@@ -600,9 +602,9 @@ class MockTransport:
         drafts = self.fixtures.get("drafts", {})
         if sample_id not in drafts:
             raise _NoAnswer(f"no ground-truth draft for sample {sample_id!r}")
-        draft = loads(dumps_canonical(drafts[sample_id]))  # deep copy, fixtures stay pristine
-        if sample_id in self._corrupt_ids:
-            draft = self._corrupt(sample_id, draft)
+        draft = drafts[sample_id]
+        if sample_id in self._corrupt_ids:  # corrupt a deep copy, so the fixtures stay pristine
+            draft = self._corrupt(sample_id, loads(dumps_canonical(draft)))
         return {"draft": draft}
 
     def _corrupt(self, sample_id: str, draft: dict) -> dict:

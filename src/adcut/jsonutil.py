@@ -15,10 +15,15 @@ expected <kind>[ of <item>], got <type>`` and an absent field
 boundary. A draft span of the plain shape is accepted by one exact-type
 test in the draft reader, and every other span is read by :func:`field`, so
 the draft's errors are still only those of :func:`field`.
+
+A decoded string never holds a lone surrogate, which no UTF-8 text can
+encode: :func:`loads` and :func:`read_records` reject one as ``ValueError``
+or :class:`RecordError` ``lone surrogate '\\ud800' in a string``.
 """
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -106,9 +111,35 @@ def dumps_canonical(obj: Any) -> bytes:
 
 
 def loads(data: bytes | str) -> Any:
+    """The JSON value ``data`` holds. Bytes are decoded as strict UTF-8, so only a
+    ``\\u`` escape can put a lone surrogate in a string, and ``ValueError`` rejects it
+    (text given as ``str`` is taken to hold none itself)."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return json.loads(data)
+    value = json.loads(data)
+    if "\\u" in data:
+        _reject_lone_surrogates(value)
+    return value
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _reject_lone_surrogates(value: Any) -> None:
+    """``ValueError`` if a string in ``value``, or a key of an object in it, holds a
+    lone surrogate (a paired one decodes to a single character)."""
+    stack = [value]
+    while stack:  # no recursion: ``value`` may be nested as deeply as the decoder allows
+        value = stack.pop()
+        if type(value) is str:
+            found = _SURROGATE.search(value)
+            if found:
+                raise ValueError(f"lone surrogate {found.group()!r} in a string")
+        elif type(value) is list:
+            stack.extend(value)
+        elif type(value) is dict:
+            stack.extend(value)
+            stack.extend(value.values())
 
 
 def _object(value: Any) -> dict:
@@ -129,7 +160,7 @@ def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iter
     whose records are told apart by their field ``key``, which ``parse`` requires.
 
     Raises ``OSError`` when the file cannot be read and :class:`RecordError`
-    for a line that is not a JSON object, that ``parse`` rejects with a
+    for a line that is not a JSON object, that holds a lone surrogate, that ``parse`` rejects with a
     ``KeyError`` (``missing field <name>``), ``ValueError`` or ``TypeError``, or
     whose ``key`` an earlier line has (``repeated <key> <value>``).
     """
@@ -139,10 +170,13 @@ def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iter
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                text = line.decode(json.detect_encoding(line), "surrogatepass")  # as ``json.loads`` decodes bytes
+                record = json.loads(text)
             except (ValueError, RecursionError) as exc:
                 raise RecordError(path, number, f"malformed JSON: {exc}") from None
             try:
+                if "\\u" in text or not text.isascii():  # an escaped or an encoded surrogate
+                    _reject_lone_surrogates(record)
                 value = parse(_object(record))
             except KeyError as exc:
                 raise RecordError(path, number, f"missing field {exc}") from None

@@ -13,6 +13,7 @@ and of evaluation concurrency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -248,8 +249,9 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
     the mean frame embedding and (b) the per-sentence mean of the maximum
     per-frame cosine similarity, scaled by 100. A draft with no voice-over
     sentences has no script to relate to the frames: it scores 0.0 and
-    makes no embed call. Each vector's norm is taken once, so a pair costs
-    one dot product.
+    makes no embed call. Each vector's norm is taken once, as ``sqrt(v·v)``
+    (what ``np.linalg.norm`` computes for a 1-D vector), so a pair costs one
+    dot product.
     """
     draft = sample.predicted if sample.predicted is not None else sample.ground_truth
     if not sample.frames:
@@ -260,10 +262,10 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
     import numpy as np
 
     vectors = embed([" ".join(sentences)] + sentences + list(sample.frames), embed_client)
-    norms = [float(np.linalg.norm(v)) for v in vectors]
+    norms = [math.sqrt(v.dot(v)) for v in vectors]
     first_frame = 1 + len(sentences)
     mean = np.mean(vectors[first_frame:], axis=0)
-    whole = _cosine(vectors[0], norms[0], mean, float(np.linalg.norm(mean)))
+    whole = _cosine(vectors[0], norms[0], mean, math.sqrt(mean.dot(mean)))
     frames = list(zip(vectors[first_frame:], norms[first_frame:]))
     per_sentence = [max(_cosine(sv, ns, fv, nf) for fv, nf in frames)
                     for sv, ns in zip(vectors[1:first_frame], norms[1:first_frame])]

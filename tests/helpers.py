@@ -4,6 +4,7 @@ Oracles here deliberately use naive loops and set arithmetic so they stay
 independent of the library code paths they check.
 """
 
+import hashlib
 import math
 import random
 from dataclasses import fields
@@ -268,6 +269,13 @@ def expected_draft_read(doc: dict) -> tuple[dict | None, str | None, list[str]]:
 # ---------------------------------------------------------------------------
 # VSR and embed oracles: the per-pair and per-vector arithmetic the library
 # must match bit for bit
+
+
+def reference_unit_vector(text: str, seed: int) -> np.ndarray:
+    """The mock's hashed embedding of ``text``, normalized by ``np.linalg.norm``."""
+    key = hashlib.sha256(f"{seed}\x1f{text}".encode("utf-8")).digest()
+    v = np.random.default_rng(int.from_bytes(key[:8], "big") % (2**63)).standard_normal(32)
+    return v / np.linalg.norm(v)
 
 
 def reference_embed(inputs: list[str], client: Client) -> list[np.ndarray]:

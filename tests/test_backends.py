@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ from adcut.backends import (
     TransportFailure,
     embed,
     generate_draft,
+    hashed_unit_vector,
     judge_score,
     mock_backend,
     rubric_hash,
@@ -44,7 +46,7 @@ from adcut.backends import (
 from adcut.cli import main
 from adcut.dataset import read_corpus
 from adcut.jsonutil import dumps_canonical, loads
-from helpers import mock_backend_set, reference_embed, rubric_text
+from helpers import mock_backend_set, reference_embed, reference_unit_vector, rubric_text
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -123,6 +125,19 @@ class TestClient:
         transport = CountingTransport([(200, b"<html>")])
         with pytest.raises(InvalidResponse):
             make_client(transport).call({})
+
+    @pytest.mark.parametrize("body", [b'{"draft":"\\ud800"}', b'{"\\udfff":1}', b'[["\\udbff\\u0041"]]'],
+                             ids=["value", "key", "high-then-ascii"])
+    def test_a_lone_surrogate_in_a_response_is_not_retried(self, body):
+        transport = CountingTransport([(200, body)])
+        with pytest.raises(InvalidResponse, match=r"^generate: non-JSON body: lone surrogate '\\ud[8-f][0-9a-f]{2}' "
+                                                  r"in a string$"):
+            make_client(transport, retries=2).call({})
+        assert transport.calls == 1
+
+    def test_a_surrogate_pair_in_a_response_is_one_character(self):
+        transport = CountingTransport([(200, b'{"draft":"\\ud83c\\udfac"}')])
+        assert make_client(transport).call({}).data == {"draft": "\U0001f3ac"}
 
     def test_backoff_schedule(self):
         sleeps = []
@@ -322,6 +337,13 @@ class TestMockPurity:
             )
         assert outs[0] == outs[1]
 
+    @settings(max_examples=200)
+    @given(text=st.text(max_size=40), seed=st.integers(0, 2**63))
+    def test_hashed_unit_vectors_equal_the_reference_bit_for_bit(self, text, seed):
+        got, expected = hashed_unit_vector(text, seed), reference_unit_vector(text, seed)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
     def test_fixtures_not_mutated(self):
         fixtures = {"drafts": {"s1": json.loads(json.dumps(GT_DRAFT))}, "corruption": {"mode": "swap_adjacent", "rate": 1.0}}
         transport = mock_backend(11, fixtures)
@@ -442,17 +464,20 @@ class TestInProcessParity:
         for role, payload in requests:
             wire = outcome(lambda: loads(mock.send(role, "mock://local/v1/" + role, dumps_canonical(payload),
                                                    {}, 1.0)[1]))
+            sent = copy.deepcopy(payload)
             direct = outcome(lambda: Client(role, MOCK_ENDPOINT, transport=mock).call(payload))
+            assert same_json(payload, sent), (role, payload, sent)  # the mock mutates no request
             if direct[0] == "answer":
                 assert direct[1].retries == 0
                 direct = "answer", direct[1].data
             assert same_json(wire, direct), (role, payload, wire, direct)
         assert mock.fixtures == fixtures  # neither path changed the fixtures
 
-    def test_only_a_bare_mock_skips_the_response_codec(self, monkeypatch):
-        encoded = []
-        encode = backends_module.dumps_canonical
+    def test_only_a_bare_mock_skips_both_codecs(self, monkeypatch):
+        encoded, decoded = [], []
+        encode, decode = backends_module.dumps_canonical, backends_module.loads
         monkeypatch.setattr(backends_module, "dumps_canonical", lambda obj: encoded.append(obj) or encode(obj))
+        monkeypatch.setattr(backends_module, "loads", lambda data: decoded.append(data) or decode(data))
         mock = mock_backend(3)
 
         class Wrapping:
@@ -463,10 +488,12 @@ class TestInProcessParity:
             pass
 
         answers = []
-        for transport, encodings in ((mock, 1), (Wrapping(), 2), (Subclass(3), 2)):
+        for transport, codings in ((mock, 0), (Wrapping(), 2), (Subclass(3), 2)):
             encoded.clear()
+            decoded.clear()
             answers.append(Client("embed", MOCK_ENDPOINT, transport=transport).call({"inputs": ["a"]}).data)
-            assert len(encoded) == encodings  # the request, then the answer unless the mock is called itself
+            # the request and then the answer, each encoded and decoded once, unless the mock is called itself
+            assert (len(encoded), len(decoded)) == (codings, codings)
         assert answers[0] == answers[1] == answers[2]
 
 

@@ -247,12 +247,13 @@ class TestBuildDataset:
             ("drafts", {"vid-serum": []}, "drafts.vid-serum: expected dict, got list"),
             ("negatives", {"vid-serum": [1, "2"]}, "negatives.vid-serum: expected list of int, got list"),
             ("negatives", [], "negatives: expected dict, got list"),
+            ("judge", {"verify": "approve\ud800"}, "lone surrogate '\\ud800' in a string"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
              "pool clip past the float range",
              *(case.id for case in MISSHAPEN_JUDGE), "corruption a number", "unknown corruption mode",
              "corruption rate 5", "corruption rate a string", "drafts a number", "draft an array",
-             "negative a string", "negatives an array"],
+             "negative a string", "negatives an array", "lone surrogate"],
     )
     def test_misshapen_fixtures_are_a_usage_error(self, capsys, tmp_path, video_fixtures, key, value, reason):
         video_fixtures[key] = value
@@ -774,6 +775,7 @@ HOSTILE_INPUTS = [
      "clip 0: frame_count or duration_s too large"),
     ("clip set", {"clips": [{"index": 0, "duration_s": 1e306, "frame_count": 3 * 10**306}]},
      "clip 0: frame_count or duration_s too large"),
+    ("catalog", {"assets": [{"asset_id": "a\ud800", "category": "TTS"}]}, "lone surrogate '\\ud800' in a string"),
 ]
 
 
@@ -799,8 +801,9 @@ class TestInputFiles:
             ("catalog", b"[" * 100_000, "does not parse: nested too deeply"),
             ("draft", b"{not json", "does not parse: malformed JSON: Expecting property name enclosed in "
                                    "double quotes: line 1 column 2 (char 1)"),
+            ("draft", b'{"\\udc00":1}', "does not parse: malformed JSON: lone surrogate '\\udc00' in a string"),
         ],
-        ids=["missing field", "malformed JSON", "nested too deeply", "malformed draft"],
+        ids=["missing field", "malformed JSON", "nested too deeply", "malformed draft", "lone surrogate"],
     )
     def test_each_failure_class_has_its_reason(self, capsys, tmp_path, what, content, reason):
         code, path = _run_on(tmp_path, what, content)
@@ -845,6 +848,7 @@ class TestHostileInput:
         "non-object line": lambda first: "[1, 2]",
         "array sample_id": lambda first: json.dumps({**json.loads(first), "sample_id": [1]}),
         "repeated sample_id": lambda first: first,
+        "lone surrogate": lambda first: json.dumps({**json.loads(first), "sample_id": "vid\ud800"}),
     }
 
     @pytest.mark.parametrize(
@@ -853,7 +857,7 @@ class TestHostileInput:
             (target, problem)
             for target in ("corpus", "predictions", "resume file")
             for problem in ("malformed JSON", "missing field", "non-object line", "array sample_id",
-                            "repeated sample_id", "missing file")
+                            "repeated sample_id", "lone surrogate", "missing file")
             # --resume with no output yet starts afresh, so a missing resume file is no error
             if (target, problem) != ("resume file", "missing file")
         ],
@@ -881,6 +885,42 @@ class TestHostileInput:
         assert "Traceback" not in err
         if problem == "repeated sample_id":
             assert err == f"{prefix}repeated sample_id {json.loads(first)['sample_id']!r}\n"
+        if problem == "lone surrogate":
+            assert err == f"{prefix}lone surrogate '\\ud800' in a string\n"
+
+
+class TestLoneSurrogate:
+    """A JSON string holding a lone surrogate, which no UTF-8 text can encode, fails
+    where it enters, not when ``generate`` writes or sends it."""
+
+    @pytest.mark.parametrize("surrogate", [b"\\ud800", "\ud800".encode("utf-8", "surrogatepass")],
+                             ids=["escaped", "encoded"])
+    def test_a_corpus_line_is_a_usage_error(self, capsys, corpus_path, tmp_path, surrogate):
+        corpus, predictions = tmp_path / "corpus.jsonl", tmp_path / "pred.jsonl"
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"sample_id":"vid-blender"', b'"sample_id":"vid-blender' + surrogate + b'"')
+        corpus.write_bytes(b"".join(lines))
+        code, out, err = run(capsys, "generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
+                             "--out", str(predictions))
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err == f"error: {corpus}:2: lone surrogate '\\ud800' in a string\n"
+        assert not predictions.exists()
+
+    def test_a_backend_answer_fails_its_sample_only(self, capsys, corpus_path, tmp_path, monkeypatch):
+        def send(transport, role, url, body, headers, timeout_s):
+            if json.loads(body)["sample_id"] == "vid-blender":
+                return 200, b'{"draft":"\\ud800"}'
+            return 200, b'{"draft":{}}'
+
+        monkeypatch.setattr(backends.HttpTransport, "send", send)
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run(capsys, "generate", str(corpus_path), "--endpoint-generate", "http://stub.invalid",
+                           "--seed", "7", "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == "warning: vid-blender: generate: non-JSON body: lone surrogate '\\ud800' in a string\n"
+        assert [json.loads(line)["sample_id"] for line in out.read_text().splitlines()] == ["vid-earbuds", "vid-serum"]
 
 
 class TestEndpointResolution:
