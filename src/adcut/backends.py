@@ -225,8 +225,8 @@ class HttpTransport:
 
 def _post(conn: Any, target: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes, bool]:
     """One exchange on ``conn``: the status, the body and whether the server
-    closes the connection after it. ``http.client`` sends the headers and a
-    ``bytes`` body in one write."""
+    closes the connection after it. ``http.client`` writes the headers and
+    then the ``bytes`` body, two ``sendall`` calls per request."""
     import socket
 
     conn.timeout = timeout_s

@@ -49,7 +49,7 @@ from .timeline import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     from . import backends as be
     from . import dataset as ds
@@ -494,6 +494,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from concurrent.futures import wait
+
     from . import metrics as mx
 
     cfg = _load_config(args)
@@ -523,8 +525,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mock = functools.cache(lambda _: _fixtures(cfg, seed)[1])
     judge = _client(args, cfg, "judge", mock) if args.with_judge else None
     embedder = _client(args, cfg, "embed", mock) if args.with_vsr else None
-    items = [(s.sample_id, s) for s in eval_samples]
-    scores = list(_map_samples(concurrency, items, lambda _, s: mx.score_sample(s, judge, embedder)))
+    # VSR is one pool task per chunk, queued before every sample task: a sample that waits
+    # for its chunk waits only on a task that is running or done, never on queued work
+    chunks = [(chunk, _pool(concurrency).submit(mx.chunk_vsr, chunk, embedder))
+              for chunk in (mx.vsr_chunks(eval_samples) if embedder else ())]
+    if chunks:
+        items = [(s.sample_id, s, vsrs, j) for chunk, vsrs in chunks for j, (s, _) in enumerate(chunk)]
+    else:
+        items = [(s.sample_id, s, None, 0) for s in eval_samples]
+
+    def score(_: str, sample: mx.EvalSample, vsrs: Future | None, j: int) -> dict:
+        out = mx.score_sample(sample, judge, None)  # the judge first, as with a per-sample embedder
+        if vsrs is not None:
+            vsr = vsrs.result()[j]
+            if isinstance(vsr, Exception):
+                raise vsr
+            out["vsr"] = vsr
+        return out
+
+    try:
+        scores = list(_map_samples(concurrency, items, score))
+    finally:  # no chunk's request outlives the command
+        for _, vsrs in chunks:
+            vsrs.cancel()
+        wait([vsrs for _, vsrs in chunks])
     if None in scores:
         return EXIT_VIOLATION
     report = mx.evaluate_corpus(counts, scores)

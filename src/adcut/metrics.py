@@ -8,16 +8,17 @@ from a corpus sample and its model output. All counting is one pure fold,
 :func:`count_metrics`, into :class:`MetricCounts`, from which the three
 counting metrics are derived; :func:`evaluate_corpus` adds the per-sample
 scores of :func:`score_sample`, so results are independent of corpus order
-and of evaluation concurrency.
+and of evaluation concurrency. VSR embeds the inputs of a chunk of samples
+(:func:`vsr_chunks`) in one request (:func:`chunk_vsr`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .backends import RUBRICS, Client, MalformedScores, embed, judge_score
+from .backends import RUBRICS, BackendError, Client, MalformedScores, embed, judge_score
 from .draft import Draft, DraftSyntaxError, SchemaError, parse_draft
 from .taxonomy import CATEGORIES as DTPR_CATEGORIES
 from .taxonomy import TAG_FIELD_CATEGORY, TagTaxonomy, default_taxonomy
@@ -242,28 +243,96 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     return float(a.dot(b) / (na * nb))
 
 
-def vsr(sample: EvalSample, embed_client: Client) -> float:
+VSR_CHUNK_INPUTS = 48  # the most embed inputs one chunk request carries (see README); a larger sample goes alone
+
+
+def vsr_inputs(sample: EvalSample) -> list[str]:
+    """What VSR embeds for ``sample``: the whole script, each sentence and each frame
+    reference, of the prediction or (when it did not parse) the ground truth. Empty for a
+    draft with no voice-over sentences or a sample without frames: no VSR call is made."""
+    draft = sample.predicted if sample.predicted is not None else sample.ground_truth
+    sentences = [s.text for s in draft.voice_over_track]
+    if not sentences or not sample.frames:
+        return []
+    return [" ".join(sentences), *sentences, *sample.frames]
+
+
+def vsr_chunks(samples: Sequence[EvalSample]) -> Iterator[list[tuple[EvalSample, list[str]]]]:
+    """``samples``, each with its :func:`vsr_inputs`, cut in order into chunks of whole
+    samples holding at most ``VSR_CHUNK_INPUTS`` inputs together; a sample with more
+    inputs than that is a chunk of its own."""
+    chunk: list[tuple[EvalSample, list[str]]] = []
+    size = 0
+    for sample in samples:
+        inputs = vsr_inputs(sample)
+        if chunk and size + len(inputs) > VSR_CHUNK_INPUTS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((sample, inputs))
+        size += len(inputs)
+    if chunk:
+        yield chunk
+
+
+def chunk_vsr(chunk: Sequence[tuple[EvalSample, list[str]]], embed_client: Client) -> list[float | BackendError | None]:
+    """Each sample's :func:`vsr` in a chunk of :func:`vsr_chunks`, from one embed request
+    for all the chunk's inputs (none when it has none): the score, None for a sample
+    without frames, or the ``BackendError`` that fails the sample. A request that fails
+    with a retryable error has spent its retries, so each sample with inputs gets that
+    error. One that fails otherwise may be one sample's fault, so each sample with inputs
+    embeds them in a request of its own and gets what that request gives. Vectors live
+    only for this call."""
+    rows = _embedded([text for _, own in chunk for text in own], embed_client)
+    out: list[float | BackendError | None] = []
+    end = 0
+    for sample, own in chunk:
+        end += len(own)
+        if not isinstance(rows, BackendError):
+            vectors = rows[end - len(own):end]
+        else:
+            vectors = rows if rows.retryable and own else _embedded(own, embed_client)
+        if isinstance(vectors, BackendError):
+            out.append(vectors)
+        else:
+            out.append(vsr(sample, embed_client, vectors) if sample.frames else None)
+    return out
+
+
+def _embedded(inputs: list[str], embed_client: Client) -> list[np.ndarray] | BackendError:
+    """:func:`embed` of ``inputs`` (no request and no vectors when empty), or the
+    ``BackendError`` it raises, stripped of the traceback and context that would keep
+    its frames (and the answer) alive; only its message is reported."""
+    try:
+        return embed(inputs, embed_client) if inputs else []
+    except BackendError as exc:
+        exc.__traceback__ = exc.__context__ = None
+        return exc
+
+
+def vsr(sample: EvalSample, embed_client: Client, vectors: list[np.ndarray] | None = None) -> float:
     """Simplified visual/script relevance.
 
     Mean of (a) cosine similarity between the whole-script embedding and
     the mean frame embedding and (b) the per-sentence mean of the maximum
-    per-frame cosine similarity, scaled by 100. A draft with no voice-over
-    sentences has no script to relate to the frames: it scores 0.0 and
-    makes no embed call. Each vector's norm is taken once, as ``sqrt(v·v)``
-    (what ``np.linalg.norm`` computes for a 1-D vector), so a pair costs one
-    dot product.
+    per-frame cosine similarity, scaled by 100. ``vectors`` are the
+    embeddings of :func:`vsr_inputs`, as :func:`chunk_vsr` cuts them from a
+    chunk's request; when None, this call embeds them in a request of its own.
+    A draft with no voice-over sentences has no script to relate to the
+    frames: it scores 0.0 and makes no embed call. Each vector's norm is taken
+    once, as ``sqrt(v·v)`` (what ``np.linalg.norm`` computes for a 1-D
+    vector), so a pair costs one dot product.
     """
-    draft = sample.predicted if sample.predicted is not None else sample.ground_truth
     if not sample.frames:
         raise ValueError(f"{sample.sample_id}: VSR needs frame references")
-    sentences = [s.text for s in draft.voice_over_track]
-    if not sentences:
+    if vectors is None:
+        inputs = vsr_inputs(sample)
+        vectors = embed(inputs, embed_client) if inputs else []
+    if not vectors:
         return 0.0
     import numpy as np
 
-    vectors = embed([" ".join(sentences)] + sentences + list(sample.frames), embed_client)
     norms = [math.sqrt(v.dot(v)) for v in vectors]
-    first_frame = 1 + len(sentences)
+    first_frame = len(vectors) - len(sample.frames)
     mean = np.mean(vectors[first_frame:], axis=0)
     whole = _cosine(vectors[0], norms[0], mean, math.sqrt(mean.dot(mean)))
     frames = list(zip(vectors[first_frame:], norms[first_frame:]))
@@ -275,7 +344,9 @@ def vsr(sample: EvalSample, embed_client: Client) -> float:
 def score_sample(sample: EvalSample, judge: Client | None, embedder: Client | None) -> dict[str, float | None]:
     """One sample's ``fpf`` and ``sq`` from the judge and ``vsr`` from the embedder,
     each None without its client, for an empty score map, or (``vsr``) without frames.
-    A failed call, or a score map the aggregate rejects, raises a ``BackendError``."""
+    The judge is called first, and VSR embeds the sample alone; ``evaluate`` passes no
+    embedder and takes ``vsr`` from the sample's :func:`chunk_vsr` instead. A failed
+    call, or a score map the aggregate rejects, raises a ``BackendError``."""
     out: dict[str, float | None] = {"fpf": None, "sq": None, "vsr": None}
     if judge is not None:
         for key, rubric_id, aggregate in (("fpf", "free_prompt_eval", fpf_aggregate),

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,9 @@ from adcut.draft import parse_draft, serialize_draft, validate_draft
 from adcut.jsonutil import dumps_canonical
 
 FIX = Path(__file__).parent / "fixtures"
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                    max_leaves=12)
 
 
 def run(capsys, *argv):
@@ -516,6 +520,14 @@ class TestEvaluateRunner:
                      "--out", str(out)]) == 0
         return out
 
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        """A corpus and its mock predictions, built once for the class."""
+        corpus, pred = (tmp_path_factory.mktemp("chain") / name for name in ("corpus.jsonl", "pred.jsonl"))
+        assert main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(corpus)]) == 0
+        assert main(["generate", str(corpus), "--seed", "7", "--out", str(pred)]) == 0
+        return corpus, pred
+
     @pytest.fixture
     def serve(self, monkeypatch, video_fixtures):
         """Install ``answer(role, payload)`` as the HTTP stand-in; where it returns None
@@ -530,21 +542,32 @@ class TestEvaluateRunner:
 
         return install
 
-    def test_report_is_identical_across_concurrency(self, capsys, corpus_path, pred):
-        reports = {}
+    def test_report_is_identical_across_concurrency(self, capsys, corpus_path, pred, serve, monkeypatch):
+        from adcut import metrics
+
+        embedded = []
+        serve(lambda role, payload: embedded.append(payload["inputs"]) if role == "embed" else None)
+        argv = ["evaluate", str(corpus_path), str(pred), "--with-judge", "--with-vsr", *self.ARGV]
+        code, in_process, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(in_process)["vsr"] is not None
+        records = [json.loads(line) for line in pred.read_text().splitlines()]
+        http = ["--endpoint-judge", "http://stub.invalid", "--endpoint-embed", "http://stub.invalid"]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so shared clients interleave
         try:
-            for concurrency in ("1", "2", "4"):
-                code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-judge", "--with-vsr",
-                                     *self.ARGV, "--concurrency", concurrency)
-                assert code == 0, err
-                reports[concurrency] = out
+            for limit in (metrics.VSR_CHUNK_INPUTS, 1):  # one chunk, then one per sample
+                monkeypatch.setattr(metrics, "VSR_CHUNK_INPUTS", limit)
+                chunks = [vsr_inputs(corpus_path, records)] if limit > 1 else [vsr_inputs(corpus_path, [r]) for r in records]
+                for endpoints in ([], http):
+                    for concurrency in ("1", "2", "4"):
+                        embedded.clear()
+                        code, out, err = run(capsys, *argv, *endpoints, "--concurrency", concurrency)
+                        assert (code, err) == (0, "")
+                        assert out == in_process, (limit, endpoints, concurrency)
+                        assert sorted(embedded) == (sorted(chunks) if endpoints else [])  # chunks may run at once
         finally:
             sys.setswitchinterval(interval)
-        assert json.loads(reports["1"])["vsr"] is not None
-        assert reports["2"] == reports["1"]
-        assert reports["4"] == reports["1"]
 
     def test_judge_calls_run_on_several_threads(self, capsys, corpus_path, pred, serve):
         threads = set()
@@ -562,14 +585,14 @@ class TestEvaluateRunner:
 
     def test_a_failing_embed_call_fails_its_sample_only(self, capsys, corpus_path, pred, serve, tmp_path):
         drafts = {r["sample_id"]: json.loads(r["draft_json"]) for r in map(json.loads, pred.read_text().splitlines())}
-        script = " ".join(s["text"] for s in drafts["vid-blender"]["voice_over_track"])
-        embedded = []
+        scripts = {sid: " ".join(s["text"] for s in d["voice_over_track"]) for sid, d in drafts.items()}
+        scored = []
 
-        def answer(role, payload):
+        def answer(role, payload):  # fails the chunk's request, then vid-blender's own
             if role == "embed":
-                embedded.append(payload["inputs"][0])
-                if payload["inputs"][0] == script:
+                if scripts["vid-blender"] in payload["inputs"]:
                     return 400, b"{}"
+                scored.append(payload["inputs"][0])
 
         serve(answer)
         report = tmp_path / "report.json"
@@ -577,7 +600,7 @@ class TestEvaluateRunner:
                            "--endpoint-embed", "http://stub.invalid", "--concurrency", "2", "--out", str(report))
         assert code == 1
         assert err == "warning: vid-blender: embed: HTTP status 400\n"
-        assert len(embedded) == 3  # every other sample is still scored
+        assert sorted(scored) == sorted(v for sid, v in scripts.items() if sid != "vid-blender")  # each alone
         assert not report.exists()
 
     def test_incomplete_script_quality_scores_fail_each_sample(self, capsys, corpus_path, pred, serve):
@@ -624,15 +647,109 @@ class TestEvaluateRunner:
 
         def answer(role, payload):  # one vector for every input: each scripted sample scores 100
             if role == "embed":
-                embedded.append(payload)
+                embedded.append(payload["inputs"])
                 return 200, dumps_canonical({"vectors": [[1.0, 0.0]] * len(payload["inputs"])})
 
         serve(answer)
         code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
                              "--endpoint-embed", "http://stub.invalid")
         assert code == 0, err
-        assert len(embedded) == len(records) - 1
+        assert embedded == [vsr_inputs(corpus_path, records[1:])]  # one request, none of the first sample's inputs
         assert json.loads(out)["vsr"] == pytest.approx(100.0 * (len(records) - 1) / len(records))
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_an_embed_endpoint_that_always_fails_spends_one_retry_schedule_per_chunk(
+            self, capsys, corpus_path, pred, serve, status):
+        attempts = []
+        serve(lambda role, payload: attempts.append(payload["inputs"]) or (status, b"") if role == "embed" else None)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                             "--endpoint-embed", "http://stub.invalid", "--concurrency", "2")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"warning: {s.sample_id}: embed: HTTP status {status}"
+                                    for s in read_corpus(corpus_path)]
+        records = [json.loads(line) for line in pred.read_text().splitlines()]
+        assert attempts == [vsr_inputs(corpus_path, records)] * (backends.BackendEndpoint("").max_retries + 1)
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("status", "HTTP status 400"),
+        ("zero row", "zero vector cannot be normalized"),
+        ("too few", "vector count does not match input count"),
+    ])
+    def test_a_failing_chunk_embeds_each_sample_alone(self, capsys, corpus_path, pred, serve, video_fixtures,
+                                                      fault, reason):
+        records = [json.loads(line) for line in pred.read_text().splitlines()]
+        blender = vsr_inputs(corpus_path, [r for r in records if r["sample_id"] == "vid-blender"])
+        mock = backends.mock_backend(7, video_fixtures)
+        requests = []
+
+        def answer(role, payload):  # every request that carries vid-blender's inputs fails
+            if role != "embed":
+                return None
+            requests.append(payload["inputs"])
+            if blender[0] not in payload["inputs"]:
+                return None
+            if fault == "status":
+                return 400, b"{}"
+            vectors = json.loads(mock.send(role, "", dumps_canonical(payload), {}, 1.0)[1])["vectors"]
+            if fault == "zero row":
+                vectors[payload["inputs"].index(blender[0])] = [0.0] * len(vectors[0])
+            return 200, dumps_canonical({"vectors": vectors[:-1] if fault == "too few" else vectors})
+
+        serve(answer)
+        code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                             "--endpoint-embed", "http://stub.invalid", "--concurrency", "2")
+        assert (code, out) == (1, "")
+        assert err == f"warning: vid-blender: embed: {reason}\n"
+        assert requests == [vsr_inputs(corpus_path, records)] + [vsr_inputs(corpus_path, [r]) for r in records]
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(
+        st.none(),  # the mock answers
+        st.tuples(st.just(200), JSON.map(dumps_canonical)),
+        st.tuples(st.just(200), st.fixed_dictionaries({"vectors": JSON}).map(dumps_canonical)),
+        st.tuples(st.just(200), st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), max_size=8)
+                  .map(lambda rows: dumps_canonical({"vectors": rows}))),
+        st.tuples(st.sampled_from([200, 204, 301, 400, 404, 422, 429, 503]), st.binary(max_size=40)),
+    ), min_size=1, max_size=4))
+    @example([None])  # every sample scored from the chunk's request
+    @example([(400, b"{}"), None, (400, b"{}"), None])  # the chunk and one sample fail
+    @example([(503, b"")])  # the chunk spends its retries
+    def test_every_embed_answer_scores_or_warns_each_sample(self, chain, answers):
+        corpus_path, pred = chain
+        ids = [s.sample_id for s in read_corpus(corpus_path)]
+        mock = backends.mock_backend(7, json.loads((FIX / "videos.json").read_text()))
+        served = itertools.cycle(answers)  # each attempt, retries too, takes the next answer
+
+        def send(self, role, url, body, headers, timeout_s):
+            return (role == "embed" and next(served)) or mock.send(role, url, body, headers, timeout_s)
+
+        out, err = StringIO(), StringIO()
+        with patch.object(backends.HttpTransport, "send", send), patch.object(backends, "BACKOFF_BASE_S", 0.0), \
+                redirect_stderr(err), patch("sys.stdout", out):
+            code = main(["evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
+                         "--endpoint-embed", "http://stub.invalid"])
+        assert "Traceback" not in err.getvalue()
+        warned = [line.split(": ")[1] for line in err.getvalue().splitlines()]
+        assert all(line.startswith(f"warning: {sid}: embed: ")
+                   for sid, line in zip(warned, err.getvalue().splitlines()))
+        assert sorted(set(warned)) == sorted(warned) and set(warned) <= set(ids)
+        if code == 0:
+            assert warned == [] and json.loads(out.getvalue())["vsr"] is not None
+        else:
+            assert code == 1 and warned and out.getvalue() == ""
+
+
+def vsr_inputs(corpus_path, records) -> list[str]:
+    """The embed inputs of the ``records`` of a predictions file, in order: each scripted
+    sample's whole script, its sentences and its ground-truth frame references."""
+    truth = {s.sample_id: s.ground_truth for s in read_corpus(corpus_path)}
+    inputs = []
+    for record in records:
+        sentences = [s["text"] for s in json.loads(record["draft_json"])["voice_over_track"]]
+        if sentences:
+            frames = [f"frame:{n.index}:0:{n.target_start}" for n in truth[record["sample_id"]].video_nodes_track]
+            inputs += [" ".join(sentences), *sentences, *frames]
+    return inputs
 
 
 class TestAlign:

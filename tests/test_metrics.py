@@ -1,11 +1,13 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adcut.backends import BackendEndpoint, Client, MalformedScores
+from adcut import metrics
+from adcut.backends import BackendEndpoint, BadStatus, Client, MalformedScores, mock_backend
 from adcut.dataset import DatasetSample
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, serialize_draft
 from adcut.jsonutil import dumps_canonical, loads
@@ -15,6 +17,7 @@ from adcut.metrics import (
     ScoreOutOfRange,
     UnknownTag,
     _cosine,
+    chunk_vsr,
     count_metrics,
     cra,
     csa,
@@ -26,6 +29,8 @@ from adcut.metrics import (
     score_sample,
     sq_aggregate,
     vsr,
+    vsr_chunks,
+    vsr_inputs,
 )
 
 from helpers import (
@@ -233,7 +238,7 @@ class TestAggregators:
 
 
 class FixedEmbedTransport:
-    """Serves scripted embeddings keyed by exact input string."""
+    """Serves scripted embeddings keyed by exact input string; HTTP 400 for an input it lacks."""
 
     def __init__(self, table, dim):
         self.table = table
@@ -243,6 +248,8 @@ class FixedEmbedTransport:
         from adcut.jsonutil import loads
 
         payload = loads(body)
+        if not set(payload["inputs"]) <= set(self.table):
+            return 400, b"{}"
         vectors = [self.table[item] for item in payload["inputs"]]
         return 200, dumps_canonical({"vectors": vectors})
 
@@ -338,6 +345,100 @@ class TestVsr:
         draft = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
         s = EvalSample("s", draft, draft, frames=("f0",))
         assert vsr(s, embed_client({})) == 0.0  # the empty table fails any call
+
+
+class RecordingTransport:
+    """The seeded mock, recording the inputs of each embed request."""
+
+    def __init__(self, seed):
+        self.mock = mock_backend(seed, {})
+        self.requests = []
+
+    def send(self, role, url, body, headers, timeout_s):
+        self.requests.append(loads(body)["inputs"])
+        return self.mock.send(role, url, body, headers, timeout_s)
+
+
+class StatusTransport:
+    """Answers every request with one status and an empty object, counting the requests."""
+
+    def __init__(self, status):
+        self.status = status
+        self.requests = 0
+
+    def send(self, role, url, body, headers, timeout_s):
+        self.requests += 1
+        return self.status, b"{}"
+
+
+TEXT = st.sampled_from(["a", "b", "c d", "\u00e9"])
+
+
+@st.composite
+def vsr_samples(draw):
+    """A sample whose prediction has 0-3 sentences (or did not parse) and 0-4 frames."""
+    voice = tuple(VoiceSentence(draw(TEXT), 1000 * i, 1000 * i + 1000) for i in range(draw(st.integers(0, 3))))
+    predicted = Draft(voice, draft_with([0]).video_nodes_track, DecorationSetting())
+    frames = tuple(draw(st.lists(TEXT.map("frame:{}".format), max_size=4)))
+    return EvalSample("s", draft_with([1]), draw(st.none() | st.just(predicted)), frames=frames)
+
+
+def chunk_ids(samples):
+    return [[s.sample_id for s, _ in chunk] for chunk in vsr_chunks(samples)]
+
+
+class TestVsrChunks:
+    @given(st.lists(vsr_samples(), max_size=8), st.integers(1, 20))
+    def test_each_chunk_is_one_request_of_whole_samples_scored_as_the_reference(self, samples, limit):
+        recording = Client("embed", BackendEndpoint("mock://fixed"), transport=RecordingTransport(7))
+        alone = Client("embed", BackendEndpoint("mock://fixed"), transport=mock_backend(7, {}))
+        with mock.patch.object(metrics, "VSR_CHUNK_INPUTS", limit):
+            chunks = list(vsr_chunks(samples))
+        assert [s for chunk in chunks for s, _ in chunk] == samples
+        for chunk in chunks:
+            assert [own for _, own in chunk] == [vsr_inputs(s) for s, _ in chunk]
+            whole = [text for _, own in chunk for text in own]
+            assert len(whole) <= limit or len(chunk) == 1  # only a sample over the limit goes alone
+            sent = len(recording.transport.requests)
+            scores = chunk_vsr(chunk, recording)
+            assert recording.transport.requests[sent:] == ([whole] if whole else [])
+            assert scores == [reference_vsr(s, alone) if s.frames else None for s, _ in chunk]
+        assert len(recording.transport.requests) == sum(any(own for _, own in chunk) for chunk in chunks)
+
+    def test_a_chunk_without_a_scripted_sample_sends_no_request(self):
+        scriptless = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
+        chunk = [(EvalSample("s", scriptless, scriptless, frames=("f0",)), []), (sample([0], [0]), [])]  # no frames
+        assert chunk_vsr(chunk, embed_client({})) == [0.0, None]  # the empty table fails any call
+
+    def test_a_request_failing_without_retry_leaves_each_sample_to_embed_alone(self):
+        s = EvalSample("s", draft_with([0]), draft_with([0]), frames=("f0",))
+        other = EvalSample("t", draft_with([0]), draft_with([0]), frames=("f1",))
+        client = embed_client({"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0]})  # HTTP 400 for f1
+        scores = chunk_vsr([(s, vsr_inputs(s)), (other, vsr_inputs(other))], client)
+        assert scores[0] == pytest.approx(100.0)
+        assert isinstance(scores[1], BadStatus) and str(scores[1]) == "embed: HTTP status 400"
+        assert scores[1].__traceback__ is None and scores[1].__context__ is None
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_a_request_that_spends_its_retries_fails_each_sample_with_no_more_requests(self, status):
+        transport = StatusTransport(status)
+        client = Client("embed", BackendEndpoint("http://embed.test"), transport=transport, sleeper=lambda _: None)
+        scriptless = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
+        chunk = [(s, vsr_inputs(s)) for s in (
+            EvalSample("s", draft_with([0]), draft_with([0]), frames=("f0",)),
+            EvalSample("t", scriptless, scriptless, frames=("f0",)),
+            EvalSample("u", draft_with([0]), None, frames=("f1", "f2")))]
+        scores = chunk_vsr(chunk, client)
+        assert transport.requests == client.endpoint.max_retries + 1  # the chunk's own schedule, no per-sample one
+        assert scores[1] == 0.0 and scores[0] is scores[2] and str(scores[0]) == f"embed: HTTP status {status}"
+
+    def test_chunks_fill_up_to_the_limit_in_order(self, monkeypatch):
+        one, two = sample([0], [0]), EvalSample("t", draft_with([0]), draft_with([0]), frames=("f0", "f1"))
+        framed = EvalSample("u", draft_with([0]), draft_with([0]), frames=("f0",))  # 3 inputs; two has 4
+        monkeypatch.setattr(metrics, "VSR_CHUNK_INPUTS", 7)
+        assert chunk_ids([framed, one, two, framed, framed]) == [["u", "s", "t"], ["u", "u"]]
+        monkeypatch.setattr(metrics, "VSR_CHUNK_INPUTS", 3)
+        assert chunk_ids([framed, two, framed]) == [["u"], ["t"], ["u"]]
 
 
 class RubricScoresTransport:

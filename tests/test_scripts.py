@@ -112,3 +112,16 @@ def test_bench_pairs_records_alternating_pairs_with_a_stand_in_run(tmp_path):
     assert sorted(p.name for p in repo.iterdir()) == [
         ".git", "BENCHMARK.json", "BENCH_7.json", "perfbench", "scripts", "speed.txt"
     ]
+
+
+def test_bench_trajectory_chains_the_within_file_ratios_in_pr_order(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "items_per_s"}, {"name": "latency_p99_ms"}]}))
+    for pr, parent, change in ((10, 200.0, 250.0), (9, 100.0, 110.0)):
+        summary = {"items_per_s": {"parent": {"median": parent}, "change": {"median": change}}}
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps({"workloads": {"http": {"summary": summary}}}))
+    (tmp_path / "BENCH_notes.json").write_text("{}")  # not a numbered recording
+    done = subprocess.run([sys.executable, str(SCRIPTS / "bench_trajectory.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["http items_per_s 9:1.100(1.100) 10:1.250(1.375)", "http latency_p99_ms"]
