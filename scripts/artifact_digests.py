@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of every artifact the CLI writes over a fixed grid.
+
+Usage (from anywhere):
+
+    python3 scripts/artifact_digests.py [--grid small|full]
+
+Every command runs through ``adcut.cli.main`` in one temporary directory,
+on the bundled fixtures (``tests/fixtures``), with ``--config`` always given
+so no environment setting leaks in:
+
+- ``build-dataset`` per seed and concurrency;
+- ``generate`` per seed, mock mode (``perfect`` and each corruption) and
+  concurrency;
+- ``evaluate`` of each seed's and mode's predictions as ``json`` and as
+  ``table``, with and without ``--with-judge`` and ``--with-vsr``, per
+  concurrency;
+- ``validate``, ``plan`` and ``align`` on the fixtures.
+
+The small grid is seed 7, modes ``perfect`` and ``swap_adjacent`` and
+concurrency 1 and 2; the full grid is seeds 7, 8 and 9, every mode and
+concurrency 1, 2 and 4.
+
+The output is one ``sha256 <artifact> <hex digest>`` line per artifact,
+sorted by artifact name: each command's ``--out`` file, and a ``.exit``
+artifact holding its exit code and what it printed to stderr (with the
+temporary directory's path replaced). Two checkouts that print the same
+lines wrote the same bytes; ``diff`` of two outputs names what changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from adcut.backends import CORRUPTIONS  # noqa: E402
+from adcut.cli import main  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
+CONFIG = str(FIXTURES / "adcut.ini")
+GRIDS = {
+    "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2)},
+    "full": {"seeds": (7, 8, 9), "modes": ("perfect", *CORRUPTIONS), "concurrency": (1, 2, 4)},
+}
+
+
+def digests(grid: dict) -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+
+        def run(name: str, *argv: str) -> Path:
+            """Run one command with ``--out <work>/<name>``; record its artifacts."""
+            out = work / name
+            out.parent.mkdir(parents=True, exist_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", CONFIG, "--out", str(out)])
+            log = f"exit {code}\n{err.getvalue()}".replace(str(work), "<tmp>")
+            lines.append(f"sha256 {name}.exit {hashlib.sha256(log.encode('utf-8')).hexdigest()}")
+            if out.exists():
+                lines.append(f"sha256 {name} {hashlib.sha256(out.read_bytes()).hexdigest()}")
+            return out
+
+        for seed in grid["seeds"]:
+            common = ("--seed", str(seed))
+            corpora = {c: run(f"s{seed}/build-c{c}.jsonl", "build-dataset", *common, "--concurrency", str(c))
+                       for c in grid["concurrency"]}
+            corpus = str(corpora[grid["concurrency"][0]])
+            for mode in grid["modes"]:
+                predictions = {
+                    c: run(f"s{seed}/{mode}/generate-c{c}.jsonl", "generate", corpus, *common,
+                           "--endpoint-generate", f"mock:{mode}", "--concurrency", str(c))
+                    for c in grid["concurrency"]
+                }
+                for fmt in ("json", "table"):
+                    for judge in ((), ("--with-judge",)):
+                        for vsr in ((), ("--with-vsr",)):
+                            for c in grid["concurrency"]:
+                                flags = "".join(f.replace("--with", "") for f in (*judge, *vsr))
+                                run(f"s{seed}/{mode}/evaluate-{fmt}{flags}-c{c}", "evaluate", corpus,
+                                    str(predictions[grid["concurrency"][0]]), *common, "--format", fmt,
+                                    "--concurrency", str(c), *judge, *vsr)
+
+        draft, violations = str(FIXTURES / "draft_template.json"), str(FIXTURES / "draft_violations.json")
+        clips = str(FIXTURES / "clips.json")
+        for fmt in ("json", "table"):
+            run(f"validate/template-{fmt}", "validate", draft, "--clips", clips, "--format", fmt)
+            run(f"validate/violations-{fmt}", "validate", violations, "--clips", clips, "--format", fmt)
+            run(f"plan/clips-{fmt}", "plan", clips, "--format", fmt)
+        run("align/template.json", "align", draft, str(FIXTURES / "tts_noop.json"), clips,
+            "--catalog", str(FIXTURES / "catalog.json"))
+    return sorted(lines, key=lambda line: line.split()[1])
+
+
+def cli() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--grid", choices=sorted(GRIDS), default="small")
+    args = parser.parse_args()
+    print("\n".join(digests(GRIDS[args.grid])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli())

@@ -12,9 +12,13 @@ trip gives back equal values of the same types, so no caller can tell. Any
 other transport, including one that wraps a mock or subclasses it (or the
 benchmark's HTTP stub, which serves one), exchanges canonical bytes both ways.
 
+:class:`HttpTransport` speaks HTTP/1.1 over the standard library's ``socket``
+(``ssl`` for ``https``), one write per request, on keep-alive connections.
+
 ``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
-the only functions here that build arrays, and ``http.client`` inside
-:meth:`HttpTransport.send`, so importing this module loads neither.
+the only functions here that build arrays, and ``socket`` and ``ssl`` when
+:class:`HttpTransport` opens a connection, so importing this module loads
+none of them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -133,20 +138,33 @@ class CallResult:
 
 
 class HttpTransport:
-    """HTTP/1.1 transport on ``http.client``, shareable across threads.
+    """HTTP/1.1 POST client on the standard library's ``socket`` (and ``ssl``
+    for ``https``), shareable across threads.
 
     Each thread keeps one keep-alive connection per origin (scheme, host,
-    port). After sending a request it sets ``TCP_QUICKACK`` where the
-    platform has it: a server that writes a response's headers and body
-    separately with Nagle's algorithm on would otherwise wait for the
-    client's delayed ACK, about 40 ms, on every reused connection. A reused
-    connection the server has closed is reopened once, which the client does
-    not count as a retry. A timeout raises :class:`RequestTimeout`; any other
-    socket or protocol error raises :class:`TransportFailure`; either drops
-    the connection. A URL that is not ``http`` or ``https`` with a host, whose
-    port is not a number in [0, 65535], or that ``http.client`` rejects, raises
-    a :class:`BackendError` that is not retried. Proxy environment variables
-    are not read.
+    port), each with one buffered reader for its whole life. A request is one
+    ``sendall`` of the request line, ``Host``, ``Accept-Encoding: identity``,
+    ``Content-Length``, the caller's headers and the body. After the write the
+    transport sets ``TCP_QUICKACK`` where the platform has it: a server that
+    writes a response's headers and body separately with Nagle's algorithm on
+    would otherwise wait for the client's delayed ACK, about 40 ms, on every
+    reused connection. Interim ``1xx`` responses are skipped; a body is framed
+    by ``Content-Length``, by chunks (trailers read and dropped) or by the
+    server closing. A status line, header or chunk-size line is at most 65536
+    bytes, and a response has at most 100 headers. ``Connection: close`` or an
+    HTTP/1.0 status line closes the connection after the exchange.
+
+    A reused connection the server has closed is reopened once, which the
+    client does not count as a retry. A timeout raises :class:`RequestTimeout`;
+    any other socket error, or a response that breaks the framing above
+    (a malformed status line, header or chunk size, or a short body), raises
+    :class:`TransportFailure`; either drops the connection. A URL that is not
+    ``http`` or ``https`` with a host, that carries user info or a character
+    that cannot go on the request line, or whose port is not a number in
+    [0, 65535], raises a :class:`BackendError` that is not retried, as does a
+    header that cannot be sent as it is. ``https`` verifies the server's
+    certificate and host name with :func:`ssl.create_default_context`. Proxy
+    environment variables are not read.
 
     The transport holds each connection until it fails, the server closes
     it, or :meth:`close` (or leaving a ``with`` block) closes every
@@ -158,7 +176,8 @@ class HttpTransport:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._conns: dict[tuple, Any] = {}  # (thread id, scheme, netloc) -> connection
+        self._conns: dict[tuple, _Connection] = {}  # (thread id, scheme, netloc) -> connection
+        self._tls: Any = None  # the https context, built on the first https connection
 
     def __enter__(self) -> HttpTransport:
         return self
@@ -173,45 +192,53 @@ class HttpTransport:
             conn.close()
 
     def send(self, role: str, url: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes]:
-        import http.client
-
         try:
-            scheme, netloc, path, query, _ = split = urlsplit(url)
-            split.port  # out of [0, 65535] raises ValueError; http.client would dial the port modulo 65536
+            scheme, netloc, host, port, head = _route(url)
         except ValueError as exc:
             raise BackendError(role, f"unsupported URL {url!r}: {exc}") from None
-        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(scheme)
-        if factory is None or not netloc:
-            raise BackendError(role, f"unsupported URL {url!r}")
-        target = (path or "/") + (f"?{query}" if query else "")
+        try:
+            request = f"{head}Content-Length: {len(body)}\r\n{_header_lines(headers)}\r\n".encode("latin-1") + body
+        except ValueError as exc:  # also a UnicodeEncodeError
+            raise BackendError(role, f"unsendable header: {exc}") from None
         key = (threading.get_ident(), scheme, netloc)
         with self._lock:
             conn = self._conns.get(key)
         reused = conn is not None
         try:
             try:
-                conn = conn if reused else self._keep(key, factory(netloc, timeout=timeout_s))
-                status, data, closing = _post(conn, target, body, headers, timeout_s)
-            except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected is a ConnectionResetError
+                conn = conn if reused else self._open(key, scheme, host, port, timeout_s)
+                status, data, closing = conn.exchange(request, timeout_s)
+            except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
                 self._drop(key)  # the server closed the idle connection: reopen it once
-                conn = self._keep(key, factory(netloc, timeout=timeout_s))
-                status, data, closing = _post(conn, target, body, headers, timeout_s)
+                conn = self._open(key, scheme, host, port, timeout_s)
+                status, data, closing = conn.exchange(request, timeout_s)
         except TimeoutError as exc:
             self._drop(key)
             raise RequestTimeout(role, str(exc)) from exc
-        except http.client.InvalidURL as exc:
-            self._drop(key)
-            raise BackendError(role, f"unsupported URL {url!r}: {exc}") from None
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, _Malformed) as exc:
             self._drop(key)
             raise TransportFailure(role, str(exc)) from exc
         if closing:
             self._drop(key)
         return status, data
 
-    def _keep(self, key: tuple, conn: Any) -> Any:
+    def _open(self, key: tuple, scheme: str, host: str, port: int, timeout_s: float) -> _Connection:
+        import socket
+
+        sock = socket.create_connection((host, port), timeout_s)
+        if scheme == "https":
+            try:
+                if self._tls is None:
+                    import ssl
+
+                    self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=host)
+            except BaseException:
+                sock.close()
+                raise
+        conn = _Connection(sock)
         with self._lock:
             self._conns[key] = conn
         return conn
@@ -223,20 +250,140 @@ class HttpTransport:
             conn.close()
 
 
-def _post(conn: Any, target: str, body: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes, bool]:
-    """One exchange on ``conn``: the status, the body and whether the server
-    closes the connection after it. ``http.client`` writes the headers and
-    then the ``bytes`` body, two ``sendall`` calls per request."""
-    import socket
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_UNSENDABLE = re.compile(r"[^\x21-\x7e]")  # what cannot go on a request line: controls, space, non-ASCII
+_HEADER_NAME = re.compile(r"[^:\s][^:\r\n\x00]*")  # http.client's rule
+_BAD_VALUE = re.compile(r"[\x00\r\n]")
+_MAX_LINE = 65536  # bytes in a status, header or chunk-size line
+_MAX_HEADERS = 100
+_PIECE = 1 << 20  # a body is read in pieces of at most this, so a huge Content-Length allocates nothing up front
 
-    conn.timeout = timeout_s
-    if conn.sock is not None:
-        conn.sock.settimeout(timeout_s)
-    conn.request("POST", target, body, headers)
-    if hasattr(socket, "TCP_QUICKACK"):
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-    response = conn.getresponse()
-    return response.status, response.read(), response.will_close
+
+@lru_cache(maxsize=64)
+def _route(url: str) -> tuple[str, str, str, int, str]:
+    """The scheme, netloc, host and port that ``url`` dials, and the head of a request to
+    it up to its caller's headers. ``ValueError`` for a URL :class:`HttpTransport` rejects."""
+    scheme, netloc, path, query, _ = split = urlsplit(url)
+    port = split.port  # out of [0, 65535] raises ValueError
+    target = (path or "/") + (f"?{query}" if query else "")
+    if scheme not in _DEFAULT_PORTS or not split.hostname or "@" in netloc:
+        raise ValueError("expected http:// or https:// with a host and no user info")
+    host_field = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")  # IDNA for a non-ASCII host
+    if _UNSENDABLE.search(target + host_field):
+        raise ValueError("a request line cannot carry the URL's control, space or non-ASCII characters")
+    head = f"POST {target} HTTP/1.1\r\nHost: {host_field}\r\nAccept-Encoding: identity\r\n"
+    return scheme, netloc, split.hostname, _DEFAULT_PORTS[scheme] if port is None else port, head
+
+
+def _header_lines(headers: dict) -> str:
+    for name, value in headers.items():
+        if not _HEADER_NAME.fullmatch(name) or _BAD_VALUE.search(value):
+            raise ValueError(f"{name!r} is not a valid header name and value")
+    return "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+
+
+class _Malformed(Exception):
+    """A response that breaks HTTP/1.1's framing."""
+
+
+class _Connection:
+    """A connected socket and the one buffered reader it keeps for its life."""
+
+    def __init__(self, sock: Any) -> None:
+        import socket
+
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        self.quickack = (socket.IPPROTO_TCP, socket.TCP_QUICKACK) if hasattr(socket, "TCP_QUICKACK") else None
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(self, request: bytes, timeout_s: float) -> tuple[int, bytes, bool]:
+        """Send ``request`` in one write; the response's status, its body and whether
+        the server closes the connection after it."""
+        self.sock.settimeout(timeout_s)
+        self.sock.sendall(request)
+        if self.quickack is not None:
+            self.sock.setsockopt(*self.quickack, 1)
+        reader = self.reader
+        while True:
+            line = _line(reader)
+            if not line:
+                raise ConnectionResetError("the server closed the connection without a response")
+            version, status = _status(line)
+            fields = _fields(reader)
+            if status >= 200:
+                break
+        closing = version == b"HTTP/1.0" or b"close" in fields.get(b"connection", b"").lower()
+        if status in (204, 304):
+            return status, b"", closing
+        if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            return status, _chunked(reader), closing
+        length = fields.get(b"content-length")
+        if length is None:
+            return status, reader.read(), True
+        if not length.isdigit():
+            raise _Malformed(f"bad Content-Length {length[:80]!r}")
+        return status, _exactly(reader, int(length)), closing
+
+
+def _line(reader: Any) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _Malformed(f"a response line is longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _status(line: bytes) -> tuple[bytes, int]:
+    """The version and status code of a status line such as ``HTTP/1.1 200 OK``."""
+    parts = line.split(None, 2)
+    if len(parts) < 2 or parts[0] not in (b"HTTP/1.0", b"HTTP/1.1") or len(parts[1]) != 3 \
+            or not parts[1].isdigit() or parts[1] < b"100":
+        raise _Malformed(f"bad status line {line[:80]!r}")
+    return parts[0], int(parts[1])
+
+
+def _fields(reader: Any) -> dict[bytes, bytes]:
+    """Header (or trailer) fields up to the blank line, by lower-case name; the first
+    of a repeated name counts."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise _Malformed(f"bad header line {line[:80]!r}")
+        fields.setdefault(name.strip().lower(), value.strip())
+    raise _Malformed(f"more than {_MAX_HEADERS} headers")
+
+
+def _chunked(reader: Any) -> bytes:
+    chunks = []
+    while True:
+        digits = _line(reader).split(b";", 1)[0].strip()
+        if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+            raise _Malformed(f"bad chunk size {digits[:80]!r}")
+        size = int(digits, 16)
+        if not size:
+            _fields(reader)  # trailers
+            return b"".join(chunks)
+        chunks.append(_exactly(reader, size))
+        if _line(reader) not in (b"\r\n", b"\n"):
+            raise _Malformed("a chunk does not end with CRLF")
+
+
+def _exactly(reader: Any, n: int) -> bytes:
+    pieces, left = [], n
+    while left:
+        piece = reader.read(min(left, _PIECE))
+        if not piece:
+            raise _Malformed(f"short body: {n - left} of {n} bytes")
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)
 
 
 class Client:

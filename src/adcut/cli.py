@@ -174,8 +174,8 @@ def _http() -> be.HttpTransport:
 def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[str], Any]) -> be.Client:
     """The client for ``role``, whose endpoint is the ``--endpoint-<role>`` flag, else the
     ``[endpoints]`` key, else ``mock:``. ``mock:`` (for generate, any ``mock:…``) runs over
-    ``mock(value)``; an http(s) URL with a host and a valid port runs over :func:`_http` with
-    the role's ``[auth]`` token variable; any other value is a usage error."""
+    ``mock(value)``; an http(s) URL with a host, a valid port and no user info runs over
+    :func:`_http` with the role's ``[auth]`` token variable; any other value is a usage error."""
     from urllib.parse import urlsplit
 
     from . import backends as be
@@ -190,6 +190,8 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[st
     except ValueError as exc:  # also an unclosed IPv6 bracket
         raise CliError(f"bad {role} endpoint {value!r}: {exc}") from None
     if url.scheme in ("http", "https") and url.netloc:
+        if "@" in url.netloc:  # the transport sends no credentials from a URL
+            raise CliError(f"bad {role} endpoint {value!r}: user info in a URL is not supported")
         endpoint = be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role))
         return be.Client(role, endpoint, transport=_http())
     raise CliError(f"bad {role} endpoint {value!r}: expected mock: or an http:// or https:// URL")
@@ -535,7 +537,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         items = [(s.sample_id, s, None, 0) for s in eval_samples]
 
     def score(_: str, sample: mx.EvalSample, vsrs: Future | None, j: int) -> dict:
-        out = mx.score_sample(sample, judge, None)  # the judge first, as with a per-sample embedder
+        out = mx.score_sample(sample, judge)
         if vsrs is not None:
             vsr = vsrs.result()[j]
             if isinstance(vsr, Exception):

@@ -7,9 +7,9 @@ visual/script relevance score. :func:`eval_sample` builds each scored pair
 from a corpus sample and its model output. All counting is one pure fold,
 :func:`count_metrics`, into :class:`MetricCounts`, from which the three
 counting metrics are derived; :func:`evaluate_corpus` adds the per-sample
-scores of :func:`score_sample`, so results are independent of corpus order
-and of evaluation concurrency. VSR embeds the inputs of a chunk of samples
-(:func:`vsr_chunks`) in one request (:func:`chunk_vsr`).
+judge scores of :func:`score_sample` and VSR scores of :func:`chunk_vsr`, so
+results are independent of corpus order and of evaluation concurrency. VSR
+embeds the inputs of a chunk of samples (:func:`vsr_chunks`) in one request.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def chunk_vsr(chunk: Sequence[tuple[EvalSample, list[str]]], embed_client: Clien
         if isinstance(vectors, BackendError):
             out.append(vectors)
         else:
-            out.append(vsr(sample, embed_client, vectors) if sample.frames else None)
+            out.append(vsr(sample, vectors) if sample.frames else None)
     return out
 
 
@@ -309,24 +309,20 @@ def _embedded(inputs: list[str], embed_client: Client) -> list[np.ndarray] | Bac
         return exc
 
 
-def vsr(sample: EvalSample, embed_client: Client, vectors: list[np.ndarray] | None = None) -> float:
+def vsr(sample: EvalSample, vectors: list[np.ndarray]) -> float:
     """Simplified visual/script relevance.
 
     Mean of (a) cosine similarity between the whole-script embedding and
     the mean frame embedding and (b) the per-sentence mean of the maximum
     per-frame cosine similarity, scaled by 100. ``vectors`` are the
     embeddings of :func:`vsr_inputs`, as :func:`chunk_vsr` cuts them from a
-    chunk's request; when None, this call embeds them in a request of its own.
-    A draft with no voice-over sentences has no script to relate to the
-    frames: it scores 0.0 and makes no embed call. Each vector's norm is taken
-    once, as ``sqrt(v·v)`` (what ``np.linalg.norm`` computes for a 1-D
-    vector), so a pair costs one dot product.
+    chunk's request. A draft with no voice-over sentences has no script to
+    relate to the frames: it has no inputs and scores 0.0. Each vector's norm
+    is taken once, as ``sqrt(v·v)`` (what ``np.linalg.norm`` computes for a
+    1-D vector), so a pair costs one dot product.
     """
     if not sample.frames:
         raise ValueError(f"{sample.sample_id}: VSR needs frame references")
-    if vectors is None:
-        inputs = vsr_inputs(sample)
-        vectors = embed(inputs, embed_client) if inputs else []
     if not vectors:
         return 0.0
     import numpy as np
@@ -341,13 +337,11 @@ def vsr(sample: EvalSample, embed_client: Client, vectors: list[np.ndarray] | No
     return 100.0 * (whole + sum(per_sentence) / len(per_sentence)) / 2.0
 
 
-def score_sample(sample: EvalSample, judge: Client | None, embedder: Client | None) -> dict[str, float | None]:
-    """One sample's ``fpf`` and ``sq`` from the judge and ``vsr`` from the embedder,
-    each None without its client, for an empty score map, or (``vsr``) without frames.
-    The judge is called first, and VSR embeds the sample alone; ``evaluate`` passes no
-    embedder and takes ``vsr`` from the sample's :func:`chunk_vsr` instead. A failed
+def score_sample(sample: EvalSample, judge: Client | None) -> dict[str, float | None]:
+    """One sample's ``fpf`` and ``sq`` from the judge, each None without a judge or for
+    an empty score map (``vsr`` comes from the sample's :func:`chunk_vsr`). A failed
     call, or a score map the aggregate rejects, raises a ``BackendError``."""
-    out: dict[str, float | None] = {"fpf": None, "sq": None, "vsr": None}
+    out: dict[str, float | None] = {"fpf": None, "sq": None}
     if judge is not None:
         for key, rubric_id, aggregate in (("fpf", "free_prompt_eval", fpf_aggregate),
                                           ("sq", "script_quality_eval", sq_aggregate)):
@@ -356,8 +350,6 @@ def score_sample(sample: EvalSample, judge: Client | None, embedder: Client | No
                 out[key] = aggregate(scores) if scores else None
             except ValueError as exc:
                 raise MalformedScores(judge.role, str(exc)) from None
-    if embedder is not None and sample.frames:
-        out["vsr"] = vsr(sample, embedder)
     return out
 
 
@@ -386,11 +378,12 @@ class EvalReport:
 def evaluate_corpus(counts: MetricCounts, scores: Sequence[Mapping[str, float | None]]) -> EvalReport:
     """The report: the counting metrics of ``counts`` (a corpus's
     :func:`count_metrics`) plus the mean of each backend score over ``scores``
-    (one :func:`score_sample` result per sample, in corpus order), skipping
-    Nones. A score that no sample has is None."""
+    (one map per sample, in corpus order: :func:`score_sample`'s, with the
+    sample's ``vsr`` when VSR was scored), skipping Nones and missing keys. A
+    score that no sample has is None."""
 
     def mean(key: str) -> float | None:
-        values = [s[key] for s in scores if s[key] is not None]
+        values = [s[key] for s in scores if s.get(key) is not None]
         return sum(values) / len(values) if values else None
 
     return EvalReport(

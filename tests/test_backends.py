@@ -654,6 +654,54 @@ def corpus_and_predictions(tmp_path_factory):
     return corpus, predictions
 
 
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n{\"ok\":true}"
+
+
+class _ScriptedServer:
+    """Answers the n-th request it reads, on whichever connection, with ``replies[n]``: raw
+    response bytes, or (bytes, True) to close that connection after writing them. Each
+    request must arrive in one read; ``reads`` holds those reads and ``peers`` counts the
+    connections accepted."""
+
+    def __init__(self, replies):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.replies = [r if isinstance(r, tuple) else (r, False) for r in replies]
+        self.reads, self.peers, self.stop = [], 0, threading.Event()
+        self.netloc = b"127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.url = f"http://{self.netloc.decode()}/v"
+
+    def serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.peers += 1
+            with conn:
+                conn.settimeout(5)
+                while self.replies and (data := conn.recv(1 << 20)):
+                    self.reads.append(data)
+                    reply, close = self.replies.pop(0)
+                    conn.sendall(reply)
+                    if close:
+                        break
+
+
+@contextmanager
+def scripted(*replies):
+    server = _ScriptedServer(replies)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.stop.set()
+        thread.join(timeout=10)
+        server.listener.close()
+    assert not thread.is_alive()
+
+
 class TestHttpTransport:
     def test_sequential_calls_share_one_connection(self):
         with serving() as server, HttpTransport() as transport:
@@ -748,7 +796,7 @@ class TestHttpTransport:
 
     @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
     def test_a_port_outside_the_tcp_range_is_never_dialled(self, port, monkeypatch):
-        # http.client would dial port 70000 as 70000 % 65536 == 4464
+        # a dial would reach port 70000 % 65536 == 4464, as http.client's did
         dialled, sleeps = [], []
 
         def dial(address, *args, **kwargs):
@@ -761,6 +809,94 @@ class TestHttpTransport:
             Client("embed", ep, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
         assert not info.value.retryable
         assert (dialled, sleeps) == ([], [])
+
+    def test_a_url_with_user_info_is_never_dialled(self, monkeypatch):
+        dialled, sleeps = [], []
+        monkeypatch.setattr(socket, "create_connection", lambda address, *args, **kwargs: dialled.append(address))
+        ep = BackendEndpoint(base_url="http://user:pw@127.0.0.1:9", max_retries=2)
+        with HttpTransport() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
+            Client("embed", ep, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+        assert not info.value.retryable
+        assert (dialled, sleeps) == ([], [])
+
+    def test_the_request_is_one_write_with_host_and_identity_encoding(self):
+        with scripted(OK) as server, HttpTransport() as transport:
+            http_client(transport, server.url).call({"inputs": ["x"]})
+        body = dumps_canonical({"inputs": ["x"]})
+        assert server.reads == [
+            b"POST /v/v1/embed HTTP/1.1\r\nHost: " + server.netloc + b"\r\nAccept-Encoding: identity\r\n"
+            b"Content-Length: %d\r\nContent-Type: application/json\r\n\r\n" % len(body) + body
+        ]
+
+    def test_a_chunked_body_with_a_trailer_keeps_the_connection(self):
+        chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   b"5;name=value\r\n{\"a\":\r\n2\r\n1}\r\n0\r\nX-Checksum: 1\r\n\r\n")
+        with scripted(chunked, OK) as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            assert [client.call({}).data for _ in range(2)] == [{"a": 1}, {"ok": True}]
+        assert server.peers == 1
+
+    def test_a_body_delimited_by_the_server_closing_ends_the_connection(self):
+        with scripted((b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"a\":2}", True), OK) as server, \
+                HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            assert [client.call({}).data for _ in range(2)] == [{"a": 2}, {"ok": True}]
+        assert server.peers == 2
+
+    @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK\r\nConnection: close", b"HTTP/1.0 200 OK"])
+    def test_a_response_that_closes_makes_the_next_call_open_a_new_connection(self, head):
+        # the server keeps the connection open: only the client can have dropped it
+        with scripted(head + b"\r\nContent-Length: 7\r\n\r\n{\"a\":3}", OK) as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            assert [client.call({}).data for _ in range(2)] == [{"a": 3}, {"ok": True}]
+        assert server.peers == 2
+
+    def test_an_interim_continue_is_skipped(self):
+        with scripted(b"HTTP/1.1 100 Continue\r\n\r\n" + OK) as server, HttpTransport() as transport:
+            assert http_client(transport, server.url).call({}).data == {"ok": True}
+
+    @pytest.mark.parametrize("reply, reason", [
+        # a short body ends when the server closes; any other reply leaves the connection open,
+        # so only the client can have dropped it
+        ((b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}", True), "short body: 2 of 50 bytes"),
+        ((b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % 10**15, True),
+         "short body: 2 of 1000000000000000 bytes"),
+        (b"HTTX/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", "bad status line"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 2\r\n\r\n{}",
+         "longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100 + b"Content-Length: 2\r\n\r\n{}", "more than 100 headers"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n", "bad chunk size"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nno colon\r\n\r\n{}", "bad header line"),
+    ], ids=["short body", "short body of a huge length", "bad status line", "long header line", "101 headers",
+            "negative chunk size", "header without colon"])
+    def test_a_malformed_response_is_a_transport_failure_that_drops_the_connection(self, reply, reason):
+        with scripted(reply, OK) as server, HttpTransport() as transport:
+            client = http_client(transport, server.url)
+            with pytest.raises(TransportFailure, match=reason):
+                client.call({})
+            assert client.call({}).data == {"ok": True}
+        assert server.peers == 2
+
+    def test_https_verifies_with_the_default_context_and_the_host_name(self, monkeypatch):
+        import ssl
+
+        contexts, wrapped = [], []
+
+        class Context:  # hands back the plain socket, so the exchange needs no certificate
+            def wrap_socket(self, sock, server_hostname):
+                wrapped.append(server_hostname)
+                return sock
+
+        def create_default_context(*args, **kwargs):
+            contexts.append((args, kwargs))
+            return Context()
+
+        monkeypatch.setattr(ssl, "create_default_context", create_default_context)
+        with serving(close_each=True) as server, HttpTransport() as transport:
+            client = http_client(transport, server.url.replace("http://", "https://"))
+            assert [client.call({"inputs": ["x"]}).retries for _ in range(2)] == [0, 0]
+        assert contexts == [((), {})]  # one context per transport
+        assert wrapped == ["127.0.0.1", "127.0.0.1"]
 
 
 def _chain(corpus, predictions, endpoint):
@@ -776,13 +912,14 @@ def _chain(corpus, predictions, endpoint):
 # Runs the commands of a JSON list of argv in one fresh interpreter that turns
 # ResourceWarning into an error, collects garbage (finalizing any socket left
 # open) and exits (closing the process's transport), and reports whether
-# ``requests`` was imported.
+# ``requests``, ``http.client`` or its header parser ``email.parser`` was imported.
 _LEAK_PROBE = """
 import gc, json, sys
 from adcut.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 gc.collect()
-print(json.dumps({"codes": codes, "requests": "requests" in sys.modules}))
+modules = ("requests", "http.client", "email.parser")
+print(json.dumps({"codes": codes, **{name: name in sys.modules for name in modules}}))
 """
 
 
@@ -801,7 +938,8 @@ def test_two_commands_over_http_leave_no_socket_open(capsys, tmp_path, corpus_an
         )
     assert "ResourceWarning" not in done.stderr and "unclosed <socket" not in done.stderr, done.stderr
     *report, probe = done.stdout.splitlines()
-    assert json.loads(probe) == {"codes": [0, 0], "requests": False}, done.stderr
+    assert json.loads(probe) == {"codes": [0, 0], "requests": False, "http.client": False, "email.parser": False}, \
+        done.stderr
     assert [main(argv) for argv in _chain(corpus, tmp_path / "mock.jsonl", "mock:")] == [0, 0]
     assert report == capsys.readouterr().out.splitlines()
     assert len(server.peers) == 1

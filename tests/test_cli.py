@@ -1460,6 +1460,17 @@ def test_a_bad_endpoint_port_fails_before_any_backend_call(
     assert calls == []
 
 
+@pytest.mark.parametrize("endpoint", ["http://user:pw@127.0.0.1:9", "https://token@h/v"])
+def test_an_endpoint_with_user_info_fails_before_any_backend_call(capsys, corpus_path, polka_files, monkeypatch,
+                                                                   endpoint):
+    calls = []
+    monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+    code, out, err = run(capsys, "evaluate", str(corpus_path), str(polka_files["predictions"]), "--with-judge",
+                         "--endpoint-judge", endpoint, "--seed", "7")
+    assert (code, out, err) == (2, "", f"error: bad judge endpoint '{endpoint}': user info in a URL is not supported\n")
+    assert calls == []
+
+
 def test_an_unexpected_error_cancels_the_pending_samples_of_its_command(capsys, corpus_path, tmp_path, monkeypatch):
     records = [json.loads(line) for line in corpus_path.read_text("utf-8").splitlines()]
     corpus = tmp_path / "corpus.jsonl"

@@ -268,19 +268,27 @@ def embed_client(table, dim=4):
     return Client("embed", BackendEndpoint("mock://fixed"), transport=FixedEmbedTransport(table, dim))
 
 
+def vsr_alone(s, client):
+    """``s``'s VSR from a chunk of its own, as ``evaluate`` scores it; a failure is raised."""
+    [score] = chunk_vsr([(s, vsr_inputs(s))], client)
+    if isinstance(score, Exception):
+        raise score
+    return score
+
+
 class TestVsr:
     def test_identical_embeddings(self):
         e = [1.0, 0.0, 0.0, 0.0]
         s = sample([0], [0])
         s = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0", "f1"))
         table = {"v": e, "f0": e, "f1": e}
-        assert vsr(s, embed_client(table)) == pytest.approx(100.0)
+        assert vsr_alone(s, embed_client(table)) == pytest.approx(100.0)
 
     def test_orthogonal_embeddings(self):
         s = sample([0], [0])
         s = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0",))
         table = {"v": [1.0, 0.0, 0.0, 0.0], "f0": [0.0, 1.0, 0.0, 0.0]}
-        assert vsr(s, embed_client(table)) == pytest.approx(0.0)
+        assert vsr_alone(s, embed_client(table)) == pytest.approx(0.0)
 
     def test_hand_computed_three_by_four(self):
         sentences = tuple(VoiceSentence(t, i * 1000, (i + 1) * 1000) for i, t in enumerate(("a", "b", "c")))
@@ -300,7 +308,7 @@ class TestVsr:
         # norm = sqrt(.0625+.0625+.25) = sqrt(.375); a = .25/sqrt(.375)
         # per-sentence maxima: a->1 (f0), b->1 (f1), c->0 ; b_term = 2/3
         expected = 100.0 * (0.25 / np.sqrt(0.375) + 2.0 / 3.0) / 2.0
-        assert vsr(s, embed_client(table)) == pytest.approx(expected)
+        assert vsr_alone(s, embed_client(table)) == pytest.approx(expected)
 
     def test_frames_that_cancel_out_score_zero_against_the_script(self):
         # the mean of f0 and f1 is the zero vector: the whole-script term is 0,
@@ -308,7 +316,7 @@ class TestVsr:
         s = sample([0], [0])
         s = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0", "f1"))
         table = {"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0], "f1": [-1.0, 0.0, 0.0, 0.0]}
-        assert vsr(s, embed_client(table)) == 50.0
+        assert vsr_alone(s, embed_client(table)) == 50.0
 
     def test_cosine_with_a_zero_vector_is_zero(self):
         zero, unit = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])
@@ -334,17 +342,24 @@ class TestVsr:
         draft = Draft(voice, draft_with([0]).video_nodes_track, DecorationSetting())
         s = EvalSample("s", draft, draft, frames=tuple(f"f{i}" for i in range(len(frames))))
         client = Client("embed", BackendEndpoint("mock://fixed"), transport=AnswerTransport(script + frames))
-        assert vsr(s, client) == reference_vsr(s, client)
+        assert vsr_alone(s, client) == reference_vsr(s, client)
 
     def test_requires_script_and_frames(self):
         s = sample([0], [0])
         with pytest.raises(ValueError):
-            vsr(s, embed_client({}))
+            vsr(s, [])
+
+    def test_a_sample_without_frames_is_not_scored_and_sends_no_request(self):
+        s = sample([0], [0])
+        framed = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0",))
+        client = embed_client({"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0]})
+        assert chunk_vsr([(s, vsr_inputs(s)), (framed, vsr_inputs(framed))], client) == [None, pytest.approx(100.0)]
+        assert chunk_vsr([(s, vsr_inputs(s))], embed_client({})) == [None]  # the empty table fails any call
 
     def test_no_script_scores_zero_without_an_embed_call(self):
         draft = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
         s = EvalSample("s", draft, draft, frames=("f0",))
-        assert vsr(s, embed_client({})) == 0.0  # the empty table fails any call
+        assert vsr_alone(s, embed_client({})) == 0.0  # the empty table fails any call
 
 
 class RecordingTransport:
@@ -477,23 +492,16 @@ class TestEvalSample:
 
 class TestScoreSample:
     def test_unrequested_scores_are_none(self):
-        assert score_sample(sample([0], [0]), None, None) == {"fpf": None, "sq": None, "vsr": None}
+        assert score_sample(sample([0], [0]), None) == {"fpf": None, "sq": None}
 
     def test_empty_score_map_is_none(self):
         judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {}})
-        assert score_sample(sample([0], [0]), judge, None) == {"fpf": 50.0, "sq": None, "vsr": None}
+        assert score_sample(sample([0], [0]), judge) == {"fpf": 50.0, "sq": None}
 
     def test_score_map_the_aggregate_rejects_is_malformed(self):
         judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {"basic": 10}})
         with pytest.raises(MalformedScores, match="judge: missing script-quality categories"):
-            score_sample(sample([0], [0]), judge, None)
-
-    def test_vsr_needs_frames(self):
-        s = sample([0], [0])
-        framed = EvalSample(s.sample_id, s.ground_truth, s.predicted, frames=("f0",))
-        client = embed_client({"v": [1.0, 0.0, 0.0, 0.0], "f0": [1.0, 0.0, 0.0, 0.0]})
-        assert score_sample(s, None, client)["vsr"] is None
-        assert score_sample(framed, None, client)["vsr"] == pytest.approx(100.0)
+            score_sample(sample([0], [0]), judge)
 
 
 class TestCorpusInvariants:
@@ -525,7 +533,7 @@ class TestEvaluateCorpus:
     def test_full_report_with_mock_judge(self):
         corpus = perturbed_corpus(10, seed=6)
         judge = mock_backend_set(2).judge
-        report = evaluate_corpus(count_metrics(corpus), [score_sample(s, judge, None) for s in corpus])
+        report = evaluate_corpus(count_metrics(corpus), [score_sample(s, judge) for s in corpus])
         assert report.cra == recount_cra(corpus)
         assert report.csa == recount_csa(corpus)
         assert report.fpf == 100.0  # caps mock

@@ -125,3 +125,16 @@ def test_bench_trajectory_chains_the_within_file_ratios_in_pr_order(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["http items_per_s 9:1.100(1.100) 10:1.250(1.375)", "http latency_p99_ms"]
+
+
+def test_artifact_digests_prints_one_sorted_line_per_artifact_of_the_small_grid_reproducibly():
+    first, second = run_script("artifact_digests.py"), run_script("artifact_digests.py")
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    names = [line.split()[1] for line in lines]
+    assert all(line.split()[0] == "sha256" and len(line.split()[2]) == 64 for line in lines)
+    assert names == sorted(names) and len(set(names)) == len(names)
+    # 2 builds, 2 modes x (2 generates + 16 evaluates), 6 validate/plan runs and 1 align: each an output and an exit
+    assert len(lines) == 2 * (2 + 2 * (2 + 16) + 6 + 1)
+    assert {"s7/build-c1.jsonl", "s7/swap_adjacent/evaluate-table-judge-vsr-c2", "align/template.json"} <= set(names)
+    assert second.stdout == first.stdout
