@@ -266,8 +266,10 @@ def _route(url: str) -> tuple[str, str, str, int, str]:
     scheme, netloc, path, query, _ = split = urlsplit(url)
     port = split.port  # out of [0, 65535] raises ValueError
     target = (path or "/") + (f"?{query}" if query else "")
-    if scheme not in _DEFAULT_PORTS or not split.hostname or "@" in netloc:
-        raise ValueError("expected http:// or https:// with a host and no user info")
+    if scheme not in _DEFAULT_PORTS or not split.hostname:
+        raise ValueError("expected an http:// or https:// URL with a host")
+    if "@" in netloc:  # the transport sends no credentials from a URL
+        raise ValueError("user info in a URL is not supported")
     host_field = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")  # IDNA for a non-ASCII host
     if _UNSENDABLE.search(target + host_field):
         raise ValueError("a request line cannot carry the URL's control, space or non-ASCII characters")

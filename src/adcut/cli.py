@@ -174,10 +174,9 @@ def _http() -> be.HttpTransport:
 def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[str], Any]) -> be.Client:
     """The client for ``role``, whose endpoint is the ``--endpoint-<role>`` flag, else the
     ``[endpoints]`` key, else ``mock:``. ``mock:`` (for generate, any ``mock:…``) runs over
-    ``mock(value)``; an http(s) URL with a host, a valid port and no user info runs over
-    :func:`_http` with the role's ``[auth]`` token variable; any other value is a usage error."""
-    from urllib.parse import urlsplit
-
+    ``mock(value)``; a URL that :class:`~adcut.backends.HttpTransport` accepts for the role
+    runs over :func:`_http` with the role's ``[auth]`` token variable; any other value is a
+    usage error."""
     from . import backends as be
 
     value = getattr(args, f"endpoint_{role}") or cfg.get("endpoints", role) or "mock:"
@@ -185,16 +184,11 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[st
     if head == "mock" and colon and (not spec or role == "generate"):
         return be.Client(role, be.MOCK_ENDPOINT, transport=mock(value))
     try:
-        url = urlsplit(value)
-        url.port  # a port that is not a number in [0, 65535] raises ValueError
-    except ValueError as exc:  # also an unclosed IPv6 bracket
+        be._route(value.rstrip("/") + "/v1/" + role)  # the URL each call of the role sends to
+    except ValueError as exc:
         raise CliError(f"bad {role} endpoint {value!r}: {exc}") from None
-    if url.scheme in ("http", "https") and url.netloc:
-        if "@" in url.netloc:  # the transport sends no credentials from a URL
-            raise CliError(f"bad {role} endpoint {value!r}: user info in a URL is not supported")
-        endpoint = be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role))
-        return be.Client(role, endpoint, transport=_http())
-    raise CliError(f"bad {role} endpoint {value!r}: expected mock: or an http:// or https:// URL")
+    endpoint = be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role))
+    return be.Client(role, endpoint, transport=_http())
 
 
 def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
@@ -357,10 +351,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except CeilingUnsatisfiable as exc:
         raise CliError(str(exc), EXIT_VIOLATION) from None
     if args.format == "table":
+        fast_tokens, slow_tokens = preset.fast.tokens_per_frame, preset.slow.tokens_per_frame
         lines = [
-            f"clip {c.index:>4}: fast {c.fast.frames:>4} frames / {c.fast.tokens:>6} tokens"
-            f"   slow {c.slow.frames:>4} frames / {c.slow.tokens:>6} tokens"
-            for c in plan.clips
+            f"clip {meta.index:>4}: fast {fast:>4} frames / {fast_tokens * fast:>6} tokens"
+            f"   slow {slow:>4} frames / {slow_tokens * slow:>6} tokens"
+            for meta, fast, slow in zip(plan.metas, plan.fast_frames, plan.slow_frames)
         ]
         lines.append(
             f"totals: fast {plan.total_fast_frames} frames / {plan.total_fast_tokens} tokens, "

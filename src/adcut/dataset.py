@@ -430,13 +430,12 @@ def clip_meta(index: int, duration_ms: int) -> ClipMeta:
 def _materials_block(durations_ms: list[int], cfg: SlowFastConfig) -> str:
     """One line per presented clip with a placeholder per frame that
     :func:`~adcut.sampling.plan_request` samples from it."""
-    metas = [clip_meta(i, d) for i, d in enumerate(durations_ms)]
-    plan = plan_request(ClipSet(metas), cfg)
+    plan = plan_request(ClipSet(clip_meta(i, d) for i, d in enumerate(durations_ms)), cfg)
     return "\n".join(
         f"Clip {meta.index} (duration {meta.duration_s:.1f}s): "
-        f"fast frames: {' '.join(['<image>'] * entry.fast.frames)}; "
-        f"slow frames: {' '.join(['<image>'] * entry.slow.frames)}"
-        for meta, entry in zip(metas, plan.clips)
+        f"fast frames: {' '.join(['<image>'] * fast)}; "
+        f"slow frames: {' '.join(['<image>'] * slow)}"
+        for meta, fast, slow in zip(plan.metas, plan.fast_frames, plan.slow_frames)
     )
 
 

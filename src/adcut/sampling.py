@@ -10,10 +10,10 @@ fast one, so it stays under the ceiling too. A clip's frame count has a
 closed form (:func:`frame_totals`), so a request's reduction factor is found
 from counts alone: each halving is one pass that counts each clip at most
 once and stops as soon as the running total goes over the ceiling, and the
-plan is built from the counts of the pass that fits (the slow pathway
-reuses them when it samples at the fast rate). A plan is counts
-first: each pathway stores its clip, rate, frame count and tokens, and its
-frame indices and timestamps are built only when read.
+plan keeps the counts of the pass that fits (the slow pathway reuses them
+when it samples at the fast rate). A plan is counts first: it stores its
+clips and each pathway's per-clip frame counts; its per-clip records are
+built on first read, and their frame indices and timestamps on each read.
 
 Also provides the two numeric reference ops for visual-token compression:
 query squeezing (1-D group means) and 2-D average pooling. They use only
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .clips import ClipMeta, ClipSet
@@ -220,28 +221,50 @@ class ClipPlan:
         return {"index": self.index, "fast": self.fast.to_dict(), "slow": self.slow.to_dict()}
 
 
+def _clip_plan(clip: ClipMeta, cfg: SlowFastConfig, fast_fps: float, slow_fps: float, fast: int, slow: int) -> ClipPlan:
+    return ClipPlan(
+        clip.index,
+        PathwaySample(clip, fast_fps, fast, cfg.fast.tokens_per_frame * fast),
+        PathwaySample(clip, slow_fps, slow, cfg.slow.tokens_per_frame * slow),
+    )
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
+    """A request's plan: its clips in clip-set order and, per clip, the frames
+    each pathway takes. :attr:`clips` builds the per-clip records on first read."""
+
     config: SlowFastConfig
     effective_fast_fps: float
     reduction_factor: int
-    clips: tuple[ClipPlan, ...]
+    metas: tuple[ClipMeta, ...]
+    fast_frames: tuple[int, ...]
+    slow_frames: tuple[int, ...]
+
+    @cached_property
+    def clips(self) -> tuple[ClipPlan, ...]:
+        fast_fps = self.effective_fast_fps
+        slow_fps = min(self.config.slow.fps, fast_fps)
+        return tuple(
+            _clip_plan(clip, self.config, fast_fps, slow_fps, f, s)
+            for clip, f, s in zip(self.metas, self.fast_frames, self.slow_frames)
+        )
 
     @property
     def total_fast_frames(self) -> int:
-        return sum(c.fast.frames for c in self.clips)
+        return sum(self.fast_frames)
 
     @property
     def total_slow_frames(self) -> int:
-        return sum(c.slow.frames for c in self.clips)
+        return sum(self.slow_frames)
 
     @property
     def total_fast_tokens(self) -> int:
-        return sum(c.fast.tokens for c in self.clips)
+        return self.config.fast.tokens_per_frame * self.total_fast_frames
 
     @property
     def total_slow_tokens(self) -> int:
-        return sum(c.slow.tokens for c in self.clips)
+        return self.config.slow.tokens_per_frame * self.total_slow_frames
 
     def to_dict(self) -> dict:
         return {
@@ -258,27 +281,11 @@ class SamplingPlan:
         }
 
 
-def _plan_clips(clips: list[ClipMeta], cfg: SlowFastConfig, fast_fps: float, fast: list[int]) -> tuple[ClipPlan, ...]:
-    """Plans for ``clips`` whose fast pathway takes ``fast`` frames each at
-    ``fast_fps``. The slow pathway samples at its own rate or the fast one,
-    whichever is lower, and reuses the fast counts when that is the fast one."""
-    slow_fps = min(cfg.slow.fps, fast_fps)
-    slow = fast if slow_fps == fast_fps else frame_totals(clips, slow_fps)
-    fast_tokens, slow_tokens = cfg.fast.tokens_per_frame, cfg.slow.tokens_per_frame
-    return tuple(
-        ClipPlan(
-            clip.index,
-            PathwaySample(clip, fast_fps, f, fast_tokens * f),
-            PathwaySample(clip, slow_fps, s, slow_tokens * s),
-        )
-        for clip, f, s in zip(clips, fast, slow)
-    )
-
-
 def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | None = None) -> ClipPlan:
     """Count both pathways' frames for one clip and attach token counts."""
     fast_fps = cfg.fast.fps if effective_fast_fps is None else effective_fast_fps
-    return _plan_clips([clip], cfg, fast_fps, [frame_total(clip, fast_fps)])[0]
+    slow_fps = min(cfg.slow.fps, fast_fps)
+    return _clip_plan(clip, cfg, fast_fps, slow_fps, frame_total(clip, fast_fps), frame_total(clip, slow_fps))
 
 
 def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
@@ -286,24 +293,23 @@ def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
     fast-frame total fits the ceiling. Clips are never dropped.
 
     Each halving is one :func:`frame_totals` pass that stops at the first
-    clip that takes the total over the ceiling; the plan is built from the
-    counts of the pass that fits.
+    clip that takes the total over the ceiling; the plan keeps the counts of
+    the pass that fits, and the slow pathway reuses them when it samples at
+    the fast rate.
     """
     if len(clips) == 0:
         raise ValueError("clip set is empty")
     if len(clips) > cfg.frame_ceiling:
         raise CeilingUnsatisfiable(len(clips), cfg.frame_ceiling)
-    ordered = list(clips)
+    metas = tuple(clips)
     reduction = 1
-    while (fast := frame_totals(ordered, cfg.fast.fps / reduction, cfg.frame_ceiling)) is None:
+    while (fast := frame_totals(metas, cfg.fast.fps / reduction, cfg.frame_ceiling)) is None:
         reduction *= 2
     eff = cfg.fast.fps / reduction
-    return SamplingPlan(
-        config=cfg,
-        effective_fast_fps=eff,
-        reduction_factor=reduction,
-        clips=_plan_clips(ordered, cfg, eff, fast),
-    )
+    slow_fps = min(cfg.slow.fps, eff)
+    fast_frames = tuple(fast)
+    slow_frames = fast_frames if slow_fps == eff else tuple(frame_totals(metas, slow_fps))
+    return SamplingPlan(cfg, eff, reduction, metas, fast_frames, slow_frames)
 
 
 # ---------------------------------------------------------------------------

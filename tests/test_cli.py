@@ -957,6 +957,54 @@ class TestInputFiles:
         assert code in (0, 1, 2)
 
 
+# JSON values whose strings and keys may hold lone surrogates, which json.dumps writes as \\ud800 escapes
+surrogate_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(exclude_categories=()), max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def fixtures_files(draw):
+    """A fixtures file: arbitrary JSON, raw bytes, or ``videos.json`` with one subtree replaced."""
+    kind = draw(st.sampled_from(["json", "bytes", "fixture"]))
+    if kind == "json":
+        return draw(surrogate_json)
+    if kind == "bytes":
+        return draw(st.binary(max_size=32))
+    fixture = json.loads((FIX / "videos.json").read_text("utf-8"))
+    return _replaced(fixture, draw(st.sampled_from(list(_subtrees(fixture)))), draw(surrogate_json))
+
+
+class TestFixturesFile:
+    @settings(max_examples=60)
+    @given(fixtures_files(), st.booleans())
+    @example({"videos": {"vid-earbuds\ud800": {}}}, False)
+    @example({"videos": {"vid-earbuds": {"product": {"name": "a\udc00", "brand": "b", "price": "c",
+                                                     "selling_points": ["d"]}}}}, True)
+    def test_no_fixtures_file_escapes_the_exit_codes(self, tmp_path_factory, content, listed):
+        """``build-dataset`` on any fixtures file, with the videos listed in the config or
+        taken from the file, exits 0, 1 or 2 and prints no traceback: one error line for
+        exit 2, else a warning line per failed sample."""
+        tmp = tmp_path_factory.mktemp("fixtures")
+        path = tmp / "videos.json"
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        videos = "videos = vid-earbuds,vid-blender,vid-serum\n" if listed else ""
+        (tmp / "cfg.ini").write_text(f"[paths]\nfixtures = {path}\n[dataset]\n{videos}seed = 7\n")
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["build-dataset", "--config", str(tmp / "cfg.ini"), "--out", str(tmp / "corpus.jsonl")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert (code == 1) == bool(lines) and all(line.startswith("warning: ") for line in lines), lines
+
+
 class TestHostileInput:
     # the second line of a file, given its first line
     BAD_LINES = {
@@ -1407,11 +1455,11 @@ def polka_files(corpus_path, tmp_path_factory):
          "corpus {polka_corpus}: vid-earbuds ground truth: ['Polka'] not in Music taxonomy"),
         *(
             (["evaluate", "{corpus}", "{predictions}", "--with-judge", "--endpoint-judge", endpoint], None,
-             f"bad judge endpoint '{endpoint}': expected mock: or an http:// or https:// URL")
+             f"bad judge endpoint '{endpoint}': expected an http:// or https:// URL with a host")
             for endpoint in _BAD_ENDPOINTS
         ),
         ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--endpoint-asr", "mockingbird:1"], None,
-         "bad asr endpoint 'mockingbird:1': expected mock: or an http:// or https:// URL"),
+         "bad asr endpoint 'mockingbird:1': expected an http:// or https:// URL with a host"),
     ],
     ids=[
         "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
@@ -1468,6 +1516,21 @@ def test_an_endpoint_with_user_info_fails_before_any_backend_call(capsys, corpus
     code, out, err = run(capsys, "evaluate", str(corpus_path), str(polka_files["predictions"]), "--with-judge",
                          "--endpoint-judge", endpoint, "--seed", "7")
     assert (code, out, err) == (2, "", f"error: bad judge endpoint '{endpoint}': user info in a URL is not supported\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("endpoint, reason", [
+    ("http://127.0.0.1:9/a b", "a request line cannot carry the URL's control, space or non-ASCII characters"),
+    ("http://127.0.0.1:9/\u00e9", "a request line cannot carry the URL's control, space or non-ASCII characters"),
+    ("http:///v", "expected an http:// or https:// URL with a host"),
+], ids=["space in the path", "non-ASCII path", "no host"])
+def test_an_endpoint_the_transport_rejects_fails_before_any_backend_call(capsys, corpus_path, polka_files,
+                                                                          monkeypatch, endpoint, reason):
+    calls = []
+    monkeypatch.setattr(backends.Client, "call", lambda client, payload: calls.append(client.role))
+    code, out, err = run(capsys, "evaluate", str(corpus_path), str(polka_files["predictions"]), "--with-judge",
+                         "--endpoint-judge", endpoint, "--seed", "7")
+    assert (code, out, err) == (2, "", f"error: bad judge endpoint {endpoint!r}: {reason}\n")
     assert calls == []
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from adcut import dataset as dataset_module
+from adcut import sampling
 from adcut.backends import RUBRICS, Client, MOCK_ENDPOINT, mock_backend
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
@@ -338,6 +339,20 @@ class TestAssemble:
         assert "<image>" in sample.instruction
         assert "Video duration: about 6 seconds" in sample.instruction
         assert sample.instruction.count("Clip ") == len(sample.clip_order)
+
+    def test_the_materials_block_builds_no_per_clip_record(self, monkeypatch):
+        expected = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s").instruction
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the materials block builds a per-clip sampling record")
+
+        for name in ("ClipPlan", "PathwaySample", "plan_clip"):
+            monkeypatch.setattr(sampling, name, forbidden)
+        sample = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s")
+        assert sample.instruction == expected
+        # a 2.5 s clip at the default 2 fps: 5 fast frames; 0.5 fps: 1 slow frame
+        block = dataset_module._materials_block([2500], sampling.parse_preset(dataset_module.DEFAULT_SAMPLING_PRESET))
+        assert block == f"Clip 0 (duration 2.5s): fast frames: {' '.join(['<image>'] * 5)}; slow frames: <image>"
 
     def test_empty_deconstruction(self):
         bare = Deconstruction(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -54,24 +55,42 @@ def clips_at_rate(draw):
     return draw(clip_metas(near_edge | st.floats(min_value=0.01, max_value=600.0))), fps
 
 
-def replan_every_halving(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:
+@st.composite
+def presets(draw, clip_count: int):
+    """A valid config whose ceiling fits ``clip_count`` clips; about half have
+    both pathways alike, as a single unnamed ``fps/tokens`` preset gives."""
+    fast = PathwayConfig(
+        draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0]) | st.floats(min_value=0.01, max_value=16.0)),
+        draw(st.integers(min_value=1, max_value=16)),
+    )
+    slow = fast if draw(st.booleans()) else PathwayConfig(
+        fast.fps * draw(st.floats(min_value=0.01, max_value=1.0)),
+        draw(st.integers(min_value=fast.tokens_per_frame, max_value=64)),
+    )
+    return SlowFastConfig(fast, slow, frame_ceiling=clip_count + draw(st.integers(min_value=0, max_value=600)))
+
+
+def replan_every_halving(clips: ClipSet, cfg: SlowFastConfig) -> tuple[SamplingPlan, tuple[ClipPlan, ...]]:
     """Reference planner: counts every clip again on each halving with the
-    closed form of ``helpers.frames_at``, which shares no code with the planner."""
+    closed form of ``helpers.frames_at``, which shares no code with the planner.
+    Returns the plan and its per-clip records, each built here from the counts."""
     reduction = 1
     while sum(frames_at(c.duration_s, c.frame_count, cfg.fast.fps / reduction) for c in clips) > cfg.frame_ceiling:
         reduction *= 2
     eff = cfg.fast.fps / reduction
     slow_fps = min(cfg.slow.fps, eff)
-    entries = []
-    for c in clips:
-        fast = frames_at(c.duration_s, c.frame_count, eff)
-        slow = frames_at(c.duration_s, c.frame_count, slow_fps)
-        entries.append(ClipPlan(
+    metas = tuple(clips)
+    fast = tuple(frames_at(c.duration_s, c.frame_count, eff) for c in metas)
+    slow = tuple(frames_at(c.duration_s, c.frame_count, slow_fps) for c in metas)
+    entries = tuple(
+        ClipPlan(
             c.index,
-            PathwaySample(c, eff, fast, cfg.fast.tokens_per_frame * fast),
-            PathwaySample(c, slow_fps, slow, cfg.slow.tokens_per_frame * slow),
-        ))
-    return SamplingPlan(config=cfg, effective_fast_fps=eff, reduction_factor=reduction, clips=tuple(entries))
+            PathwaySample(c, eff, f, cfg.fast.tokens_per_frame * f),
+            PathwaySample(c, slow_fps, s, cfg.slow.tokens_per_frame * s),
+        )
+        for c, f, s in zip(metas, fast, slow)
+    )
+    return SamplingPlan(cfg, eff, reduction, metas, fast, slow), entries
 
 
 def visiting(metas, visited: list[int]):
@@ -83,7 +102,7 @@ def visiting(metas, visited: list[int]):
 
 def counting_passes(monkeypatch) -> list[tuple[float, list[int]]]:
     """Record each ``frame_totals`` pass as (fps, indices of the clips it
-    visited), and fail on any per-clip counting or frame list."""
+    visited), and fail on any per-clip counting, frame list or record."""
     passes: list[tuple[float, list[int]]] = []
     original = sampling.frame_totals
 
@@ -93,10 +112,10 @@ def counting_passes(monkeypatch) -> list[tuple[float, list[int]]]:
         return original(visiting(metas, visited), fps, limit)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("plan_request counts or samples clip by clip")
+        raise AssertionError("plan_request counts, samples or builds a record clip by clip")
 
     monkeypatch.setattr(sampling, "frame_totals", counted)
-    for name in ("frame_total", "plan_clip", "sample_frames"):
+    for name in ("frame_total", "plan_clip", "sample_frames", "ClipPlan", "PathwaySample"):
         monkeypatch.setattr(sampling, name, forbidden)
     return passes
 
@@ -281,9 +300,49 @@ class TestPlanRequest:
             frame_ceiling=len(clips) + spare,
         )
         plan = plan_request(clips, cfg)
-        assert plan == replan_every_halving(clips, cfg)
+        reference, entries = replan_every_halving(clips, cfg)
+        assert plan == reference
+        assert plan.clips == entries
         assert plan.total_fast_frames == sum(len(e.fast.frame_indices) for e in plan.clips)
         assert plan.total_slow_frames <= plan.total_fast_frames
+
+    @given(st.data())
+    def test_the_per_clip_views_equal_the_counts(self, data):
+        metas = data.draw(st.lists(clip_metas(st.floats(min_value=0.01, max_value=120.0)), min_size=1, max_size=20))
+        cfg = data.draw(presets(len(metas)))
+        clips = ClipSet(clip(c.duration_s, c.frame_count, i) for i, c in enumerate(metas))
+        plan = plan_request(clips, cfg)
+        eff = plan.effective_fast_fps
+        slow_fps = min(cfg.slow.fps, eff)
+        assert plan.metas == tuple(clips)
+        views = plan.clips
+        assert plan.clips is views
+        assert len(views) == len(plan.fast_frames) == len(plan.slow_frames) == len(clips)
+        for view, meta, fast, slow in zip(views, plan.metas, plan.fast_frames, plan.slow_frames):
+            assert view.index == meta.index
+            assert (view.fast.clip, view.fast.fps, view.fast.frames, view.fast.tokens) == (
+                meta, eff, fast, cfg.fast.tokens_per_frame * fast)
+            assert (view.slow.clip, view.slow.fps, view.slow.frames, view.slow.tokens) == (
+                meta, slow_fps, slow, cfg.slow.tokens_per_frame * slow)
+        old_style = [
+            ClipPlan(m.index, PathwaySample(m, eff, f, cfg.fast.tokens_per_frame * f),
+                     PathwaySample(m, slow_fps, s, cfg.slow.tokens_per_frame * s))
+            for m, f, s in zip(plan.metas, plan.fast_frames, plan.slow_frames)
+        ]
+        assert plan.to_dict() == {
+            "preset": cfg.to_dict(),
+            "effective_fast_fps": eff,
+            "reduction_factor": plan.reduction_factor,
+            "clips": [e.to_dict() for e in old_style],
+            "totals": {
+                "fast_frames": sum(e.fast.frames for e in old_style),
+                "slow_frames": sum(e.slow.frames for e in old_style),
+                "fast_tokens": sum(e.fast.tokens for e in old_style),
+                "slow_tokens": sum(e.slow.tokens for e in old_style),
+            },
+        }
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.fast_frames = ()
 
     def test_total_at_the_ceiling_stays_unreduced(self):
         # five 2 s clips at 2 fps: 20 fast frames under a 20-frame ceiling
