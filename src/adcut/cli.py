@@ -74,11 +74,12 @@ class CliError(Exception):
 class Config:
     """Flat key/value config with sections; flags override file values.
 
-    A file that does not parse, and a value that cannot be read or is not
-    the number asked for, is a usage error naming the file."""
+    A value is read as written, ``%`` included, as its flag would be. A file
+    that does not parse, and a value that is not the number asked for, is a
+    usage error naming the file."""
 
     def __init__(self, path: str | None):
-        self.parser = configparser.ConfigParser()
+        self.parser = configparser.ConfigParser(interpolation=None)
         self.source = path
         self.base_dir = Path(".")
         if path:
@@ -91,10 +92,7 @@ class Config:
             self.base_dir = Path(path).resolve().parent
 
     def get(self, section: str, key: str) -> str | None:
-        try:
-            return self.parser.get(section, key, fallback=None)
-        except configparser.Error as exc:
-            raise CliError(f"{self.source}: [{section}] {key}: {' '.join(str(exc).split())}") from None
+        return self.parser.get(section, key, fallback=None)
 
     def number(self, section: str, key: str, kind: type[int] | type[float], fallback: Any) -> Any:
         """The value as a ``kind``, or ``fallback`` when it is not set."""
@@ -294,12 +292,13 @@ def _concurrency(args: argparse.Namespace, cfg: Config) -> int:
     return concurrency
 
 
-def _preset(text: str) -> SlowFastConfig:
-    from .sampling import PresetError, parse_preset
+def _preset(args: argparse.Namespace, cfg: Config) -> SlowFastConfig:
+    """The ``--preset`` flag, else the ``[sampling] preset`` key, else the default preset."""
+    from .sampling import DEFAULT_SAMPLING_PRESET, parse_preset
 
     try:
-        return parse_preset(text)
-    except (PresetError, ValueError) as exc:
+        return parse_preset(args.preset or cfg.get("sampling", "preset") or DEFAULT_SAMPLING_PRESET)
+    except ValueError as exc:
         raise CliError(f"bad preset: {exc}") from exc
 
 
@@ -338,18 +337,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     from .sampling import CeilingUnsatisfiable, plan_request
 
-    cfg = _load_config(args)
-    preset_text = args.preset or cfg.get("sampling", "preset")
-    if not preset_text:
-        raise CliError("a --preset such as fast:2/4,slow:0.5/16 is required")
-    preset = _preset(preset_text)
+    preset = _preset(args, _load_config(args))
     clips = _load("clip set", ClipSet.load, args.clips)
-    if len(clips) == 0:
-        raise CliError("clip set is empty")
     try:
         plan = plan_request(clips, preset)
     except CeilingUnsatisfiable as exc:
         raise CliError(str(exc), EXIT_VIOLATION) from None
+    except ValueError as exc:  # an empty clip set
+        raise CliError(str(exc)) from None
     if args.format == "table":
         fast_tokens, slow_tokens = preset.fast.tokens_per_frame, preset.slow.tokens_per_frame
         lines = [
@@ -378,7 +373,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     videos_value = cfg.get("dataset", "videos")
     fixtures, mock = _fixtures(cfg, seed)
     if not fixtures:
-        raise CliError("mock endpoints need a fixtures file ([paths] fixtures in config)")
+        raise CliError("build-dataset reads its products and negative pool from a fixtures file ([paths] fixtures)")
     where = f"fixtures file {cfg.path('paths', 'fixtures')}"
     try:
         clips = []
@@ -422,7 +417,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         dropout = cfg.number("dataset", "dropout_p", float, ds.DEFAULT_DROPOUT_P)
     if not 0 <= dropout < 1:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
-    sampling = _preset(args.preset or cfg.get("sampling", "preset") or ds.DEFAULT_SAMPLING_PRESET)
+    sampling = _preset(args, cfg)
     backend_set = be.BackendSet(**{r: _client(args, cfg, r, lambda _: mock) for r in DATASET_ROLES})
 
     def build(ref: str, product: ds.ProductInfo) -> dict:
@@ -598,6 +593,7 @@ SHARED_FLAGS: dict[str, dict] = {
     "--concurrency": dict(type=int, help="worker pool size ([dataset] concurrency)"),
     "--format": dict(choices=("json", "table"), default="json"),
     "--taxonomy": dict(help="tag taxonomy JSON ([paths] taxonomy; default: bundled)"),
+    "--preset": dict(help="sampling preset ([sampling] preset; default: fast:2/4,slow:0.5/16)"),
 }
 
 
@@ -625,13 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("validate", "validate a draft JSON file", "draft", "--format", "--taxonomy")
     p.add_argument("--clips", help="clip set JSON for bound checks")
 
-    p = command("plan", "plan slow-fast frame sampling for a clip set", "clips", "--format")
-    p.add_argument("--preset", help="e.g. fast:2/4,slow:0.5/16 ([sampling] preset)")
+    command("plan", "plan slow-fast frame sampling for a clip set", "clips", "--format", "--preset")
 
     p = command("build-dataset", "build an instruction corpus from source videos",
-                "--seed", "--concurrency", roles=DATASET_ROLES)
+                "--seed", "--concurrency", "--preset", roles=DATASET_ROLES)
     p.add_argument("--dropout-p", type=float, help="dimension dropout probability ([dataset] dropout_p)")
-    p.add_argument("--preset", help="sampling preset for frame placeholders ([sampling] preset)")
 
     p = command("generate", "request drafts for every corpus sample",
                 "corpus", "--seed", "--concurrency", roles=("generate",))

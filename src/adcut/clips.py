@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 from .jsonutil import field, objects, read_object
 
+MAX_FPS = 240.0  # the highest frame rate of a clip, and of a sampling pathway
+
 
 @dataclass(frozen=True)
 class ClipMeta:
@@ -36,8 +38,8 @@ class ClipMeta:
             object.__setattr__(self, "duration_ms", round(self.duration_s * 1000))
         except OverflowError:
             raise ValueError(f"clip {self.index}: frame_count or duration_s too large") from None
-        if not 1.0 <= fps <= 240.0:
-            raise ValueError(f"native fps {fps:.3f} outside [1, 240] for clip {self.index}")
+        if not 1.0 <= fps <= MAX_FPS:
+            raise ValueError(f"native fps {fps:.3f} outside [1, {MAX_FPS:g}] for clip {self.index}")
 
     @property
     def native_fps(self) -> float:

@@ -36,7 +36,7 @@ from .draft import (
     draft_to_dict,
 )
 from .jsonutil import field, read_records, write_records
-from .sampling import SlowFastConfig, parse_preset, plan_request
+from .sampling import DEFAULT_SAMPLING_PRESET, SlowFastConfig, parse_preset, plan_request
 
 NEGATIVE_COUNT_MEAN = 2.5
 NEGATIVE_COUNT_VARIANCE = 8.0
@@ -54,7 +54,6 @@ _DIMENSION_LABELS = {
 FREE_PROMPT_DIMENSIONS = tuple(_DIMENSION_LABELS)
 
 TEMPLATE_VERSION = "v1"
-DEFAULT_SAMPLING_PRESET = "fast:2/4,slow:0.5/16"
 ASSUMED_NATIVE_FPS = 30.0
 DEFAULT_DROPOUT_P = 0.3
 CAPTION_FRAMES = 3  # sparse frames a shot caption is asked from

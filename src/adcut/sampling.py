@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .clips import ClipMeta, ClipSet
+from .clips import MAX_FPS, ClipMeta, ClipSet
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -37,6 +37,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FRAME_CEILING = 600
+DEFAULT_SAMPLING_PRESET = "fast:2/4,slow:0.5/16"
 
 
 class PresetError(ValueError):
@@ -64,6 +65,8 @@ class PathwayConfig:
     def __post_init__(self) -> None:
         if self.fps <= 0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
+        if not self.fps <= MAX_FPS:  # also inf; so fps * a valid clip's duration stays a finite float
+            raise ValueError(f"fps must be <= {MAX_FPS:g}, got {self.fps}")
         if self.tokens_per_frame < 1:
             raise ValueError(f"tokens_per_frame must be >= 1, got {self.tokens_per_frame}")
 

@@ -245,6 +245,11 @@ class TestEmbed:
         (v,) = embed(["x"], client)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
+    def test_ints_and_floats_in_one_answer_are_numbers(self):
+        transport = CountingTransport([(200, b'{"vectors":[[3, 4.0], [0.0, 2]]}')])
+        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        assert [v.tolist() for v in embed(["a", "b"], client)] == [[0.6, 0.8], [0.0, 1.0]]
+
     def test_ragged_dimensions(self):
         transport = CountingTransport([(200, dumps_canonical({"vectors": [[1.0], [1.0, 2.0]]}))])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
@@ -596,6 +601,7 @@ class _MockHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.authorizations.append(self.headers["Authorization"])
         if self.server.statuses:
             status, payload = self.server.statuses.pop(0), b"{}"
         else:
@@ -619,6 +625,7 @@ class _MockServer(ThreadingHTTPServer):
         self.statuses = list(statuses)  # answered with an empty body before the mock answers
         self.close_each = close_each
         self.peers = []  # one entry per accepted connection
+        self.authorizations = []  # the Authorization header of each request, None when it has none
 
     @property
     def url(self):
@@ -851,6 +858,24 @@ class TestHttpTransport:
             assert [client.call({}).data for _ in range(2)] == [{"a": 3}, {"ok": True}]
         assert server.peers == 2
 
+    def test_a_status_line_without_a_reason_phrase_is_accepted(self):
+        with scripted(b"HTTP/1.1 200\r\nContent-Length: 11\r\n\r\n{\"ok\":true}") as server, \
+                HttpTransport() as transport:
+            assert http_client(transport, server.url).call({}).data == {"ok": True}
+
+    def test_exactly_100_headers_are_accepted(self):
+        reply = b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 99 + b"Content-Length: 11\r\n\r\n{\"ok\":true}"
+        with scripted(reply) as server, HttpTransport() as transport:
+            assert http_client(transport, server.url).call({}).data == {"ok": True}
+
+    def test_a_204_without_a_body_keeps_the_connection(self):
+        # a 204 has no body whatever its headers say, so reading one would wait for the timeout
+        with scripted(b"HTTP/1.1 204 No Content\r\n\r\n", OK) as server, HttpTransport() as transport:
+            url = server.url + "/v1/embed"
+            assert transport.send("embed", url, b"{}", {}, 2.0) == (204, b"")
+            assert transport.send("embed", url, b"{}", {}, 2.0) == (200, b'{"ok":true}')
+        assert server.peers == 1
+
     def test_an_interim_continue_is_skipped(self):
         with scripted(b"HTTP/1.1 100 Continue\r\n\r\n" + OK) as server, HttpTransport() as transport:
             assert http_client(transport, server.url).call({}).data == {"ok": True}
@@ -867,8 +892,11 @@ class TestHttpTransport:
         (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100 + b"Content-Length: 2\r\n\r\n{}", "more than 100 headers"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n", "bad chunk size"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nno colon\r\n\r\n{}", "bad header line"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX\r\n0\r\n\r\n",
+         "a chunk does not end with CRLF"),
     ], ids=["short body", "short body of a huge length", "bad status line", "long header line", "101 headers",
-            "negative chunk size", "header without colon"])
+            "negative chunk size", "header without colon", "non-digit Content-Length", "chunk without CRLF"])
     def test_a_malformed_response_is_a_transport_failure_that_drops_the_connection(self, reply, reason):
         with scripted(reply, OK) as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
@@ -897,6 +925,53 @@ class TestHttpTransport:
             assert [client.call({"inputs": ["x"]}).retries for _ in range(2)] == [0, 0]
         assert contexts == [((), {})]  # one context per transport
         assert wrapped == ["127.0.0.1", "127.0.0.1"]
+
+
+class TestAuthToken:
+    """``[auth] <role>`` names the environment variable whose token the role sends."""
+
+    @pytest.fixture
+    def evaluate(self, capsys, tmp_path, monkeypatch, corpus_and_predictions):
+        """``run(url)`` runs evaluate with the judge at ``url`` and ``[auth] judge = ADCUT_TEST_TOKEN``,
+        and returns the exit code, stderr and the number of sends so far."""
+        corpus, predictions = corpus_and_predictions
+        ini = tmp_path / "auth.ini"
+        ini.write_text("[auth]\njudge = ADCUT_TEST_TOKEN\n")
+        sends = []
+        send = HttpTransport.send
+        monkeypatch.setattr(HttpTransport, "send", lambda self, *args: sends.append(args) or send(self, *args))
+
+        def run(url):
+            code = main(["evaluate", str(corpus), str(predictions), "--with-judge", "--seed", "7",
+                         "--config", str(ini), "--endpoint-judge", url])
+            return code, capsys.readouterr().err, len(sends)
+
+        return run
+
+    @pytest.mark.parametrize("token, header", [("s3cret", "Bearer s3cret"), ("", None), (None, None)],
+                             ids=["set", "empty", "unset"])
+    def test_only_a_set_variable_sends_a_bearer_token(self, evaluate, monkeypatch, token, header):
+        if token is None:
+            monkeypatch.delenv("ADCUT_TEST_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("ADCUT_TEST_TOKEN", token)
+        with serving() as server:
+            code, err, _ = evaluate(server.url)
+        assert code == 0, err
+        assert server.authorizations and set(server.authorizations) == {header}
+
+    def test_a_token_with_a_line_break_is_never_sent(self, evaluate, monkeypatch, corpus_and_predictions):
+        monkeypatch.setenv("ADCUT_TEST_TOKEN", "s3cret\r\nX-Injected: 1")
+        samples = [s.sample_id for s in read_corpus(corpus_and_predictions[0])]
+        with serving() as server:
+            code, err, sends = evaluate(server.url)
+        assert code == 1
+        assert err.splitlines() == [
+            f"warning: {sid}: judge: unsendable header: 'Authorization' is not a valid header name and value"
+            for sid in samples
+        ]
+        assert sends == len(samples)  # one send a sample: not retried
+        assert server.peers == []
 
 
 def _chain(corpus, predictions, endpoint):

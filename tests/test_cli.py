@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -156,8 +157,46 @@ class TestPlan:
     def test_empty_clips(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"clips": []}')
-        code, _, _ = run(capsys, "plan", str(empty), "--preset", "2/4")
-        assert code == 2
+        for preset in (["--preset", "2/4"], []):
+            assert run(capsys, "plan", str(empty), *preset) == (2, "", "error: clip set is empty\n")
+
+    def test_no_preset_and_no_config_plans_with_the_default_preset(self, capsys, monkeypatch):
+        monkeypatch.delenv("ADCUT_CONFIG", raising=False)
+        code, out, err = run(capsys, "plan", str(FIX / "clips.json"))
+        assert (code, err) == (0, "")
+        assert run(capsys, "plan", str(FIX / "clips.json"), "--preset", "fast:2/4,slow:0.5/16") == (0, out, "")
+
+    @pytest.mark.parametrize("clip, preset, rate", [
+        ({"index": 0, "duration_s": 1e300, "frame_count": 10**300}, "fast:100000000000/4,slow:0.5/16",
+         "100000000000.0"),
+        ({"index": 0, "duration_s": 1.0, "frame_count": 30}, "240.5/4", "240.5"),
+    ], ids=["a finite rate that overflows a long clip", "just above 240 fps"])
+    def test_a_rate_above_240_fps_is_a_bad_preset(self, capsys, tmp_path, clip, preset, rate):
+        path = tmp_path / "clips.json"
+        path.write_text(json.dumps({"clips": [clip]}))
+        assert run(capsys, "plan", str(path), "--preset", preset) == (
+            2, "", f"error: bad preset: fps must be <= 240, got {rate}\n")
+
+
+# a preset other than the default, so that where a command took its preset shows in its output
+OTHER_PRESET = "fast:1/4,slow:0.25/16"
+
+
+@pytest.mark.parametrize("argv", [["plan", str(FIX / "clips.json")], ["build-dataset", "--seed", "7"]],
+                         ids=lambda argv: argv[0])
+def test_the_preset_flag_beats_the_config_key_which_beats_the_default(capsys, tmp_path, argv):
+    def output(sampling: str, *flags: str) -> bytes:
+        ini, out = tmp_path / "cfg.ini", tmp_path / "out"
+        ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n{sampling}")  # build-dataset's products
+        code, _, err = run(capsys, *argv, "--config", str(ini), "--out", str(out), *flags)
+        assert code == 0, err
+        return out.read_bytes()
+
+    configured = f"[sampling]\npreset = {OTHER_PRESET}\n"
+    default = output("")
+    assert output("", "--preset", "fast:2/4,slow:0.5/16") == default
+    assert output(configured) == output("", "--preset", OTHER_PRESET) != default
+    assert output(configured, "--preset", "fast:2/4,slow:0.5/16") == default
 
 
 class TestBuildDataset:
@@ -1140,6 +1179,27 @@ class TestEndpointResolution:
         assert code == 2
         assert "fixtures" in err and "Traceback" not in err
 
+    def test_a_config_value_is_read_as_written_like_its_flag(self, capsys, tmp_path, monkeypatch, video_fixtures):
+        # '%' starts an interpolation in configparser's default reading, which would reject both values
+        monkeypatch.setattr(backends, "BACKOFF_BASE_S", 0.0)
+        (tmp_path / "100%").mkdir()
+        (tmp_path / "100%" / "videos.json").write_bytes((FIX / "videos.json").read_bytes())
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/a%20b"  # refused once the listener is closed
+        paths = "[paths]\nfixtures = 100%/videos.json\n"
+        runs = []
+        for name, text, flags in [("config", f"{paths}[endpoints]\njudge = {url}\n", []),
+                                  ("flag", paths, ["--endpoint-judge", url])]:
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(text)
+            runs.append(run(capsys, "build-dataset", "--config", str(ini), "--seed", "7",
+                            "--out", str(tmp_path / f"{name}.jsonl"), *flags))
+        assert runs[0] == runs[1]
+        code, _, err = runs[0]
+        assert code == 1
+        assert [line.split(": ")[:3] for line in err.splitlines()] == [
+            ["warning", ref, "judge"] for ref in video_fixtures["videos"]]
+
     def test_mock_miss_is_a_recorded_build_failure(self, capsys, tmp_path, monkeypatch):
         mock_backend = backends.mock_backend
 
@@ -1368,7 +1428,7 @@ print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]
     "argv",
     [
         ["validate", str(FIX / "draft_template.json"), "--clips", str(FIX / "clips.json")],
-        ["plan", str(FIX / "clips.json"), "--preset", "fast:2/4,slow:0.5/16"],
+        ["plan", str(FIX / "clips.json")],  # the default preset comes from sampling, not dataset
         ["align", str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"), str(FIX / "clips.json"),
          "--catalog", str(FIX / "catalog.json")],
     ],
@@ -1389,6 +1449,7 @@ def test_request_commands_skip_offline_pipeline_imports(argv, tmp_path):
 _GENERATE = ["generate", "{corpus}", "--endpoint-generate", "mock:"]
 _OUT = ["--out", "{tmp}/out.jsonl"]
 _BUILD = ["build-dataset", "--seed", "7", *_OUT]
+_INFINITE_RATE = "1" + "0" * 400 + "/4"  # reads as an infinite fps
 # endpoint values that are neither mock: nor an http(s) URL with a host
 _BAD_ENDPOINTS = ["mockingbird.example:8080", "mock:bogus", "mock://x", "localhost:8080", "ftp://h/x"]
 
@@ -1437,6 +1498,12 @@ def polka_files(corpus_path, tmp_path_factory):
         ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--dropout-p", "1.5"], None,
          "dropout probability must be in [0, 1), got 1.5"),
         ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--preset", "fast:x"], None, "bad preset: "),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--preset", _INFINITE_RATE], None,
+         "bad preset: fps must be <= 240, got inf"),
+        (["plan", str(FIX / "clips.json"), "--preset", _INFINITE_RATE], None,
+         "bad preset: fps must be <= 240, got inf"),
+        ([*_BUILD, *(arg for role in cli.DATASET_ROLES for arg in (f"--endpoint-{role}", "http://127.0.0.1:9"))],
+         None, "build-dataset reads its products and negative pool from a fixtures file ([paths] fixtures)\n"),
         (["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:x", "--seed", "7", *_OUT], None,
          "bad mock endpoint 'mock:swap_adjacent:x': the rate is not a number"),
         *(
@@ -1465,7 +1532,8 @@ def polka_files(corpus_path, tmp_path_factory):
         "validate to a missing directory", "build-dataset to a missing directory", "generate to a missing directory",
         "generate without an output path", "--concurrency 0", "--concurrency -3", "evaluate --concurrency 0",
         "no section header", "duplicate key", "seed not an int", "concurrency not an int",
-        "dropout_p not a float", "--dropout-p 1.5", "bad preset", "bad mock rate",
+        "dropout_p not a float", "--dropout-p 1.5", "bad preset", "build-dataset infinite rate", "plan infinite rate",
+        "no fixtures file with every role over HTTP", "bad mock rate",
         "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",
         "prediction tag outside the taxonomy", "ground-truth tag outside the taxonomy",
         *(f"judge endpoint {endpoint}" for endpoint in _BAD_ENDPOINTS), "asr endpoint mockingbird:1",

@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
 
 from adcut import dataset as dataset_module
 from adcut import sampling
-from adcut.backends import RUBRICS, Client, MOCK_ENDPOINT, mock_backend
+from adcut.backends import RUBRICS, Client, InvalidResponse, MOCK_ENDPOINT, mock_backend
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
     FREE_PROMPT_DIMENSIONS,
@@ -219,6 +220,12 @@ class TestDeconstruct:
         assert dec.asr_sentences[0].end_ms == 2000
         assert dec.asr_sentences[1].start_ms == 2000
 
+    def test_a_too_short_shot_after_a_late_first_boundary_is_an_invalid_answer(self):
+        # the shot is 1 ms long (1000 fps); measured from 0 it would end 2001 ms in, a valid clip
+        fixtures = {"videos": {"v": {"asr": [], "ocr": [], "shots": [1000, 1001, 3000], "captions": [], "tags": {}}}}
+        with pytest.raises(InvalidResponse, match=r"^shots: shot 0 of 1 ms: native fps 1000\.000 outside"):
+            deconstruct("v", mock_backend_set(1, fixtures))
+
     def test_correction_request_carries_prompt_hash(self, video_fixtures, monkeypatch):
         prompt = Path(dataset_module.__file__).parent / "prompts" / "asr_correction.txt"
         expected = hashlib.sha256(prompt.read_bytes()).hexdigest()
@@ -232,6 +239,36 @@ class TestDeconstruct:
         sent = [loads(b) for b in counting.bodies]
         hashes = [b["prompt_sha256"] for b in sent if b.get("task") == "correct_asr"]
         assert hashes == [expected, expected]
+
+
+class TestNormalizeAsr:
+    @staticmethod
+    def normalized(*spans):
+        return [(s.text, s.start_ms, s.end_ms)
+                for s in dataset_module._normalize_asr([AsrSentence(*span) for span in spans])]
+
+    def test_a_zero_length_sentence_is_dropped(self):
+        assert self.normalized(("one", 0, 1000), ("none", 1500, 1500)) == [("one", 0, 1000)]
+
+    def test_touching_sentences_are_kept_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.normalized(("one", 0, 1000), ("two", 1000, 2000)) == [("one", 0, 1000), ("two", 1000, 2000)]
+
+    def test_a_sentence_starting_with_the_one_before_replaces_it(self):
+        # sorted by start then end, "one" comes first and is truncated to nothing
+        with pytest.warns(AsrOverlapWarning):
+            assert self.normalized(("two", 0, 2000), ("one", 0, 1000)) == [("two", 0, 2000)]
+
+
+class FixedAnswer:
+    """A transport that answers every call with ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def send(self, role, url, body, headers, timeout_s):
+        return 200, dumps_canonical(self.answer)
 
 
 class TestAnalyze:
@@ -271,6 +308,12 @@ class TestAnalyze:
         )
         analysis = analyze_dimensions(bare, mock_backend_set(7).judge)
         assert analysis["visual_storyline"] is None
+
+    def test_a_judge_storyline_is_kept_only_when_there_are_captions(self):
+        judge = Client("judge", MOCK_ENDPOINT, transport=FixedAnswer({"analysis": ANALYSIS}))
+        bare = dataclasses.replace(DEC, shot_captions=())
+        assert analyze_dimensions(DEC, judge)["visual_storyline"] == ANALYSIS["visual_storyline"]
+        assert analyze_dimensions(bare, judge)["visual_storyline"] is None
 
 
 class TestAssemble:

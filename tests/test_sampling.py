@@ -473,6 +473,20 @@ class TestPresets:
             parse_preset(preset)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("fps, shown", [
+        (math.inf, "inf"), (math.nan, "nan"), (240.5, "240.5"), (1e11, "100000000000.0"),
+    ])
+    def test_a_rate_above_240_fps_is_rejected(self, fps, shown):
+        # at 1e11 fps a 1e300 s clip's frame count overflows a float
+        with pytest.raises(ValueError, match=rf"^fps must be <= 240, got {shown}$"):
+            PathwayConfig(fps, 4)
+
+    def test_240_fps_plans_the_longest_clips_without_overflow(self):
+        # a clip's duration stays under 1.8e305 s (its duration in ms is a float), so fps x duration is finite
+        clips = ClipSet(ClipMeta(i, 1.7e305, 2 * int(1.7e305)) for i in range(600))
+        plan = plan_request(clips, parse_preset("240/4"))
+        assert (plan.reduction_factor, plan.total_fast_frames) == (2**1022, 600)
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             SlowFastConfig(fast=PathwayConfig(0.5, 16), slow=PathwayConfig(2, 4))

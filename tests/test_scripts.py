@@ -1,8 +1,7 @@
-"""Smoke tests for the shipped scripts, run as a user would run them, and a
-check that every ``adcut`` name the benchmark tracer wraps still exists."""
+"""Smoke tests for the shipped scripts, run as a user would run them.
+``test_benchmark_harness.py`` checks that every ``adcut`` name the benchmark
+tracer wraps still exists."""
 
-import importlib
-import importlib.util
 import json
 import os
 import platform
@@ -34,20 +33,6 @@ def test_token_budget_sweep_runs():
     done = run_script("token_budget_sweep.py")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("== fast:2/4 slow:0.5/16")
-
-
-def test_every_name_the_benchmark_tracer_wraps_exists():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    wrapped = [(module, name) for module, name, *_ in (*tracing.SPANS, *tracing.COUNTERS)]
-    assert wrapped
-    missing = [f"{module}.{name}" for module, name in wrapped
-               if not callable(getattr(importlib.import_module(module), name, None))]
-    assert missing == []
-    from adcut.backends import Client
-
-    assert callable(getattr(Client, "call", None))
 
 
 STAND_IN_RUN = '''\
