@@ -449,8 +449,6 @@ class Client:
                 data = loads(raw)
             except ValueError as exc:
                 raise InvalidResponse(self.role, f"non-JSON body: {exc}") from exc
-            except RecursionError:
-                raise InvalidResponse(self.role, "JSON body nested too deeply") from None
             return CallResult(data=data, retries=attempt)
         assert last_error is not None
         raise last_error

@@ -26,7 +26,6 @@ import argparse
 import atexit
 import configparser
 import functools
-import json
 import os
 import sys
 from contextlib import closing
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, parse_draft, validate_draft
-from .jsonutil import FieldError, RecordError, dumps_canonical, field, read_object, read_records
+from .jsonutil import FieldError, NotJson, RecordError, dumps_canonical, field, read_object, read_records
 from .jsonutil import trim_torn_tail, write_records
 from .taxonomy import TagTaxonomy, default_taxonomy
 from .timeline import (
@@ -124,9 +123,7 @@ def _load(what: str, load: Callable[[Any], T], path: Any) -> T:
         return load(path)
     except OSError as exc:
         reason = exc.strerror or str(exc)
-    except RecursionError:
-        reason = "does not parse: nested too deeply"
-    except (json.JSONDecodeError, DraftSyntaxError) as exc:
+    except (NotJson, DraftSyntaxError) as exc:
         reason = f"does not parse: {exc}"
     except KeyError as exc:
         reason = f"missing field {exc}"
@@ -136,12 +133,7 @@ def _load(what: str, load: Callable[[Any], T], path: Any) -> T:
 
 
 def _seed(args: argparse.Namespace, cfg: Config) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = cfg.number("dataset", "seed", int, None)
-    if seed is None and os.environ.get("ADCUT_CI"):
-        raise CliError("--seed is required in CI mode")
-    return seed or 0
+    return args.seed if args.seed is not None else cfg.number("dataset", "seed", int, 0)
 
 
 def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:

@@ -161,16 +161,14 @@ def _warn_unknown(obj: dict, known: Iterable[str], path: str) -> None:
 def parse_draft(data: bytes | str) -> Draft:
     """Parse draft JSON into a :class:`Draft`.
 
-    Raises :class:`DraftSyntaxError` for malformed JSON, including arrays
-    or objects nested too deeply for the decoder, and otherwise whatever
+    Raises :class:`DraftSyntaxError` ``malformed JSON: <reason>`` for what
+    :func:`~adcut.jsonutil.loads` rejects, and otherwise whatever
     :func:`draft_from_dict` raises or warns.
     """
     try:
         doc = loads(data)
     except ValueError as exc:
         raise DraftSyntaxError(f"malformed JSON: {exc}") from exc
-    except RecursionError:
-        raise DraftSyntaxError("malformed JSON: nested too deeply") from None
     return draft_from_dict(doc)
 
 
@@ -325,10 +323,6 @@ def _check_nodes(track: tuple[VideoNode, ...], clips: ClipSet | None, out: list[
                 "node_time_order",
                 f"$.video_nodes_track[{i}]",
                 f"target_start {n.target_start} must be < target_end {n.target_end}",
-            ))
-        if n.source_start < 0:
-            out.append(Violation(
-                "node_negative_source", f"$.video_nodes_track[{i}].source_start", "source_start must be >= 0"
             ))
         if n.index in seen:
             out.append(Violation(

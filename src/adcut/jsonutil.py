@@ -16,9 +16,10 @@ boundary. A draft span of the plain shape is accepted by one exact-type
 test in the draft reader, and every other span is read by :func:`field`, so
 the draft's errors are still only those of :func:`field`.
 
-A decoded string never holds a lone surrogate, which no UTF-8 text can
-encode: :func:`loads` and :func:`read_records` reject one as ``ValueError``
-or :class:`RecordError` ``lone surrogate '\\ud800' in a string``.
+Every file, JSON line, resumed tail and backend answer becomes JSON through
+:func:`loads`, by one rule: UTF-8, a leading BOM ignored, and a lone surrogate
+(which no UTF-8 text can encode), escaped or encoded, rejected as ``ValueError``
+``lone surrogate '\\ud800' in a string``. Any other failure is :class:`NotJson`.
 """
 
 import json
@@ -28,12 +29,16 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
-    "FieldError", "MissingField", "RecordError", "dumps_canonical", "field", "json_path", "loads", "objects",
-    "read_object", "read_records", "trim_torn_tail", "write_records",
+    "FieldError", "MissingField", "NotJson", "RecordError", "dumps_canonical", "field", "json_path", "loads",
+    "objects", "read_object", "read_records", "trim_torn_tail", "write_records",
 ]
 
 T = TypeVar("T")
 _REQUIRED = object()
+
+
+class NotJson(ValueError):
+    """Bytes that do not decode or parse as JSON; the message is the reason, such as ``nested too deeply``."""
 
 
 class RecordError(ValueError):
@@ -93,12 +98,11 @@ def field(obj: Any, key: str | int, kind: type, path: str = "", item: type | Non
     raise FieldError(json_path(path, key), f"expected {wanted}, got {type(value).__name__}")
 
 
-def objects(obj: Any, key: str, path: str = "") -> Iterator[tuple[str, dict]]:
+def objects(obj: Any, key: str) -> Iterator[tuple[str, dict]]:
     """``(path, entry)`` for each entry of the list ``obj[key]``, both read by
     :func:`field`, the list eagerly and each entry, a ``dict``, when drawn."""
-    entries = field(obj, key, list, path)
-    path = json_path(path, key)
-    return ((json_path(path, i), field(entries, i, dict, path)) for i in range(len(entries)))
+    entries = field(obj, key, list)
+    return ((f"{key}[{i}]", field(entries, i, dict, key)) for i in range(len(entries)))
 
 
 # built once: ``json.dumps`` builds a new encoder on every call that passes it options
@@ -111,13 +115,19 @@ def dumps_canonical(obj: Any) -> bytes:
 
 
 def loads(data: bytes | str) -> Any:
-    """The JSON value ``data`` holds. Bytes are decoded as strict UTF-8, so only a
-    ``\\u`` escape can put a lone surrogate in a string, and ``ValueError`` rejects it
-    (text given as ``str`` is taken to hold none itself)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    value = json.loads(data)
-    if "\\u" in data:
+    """The JSON value ``data`` holds, by the module's one rule: decoded as UTF-8 keeping an
+    encoded surrogate, past one leading BOM, and then any lone surrogate rejected."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", "surrogatepass")
+        if data.startswith("\ufeff"):
+            data = data[1:]
+        value = json.loads(data)
+    except RecursionError:
+        raise NotJson("nested too deeply") from None
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise NotJson(str(exc)) from None
+    if "\\u" in data or not data.isascii():  # an escaped or an encoded surrogate
         _reject_lone_surrogates(value)
     return value
 
@@ -149,9 +159,9 @@ def _object(value: Any) -> dict:
 
 
 def read_object(path: str | Path) -> dict:
-    """The JSON object a UTF-8 file holds. Raises ``OSError`` when the file cannot be
-    read, ``RecursionError`` or ``ValueError`` when it does not decode or parse, and
-    ``ValueError`` ``expected a JSON object, got <type>`` for any other root."""
+    """The JSON object a file holds, read by :func:`loads`. Raises ``OSError`` when the
+    file cannot be read, what :func:`loads` raises, and ``ValueError`` ``expected a JSON
+    object, got <type>`` for any other root."""
     return _object(loads(Path(path).read_bytes()))
 
 
@@ -160,7 +170,8 @@ def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iter
     whose records are told apart by their field ``key``, which ``parse`` requires.
 
     Raises ``OSError`` when the file cannot be read and :class:`RecordError`
-    for a line that is not a JSON object, that holds a lone surrogate, that ``parse`` rejects with a
+    for a line that :func:`loads` rejects (``malformed JSON: <reason>`` for
+    :class:`NotJson`), that is not a JSON object, that ``parse`` rejects with a
     ``KeyError`` (``missing field <name>``), ``ValueError`` or ``TypeError``, or
     whose ``key`` an earlier line has (``repeated <key> <value>``).
     """
@@ -170,14 +181,10 @@ def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iter
             if not line.strip():
                 continue
             try:
-                text = line.decode(json.detect_encoding(line), "surrogatepass")  # as ``json.loads`` decodes bytes
-                record = json.loads(text)
-            except (ValueError, RecursionError) as exc:
-                raise RecordError(path, number, f"malformed JSON: {exc}") from None
-            try:
-                if "\\u" in text or not text.isascii():  # an escaped or an encoded surrogate
-                    _reject_lone_surrogates(record)
+                record = loads(line)
                 value = parse(_object(record))
+            except NotJson as exc:
+                raise RecordError(path, number, f"malformed JSON: {exc}") from None
             except KeyError as exc:
                 raise RecordError(path, number, f"missing field {exc}") from None
             except (ValueError, TypeError) as exc:
@@ -191,8 +198,8 @@ def read_records(path: str | Path, parse: Callable[[dict], T], key: str) -> Iter
 def trim_torn_tail(path: str | Path) -> bool:
     """Mend the end of a JSON-lines file that a killed writer may have cut short.
 
-    A last line without its newline that does not parse is truncated away,
-    and True returned; one that parses gets its newline, so records appended
+    A last line without its newline that is :class:`NotJson` is truncated
+    away, and True returned; any other gets its newline, so records appended
     next start on a line of their own. ``OSError`` if the file cannot be
     opened for update.
     """
@@ -207,10 +214,12 @@ def trim_torn_tail(path: str | Path) -> bool:
         if cut == end:
             return False
         try:
-            json.loads(tail[cut - start :])
-        except (ValueError, RecursionError):
+            loads(tail[cut - start :])
+        except NotJson:
             fh.truncate(cut)
             return True
+        except ValueError:  # a whole line with a lone surrogate, which its reader refuses
+            pass
         fh.write(b"\n")
         return False
 

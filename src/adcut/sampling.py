@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 DEFAULT_FRAME_CEILING = 600
 DEFAULT_SAMPLING_PRESET = "fast:2/4,slow:0.5/16"
+MAX_TOKENS_PER_FRAME = 65536  # a pathway's bound, so a plan's token totals stay printable integers
 
 
 class PresetError(ValueError):
@@ -69,6 +70,8 @@ class PathwayConfig:
             raise ValueError(f"fps must be <= {MAX_FPS:g}, got {self.fps}")
         if self.tokens_per_frame < 1:
             raise ValueError(f"tokens_per_frame must be >= 1, got {self.tokens_per_frame}")
+        if self.tokens_per_frame > MAX_TOKENS_PER_FRAME:
+            raise ValueError(f"tokens_per_frame must be <= {MAX_TOKENS_PER_FRAME}, got {self.tokens_per_frame}")
 
 
 @dataclass(frozen=True)

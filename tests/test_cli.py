@@ -3,12 +3,13 @@ import itertools
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
 import threading
 import time
-from contextlib import nullcontext, redirect_stderr
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 from unittest.mock import patch
@@ -106,6 +107,14 @@ class TestValidate:
             '"message":"\'Martian\' is not a TTS label"}]}\n'
         )
 
+    def test_table_format_has_one_row_per_violation(self, capsys):
+        argv = ["validate", str(FIX / "draft_violations.json"), "--clips", str(FIX / "clips.json")]
+        violations = json.loads(run(capsys, *argv)[1])["violations"]
+        code, out, err = run(capsys, *argv, "--format", "table")
+        assert (code, err) == (1, "")
+        assert [row.split(None, 2) for row in out.splitlines()] == [
+            [v["rule"], v["path"], v["message"]] for v in violations]
+
     def test_deeply_nested_draft_is_a_parse_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100_000)
@@ -148,6 +157,20 @@ class TestPlan:
         assert code == 0
         plan = json.loads(out)
         assert plan["preset"]["slow"] == {"fps": 0.125, "tokens_per_frame": 64}
+
+    def test_table_format_shows_the_json_plan(self, capsys):
+        argv = ["plan", str(FIX / "clips.json"), "--preset", "fast:2/4,slow:0.5/16"]
+        plan = json.loads(run(capsys, *argv)[1])
+        code, out, err = run(capsys, *argv, "--format", "table")
+        assert (code, err) == (0, "")
+        *rows, totals = out.splitlines()
+        assert [[int(n) for n in re.findall(r"\d+", row)] for row in rows] == [
+            [c["index"], len(c["fast"]["frame_indices"]), c["fast"]["tokens"],
+             len(c["slow"]["frame_indices"]), c["slow"]["tokens"]] for c in plan["clips"]]
+        t = plan["totals"]
+        assert re.findall(r"\d[\d.]*", totals) == [str(n) for n in (
+            t["fast_frames"], t["fast_tokens"], t["slow_frames"], t["slow_tokens"], plan["effective_fast_fps"],
+            plan["reduction_factor"])]
 
     def test_bad_preset(self, capsys):
         code, _, err = run(capsys, "plan", str(FIX / "clips.json"), "--preset", "nonsense")
@@ -251,9 +274,11 @@ class TestBuildDataset:
             ({"name": "Serum", "selling_points": "abc"},
              "bad product info for video 'vid-serum': selling_points: expected list of str, got str"),
             ({"selling_points": ["a"]}, "bad product info for video 'vid-serum': missing field 'name'"),
+            ({"name": " ", "selling_points": ["glow"]},
+             "bad product info for video 'vid-serum': product name must be non-empty"),
         ],
         ids=["missing", "no selling points", "not an object", "name a number", "selling point a number",
-             "selling points a string", "no name"],
+             "selling points a string", "no name", "blank name"],
     )
     def test_bad_product_info_fails_before_any_backend_call(
         self, capsys, tmp_path, monkeypatch, video_fixtures, product, error
@@ -280,6 +305,7 @@ class TestBuildDataset:
             ("negative_pool", [{"index": 0, "duration_ms": 1}],
              "negative_pool: native fps 1000.000 outside [1, 240] for clip 0"),
             ("negative_pool", [{"index": 0, "duration_ms": 10**400}], "negative_pool: clip 0: duration_ms too large"),
+            ("negative_pool", [{"duration_ms": 2400}], "missing field 'negative_pool[0].index'"),
             *(("judge", *case.values) for case in MISSHAPEN_JUDGE),
             ("corruption", 5, "corruption: expected dict, got int"),
             ("corruption", {"mode": "bogus"},
@@ -293,7 +319,7 @@ class TestBuildDataset:
             ("judge", {"verify": "approve\ud800"}, "lone surrogate '\\ud800' in a string"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
-             "pool clip past the float range",
+             "pool clip past the float range", "pool entry without index",
              *(case.id for case in MISSHAPEN_JUDGE), "corruption a number", "unknown corruption mode",
              "corruption rate 5", "corruption rate a string", "drafts a number", "draft an array",
              "negative a string", "negatives an array", "lone surrogate"],
@@ -355,6 +381,15 @@ def corpus_path(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A corpus and its mock predictions, built once for the module."""
+    corpus, pred = (tmp_path_factory.mktemp("chain") / name for name in ("corpus.jsonl", "pred.jsonl"))
+    assert main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(corpus)]) == 0
+    assert main(["generate", str(corpus), "--seed", "7", "--out", str(pred)]) == 0
+    return corpus, pred
+
+
 class TestGenerate:
     def test_perfect_mock_equals_ground_truth(self, capsys, corpus_path, tmp_path):
         out = tmp_path / "pred.jsonl"
@@ -369,6 +404,13 @@ class TestGenerate:
         for line in lines:
             predicted = parse_draft(line["draft_json"])
             assert serialize_draft(predicted) == serialize_draft(samples[line["sample_id"]].ground_truth)
+
+    def test_an_empty_corpus_is_a_usage_error(self, capsys, tmp_path):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "pred.jsonl"
+        corpus.write_bytes(b"\n")
+        assert run(capsys, "generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7",
+                   "--out", str(out)) == (2, "", "error: corpus is empty\n")
+        assert not out.exists()
 
     def test_resume_skips_existing(self, capsys, corpus_path, tmp_path):
         out = tmp_path / "pred.jsonl"
@@ -559,14 +601,6 @@ class TestEvaluateRunner:
                      "--out", str(out)]) == 0
         return out
 
-    @pytest.fixture(scope="class")
-    def chain(self, tmp_path_factory):
-        """A corpus and its mock predictions, built once for the class."""
-        corpus, pred = (tmp_path_factory.mktemp("chain") / name for name in ("corpus.jsonl", "pred.jsonl"))
-        assert main(["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(corpus)]) == 0
-        assert main(["generate", str(corpus), "--seed", "7", "--out", str(pred)]) == 0
-        return corpus, pred
-
     @pytest.fixture
     def serve(self, monkeypatch, video_fixtures):
         """Install ``answer(role, payload)`` as the HTTP stand-in; where it returns None
@@ -661,7 +695,7 @@ class TestEvaluateRunner:
                              "--endpoint-judge", "http://stub.invalid")
         assert (code, out) == (1, "")
         assert "Traceback" not in err
-        assert err.splitlines() == [f"warning: {s.sample_id}: judge: JSON body nested too deeply"
+        assert err.splitlines() == [f"warning: {s.sample_id}: judge: non-JSON body: nested too deeply"
                                     for s in read_corpus(corpus_path)]
 
     def test_an_embed_number_past_the_float_range_fails_each_sample(self, capsys, corpus_path, pred, serve):
@@ -805,9 +839,8 @@ class TestAlign:
         assert plan["assets"]["tts_asset"] == "tts-young-f-us"
         assert plan["assets"]["music_asset"] == "music-pop-happy"
 
-    def test_catalog_needs_no_seed_in_ci_mode(self, capsys, monkeypatch):
-        # decoration matching is deterministic, so CI mode asks for no --seed
-        monkeypatch.setenv("ADCUT_CI", "1")
+    def test_catalog_needs_no_seed(self, capsys, monkeypatch):
+        # decoration matching is deterministic, so align reads no --seed
         monkeypatch.delenv("ADCUT_CONFIG", raising=False)
         code, out, err = run(
             capsys, "align", str(FIX / "draft_template.json"), str(FIX / "tts_noop.json"),
@@ -815,6 +848,25 @@ class TestAlign:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["assets"]["music_asset"] == "music-pop-happy"
+
+    def test_an_invalid_draft_prints_each_violation(self, capsys):
+        draft, clips = str(FIX / "draft_violations.json"), str(FIX / "clips.json")
+        violations = json.loads(run(capsys, "validate", draft, "--clips", clips)[1])["violations"]
+        code, out, err = run(capsys, "align", draft, str(FIX / "tts_noop.json"), clips)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"invalid draft: {v['rule']} at {v['path']}: {v['message']}" for v in violations]
+
+    def test_a_voice_past_the_last_node_is_a_plan_violation(self, capsys, tmp_path):
+        draft, tts = tmp_path / "draft.json", tmp_path / "tts.json"
+        draft.write_text(json.dumps({
+            "voice_over_track": [{"text": "hi", "target_start": 0, "target_end": 3000}],
+            "video_nodes_track": [{"index": 0, "target_start": 0, "target_end": 1000, "source_start": 0}],
+            "decoration_setting": {"tts_tags": [], "avatar_tags": [], "music_tags": []},
+        }))
+        tts.write_text(json.dumps({"durations_ms": [3000]}))
+        code, out, err = run(capsys, "align", str(draft), str(tts), str(FIX / "clips.json"))
+        assert (code, out) == (1, "")
+        assert err == "plan violation: voice_past_end at $.voice_over_track[0]: voice ends at 3000, video at 1000\n"
 
     def test_stretched_alignment_matches_library(self, capsys, tmp_path):
         tts = tmp_path / "tts.json"
@@ -932,6 +984,12 @@ HOSTILE_INPUTS = [
     ("clip set", {"clips": [{"index": 0, "duration_s": 1e306, "frame_count": 3 * 10**306}]},
      "clip 0: frame_count or duration_s too large"),
     ("catalog", {"assets": [{"asset_id": "a\ud800", "category": "TTS"}]}, "lone surrogate '\\ud800' in a string"),
+    ("clip set", {"clips": [{"index": -1, "duration_s": 2.0, "frame_count": 60}]}, "clip index must be >= 0, got -1"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 0}]}, "frame_count must be >= 1, got 0"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": 0, "frame_count": 60}]}, "duration_s must be > 0, got 0"),
+    ("clip set", {"clips": [{"index": 0, "duration_s": 2.0, "frame_count": 60}] * 2}, "duplicate clip index 0"),
+    ("taxonomy", {"Colour": {}}, "unknown category 'Colour'"),
+    ("taxonomy", {"TTS": {"Age": ["Young", "Young"]}}, "duplicate label in TTS/Age"),
 ]
 
 
@@ -1125,6 +1183,136 @@ class TestLoneSurrogate:
         assert "Traceback" not in err
         assert err == "warning: vid-blender: generate: non-JSON body: lone surrogate '\\ud800' in a string\n"
         assert [json.loads(line)["sample_id"] for line in out.read_text().splitlines()] == ["vid-earbuds", "vid-serum"]
+
+
+BOM = b"\xef\xbb\xbf"
+SURROGATE = "lone surrogate '\\ud800' in a string"
+# case -> the bytes every JSON reader is fed and the reason each gives after its prefix
+DECODE_CASES = {
+    "encoded surrogate": (b'{"sample_id":"\xed\xa0\x80"}', SURROGATE),
+    "escaped surrogate": (b'{"sample_id":"\\ud800"}', SURROGATE),
+    "invalid UTF-8": (b'{"sample_id":"\xff"}',
+                      "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+    "deep nesting": (b"[" * 100_000, "nested too deeply"),
+}
+# the line edits the JSON-lines property draws besides arbitrary bytes
+EDITS = ["BOM", *DECODE_CASES, "torn"]
+# reader -> its prefixes for bytes that are not JSON and for a lone surrogate; a --resume
+# tail that is not JSON is torn, so it is dropped with a warning and generated again
+DECODE_PREFIXES = {
+    "file read whole": ("error: clip set {path}: does not parse: ", "error: clip set {path}: "),
+    "corpus line": ("error: {path}:2: malformed JSON: ", "error: {path}:2: "),
+    "resume tail": (None, "error: {path}:2: "),
+    "HTTP answer": ("warning: vid-blender: generate: non-JSON body: ",) * 2,
+    "draft": ("error: draft {path}: does not parse: malformed JSON: ",) * 2,
+}
+
+
+def _edited(line: bytes, kind: str, arg=None) -> bytes:
+    """``line`` after the edit ``kind``: one of ``EDITS`` (``torn`` cuts it after ``arg`` bytes)
+    or ``bytes`` (``arg``)."""
+    if kind == "BOM":
+        return BOM + line
+    if kind == "bytes":
+        return arg
+    if kind == "torn":
+        return line[: arg % (len(line) + 1)]
+    return DECODE_CASES[kind][0]
+
+
+class TestDecodeTable:
+    """Every reader turns bytes into JSON by one rule, so each gives the same reason for the same bytes."""
+
+    def feed(self, capsys, monkeypatch, tmp, chain, reader, edit):
+        """Run the command that reads ``reader`` on its input after ``edit``: the code, stdout,
+        stderr and the path of the input file."""
+        corpus, pred = chain
+        tmp.mkdir()
+        if reader in ("file read whole", "draft"):
+            path, fixture, command = ((tmp / "clips.json", "clips.json", "plan") if reader == "file read whole"
+                                      else (tmp / "draft.json", "draft_template.json", "validate"))
+            path.write_bytes(edit((FIX / fixture).read_bytes()))
+            return (*run(capsys, command, str(path)), path)
+        path, out = corpus, tmp / "pred.jsonl"
+        argv = ["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7", "--out", str(out)]
+        if reader == "corpus line":
+            path = argv[1] = tmp / "corpus.jsonl"
+            lines = corpus.read_bytes().splitlines()
+            lines[1] = edit(lines[1])
+            path.write_bytes(b"\n".join(lines) + b"\n")
+        elif reader == "resume tail":
+            first, second, _ = pred.read_bytes().splitlines()
+            (path := out).write_bytes(first + b"\n" + edit(second))  # the tail is vid-blender's line
+            argv.append("--resume")
+        else:  # the generate answer for vid-blender
+            mock = cli._mock_generate("mock:", 7, read_corpus(corpus))
+
+            def send(transport, role, url, body, headers, timeout_s):
+                status, answer = mock.send(role, url, body, headers, timeout_s)
+                return status, edit(answer) if json.loads(body)["sample_id"] == "vid-blender" else answer
+
+            monkeypatch.setattr(backends.HttpTransport, "send", send)
+            argv[3] = "http://stub.invalid"
+        return (*run(capsys, *map(str, argv)), path)
+
+    @pytest.mark.parametrize("reader", DECODE_PREFIXES)
+    def test_a_leading_bom_is_ignored(self, capsys, monkeypatch, tmp_path, chain, reader):
+        plain = self.feed(capsys, monkeypatch, tmp_path / "plain", chain, reader, lambda line: line)
+        with_bom = self.feed(capsys, monkeypatch, tmp_path / "bom", chain, reader, lambda line: BOM + line)
+        assert plain[:3] == with_bom[:3] and plain[0] == 0, with_bom
+        if reader in ("corpus line", "HTTP answer"):
+            assert (tmp_path / "plain" / "pred.jsonl").read_bytes() == (tmp_path / "bom" / "pred.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("reader", DECODE_PREFIXES)
+    @pytest.mark.parametrize("case", DECODE_CASES)
+    def test_each_reader_gives_the_same_reason(self, capsys, monkeypatch, tmp_path, chain, case, reader):
+        content, reason = DECODE_CASES[case]
+        code, out, err, path = self.feed(capsys, monkeypatch, tmp_path / "run", chain, reader, lambda line: content)
+        prefix = DECODE_PREFIXES[reader][reason == SURROGATE]
+        if prefix is None:
+            assert (code, err) == (0, f"warning: {path}: dropped a torn last line; its sample is generated again\n")
+        else:
+            code_wanted = 1 if reader == "HTTP answer" else 2
+            assert (code, out, err) == (code_wanted, "", prefix.format(path=path) + reason + "\n")
+
+
+def _jsonl_examples(test):
+    """``test`` with an explicit example for each of ``EDITS``, in both files."""
+    for target in ("corpus", "predictions"):
+        for kind in EDITS:
+            test = example(target, 1, (kind, 100))(test)
+    return test
+
+
+class TestJsonLines:
+    @settings(max_examples=60)
+    @given(st.sampled_from(["corpus", "predictions"]), st.integers(0, 2),
+           st.one_of(st.tuples(st.sampled_from(EDITS), st.integers(0)),
+                     st.tuples(st.just("bytes"), st.binary(max_size=32))))
+    @_jsonl_examples
+    def test_no_json_line_escapes_the_exit_codes(self, tmp_path_factory, chain, target, number, edit):
+        """``generate``, ``generate --resume`` and ``evaluate`` on the chain's files, one line of
+        one of them edited (a torn line is the last, with no newline after it), each exit 0, 1
+        or 2 and print no traceback; exit 2 prints one error line."""
+        tmp = tmp_path_factory.mktemp("lines")
+        files = {"corpus": tmp / "corpus.jsonl", "predictions": tmp / "pred.jsonl"}
+        for name, source in zip(files, chain):
+            files[name].write_bytes(source.read_bytes())
+        lines = files[target].read_bytes().splitlines()
+        number = len(lines) - 1 if edit[0] == "torn" else number
+        lines[number] = _edited(lines[number], *edit)
+        files[target].write_bytes(b"\n".join(lines) + (b"" if edit[0] == "torn" else b"\n"))
+        generate = ["generate", str(files["corpus"]), "--endpoint-generate", "mock:", "--seed", "7"]
+        for argv in ([*generate, "--out", str(tmp / "fresh.jsonl")],
+                     [*generate, "--out", str(files["predictions"]), "--resume"],
+                     ["evaluate", str(files["corpus"]), str(files["predictions"])]):
+            err = StringIO()
+            with redirect_stderr(err), redirect_stdout(StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
 
 
 class TestEndpointResolution:
@@ -1450,6 +1638,7 @@ _GENERATE = ["generate", "{corpus}", "--endpoint-generate", "mock:"]
 _OUT = ["--out", "{tmp}/out.jsonl"]
 _BUILD = ["build-dataset", "--seed", "7", *_OUT]
 _INFINITE_RATE = "1" + "0" * 400 + "/4"  # reads as an infinite fps
+_HUGE_TOKENS = "1/" + "9" * 4299  # a token count whose plan totals no int can print
 # endpoint values that are neither mock: nor an http(s) URL with a host
 _BAD_ENDPOINTS = ["mockingbird.example:8080", "mock:bogus", "mock://x", "localhost:8080", "ftp://h/x"]
 
@@ -1502,6 +1691,15 @@ def polka_files(corpus_path, tmp_path_factory):
          "bad preset: fps must be <= 240, got inf"),
         (["plan", str(FIX / "clips.json"), "--preset", _INFINITE_RATE], None,
          "bad preset: fps must be <= 240, got inf"),
+        ([*_BUILD, "--config", str(FIX / "adcut.ini"), "--preset", _HUGE_TOKENS], None,
+         "bad preset: tokens_per_frame must be <= 65536, got 9999"),
+        *((["plan", str(FIX / "clips.json"), "--preset", _HUGE_TOKENS, "--format", form], None,
+           "bad preset: tokens_per_frame must be <= 65536, got 9999") for form in ("json", "table")),
+        (["plan", str(FIX / "clips.json"), "--preset", "fast:2/16,slow:0.5/4"], None,
+         "bad preset: fast pathway must use at most as many tokens per frame as slow\n"),
+        (["plan", str(FIX / "clips.json"), "--preset", "2/4 1/4"], None,
+         "bad preset: unnamed fps/token pair must be the only component\n"),
+        ([*_GENERATE, *_OUT, "--config", "{tmp}/missing.ini"], None, "config file not found: {tmp}/missing.ini\n"),
         ([*_BUILD, *(arg for role in cli.DATASET_ROLES for arg in (f"--endpoint-{role}", "http://127.0.0.1:9"))],
          None, "build-dataset reads its products and negative pool from a fixtures file ([paths] fixtures)\n"),
         (["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:x", "--seed", "7", *_OUT], None,
@@ -1533,6 +1731,8 @@ def polka_files(corpus_path, tmp_path_factory):
         "generate without an output path", "--concurrency 0", "--concurrency -3", "evaluate --concurrency 0",
         "no section header", "duplicate key", "seed not an int", "concurrency not an int",
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "build-dataset infinite rate", "plan infinite rate",
+        "build-dataset huge token count", "plan huge token count", "plan table huge token count",
+        "fast tokens above slow", "two unnamed pairs", "config file not found",
         "no fixtures file with every role over HTTP", "bad mock rate",
         "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",
         "prediction tag outside the taxonomy", "ground-truth tag outside the taxonomy",

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from adcut import sampling
 from adcut.clips import ClipMeta, ClipSet
 from adcut.sampling import (
+    MAX_TOKENS_PER_FRAME,
     CeilingUnsatisfiable,
     ClipPlan,
     NonDivisible,
@@ -472,6 +473,12 @@ class TestPresets:
         with pytest.raises(ValueError) as err:
             parse_preset(preset)
         assert str(err.value) == message
+
+    def test_a_token_count_above_the_bound_is_rejected(self):
+        assert parse_preset(f"2/{MAX_TOKENS_PER_FRAME}").slow == PathwayConfig(2.0, 65536)
+        for tokens in (65537, int("9" * 4299)):  # the larger one's plan totals would be too long to print
+            with pytest.raises(ValueError, match=rf"^tokens_per_frame must be <= 65536, got {tokens}$"):
+                parse_preset(f"2/{tokens}")
 
     @pytest.mark.parametrize("fps, shown", [
         (math.inf, "inf"), (math.nan, "nan"), (240.5, "240.5"), (1e11, "100000000000.0"),

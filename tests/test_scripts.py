@@ -14,7 +14,7 @@ SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k not in ("ADCUT_CONFIG", "ADCUT_CI")}
+    env = {k: v for k, v in os.environ.items() if k != "ADCUT_CONFIG"}
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True, env=env, timeout=120
     )
