@@ -15,17 +15,23 @@ so no environment setting leaks in:
 - ``evaluate`` of each seed's and mode's predictions as ``json`` and as
   ``table``, with and without ``--with-judge`` and ``--with-vsr``, per
   concurrency;
-- ``validate``, ``plan`` and ``align`` on the fixtures.
+- ``validate``, ``plan`` and ``align`` on the fixtures;
+- ``validate --clips`` and ``align --catalog`` on each edit request that
+  ``perfbench.inputs.make_edit_requests`` draws for an edit seed (long-form
+  and invalid drafts among them), against a catalog drawn from that seed.
 
-The small grid is seed 7, modes ``perfect`` and ``swap_adjacent`` and
-concurrency 1 and 2; the full grid is seeds 7, 8 and 9, every mode and
-concurrency 1, 2 and 4.
+The small grid is seed 7, modes ``perfect`` and ``swap_adjacent``,
+concurrency 1 and 2 and 40 edit requests at edit seed 9; the full grid is
+seeds 7, 8 and 9, every mode, concurrency 1, 2 and 4 and 400 edit requests
+at each of edit seeds 9 and 31.
 
 The output is one ``sha256 <artifact> <hex digest>`` line per artifact,
 sorted by artifact name: each command's ``--out`` file, and a ``.exit``
 artifact holding its exit code and what it printed to stderr (with the
-temporary directory's path replaced). Two checkouts that print the same
-lines wrote the same bytes; ``diff`` of two outputs names what changed.
+temporary directory's path replaced). Each edit seed prints one line,
+``edit/s<seed>``, that digests every request's artifacts in order. Two
+checkouts that print the same lines wrote the same bytes; ``diff`` of two
+outputs names what changed.
 """
 
 from __future__ import annotations
@@ -34,22 +40,57 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from adcut.backends import CORRUPTIONS  # noqa: E402
 from adcut.cli import main  # noqa: E402
+from perfbench import inputs  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 CONFIG = str(FIXTURES / "adcut.ini")
 GRIDS = {
-    "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2)},
-    "full": {"seeds": (7, 8, 9), "modes": ("perfect", *CORRUPTIONS), "concurrency": (1, 2, 4)},
+    "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2), "edit": {9: 40}},
+    "full": {"seeds": (7, 8, 9), "modes": ("perfect", *CORRUPTIONS), "concurrency": (1, 2, 4),
+             "edit": {9: 400, 31: 400}},
 }
+
+
+def command_log(work: Path, argv: list[str], out: Path) -> str:
+    """Run ``argv`` with ``--config`` and ``--out <out>``: the ``exit <code>`` line and
+    what it printed to stderr, with ``work`` written ``<tmp>``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", CONFIG, "--out", str(out)])
+    return f"exit {code}\n{err.getvalue()}".replace(str(work), "<tmp>")
+
+
+def edit_digest(work: Path, seed: int, count: int) -> str:
+    """One digest over ``validate`` and ``align`` of each of ``count`` edit requests drawn at ``seed``."""
+    taxonomy = inputs.load_taxonomy(ROOT)
+    rng = random.Random(seed)
+    requests = inputs.make_edit_requests(rng, count, taxonomy)
+    work.mkdir(parents=True)
+    catalog = work / "catalog.json"
+    catalog.write_text(json.dumps(inputs.make_catalog(rng, taxonomy)), encoding="utf-8")
+    draft, tts, clips, out = (work / name for name in ("draft.json", "tts.json", "clips.json", "out"))
+    digest = hashlib.sha256()
+    for request in requests:
+        draft.write_bytes(request.draft)
+        tts.write_text(json.dumps({"durations_ms": list(request.tts_ms)}), encoding="utf-8")
+        clips.write_text(json.dumps(request.clips), encoding="utf-8")
+        for argv in (["validate", str(draft), "--clips", str(clips)],
+                     ["align", str(draft), str(tts), str(clips), "--catalog", str(catalog)]):
+            out.unlink(missing_ok=True)
+            for part in (command_log(work, argv, out).encode("utf-8"), out.read_bytes() if out.exists() else b""):
+                digest.update(b"%d:" % len(part) + part)  # length-prefixed, so parts cannot run together
+    return digest.hexdigest()
 
 
 def digests(grid: dict) -> list[str]:
@@ -61,10 +102,7 @@ def digests(grid: dict) -> list[str]:
             """Run one command with ``--out <work>/<name>``; record its artifacts."""
             out = work / name
             out.parent.mkdir(parents=True, exist_ok=True)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([*argv, "--config", CONFIG, "--out", str(out)])
-            log = f"exit {code}\n{err.getvalue()}".replace(str(work), "<tmp>")
+            log = command_log(work, list(argv), out)
             lines.append(f"sha256 {name}.exit {hashlib.sha256(log.encode('utf-8')).hexdigest()}")
             if out.exists():
                 lines.append(f"sha256 {name} {hashlib.sha256(out.read_bytes()).hexdigest()}")
@@ -98,6 +136,8 @@ def digests(grid: dict) -> list[str]:
             run(f"plan/clips-{fmt}", "plan", clips, "--format", fmt)
         run("align/template.json", "align", draft, str(FIXTURES / "tts_noop.json"), clips,
             "--catalog", str(FIXTURES / "catalog.json"))
+        for seed, count in grid["edit"].items():
+            lines.append(f"sha256 edit/s{seed} {edit_digest(work / f'edit-s{seed}', seed, count)}")
     return sorted(lines, key=lambda line: line.split()[1])
 
 

@@ -256,6 +256,7 @@ _HEADER_NAME = re.compile(r"[^:\s][^:\r\n\x00]*")  # http.client's rule
 _BAD_VALUE = re.compile(r"[\x00\r\n]")
 _MAX_LINE = 65536  # bytes in a status, header or chunk-size line
 _MAX_HEADERS = 100
+_MAX_LENGTH_DIGITS = 19  # 2**63 - 1 has 19; a longer Content-Length may also pass int()'s digit limit
 _PIECE = 1 << 20  # a body is read in pieces of at most this, so a huge Content-Length allocates nothing up front
 
 
@@ -326,7 +327,7 @@ class _Connection:
         length = fields.get(b"content-length")
         if length is None:
             return status, reader.read(), True
-        if not length.isdigit():
+        if not length.isdigit() or len(length) > _MAX_LENGTH_DIGITS:
             raise _Malformed(f"bad Content-Length {length[:80]!r}")
         return status, _exactly(reader, int(length)), closing
 

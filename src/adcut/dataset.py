@@ -478,7 +478,7 @@ def assemble_sample(
     rebuild the ground-truth draft from the deconstruction. Nodes are packed
     from 0, so voice times move from source time by the first shot boundary."""
     if dec.shot_count() == 0 or not dec.asr_sentences:
-        raise EmptyDeconstruction(f"{sample_id}: deconstruction has no shots or no speech")
+        raise EmptyDeconstruction("deconstruction has no shots or no speech")
     cfg = sampling or parse_preset(DEFAULT_SAMPLING_PRESET)
     template = template or load_instruction_template()
 

@@ -15,6 +15,11 @@ path or an unknown key, or turns an integral float into an ``int``; so both
 ways read a span alike. Validation builds a violation's path only when it
 reports one.
 
+Voice sentences and video nodes are slotted dataclasses, not frozen ones,
+so that building one costs about a third as much. They compare and hash by
+value, like every other record here, and no code assigns to a span after it
+is built; a draft or render plan holding them stays frozen and hashable.
+
 Canonical serialization emits a fixed key order and no insignificant
 whitespace, so equal drafts always produce identical bytes.
 """
@@ -59,14 +64,15 @@ class UnknownKeyWarning(UserWarning):
     """Unknown key inside a protocol object (tolerated, dropped)."""
 
 
-@dataclass(frozen=True)
+# unsafe_hash keeps hashing by value (so a Draft stays hashable); no code assigns to a span
+@dataclass(slots=True, unsafe_hash=True)
 class VoiceSentence:
     text: str
     target_start: int
     target_end: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VideoNode:
     index: int
     target_start: int

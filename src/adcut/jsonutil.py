@@ -25,6 +25,7 @@ Every file, JSON line, resumed tail and backend answer becomes JSON through
 import json
 import os
 import re
+import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -125,8 +126,10 @@ def loads(data: bytes | str) -> Any:
         value = json.loads(data)
     except RecursionError:
         raise NotJson("nested too deeply") from None
-    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise NotJson(str(exc)) from None
+    except ValueError:  # int() refused a number past its digit limit
+        raise NotJson(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
     if "\\u" in data or not data.isascii():  # an escaped or an encoded surrogate
         _reject_lone_surrogates(value)
     return value

@@ -114,8 +114,10 @@ def parse_preset(text: str) -> SlowFastConfig:
         m = _PRESET_PAIR.match(part)
         if not m:
             raise PresetError(f"cannot parse preset component {part!r} (want name:fps/tokens)")
-        name, fps, tokens = m.group(1), float(m.group(2)), int(m.group(3))
-        cfg = PathwayConfig(fps=fps, tokens_per_frame=tokens)
+        name, fps, tokens = m.group(1), float(m.group(2)), m.group(3).lstrip("0") or "0"
+        if len(tokens) > len(str(MAX_TOKENS_PER_FRAME)):  # so int() never meets its digit limit
+            raise PresetError(f"tokens_per_frame must be <= {MAX_TOKENS_PER_FRAME}, got {tokens}")
+        cfg = PathwayConfig(fps=fps, tokens_per_frame=int(tokens))
         if name is None:
             if unnamed is not None:
                 raise PresetError("unnamed fps/token pair must be the only component")

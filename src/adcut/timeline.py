@@ -190,7 +190,7 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
     realized_before = [0]
     at = 0
     for s, dur in zip(sentences, tts.durations_ms):
-        voice.append(VoiceSentence(text=s.text, target_start=at, target_end=at + dur))
+        voice.append(VoiceSentence(s.text, at, at + dur))
         at += dur
         starts.append(s.target_start)
         ends.append(s.target_end)
@@ -228,14 +228,7 @@ def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
             available = clip.duration_ms - node.source_start
             if new_span > available:
                 raise ClipTooShort(node_pos, node.index, new_span - available)
-        nodes.append(
-            VideoNode(
-                index=node.index,
-                target_start=prev_end,
-                target_end=end,
-                source_start=node.source_start,
-            )
-        )
+        nodes.append(VideoNode(node.index, prev_end, end, node.source_start))
         prev_end = end
 
     return RenderPlan(

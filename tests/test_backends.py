@@ -893,10 +893,12 @@ class TestHttpTransport:
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n", "bad chunk size"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nno colon\r\n\r\n{}", "bad header line"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n{}", "bad Content-Length"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX\r\n0\r\n\r\n",
          "a chunk does not end with CRLF"),
     ], ids=["short body", "short body of a huge length", "bad status line", "long header line", "101 headers",
-            "negative chunk size", "header without colon", "non-digit Content-Length", "chunk without CRLF"])
+            "negative chunk size", "header without colon", "non-digit Content-Length",
+            "Content-Length past int()'s digit limit", "chunk without CRLF"])
     def test_a_malformed_response_is_a_transport_failure_that_drops_the_connection(self, reply, reason):
         with scripted(reply, OK) as server, HttpTransport() as transport:
             client = http_client(transport, server.url)

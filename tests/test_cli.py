@@ -1194,6 +1194,8 @@ DECODE_CASES = {
     "invalid UTF-8": (b'{"sample_id":"\xff"}',
                       "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
     "deep nesting": (b"[" * 100_000, "nested too deeply"),
+    "huge integer": (b'{"sample_id":' + b"9" * 5000 + b"}",
+                     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
 }
 # the line edits the JSON-lines property draws besides arbitrary bytes
 EDITS = ["BOM", *DECODE_CASES, "torn"]
@@ -1313,6 +1315,149 @@ class TestJsonLines:
             assert "Traceback" not in err.getvalue()
             if code == 2:
                 assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
+
+
+_HUGE_LENGTH = b"9" * 5000  # a Content-Length past int()'s digit limit
+# what follows a hostile status line: raw bytes, a Content-Length framing or a chunked one
+RAW_REPLIES = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(st.sampled_from([b"0", b"2", b"50", b"2x", b"-1", _HUGE_LENGTH]), st.binary(max_size=24))
+    .map(lambda framed: b"Content-Length: %s\r\n\r\n%s" % framed),
+    st.binary(max_size=24).map(lambda body: b"Transfer-Encoding: chunked\r\n\r\n" + body),
+)
+# ("raw", status, the response after its status line), or ("graft", steps, value): the mock's
+# answer with the value that the steps lead to (the whole answer for no steps) replaced by ``value``
+REPLIES = st.one_of(
+    st.tuples(st.just("raw"), st.integers(100, 599), RAW_REPLIES),
+    st.tuples(st.just("graft"), st.lists(st.integers(0, 20), max_size=4), JSON),
+)
+# command -> the roles it calls
+COMMAND_ROLES = {"build-dataset": cli.DATASET_ROLES, "generate": ("generate",), "evaluate": ("judge",)}
+WARNING = re.compile(r"warning: (vid-[a-z]+): ")
+
+
+def _grafted(doc, steps, value):
+    """``doc`` with the value that ``steps`` lead to replaced by ``value``. Each step picks a
+    child of an object or list by its position modulo their count; steps left at a leaf or an
+    empty object or list replace that."""
+    if not steps or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    keys = list(doc) if isinstance(doc, dict) else range(len(doc))
+    key = keys[steps[0] % len(keys)]
+    doc[key] = _grafted(doc[key], steps[1:], value)
+    return doc
+
+
+class _HostileServer:
+    """A loopback HTTP server for one role that answers each request on a connection of its
+    own and then closes it: the first ``healthy`` requests with the role's mock answer, each
+    later one as ``reply`` (one of ``REPLIES``) says."""
+
+    def __init__(self, mocks):
+        self.mocks = mocks  # role -> the transport whose answers are the healthy ones
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.stop = threading.Event()
+        self.script("judge", 0, ("graft", [], None))
+
+    def script(self, role, healthy, reply):
+        self.role, self.healthy, self.reply, self.calls = role, healthy, reply, 0
+
+    def serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                try:
+                    request = self.read(conn)
+                    if request is not None:
+                        conn.sendall(self.answer(*request))
+                except OSError:  # the client dropped the connection
+                    pass
+
+    def read(self, conn):
+        """The path and body of the request on ``conn``; None if it closes first."""
+        data = b""
+        while b"\r\n\r\n" not in data:
+            if not (chunk := conn.recv(65536)):
+                return None
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+        while len(body) < length:
+            if not (chunk := conn.recv(65536)):
+                return None
+            body += chunk
+        return head.split(b" ", 2)[1].decode(), body
+
+    def answer(self, path, body):
+        self.calls += 1
+        status, answer = self.mocks[self.role].send(self.role, path, body, {}, 1.0)
+        if self.calls > self.healthy:
+            kind, *args = self.reply
+            if kind == "raw":
+                return b"HTTP/1.1 %d Hostile\r\n" % args[0] + args[1]
+            answer = json.dumps(_grafted(json.loads(answer), *args)).encode()
+        return b"HTTP/1.1 %d OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n" % (status, len(answer)) + answer
+
+
+@pytest.fixture(scope="module")
+def hostile_server(chain):
+    dataset_mock = backends.mock_backend(7, json.loads((FIX / "videos.json").read_text()))
+    mocks = {role: dataset_mock for role in cli.DATASET_ROLES}
+    mocks["generate"] = cli._mock_generate("mock:", 7, read_corpus(chain[0]))
+    server = _HostileServer(mocks)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    yield server
+    server.stop.set()
+    thread.join(timeout=10)
+    server.listener.close()
+    assert not thread.is_alive()
+
+
+class TestHostileBackends:
+    @settings(max_examples=50)
+    @given(st.sampled_from(["generate", *cli.DATASET_ROLES]), st.integers(0, 12), REPLIES)
+    @example("judge", 0, ("raw", 200, b"Content-Length: " + _HUGE_LENGTH + b"\r\n\r\n{}"))
+    @example("asr", 1, ("graft", [0], []))  # a video with no speech
+    @example("shots", 2, ("raw", 503, b"Content-Length: 2\r\n\r\n{}"))
+    def test_each_sample_succeeds_or_warns_of_its_role(self, tmp_path_factory, chain, hostile_server, role,
+                                                       healthy, reply):
+        """``build-dataset``, ``generate`` and ``evaluate --with-judge``, with one role served over
+        HTTP by a server that answers it well ``healthy`` times and then with ``reply``, each exit
+        0, 1 or 2 and print no traceback. Each sample that fails prints one ``warning: <id>:
+        <role>: …``, or says its deconstruction is empty, and every other sample is written."""
+        tmp = tmp_path_factory.mktemp("hostile")
+        corpus, predictions = chain
+        outs = {"build-dataset": tmp / "corpus.jsonl", "generate": tmp / "pred.jsonl"}
+        commands = {
+            "build-dataset": ["build-dataset", "--config", str(FIX / "adcut.ini"), "--out", str(outs["build-dataset"])],
+            "generate": ["generate", str(corpus), "--seed", "7", "--out", str(outs["generate"])],
+            "evaluate": ["evaluate", str(corpus), str(predictions), "--with-judge"],
+        }
+        failure = re.compile(rf"({re.escape(role)}: .*|deconstruction has no shots or no speech)")
+        for command, argv in commands.items():
+            if role in COMMAND_ROLES[command]:
+                argv += [f"--endpoint-{role}", hostile_server.url]
+            hostile_server.script(role, healthy, reply)
+            err = StringIO()
+            with patch.object(backends, "BACKOFF_BASE_S", 0.0), redirect_stderr(err), redirect_stdout(StringIO()):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+                continue
+            warned = [WARNING.match(line) for line in lines]
+            assert all(m and failure.fullmatch(line[m.end():]) for m, line in zip(warned, lines)), lines
+            assert len({m.group(1) for m in warned}) == len(lines) and code == (1 if lines else 0), lines
+            if command in outs:  # the fixture corpus has three samples
+                assert len(outs[command].read_bytes().splitlines()) + len(lines) == 3
 
 
 class TestEndpointResolution:
@@ -1639,6 +1784,7 @@ _OUT = ["--out", "{tmp}/out.jsonl"]
 _BUILD = ["build-dataset", "--seed", "7", *_OUT]
 _INFINITE_RATE = "1" + "0" * 400 + "/4"  # reads as an infinite fps
 _HUGE_TOKENS = "1/" + "9" * 4299  # a token count whose plan totals no int can print
+_TOKENS_PAST_INT_LIMIT = "1/" + "9" * 5000  # a token count int() refuses to read
 # endpoint values that are neither mock: nor an http(s) URL with a host
 _BAD_ENDPOINTS = ["mockingbird.example:8080", "mock:bogus", "mock://x", "localhost:8080", "ftp://h/x"]
 
@@ -1695,6 +1841,8 @@ def polka_files(corpus_path, tmp_path_factory):
          "bad preset: tokens_per_frame must be <= 65536, got 9999"),
         *((["plan", str(FIX / "clips.json"), "--preset", _HUGE_TOKENS, "--format", form], None,
            "bad preset: tokens_per_frame must be <= 65536, got 9999") for form in ("json", "table")),
+        (["plan", str(FIX / "clips.json"), "--preset", _TOKENS_PAST_INT_LIMIT], None,
+         "bad preset: tokens_per_frame must be <= 65536, got 9999"),
         (["plan", str(FIX / "clips.json"), "--preset", "fast:2/16,slow:0.5/4"], None,
          "bad preset: fast pathway must use at most as many tokens per frame as slow\n"),
         (["plan", str(FIX / "clips.json"), "--preset", "2/4 1/4"], None,
@@ -1732,6 +1880,7 @@ def polka_files(corpus_path, tmp_path_factory):
         "no section header", "duplicate key", "seed not an int", "concurrency not an int",
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "build-dataset infinite rate", "plan infinite rate",
         "build-dataset huge token count", "plan huge token count", "plan table huge token count",
+        "token count past int()'s digit limit",
         "fast tokens above slow", "two unnamed pairs", "config file not found",
         "no fixtures file with every role over HTTP", "bad mock rate",
         "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",

@@ -1,11 +1,16 @@
+import ast
+import dataclasses
 import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import adcut
+from adcut import draft as draft_module, timeline
 from adcut.clips import ClipMeta, ClipSet
 from adcut.draft import (
     DecorationSetting,
@@ -244,6 +249,58 @@ class TestSerialize:
         distinct = {serialize_draft(d) for d in set(drafts)}
         assert len(distinct) == len(set(drafts))
         assert len(blobs) == len(set(drafts))
+
+
+SPAN_ATTRS = {name for names in SPAN_FIELDS.values() for name in names}
+
+
+def _assigned_span_fields(tree):
+    """``(line, field)`` for each span field that ``tree`` assigns or deletes as an
+    attribute, or names in a ``setattr`` or ``__setattr__`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) and node.attr in SPAN_ATTRS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                "setattr", "__setattr__"):
+            names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+            yield from ((node.lineno, name) for name in names if name in SPAN_ATTRS)
+
+
+class TestRecords:
+    """Spans are slotted and hashed by value; every other draft and render-plan record stays frozen."""
+
+    def test_equal_spans_compare_and_hash_equal(self):
+        for make, fields, other in ((VoiceSentence, ("hi", 0, 2000), ("hi", 0, 2001)),
+                                    (VideoNode, (3, 0, 1000, 250), (3, 0, 1000, 251))):
+            a, b = make(*fields), make(*fields)
+            assert a == b and hash(a) == hash(b) and a != make(*other)
+            assert len({a, b, make(*other)}) == 2
+            assert not hasattr(a, "__dict__")  # slotted
+
+    def test_a_draft_parsed_twice_is_one_set_member(self):
+        data = (Path(__file__).parent / "fixtures" / "draft_template.json").read_bytes()
+        assert len({parse_draft(data), parse_draft(data)}) == 1
+
+    def test_draft_and_render_plan_stay_frozen(self):
+        d = parse_draft(MINIMAL)
+        plan = timeline.RenderPlan(d.voice_over_track, d.video_nodes_track, 2000)
+        for record, name in ((d, "voice_over_track"), (d.decoration_setting, "tts_tags"), (plan, "total_duration")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, ())
+        unfrozen = {cls.__name__ for module in (draft_module, timeline) for cls in vars(module).values()
+                    if dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.frozen}
+        assert unfrozen == {"VoiceSentence", "VideoNode"}
+
+    def test_no_code_assigns_to_a_span_field(self):
+        # stands in for the guarantee that frozen spans gave: a span's hash never changes
+        root = Path(adcut.__file__).parent
+        found = [(str(path.relative_to(root)), *where) for path in sorted(root.rglob("*.py"))
+                 for where in _assigned_span_fields(ast.parse(path.read_text("utf-8")))]
+        assert found == []
+
+    def test_the_scan_finds_each_kind_of_assignment(self):
+        code = "s.text = 1\nn.index += 1\ndel n.source_start\nsetattr(s, 'target_end', 1)\nobject.__setattr__(s, 'target_start', 1)"
+        assert sorted(name for _, name in _assigned_span_fields(ast.parse(code))) == sorted(SPAN_ATTRS)
 
 
 @st.composite

@@ -119,7 +119,9 @@ def test_artifact_digests_prints_one_sorted_line_per_artifact_of_the_small_grid_
     names = [line.split()[1] for line in lines]
     assert all(line.split()[0] == "sha256" and len(line.split()[2]) == 64 for line in lines)
     assert names == sorted(names) and len(set(names)) == len(names)
-    # 2 builds, 2 modes x (2 generates + 16 evaluates), 6 validate/plan runs and 1 align: each an output and an exit
-    assert len(lines) == 2 * (2 + 2 * (2 + 16) + 6 + 1)
-    assert {"s7/build-c1.jsonl", "s7/swap_adjacent/evaluate-table-judge-vsr-c2", "align/template.json"} <= set(names)
+    # 2 builds, 2 modes x (2 generates + 16 evaluates), 6 validate/plan runs and 1 align: each an output and an
+    # exit; and one line for the edit requests of seed 9
+    assert len(lines) == 2 * (2 + 2 * (2 + 16) + 6 + 1) + 1
+    assert {"s7/build-c1.jsonl", "s7/swap_adjacent/evaluate-table-judge-vsr-c2", "align/template.json",
+            "edit/s9"} <= set(names)
     assert second.stdout == first.stdout
