@@ -18,18 +18,24 @@ so no environment setting leaks in:
 - ``validate``, ``plan`` and ``align`` on the fixtures;
 - ``validate --clips`` and ``align --catalog`` on each edit request that
   ``perfbench.inputs.make_edit_requests`` draws for an edit seed (long-form
-  and invalid drafts among them), against a catalog drawn from that seed.
+  and invalid drafts among them), against a catalog drawn from that seed;
+- ``align --catalog`` on the valid edit requests drawn for the text seed,
+  each voice text rewritten, by the same seeded rng, to a non-blank string
+  that needs JSON escaping (quotes, backslashes, control characters) among
+  slashes, U+007F, U+2028/U+2029 and non-ASCII and astral characters, so the
+  render plan's text escaping is covered.
 
 The small grid is seed 7, modes ``perfect`` and ``swap_adjacent``,
-concurrency 1 and 2 and 40 edit requests at edit seed 9; the full grid is
-seeds 7, 8 and 9, every mode, concurrency 1, 2 and 4 and 400 edit requests
-at each of edit seeds 9 and 31.
+concurrency 1 and 2 and 40 edit requests at edit seed 9 and at text seed 13;
+the full grid is seeds 7, 8 and 9, every mode, concurrency 1, 2 and 4, 400
+edit requests at each of edit seeds 9 and 31 and 400 at text seed 13.
 
 The output is one ``sha256 <artifact> <hex digest>`` line per artifact,
 sorted by artifact name: each command's ``--out`` file, and a ``.exit``
 artifact holding its exit code and what it printed to stderr (with the
 temporary directory's path replaced). Each edit seed prints one line,
-``edit/s<seed>``, that digests every request's artifacts in order. Two
+``edit/s<seed>``, that digests every request's artifacts in order, and the
+text seed one, ``edit/text``. Two
 checkouts that print the same lines wrote the same bytes; ``diff`` of two
 outputs names what changed.
 """
@@ -56,10 +62,13 @@ from perfbench import inputs  # noqa: E402
 FIXTURES = ROOT / "tests" / "fixtures"
 CONFIG = str(FIXTURES / "adcut.ini")
 GRIDS = {
-    "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2), "edit": {9: 40}},
+    "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2), "edit": {9: 40},
+              "text": (13, 40)},
     "full": {"seeds": (7, 8, 9), "modes": ("perfect", *CORRUPTIONS), "concurrency": (1, 2, 4),
-             "edit": {9: 400, 31: 400}},
+             "edit": {9: 400, 31: 400}, "text": (13, 400)},
 }
+# what a rewritten voice text is made of: characters JSON escapes and ones it passes through
+TEXT_CHARACTERS = '"\\\n\x00\x1f/\x7f\u2028\u2029 aZ9é中\U0001f600'
 
 
 def command_log(work: Path, argv: list[str], out: Path) -> str:
@@ -71,8 +80,19 @@ def command_log(work: Path, argv: list[str], out: Path) -> str:
     return f"exit {code}\n{err.getvalue()}".replace(str(work), "<tmp>")
 
 
-def edit_digest(work: Path, seed: int, count: int) -> str:
-    """One digest over ``validate`` and ``align`` of each of ``count`` edit requests drawn at ``seed``."""
+def escape_texts(draft: bytes, rng: random.Random) -> bytes:
+    """``draft`` with each voice text rewritten to a non-blank one that needs JSON escaping."""
+    doc = json.loads(draft)
+    for sentence in doc["voice_over_track"]:
+        chars = rng.choices(TEXT_CHARACTERS, k=rng.randint(0, 8))
+        chars.insert(rng.randint(0, len(chars)), rng.choice('"\\'))  # neither is whitespace
+        sentence["text"] = "".join(chars)
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def edit_digest(work: Path, seed: int, count: int, escaped: bool = False) -> str:
+    """One digest over ``validate`` and ``align`` of each of ``count`` edit requests drawn at
+    ``seed``, or, if ``escaped``, over ``align`` of the valid ones with their texts escaped."""
     taxonomy = inputs.load_taxonomy(ROOT)
     rng = random.Random(seed)
     requests = inputs.make_edit_requests(rng, count, taxonomy)
@@ -80,13 +100,16 @@ def edit_digest(work: Path, seed: int, count: int) -> str:
     catalog = work / "catalog.json"
     catalog.write_text(json.dumps(inputs.make_catalog(rng, taxonomy)), encoding="utf-8")
     draft, tts, clips, out = (work / name for name in ("draft.json", "tts.json", "clips.json", "out"))
+    align = ["align", str(draft), str(tts), str(clips), "--catalog", str(catalog)]
+    commands = [align] if escaped else [["validate", str(draft), "--clips", str(clips)], align]
     digest = hashlib.sha256()
     for request in requests:
-        draft.write_bytes(request.draft)
+        if escaped and request.invalid is not None:
+            continue
+        draft.write_bytes(escape_texts(request.draft, rng) if escaped else request.draft)
         tts.write_text(json.dumps({"durations_ms": list(request.tts_ms)}), encoding="utf-8")
         clips.write_text(json.dumps(request.clips), encoding="utf-8")
-        for argv in (["validate", str(draft), "--clips", str(clips)],
-                     ["align", str(draft), str(tts), str(clips), "--catalog", str(catalog)]):
+        for argv in commands:
             out.unlink(missing_ok=True)
             for part in (command_log(work, argv, out).encode("utf-8"), out.read_bytes() if out.exists() else b""):
                 digest.update(b"%d:" % len(part) + part)  # length-prefixed, so parts cannot run together
@@ -138,6 +161,8 @@ def digests(grid: dict) -> list[str]:
             "--catalog", str(FIXTURES / "catalog.json"))
         for seed, count in grid["edit"].items():
             lines.append(f"sha256 edit/s{seed} {edit_digest(work / f'edit-s{seed}', seed, count)}")
+        seed, count = grid["text"]
+        lines.append(f"sha256 edit/text {edit_digest(work / 'edit-text', seed, count, escaped=True)}")
     return sorted(lines, key=lambda line: line.split()[1])
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .clips import ClipSet
@@ -26,9 +27,7 @@ from .draft import (
     Violation,
     VoiceSentence,
     _check_neighbours,
-    nodes_track_to_list,
     parse_time,
-    voice_track_to_list,
 )
 from .jsonutil import dumps_canonical, field, objects, read_object
 from .taxonomy import CATEGORIES, TagTaxonomy, default_taxonomy
@@ -94,6 +93,10 @@ class AssetEntry:
 
 
 class AssetCatalog:
+    """Assets checked against the taxonomy and indexed once, as every request reads them:
+    ``candidates`` maps each category to its ``(asset_id, frozenset(labels))`` pairs in
+    catalog order, and ``ids`` is the set of every ``asset_id``."""
+
     def __init__(self, entries: list[AssetEntry], taxonomy: TagTaxonomy | None = None):
         taxonomy = taxonomy or default_taxonomy()
         seen: set[str] = set()
@@ -106,13 +109,12 @@ class AssetCatalog:
             for label in e.labels:
                 if (e.category, label) not in taxonomy:
                     raise ValueError(f"asset {e.asset_id}: {label!r} is not a {e.category} label")
-        self.entries = list(entries)
-
-    def by_category(self, category: str) -> list[AssetEntry]:
-        return [e for e in self.entries if e.category == category]
-
-    def ids(self) -> set[str]:
-        return {e.asset_id for e in self.entries}
+        self.entries = tuple(entries)
+        self.candidates = {
+            category: tuple((e.asset_id, frozenset(e.labels)) for e in self.entries if e.category == category)
+            for category in CATEGORIES
+        }
+        self.ids = frozenset(seen)
 
     @classmethod
     def load(cls, path: str | Path, taxonomy: TagTaxonomy | None = None) -> "AssetCatalog":
@@ -154,17 +156,23 @@ class RenderPlan:
     def with_assets(self, assets: ResolvedAssets) -> "RenderPlan":
         return RenderPlan(self.voice_over_track, self.video_nodes_track, self.total_duration, assets)
 
-    def to_dict(self) -> dict:
-        return {
-            "voice_over_track": voice_track_to_list(self.voice_over_track),
-            "video_nodes_track": nodes_track_to_list(self.video_nodes_track),
-            "assets": self.assets.to_dict() if self.assets else None,
-            "total_duration": self.total_duration,
-        }
+
+# the canonical bytes of a render plan, as dumps_canonical writes its dict form: texts
+# escaped by the encoder's own escaper, integers as %d and the assets object by the encoder
+_VOICE = '{"text":%s,"target_start":%d,"target_end":%d}'
+_NODE = '{"index":%d,"target_start":%d,"target_end":%d,"source_start":%d}'
+_PLAN = b'{"voice_over_track":[%s],"video_nodes_track":[%s],"assets":%s,"total_duration":%d}'
 
 
 def serialize_plan(plan: RenderPlan) -> bytes:
-    return dumps_canonical(plan.to_dict())
+    """Canonical JSON bytes of ``plan``: its voice and node tracks in draft layout, then
+    ``assets`` (``null`` when unresolved) and ``total_duration``."""
+    voice = ",".join([_VOICE % (encode_basestring(s.text), s.target_start, s.target_end)
+                      for s in plan.voice_over_track])
+    nodes = ",".join([_NODE % (n.index, n.target_start, n.target_end, n.source_start)
+                      for n in plan.video_nodes_track])
+    assets = dumps_canonical(plan.assets.to_dict()) if plan.assets is not None else b"null"
+    return _PLAN % (voice.encode("utf-8"), nodes.encode("utf-8"), assets, plan.total_duration)
 
 
 def align_draft(d: Draft, tts: TtsRealization, clips: ClipSet) -> RenderPlan:
@@ -246,11 +254,11 @@ def match_decorations(d: Draft, catalog: AssetCatalog) -> ResolvedAssets:
     """
 
     def best(category: str, tags: tuple[str, ...]) -> str:
-        candidates = catalog.by_category(category)
+        candidates = catalog.candidates[category]
         if not candidates:
             raise NoCandidate(category)
         tag_set = set(tags)
-        return min(candidates, key=lambda e: (-len(tag_set & set(e.labels)), e.asset_id)).asset_id
+        return min(candidates, key=lambda c: (-len(tag_set & c[1]), c[0]))[0]
 
     deco = d.decoration_setting
     avatar = best("Avatar", deco.avatar_tags) if deco.avatar_tags else None
@@ -292,7 +300,7 @@ def check_alignment(plan: RenderPlan, catalog: AssetCatalog | None = None) -> Va
         )
 
     if plan.assets is not None and catalog is not None:
-        known = catalog.ids()
+        known = catalog.ids
         for slot, asset_id in plan.assets.to_dict().items():
             if asset_id is not None and asset_id not in known:
                 out.append(Violation("unknown_asset", f"$.assets.{slot}", f"{asset_id!r} not in catalog"))

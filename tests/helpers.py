@@ -114,6 +114,46 @@ def aligned_draft_and_clips(rng: random.Random, scale: int = 1):
 
 
 # ---------------------------------------------------------------------------
+# render plan oracles
+
+
+def reference_plan_dict(plan) -> dict:
+    """The JSON value of a render plan, key by key in the documented order."""
+    assets = plan.assets
+    return {
+        "voice_over_track": [
+            {"text": s.text, "target_start": s.target_start, "target_end": s.target_end}
+            for s in plan.voice_over_track
+        ],
+        "video_nodes_track": [
+            {"index": n.index, "target_start": n.target_start, "target_end": n.target_end,
+             "source_start": n.source_start}
+            for n in plan.video_nodes_track
+        ],
+        "assets": None if assets is None else {
+            "tts_asset": assets.tts_asset, "avatar_asset": assets.avatar_asset, "music_asset": assets.music_asset,
+        },
+        "total_duration": plan.total_duration,
+    }
+
+
+def reference_match(entries, category: str, tags) -> str | None:
+    """The ``asset_id`` of the ``category`` entry sharing the most distinct labels with
+    ``tags``, the smallest one among equals; None when no entry is of ``category``."""
+    best = None
+    for e in entries:
+        if e.category != category:
+            continue
+        shared = 0
+        for label in set(e.labels):
+            if label in tags:
+                shared += 1
+        if best is None or shared > best[0] or (shared == best[0] and e.asset_id < best[1]):
+            best = (shared, e.asset_id)
+    return None if best is None else best[1]
+
+
+# ---------------------------------------------------------------------------
 # mock backends
 
 

@@ -1331,6 +1331,19 @@ REPLIES = st.one_of(
     st.tuples(st.just("raw"), st.integers(100, 599), RAW_REPLIES),
     st.tuples(st.just("graft"), st.lists(st.integers(0, 20), max_size=4), JSON),
 )
+# grafts into an embed answer, {"vectors": [32 numbers per input]}: a drawn list of vectors (often
+# of the wrong count), a vector of a drawn dimension, a zero vector, or one value that is not a
+# finite JSON number (a string, a bool, null or an integer past the float range)
+_VECTOR_INDEX = st.integers(0, 20)
+EMBED_REPLIES = st.one_of(
+    st.tuples(st.just("graft"), st.just([0]), st.lists(st.lists(st.floats(-1, 1), min_size=32, max_size=32),
+                                                         max_size=4)),
+    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX).map(list),
+              st.lists(st.floats(-1, 1), max_size=40)),
+    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX).map(list), st.just([0.0] * 32)),
+    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX, st.integers(0, 31)).map(list),
+              st.sampled_from([math.nan, math.inf, -math.inf, "0.5", True, False, None, 10**400, -(10**400)])),
+)
 # command -> the roles it calls
 COMMAND_ROLES = {"build-dataset": cli.DATASET_ROLES, "generate": ("generate",), "evaluate": ("judge",)}
 WARNING = re.compile(r"warning: (vid-[a-z]+): ")
@@ -1350,8 +1363,9 @@ def _grafted(doc, steps, value):
 
 class _HostileServer:
     """A loopback HTTP server for one role that answers each request on a connection of its
-    own and then closes it: the first ``healthy`` requests with the role's mock answer, each
-    later one as ``reply`` (one of ``REPLIES``) says."""
+    own and then closes it: the first ``healthy`` requests with the role's mock answer, the
+    next ``hostile`` ones (every later one by default) as ``reply`` (one of ``REPLIES``) says,
+    and any after those with the mock answer again."""
 
     def __init__(self, mocks):
         self.mocks = mocks  # role -> the transport whose answers are the healthy ones
@@ -1361,8 +1375,8 @@ class _HostileServer:
         self.stop = threading.Event()
         self.script("judge", 0, ("graft", [], None))
 
-    def script(self, role, healthy, reply):
-        self.role, self.healthy, self.reply, self.calls = role, healthy, reply, 0
+    def script(self, role, healthy, reply, hostile=math.inf):
+        self.role, self.healthy, self.reply, self.hostile, self.calls = role, healthy, reply, hostile, 0
 
     def serve(self):
         while not self.stop.is_set():
@@ -1397,7 +1411,7 @@ class _HostileServer:
     def answer(self, path, body):
         self.calls += 1
         status, answer = self.mocks[self.role].send(self.role, path, body, {}, 1.0)
-        if self.calls > self.healthy:
+        if self.healthy < self.calls <= self.healthy + self.hostile:
             kind, *args = self.reply
             if kind == "raw":
                 return b"HTTP/1.1 %d Hostile\r\n" % args[0] + args[1]
@@ -1410,6 +1424,7 @@ def hostile_server(chain):
     dataset_mock = backends.mock_backend(7, json.loads((FIX / "videos.json").read_text()))
     mocks = {role: dataset_mock for role in cli.DATASET_ROLES}
     mocks["generate"] = cli._mock_generate("mock:", 7, read_corpus(chain[0]))
+    mocks["embed"] = dataset_mock
     server = _HostileServer(mocks)
     thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
@@ -1458,6 +1473,32 @@ class TestHostileBackends:
             assert len({m.group(1) for m in warned}) == len(lines) and code == (1 if lines else 0), lines
             if command in outs:  # the fixture corpus has three samples
                 assert len(outs[command].read_bytes().splitlines()) + len(lines) == 3
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 1), st.integers(1, 4) | st.just(math.inf), REPLIES | EMBED_REPLIES)
+    @example(0, math.inf, ("graft", [0, 0], [0.0] * 32))
+    @example(0, math.inf, ("graft", [0, 1, 5], 10**400))
+    @example(0, math.inf, ("graft", [0, 1], [0.5] * 3))  # mixed dimensions
+    @example(0, 2, ("graft", [0], []))  # the chunk and the first sample's own request fail
+    def test_evaluate_with_vsr_scores_or_warns_of_embed(self, chain, hostile_server, healthy, hostile, reply):
+        """``evaluate --with-vsr`` with the embed role served by a server that answers well
+        ``healthy`` times, then ``hostile`` times with ``reply`` and then well again, exits 0
+        with a finite VSR, or 1 with one ``warning: <id>: embed: …`` per failed sample, and
+        prints no traceback. The fixture corpus is one chunk: its request comes first, and
+        when it fails each sample sends its own."""
+        corpus, predictions = chain
+        hostile_server.script("embed", healthy, reply, hostile)
+        out, err = StringIO(), StringIO()
+        with patch.object(backends, "BACKOFF_BASE_S", 0.0), redirect_stderr(err), redirect_stdout(out):
+            code = main(["evaluate", str(corpus), str(predictions), "--with-vsr",
+                         "--endpoint-embed", hostile_server.url])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+        warned = [WARNING.match(line) for line in lines]
+        assert all(m and line[m.end():].startswith("embed: ") for m, line in zip(warned, lines)), lines
+        assert len({m.group(1) for m in warned}) == len(lines) and code == (1 if lines else 0), lines
+        if code == 0:
+            assert math.isfinite(json.loads(out.getvalue())["vsr"])
 
 
 class TestEndpointResolution:

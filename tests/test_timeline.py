@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from adcut.clips import ClipMeta, ClipSet
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, parse_draft, validate_draft
+from adcut.jsonutil import dumps_canonical
+from adcut.taxonomy import CATEGORIES, default_taxonomy
 from adcut.timeline import (
     AssetCatalog,
     AssetEntry,
@@ -23,7 +26,13 @@ from adcut.timeline import (
     serialize_plan,
 )
 
-from helpers import aligned_draft_and_clips, clips_covering, random_draft
+from helpers import (
+    aligned_draft_and_clips,
+    clips_covering,
+    random_draft,
+    reference_match,
+    reference_plan_dict,
+)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -435,3 +444,80 @@ def test_fixture_plan_golden_bytes():
         b'"assets":{"tts_asset":"tts-young-f-us","avatar_asset":"avatar-living-room","music_asset":"music-pop-happy"},'
         b'"total_duration":9000}'
     )
+
+
+# texts the plan writer must escape as the canonical encoder does, or pass through as it does:
+# quotes, backslashes, slashes, C0 controls, DEL, line and paragraph separators, other ASCII,
+# non-ASCII BMP and astral characters (a lone surrogate is no text a reader accepts)
+PLAN_TEXTS = st.text(
+    st.sampled_from('"\\/\x7f\u2028\u2029')
+    | st.characters(max_codepoint=0x7F)
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=("Cs",))
+    | st.characters(min_codepoint=0x10000),
+    max_size=12,
+)
+PLAN_INTS = st.integers(0, 2**63)
+
+
+@st.composite
+def render_plans(draw):
+    voice = draw(st.lists(st.builds(VoiceSentence, PLAN_TEXTS, PLAN_INTS, PLAN_INTS), max_size=4))
+    nodes = draw(st.lists(st.builds(VideoNode, PLAN_INTS, PLAN_INTS, PLAN_INTS, PLAN_INTS), max_size=4))
+    assets = draw(st.none() | st.builds(ResolvedAssets, PLAN_TEXTS, PLAN_TEXTS, st.none() | PLAN_TEXTS))
+    return RenderPlan(tuple(voice), tuple(nodes), draw(PLAN_INTS), assets)
+
+
+@given(render_plans())
+@example(RenderPlan((), (), 0))
+@example(RenderPlan((VoiceSentence("", 0, 2**63),), (VideoNode(2**63, 0, 1, 2**63),), 2**63,
+                    ResolvedAssets('"\\\x00', "/\u2028\U0001f600")))
+def test_plan_bytes_are_the_canonical_encoding_of_its_documented_value(plan):
+    assert serialize_plan(plan) == dumps_canonical(reference_plan_dict(plan))
+
+
+# per category: the labels drawn assets carry (the first four) and one more that tags may name
+MATCH_LABELS = {category: sorted(default_taxonomy().labels(category))[:5] for category in CATEGORIES}
+# short ids, some prefixes of others, so ties break on them often
+MATCH_IDS = ["".join(chars) for n in (1, 2, 3) for chars in itertools.product("abc", repeat=n)]
+
+
+@st.composite
+def asset_entries(draw):
+    """Catalog entries of one to three categories, none to six each, in a drawn order; an
+    asset may repeat a label."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=len(CATEGORIES), max_size=len(CATEGORIES)).filter(any))
+    ids = iter(draw(st.permutations(MATCH_IDS)))
+    entries = [
+        AssetEntry(next(ids), category, tuple(draw(st.lists(st.sampled_from(labels[:4]), max_size=5))), "")
+        for (category, labels), size in zip(MATCH_LABELS.items(), sizes)
+        for _ in range(size)
+    ]
+    return draw(st.permutations(entries))
+
+
+def match_tags(category):
+    """Tags that may repeat, name a label no asset carries, or be none."""
+    return st.lists(st.sampled_from(MATCH_LABELS[category]), max_size=6).map(tuple)
+
+
+@given(asset_entries(), match_tags("TTS"), match_tags("Avatar"), match_tags("Music"))
+def test_match_decorations_picks_the_brute_force_asset_of_each_slot(entries, tts, avatar, music):
+    catalog = AssetCatalog(entries)
+    draft = Draft((), (), DecorationSetting(tts_tags=tts, avatar_tags=avatar, music_tags=music))
+    slots = {"tts_asset": ("TTS", tts), "avatar_asset": ("Avatar", avatar), "music_asset": ("Music", music)}
+    wanted = {slot: reference_match(entries, category, tags) for slot, (category, tags) in slots.items()
+              if tags or slot != "avatar_asset"}
+    missing = {slots[slot][0] for slot, asset_id in wanted.items() if asset_id is None}
+    if missing:
+        with pytest.raises(NoCandidate) as err:
+            match_decorations(draft, catalog)
+        assert err.value.category in missing
+        assert str(err.value) == f"asset catalog has no {err.value.category} entries"
+        return
+    resolved = match_decorations(draft, catalog)
+    assert resolved == ResolvedAssets(wanted["tts_asset"], wanted["music_asset"], wanted.get("avatar_asset"))
+    assert check_alignment(RenderPlan((), (), 0, resolved), catalog).ok
+    foreign = ResolvedAssets(resolved.tts_asset, "not-an-id", resolved.avatar_asset)
+    violations = check_alignment(RenderPlan((), (), 0, foreign), catalog).violations
+    assert [(v.rule, v.path) for v in violations] == [("unknown_asset", "$.assets.music_asset")]
