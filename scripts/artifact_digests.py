@@ -55,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from adcut.backends import CORRUPTIONS  # noqa: E402
+from adcut.backends import GENERATE_MODES  # noqa: E402
 from adcut.cli import main  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -64,7 +64,7 @@ CONFIG = str(FIXTURES / "adcut.ini")
 GRIDS = {
     "small": {"seeds": (7,), "modes": ("perfect", "swap_adjacent"), "concurrency": (1, 2), "edit": {9: 40},
               "text": (13, 40)},
-    "full": {"seeds": (7, 8, 9), "modes": ("perfect", *CORRUPTIONS), "concurrency": (1, 2, 4),
+    "full": {"seeds": (7, 8, 9), "modes": ("perfect", *GENERATE_MODES), "concurrency": (1, 2, 4),
              "edit": {9: 400, 31: 400}, "text": (13, 400)},
 }
 # what a rewritten voice text is made of: characters JSON escapes and ones it passes through

@@ -593,8 +593,32 @@ def hashed_unit_vector(text: str, seed: int) -> np.ndarray:
 # the keys of a fixtures video that the role handlers read, with their JSON types
 _VIDEO_KEYS = {"asr": list, "ocr": list, "shots": list, "captions": list, "tags": dict}
 
-# the corruptions the generate handler applies to a ground-truth draft
-CORRUPTIONS = ("swap_adjacent", "inject_negative", "drop_tag")
+
+def _swap_adjacent(draft: dict, rng: random.Random, negatives: list[int]) -> None:
+    nodes = draft["video_nodes_track"]
+    if len(nodes) >= 2:
+        i = rng.randrange(len(nodes) - 1)
+        nodes[i]["index"], nodes[i + 1]["index"] = nodes[i + 1]["index"], nodes[i]["index"]
+
+
+def _inject_negative(draft: dict, rng: random.Random, negatives: list[int]) -> None:
+    nodes = draft["video_nodes_track"]
+    used = {n["index"] for n in nodes}
+    free = [i for i in negatives if i not in used]
+    if free and nodes:
+        end = nodes[-1]["target_end"]
+        nodes.extend(nodes_track_to_list([VideoNode(free[0], end, end + 1000, 0)]))
+
+
+def _drop_tag(draft: dict, rng: random.Random, negatives: list[int]) -> None:
+    deco = draft["decoration_setting"]
+    tags = next((deco[key] for key in DECORATION_KEYS if deco[key]), [])
+    if tags:
+        tags.pop(rng.randrange(len(tags)))
+
+
+# the generate modes: name -> a function that corrupts a copy of a ground-truth draft in place
+GENERATE_MODES = {"swap_adjacent": _swap_adjacent, "inject_negative": _inject_negative, "drop_tag": _drop_tag}
 
 
 @dataclass
@@ -605,8 +629,8 @@ class MockTransport:
     Fixture keys (all optional):
       videos:      ref -> {asr, ocr, shots, captions, tags}
       drafts:      sample_id -> ground-truth draft dict (generation role)
-      negatives:   sample_id -> negative clip indices (for inject_negative)
-      corruption:  {mode: none or one of CORRUPTIONS, rate: float}
+      negatives:   sample_id -> negative clip indices (a mode may inject one)
+      corruption:  {mode: none or a key of GENERATE_MODES, rate: float}
       judge:       {verify: approve|revise_always, scores: "caps" | map}
 
     Embeddings are 32-dimensional hashed unit vectors. Building the mock
@@ -641,15 +665,13 @@ class MockTransport:
             json_field(negatives, sample_id, list, "negatives", int)
         corruption = json_field(self.fixtures, "corruption", dict, default={})
         mode = corruption.get("mode", "none")
-        if mode not in ("none", *CORRUPTIONS):
-            raise ValueError(f"corruption.mode must be none or one of {', '.join(CORRUPTIONS)}, got {mode!r}")
+        if mode not in ("none", *GENERATE_MODES):
+            raise ValueError(f"corruption.mode must be none or one of {', '.join(GENERATE_MODES)}, got {mode!r}")
         rate = corruption.get("rate", 1.0 if mode != "none" else 0.0)
         if type(rate) not in (int, float) or not 0 <= rate <= 1:
             raise ValueError(f"corruption.rate must be a number in [0, 1], got {rate!r}")
-        ids = list(drafts)
-        k = round(rate * len(ids))
-        rng = random.Random(self.seed)
-        self._corrupt_ids = set(rng.sample(ids, k)) if mode != "none" else set()
+        ids = list(drafts) if mode != "none" else []
+        self._corrupt_ids = set(random.Random(self.seed).sample(ids, round(rate * len(ids))))
         self._corrupt_mode = mode
 
     # transport interface -------------------------------------------------
@@ -669,6 +691,8 @@ class MockTransport:
             return getattr(self, f"_handle_{role}")(payload)
         except _NoAnswer as exc:
             raise BackendError(role, str(exc)) from None
+        except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:  # a misshapen request
+            raise BackendError(role, f"cannot answer the request: {type(exc).__name__}: {exc}") from exc
 
     # role handlers --------------------------------------------------------
     def _video(self, payload: dict) -> dict:
@@ -752,29 +776,10 @@ class MockTransport:
             raise _NoAnswer(f"no ground-truth draft for sample {sample_id!r}")
         draft = drafts[sample_id]
         if sample_id in self._corrupt_ids:  # corrupt a deep copy, so the fixtures stay pristine
-            draft = self._corrupt(sample_id, loads(dumps_canonical(draft)))
+            draft = loads(dumps_canonical(draft))
+            rng = random.Random(_stable_hash(str(self.seed), "corrupt", sample_id))
+            GENERATE_MODES[self._corrupt_mode](draft, rng, self.fixtures.get("negatives", {}).get(sample_id, []))
         return {"draft": draft}
-
-    def _corrupt(self, sample_id: str, draft: dict) -> dict:
-        rng = random.Random(_stable_hash(str(self.seed), "corrupt", sample_id))
-        nodes = draft["video_nodes_track"]
-        if self._corrupt_mode == "swap_adjacent" and len(nodes) >= 2:
-            i = rng.randrange(len(nodes) - 1)
-            nodes[i]["index"], nodes[i + 1]["index"] = nodes[i + 1]["index"], nodes[i]["index"]
-        elif self._corrupt_mode == "inject_negative":
-            negatives = self.fixtures.get("negatives", {}).get(sample_id, [])
-            used = {n["index"] for n in nodes}
-            free = [i for i in negatives if i not in used]
-            if free and nodes:
-                end = nodes[-1]["target_end"]
-                nodes.extend(nodes_track_to_list([VideoNode(free[0], end, end + 1000, 0)]))
-        elif self._corrupt_mode == "drop_tag":
-            deco = draft["decoration_setting"]
-            for key in DECORATION_KEYS:
-                if deco[key]:
-                    deco[key].pop(rng.randrange(len(deco[key])))
-                    break
-        return draft
 
 
 def mock_backend(seed: int, fixtures: dict | None = None) -> MockTransport:

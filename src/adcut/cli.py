@@ -424,16 +424,16 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
     """The mock generate transport for the ``mock:…`` endpoint ``value``. ``mock:`` and
     ``mock:perfect`` answer each sample's ground truth; ``mock:<mode>[:rate]`` corrupts a ``rate``
-    share (0 to 1, default 1) of the samples by one of ``backends.CORRUPTIONS``. Any other is a usage error."""
+    share (0 to 1, default 1) of the samples by a mode of ``backends.GENERATE_MODES``. Any other is a usage error."""
     from . import backends as be
     from . import dataset as ds
 
     mode, with_rate, rate_text = value.partition(":")[2].partition(":")
     perfect = mode in ("", "perfect")
-    if not (mode in be.CORRUPTIONS or (perfect and not with_rate)):
+    if not (mode in be.GENERATE_MODES or (perfect and not with_rate)):
         raise CliError(
             f"bad mock endpoint {value!r}: expected mock:, mock:perfect or mock:<mode>[:rate] "
-            f"with <mode> one of {', '.join(be.CORRUPTIONS)}"
+            f"with <mode> one of {', '.join(be.GENERATE_MODES)}"
         )
     rate = 1.0
     if with_rate:

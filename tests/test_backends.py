@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import adcut
 from adcut import backends as backends_module
 from adcut.backends import (
-    CORRUPTIONS,
+    GENERATE_MODES,
     ROLES,
     BackendEndpoint,
     BackendError,
@@ -397,6 +398,52 @@ class TestMockMiss:
         assert mock_backend(3).send("tts", "", b"{}", {}, 1.0) == (404, b"{}")
 
 
+# a request or fixture draft that the pipeline never sends or builds, and the fault it meets in a handler
+FAULTS = [
+    pytest.param("generate", {"drafts": {"s": {}}, "corruption": {"mode": "swap_adjacent"}}, {"sample_id": "s"},
+                 "KeyError: 'video_nodes_track'", id="swap_adjacent-draft-without-nodes"),
+    pytest.param("generate", {"drafts": {"s": {"video_nodes_track": [{"index": 0}]}}, "negatives": {"s": [3]},
+                              "corruption": {"mode": "inject_negative"}}, {"sample_id": "s"},
+                 "KeyError: 'target_end'", id="inject_negative-node-without-target_end"),
+    pytest.param("generate", {"drafts": {"s": {}}, "corruption": {"mode": "drop_tag"}}, {"sample_id": "s"},
+                 "KeyError: 'decoration_setting'", id="drop_tag-draft-without-decoration"),
+    pytest.param("generate", {"drafts": {"s": {"video_nodes_track": 5}}, "corruption": {"mode": "swap_adjacent"}},
+                 {"sample_id": "s"}, "TypeError: ", id="nodes-a-number"),
+    pytest.param("generate", {}, {"sample_id": []}, "TypeError: unhashable", id="sample_id-an-array"),
+    pytest.param("asr", {}, {"video_ref": []}, "TypeError: unhashable", id="video_ref-an-array"),
+    pytest.param("caption", {"videos": {"v": {"captions": ["a"]}}}, {"video_ref": "v", "shot_index": "x"},
+                 "TypeError: ", id="shot_index-a-string"),
+    pytest.param("asr", {}, [], "AttributeError: ", id="request-an-array"),
+    pytest.param("judge", {}, {"task": "score", "rubric_id": "nope"}, "KeyError: ", id="unknown-rubric"),
+    pytest.param("judge", {}, {"task": "analyze", "deconstruction": {"shot_boundaries": [0, float("nan")]}},
+                 "ValueError: ", id="shot-boundary-nan"),
+    pytest.param("judge", {}, {"task": "analyze", "deconstruction": {"shot_boundaries": [0, 10**400]}},
+                 "OverflowError: ", id="shot-boundary-past-the-float-range"),
+]
+
+
+@pytest.mark.parametrize("role, fixtures, payload, fault", FAULTS)
+def test_a_handler_fault_is_a_non_retryable_backend_error_of_the_role(role, fixtures, payload, fault):
+    mock = mock_backend(3, fixtures)
+
+    class Wrapping:
+        def send(self, *args):
+            return mock.send(*args)
+
+    ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
+    sleeps = []
+    calls = [lambda: mock.send(role, "", dumps_canonical(payload), {}, 1.0),
+             lambda: Client(role, MOCK_ENDPOINT, transport=mock).call(payload),
+             lambda: Client(role, ep, transport=Wrapping(), sleeper=sleeps.append).call(payload)]
+    for call in calls:
+        with pytest.raises(BackendError) as info:
+            call()
+        assert type(info.value) is BackendError and not info.value.retryable
+        assert info.value.role == role
+        assert str(info.value).startswith(f"{role}: cannot answer the request: {fault}")
+    assert sleeps == []
+
+
 def same_json(a, b) -> bool:
     """``a == b`` with each value of the same type, object keys in the same order and NaN equal to NaN."""
     if type(a) is not type(b):
@@ -457,7 +504,7 @@ def outcome(call):
 
 class TestInProcessParity:
     @pytest.mark.parametrize("scores", ["caps", {"basic": 30, "touch_the_audience": 7.5, "duration": 0}])
-    @pytest.mark.parametrize("mode", ["none", *CORRUPTIONS])
+    @pytest.mark.parametrize("mode", ["none", *GENERATE_MODES])
     @settings(max_examples=25)
     @given(requests=REQUESTS, seed=st.integers(0, 2**32), verify=st.sampled_from(["approve", "revise_always"]))
     def test_in_process_answer_equals_the_decoded_wire_answer(self, mode, scores, requests, seed, verify):
@@ -552,6 +599,16 @@ class TestMockCorruption:
         deco = draft["decoration_setting"]
         total = len(deco["tts_tags"]) + len(deco["avatar_tags"]) + len(deco["music_tags"])
         assert total == 1  # one of the two original tags dropped
+
+
+def test_the_readme_names_every_generate_mode_and_no_other():
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    (usage,) = re.findall(r"^#   mock: \| mock:perfect \| (.*)$", readme, re.M)
+    fixtures = re.search(r"whose `mode` is `none`,(.*?), and whose `rate`", readme, re.S)[1]
+    generate = re.search(r"one of the corruption modes(.*?)\(each defined in", readme, re.S)[1]
+    assert sorted(usage.split(" | ")) == sorted(f"mock:{mode}[:rate]" for mode in GENERATE_MODES)
+    for prose in (fixtures, generate):
+        assert sorted(re.findall(r"`(\w+)`", prose)) == sorted(GENERATE_MODES)
 
 
 class _EchoHandler(BaseHTTPRequestHandler):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adcut.backends import CORRUPTIONS
+from adcut.backends import GENERATE_MODES
 from adcut.cli import main
 
 FIX = Path(__file__).parent / "fixtures"
@@ -64,10 +64,10 @@ def evaluated(tmp_path_factory):
 
 
 def test_the_matrix_has_one_row_per_corruption():
-    assert sorted(MATRIX) == sorted(CORRUPTIONS)
+    assert sorted(MATRIX) == sorted(GENERATE_MODES)
 
 
-@pytest.mark.parametrize("mode", CORRUPTIONS)
+@pytest.mark.parametrize("mode", list(GENERATE_MODES))
 def test_each_corruption_moves_the_metrics_its_definition_names(evaluated, mode):
     perfect, corrupted = evaluated("mock:perfect"), evaluated(f"mock:{mode}")
     assert perfect == {"cra": 100.0, "csa": 100.0, "dtpr_recall": 100.0}
