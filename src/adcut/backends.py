@@ -394,7 +394,9 @@ class Client:
 
     Transport failures, 429 and 5xx responses are retried up to
     ``endpoint.max_retries`` times with exponential backoff (base 250 ms,
-    doubling, +/-20% jitter). Forwarded payload bytes are never mutated.
+    doubling, +/-20% jitter). Forwarded payload bytes are never mutated. A
+    payload with no UTF-8 JSON encoding raises a non-retryable
+    :class:`BackendError` before any send.
     """
 
     def __init__(
@@ -425,7 +427,10 @@ class Client:
         if type(self.transport) is MockTransport:
             # in-process: neither the request nor the answer is encoded, and no mock error is retryable
             return CallResult(data=self.transport.answer(self.role, payload), retries=0)
-        body = dumps_canonical(payload)
+        try:
+            body = dumps_canonical(payload)
+        except ValueError as exc:  # a lone surrogate in a string has no UTF-8 encoding
+            raise BackendError(self.role, f"cannot encode the request: {type(exc).__name__}: {exc}") from None
         url = self.endpoint.base_url.rstrip("/") + "/v1/" + self.role
         timeout_s = self.endpoint.timeout_ms / 1000.0
         attempts = self.endpoint.max_retries + 1
@@ -646,23 +651,25 @@ class MockTransport:
     fixtures: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        videos = json_field(self.fixtures, "videos", dict, default={})
-        for ref in videos:
-            video, path = json_field(videos, ref, dict, "videos"), f"videos.{ref}"
+        # each key is read once, with its default, and kept for the role handlers
+        self._videos = json_field(self.fixtures, "videos", dict, default={})
+        for ref in self._videos:
+            video, path = json_field(self._videos, ref, dict, "videos"), f"videos.{ref}"
             for key, kind in _VIDEO_KEYS.items():
                 json_field(video, key, kind, path, default=None)
         judge = json_field(self.fixtures, "judge", dict, default={})
-        if judge.get("verify", "approve") not in ("approve", "revise_always"):
-            raise ValueError(f"judge.verify must be approve or revise_always, got {judge['verify']!r}")
-        scores = judge.get("scores", "caps")
-        if scores != "caps" and not isinstance(scores, dict):
-            raise ValueError(f'judge.scores must be "caps" or a JSON object, got {scores!r}')
-        drafts = json_field(self.fixtures, "drafts", dict, default={})
-        for sample_id in drafts:
-            json_field(drafts, sample_id, dict, "drafts")
-        negatives = json_field(self.fixtures, "negatives", dict, default={})
-        for sample_id in negatives:
-            json_field(negatives, sample_id, list, "negatives", int)
+        self._judge_verify = judge.get("verify", "approve")
+        if self._judge_verify not in ("approve", "revise_always"):
+            raise ValueError(f"judge.verify must be approve or revise_always, got {self._judge_verify!r}")
+        self._judge_scores = judge.get("scores", "caps")
+        if self._judge_scores != "caps" and not isinstance(self._judge_scores, dict):
+            raise ValueError(f'judge.scores must be "caps" or a JSON object, got {self._judge_scores!r}')
+        self._drafts = json_field(self.fixtures, "drafts", dict, default={})
+        for sample_id in self._drafts:
+            json_field(self._drafts, sample_id, dict, "drafts")
+        self._negatives = json_field(self.fixtures, "negatives", dict, default={})
+        for sample_id in self._negatives:
+            json_field(self._negatives, sample_id, list, "negatives", int)
         corruption = json_field(self.fixtures, "corruption", dict, default={})
         mode = corruption.get("mode", "none")
         if mode not in ("none", *GENERATE_MODES):
@@ -670,7 +677,7 @@ class MockTransport:
         rate = corruption.get("rate", 1.0 if mode != "none" else 0.0)
         if type(rate) not in (int, float) or not 0 <= rate <= 1:
             raise ValueError(f"corruption.rate must be a number in [0, 1], got {rate!r}")
-        ids = list(drafts) if mode != "none" else []
+        ids = list(self._drafts) if mode != "none" else []
         self._corrupt_ids = set(random.Random(self.seed).sample(ids, round(rate * len(ids))))
         self._corrupt_mode = mode
 
@@ -697,10 +704,9 @@ class MockTransport:
     # role handlers --------------------------------------------------------
     def _video(self, payload: dict) -> dict:
         ref = payload.get("video_ref")
-        videos = self.fixtures.get("videos", {})
-        if ref not in videos:
+        if ref not in self._videos:
             raise _NoAnswer(f"no fixture for video {ref!r}")
-        return videos[ref]
+        return self._videos[ref]
 
     def _handle_asr(self, payload: dict) -> dict:
         return {"sentences": self._video(payload).get("asr", [])}
@@ -730,8 +736,7 @@ class MockTransport:
         if task == "analyze":
             return {"analysis": self._analyze(payload)}
         if task == "verify_prompt":
-            behavior = self.fixtures.get("judge", {}).get("verify", "approve")
-            if behavior == "revise_always":
+            if self._judge_verify == "revise_always":
                 revised = dict(payload.get("dimensions", {}))
                 for key in revised:
                     if revised[key] is not None:
@@ -762,23 +767,21 @@ class MockTransport:
     def _scores(self, payload: dict) -> dict:
         rubric_id = payload.get("rubric_id", "")
         _, caps = _rubric(rubric_id)
-        behavior = self.fixtures.get("judge", {}).get("scores", "caps")
-        if behavior == "caps":
+        if self._judge_scores == "caps":
             present = payload.get("dimensions")
             keys = [k for k in caps if present is None or k in present]
             return {k: caps[k] for k in keys}
-        return dict(behavior)
+        return dict(self._judge_scores)
 
     def _handle_generate(self, payload: dict) -> dict:
         sample_id = payload.get("sample_id")
-        drafts = self.fixtures.get("drafts", {})
-        if sample_id not in drafts:
+        if sample_id not in self._drafts:
             raise _NoAnswer(f"no ground-truth draft for sample {sample_id!r}")
-        draft = drafts[sample_id]
+        draft = self._drafts[sample_id]
         if sample_id in self._corrupt_ids:  # corrupt a deep copy, so the fixtures stay pristine
             draft = loads(dumps_canonical(draft))
             rng = random.Random(_stable_hash(str(self.seed), "corrupt", sample_id))
-            GENERATE_MODES[self._corrupt_mode](draft, rng, self.fixtures.get("negatives", {}).get(sample_id, []))
+            GENERATE_MODES[self._corrupt_mode](draft, rng, self._negatives.get(sample_id, []))
         return {"draft": draft}
 
 

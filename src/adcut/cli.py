@@ -18,6 +18,9 @@ only when embeddings or VSR are computed.
 things, each built on first use: a worker pool per ``--concurrency`` value
 (:func:`_pool`), and one HTTP transport (:func:`_http`), closed at exit. Worker
 threads and their keep-alive connections therefore serve every later command.
+Only the sample runner, :func:`_map_samples`, submits to a pool: ``build-dataset``
+and ``generate`` map their samples through it, and ``evaluate`` maps its VSR
+chunks (with ``--with-vsr``) and then its samples.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .timeline import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     from . import backends as be
     from . import dataset as ds
@@ -232,12 +235,13 @@ def _sort_predictions(path: str, ids: list[str]) -> None:
     _on_file(lambda p: os.replace(p, path), partial)
 
 
-def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) -> Iterator[dict | None]:
-    """``fn(*item)`` for each ``(sample_id, ...)`` item on the process's pool of
-    ``concurrency`` threads (:func:`_pool`), yielded in input order; the items go to the
-    pool when the first result is drawn. A sample that fails in a backend, deconstruction
-    or prompt revision, or whose clips no sampling plan fits, yields None and prints
-    ``warning: <id>: <reason>``. Once the caller stops drawing, or ``fn`` raises anything
+def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., T]) -> Iterator[T | None]:
+    """``fn(*item)`` for each ``(label, ...)`` item (a sample's id, or the id of a VSR
+    chunk's first sample) on the process's pool of ``concurrency`` threads (:func:`_pool`),
+    each result yielded in input order as ``fn`` returns it; the items go to the pool when
+    the first result is drawn. An item that fails in a backend, deconstruction or prompt
+    revision, or whose clips no sampling plan fits, yields None and prints
+    ``warning: <label>: <reason>``. Once the caller stops drawing, or ``fn`` raises anything
     else, the items not started are cancelled and the running ones waited for, so no
     sample work outlives the command."""
     from concurrent.futures import wait
@@ -246,19 +250,19 @@ def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., dict]) 
     from . import dataset as ds
     from .sampling import CeilingUnsatisfiable
 
-    def attempt(item: tuple) -> dict | str:
+    def attempt(item: tuple) -> tuple[T | None, str | None]:
         try:
-            return fn(*item)
+            return fn(*item), None
         except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid, CeilingUnsatisfiable) as exc:
-            return f"warning: {item[0]}: {exc}"
+            return None, f"warning: {item[0]}: {exc}"
 
     futures = [_pool(concurrency).submit(attempt, item) for item in items]
     try:
         for future in futures:
-            result = future.result()
-            if isinstance(result, str):
-                print(result, file=sys.stderr)
-            yield result if isinstance(result, dict) else None
+            result, warning = future.result()
+            if warning:
+                print(warning, file=sys.stderr)
+            yield result
     finally:
         for future in futures:
             future.cancel()
@@ -478,8 +482,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from concurrent.futures import wait
-
     from . import metrics as mx
 
     cfg = _load_config(args)
@@ -508,31 +510,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"{what} {path}: {exc}") from None
     mock = functools.cache(lambda _: _fixtures(cfg, seed)[1])
     judge = _client(args, cfg, "judge", mock) if args.with_judge else None
-    embedder = _client(args, cfg, "embed", mock) if args.with_vsr else None
-    # VSR is one pool task per chunk, queued before every sample task: a sample that waits
-    # for its chunk waits only on a task that is running or done, never on queued work
-    chunks = [(chunk, _pool(concurrency).submit(mx.chunk_vsr, chunk, embedder))
-              for chunk in (mx.vsr_chunks(eval_samples) if embedder else ())]
-    if chunks:
-        items = [(s.sample_id, s, vsrs, j) for chunk, vsrs in chunks for j, (s, _) in enumerate(chunk)]
-    else:
-        items = [(s.sample_id, s, None, 0) for s in eval_samples]
+    vsrs: list[Any] = [None] * len(eval_samples)
+    if args.with_vsr:  # first each chunk's embed request and VSR, giving each sample's outcome in corpus order
+        embedder = _client(args, cfg, "embed", mock)
+        chunks = [(chunk[0][0].sample_id, chunk) for chunk in mx.vsr_chunks(eval_samples)]
+        vsrs = [vsr for outcomes in _map_samples(concurrency, chunks, lambda _, chunk: mx.chunk_vsr(chunk, embedder))
+                for vsr in outcomes]
 
-    def score(_: str, sample: mx.EvalSample, vsrs: Future | None, j: int) -> dict:
+    def score(_: str, sample: mx.EvalSample, vsr: Any) -> dict:
         out = mx.score_sample(sample, judge)
-        if vsrs is not None:
-            vsr = vsrs.result()[j]
-            if isinstance(vsr, Exception):
-                raise vsr
-            out["vsr"] = vsr
+        if isinstance(vsr, Exception):  # the BackendError that failed the sample's embedding
+            raise vsr
+        out["vsr"] = vsr
         return out
 
-    try:
-        scores = list(_map_samples(concurrency, items, score))
-    finally:  # no chunk's request outlives the command
-        for _, vsrs in chunks:
-            vsrs.cancel()
-        wait([vsrs for _, vsrs in chunks])
+    scores = list(_map_samples(concurrency, [(s.sample_id, s, v) for s, v in zip(eval_samples, vsrs)], score))
     if None in scores:
         return EXIT_VIOLATION
     report = mx.evaluate_corpus(counts, scores)

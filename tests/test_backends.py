@@ -444,6 +444,48 @@ def test_a_handler_fault_is_a_non_retryable_backend_error_of_the_role(role, fixt
     assert sleeps == []
 
 
+@pytest.mark.parametrize("kind", ["bare-mock", "subclassed-mock", "wrapped-mock", "http"])
+def test_a_request_with_no_json_encoding_fails_unretried_before_any_send(kind):
+    # only the bare mock answers the request as built; every other transport is sent its encoding
+    sends, sleeps, mock = [], [], mock_backend(3)
+
+    class Subclassed(MockTransport):
+        def send(self, *args):
+            sends.append(args[0])
+            return super().send(*args)
+
+    class Wrapping:
+        def send(self, *args):
+            sends.append(args[0])
+            return mock.send(*args)
+
+    class Http(HttpTransport):
+        def send(self, *args):
+            sends.append(args[0])
+            return super().send(*args)
+
+    transport = {"bare-mock": mock, "subclassed-mock": Subclassed(3), "wrapped-mock": Wrapping(), "http": Http()}[kind]
+    ep = BackendEndpoint(base_url="http://127.0.0.1:9", max_retries=2)
+    with pytest.raises(BackendError, match=r"^embed: cannot (encode|answer) the request: UnicodeEncodeError: ") as info:
+        Client("embed", ep, transport=transport, sleeper=sleeps.append).call({"inputs": ["\ud800"]})
+    assert type(info.value) is BackendError and not info.value.retryable
+    assert (sends, sleeps) == ([], [])
+
+
+# a client-side argument that no backend is asked about, and the ValueError it raises
+@pytest.mark.parametrize("call, message", [
+    (lambda t: BackendEndpoint(base_url="http://unit.test", timeout_ms=0), "timeout_ms must be > 0"),
+    (lambda t: BackendEndpoint(base_url="http://unit.test", max_retries=-1), "max_retries must be >= 0"),
+    (lambda t: Client("tts", MOCK_ENDPOINT, transport=t), "unknown backend role 'tts'"),
+    (lambda t: embed([], make_client(t)), "embed requires at least one input"),
+], ids=["zero-timeout", "negative-retries", "unknown-role", "embed-no-inputs"])
+def test_a_bad_client_argument_is_a_value_error_before_any_send(call, message):
+    transport = CountingTransport([])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(transport)
+    assert transport.calls == 0
+
+
 def same_json(a, b) -> bool:
     """``a == b`` with each value of the same type, object keys in the same order and NaN equal to NaN."""
     if type(a) is not type(b):
@@ -984,6 +1026,31 @@ class TestHttpTransport:
             assert [client.call({"inputs": ["x"]}).retries for _ in range(2)] == [0, 0]
         assert contexts == [((), {})]  # one context per transport
         assert wrapped == ["127.0.0.1", "127.0.0.1"]
+
+    @pytest.mark.parametrize("refused_by", ["listener", "context"])
+    def test_a_failed_tls_wrap_closes_its_socket_and_keeps_no_connection(self, refused_by, monkeypatch):
+        # the listener answers the client hello with plain HTTP and hangs up; the context
+        # refuses before it takes the socket over, so only the transport can close it
+        import ssl
+
+        dialled, create_connection = [], socket.create_connection
+
+        def dial(*args):
+            dialled.append(create_connection(*args))
+            return dialled[-1]
+
+        class Refusing:
+            def wrap_socket(self, sock, server_hostname):
+                raise ssl.SSLError("refused")
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        if refused_by == "context":
+            monkeypatch.setattr(ssl, "create_default_context", Refusing)
+        with scripted((OK, True)) as server, HttpTransport() as transport:
+            with pytest.raises(TransportFailure):
+                http_client(transport, server.url.replace("http://", "https://")).call({"inputs": ["x"]})
+            assert transport._conns == {}
+        assert len(dialled) == 1 and dialled[0].fileno() == -1
 
 
 class TestAuthToken:

@@ -222,6 +222,19 @@ def test_the_preset_flag_beats_the_config_key_which_beats_the_default(capsys, tm
     assert output(configured, "--preset", "fast:2/4,slow:0.5/16") == default
 
 
+def test_the_out_flag_beats_the_dataset_out_key_which_beats_no_output(capsys, tmp_path):
+    configured, flagged = tmp_path / "configured.jsonl", tmp_path / "flagged.jsonl"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n")
+    assert run(capsys, "build-dataset", "--config", str(ini)) == (2, "", "error: an output path is required\n")
+    ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n[dataset]\nout = {configured}\n")
+    assert run(capsys, "build-dataset", "--config", str(ini))[0] == 0
+    corpus = configured.read_bytes()
+    configured.unlink()
+    assert run(capsys, "build-dataset", "--config", str(ini), "--out", str(flagged))[0] == 0
+    assert flagged.read_bytes() == corpus and not configured.exists()
+
+
 class TestBuildDataset:
     def test_builds_valid_corpus(self, capsys, tmp_path):
         out = tmp_path / "corpus.jsonl"

@@ -134,6 +134,11 @@ class TestFreePrompt:
         with pytest.raises(ValueError):
             generate_free_prompt(ANALYSIS, random.Random(0), dropout_p=1.0)
 
+    @pytest.mark.parametrize("analysis", [{}, {"duration": None, "music_style": ""}], ids=["empty", "all-blank"])
+    def test_an_analysis_without_a_usable_dimension_is_rejected(self, analysis):
+        with pytest.raises(ValueError, match="^analysis contains no usable dimensions$"):
+            generate_free_prompt(analysis, random.Random(0))
+
 
 class TestVerify:
     def test_approving_judge_is_identity(self):

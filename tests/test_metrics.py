@@ -219,6 +219,10 @@ class TestAggregators:
         with pytest.raises(ValueError):
             fpf_aggregate({"sparkle": 1})
 
+    def test_fpf_of_no_scores(self):
+        with pytest.raises(ValueError, match="^no dimension scores provided$"):
+            fpf_aggregate({})
+
     def test_sq_full_caps(self):
         assert sq_aggregate({"basic": 30, "native_language_tone": 15, "touch_the_audience": 15, "creative_narrative": 40}) == 100.0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -444,6 +445,16 @@ class TestCompressionOps:
         with pytest.raises(NonDivisible):
             pool_features(np.zeros((5, 6, 2)), 2)
 
+    @pytest.mark.parametrize("op, array, size, message", [
+        (squeeze_queries, np.zeros((4, 2)), 0, "alpha must be >= 1, got 0"),
+        (squeeze_queries, np.zeros((4, 2, 1)), 2, "query bank must be 2-D, got shape (4, 2, 1)"),
+        (pool_features, np.zeros((4, 4, 1)), 0, "pool size must be >= 1, got 0"),
+        (pool_features, np.zeros((4, 4)), 2, "feature grid must be 3-D, got shape (4, 4)"),
+    ], ids=["squeeze-alpha-0", "squeeze-3-d", "pool-size-0", "pool-2-d"])
+    def test_a_bad_size_or_shape_is_rejected(self, op, array, size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            op(array, size)
+
 
 class TestPresets:
     def test_table_style_space_separated(self):
@@ -497,3 +508,7 @@ class TestPresets:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             SlowFastConfig(fast=PathwayConfig(0.5, 16), slow=PathwayConfig(2, 4))
+
+    def test_a_frame_ceiling_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^frame_ceiling must be >= 1$"):
+            SlowFastConfig(fast=PathwayConfig(2, 4), slow=PathwayConfig(0.5, 16), frame_ceiling=0)
