@@ -8,9 +8,11 @@ implement the same interface in-process as pure functions of
 reproducibly. :meth:`Client.call` hands a bare :class:`MockTransport` the
 request as it is built and takes the mock's answer as it is built, with no
 JSON codec either way: the handlers only read their payload, and a JSON round
-trip gives back equal values of the same types, so no caller can tell. Any
-other transport, including one that wraps a mock or subclasses it (or the
-benchmark's HTTP stub, which serves one), exchanges canonical bytes both ways.
+trip gives back equal values of the same types, so no caller can tell.
+:attr:`Client.in_process` names that case, and the CLI's sample runner reads
+it to keep such a command off its worker pool. Any other transport,
+including one that wraps a mock or subclasses it (or the benchmark's HTTP
+stub, which serves one), exchanges canonical bytes both ways.
 
 :class:`HttpTransport` speaks HTTP/1.1 over the standard library's ``socket``
 (``ssl`` for ``https``), one write per request, on keep-alive connections.
@@ -423,9 +425,15 @@ class Client:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    @property
+    def in_process(self) -> bool:
+        """Whether a bare :class:`MockTransport` answers the calls, in the calling thread with no
+        codec and no I/O. A mock that is subclassed or wrapped is not: it exchanges bytes."""
+        return type(self.transport) is MockTransport
+
     def call(self, payload: dict) -> CallResult:
-        if type(self.transport) is MockTransport:
-            # in-process: neither the request nor the answer is encoded, and no mock error is retryable
+        if self.in_process:
+            # neither the request nor the answer is encoded, and no mock error is retryable
             return CallResult(data=self.transport.answer(self.role, payload), retries=0)
         try:
             body = dumps_canonical(payload)

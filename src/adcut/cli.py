@@ -20,7 +20,10 @@ things, each built on first use: a worker pool per ``--concurrency`` value
 threads and their keep-alive connections therefore serve every later command.
 Only the sample runner, :func:`_map_samples`, submits to a pool: ``build-dataset``
 and ``generate`` map their samples through it, and ``evaluate`` maps its VSR
-chunks (with ``--with-vsr``) and then its samples.
+chunks (with ``--with-vsr``) and then its samples. It uses the pool only when a
+client it is given goes over HTTP; when every one answers in-process
+(:attr:`~adcut.backends.Client.in_process`), the work holds the GIL, so it maps
+on the calling thread and no thread starts. ``--concurrency`` is checked either way.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import os
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
 from .clips import ClipSet
 from .draft import Draft, DraftSyntaxError, parse_draft, validate_draft
@@ -85,13 +88,17 @@ class Config:
         self.source = path
         self.base_dir = Path(".")
         if path:
-            if not Path(path).is_file():
-                raise CliError(f"config file not found: {path}")
-            try:
-                self.parser.read(path, encoding="utf-8")
+            try:  # a pipe reads too; one leading BOM is skipped, as in every JSON input
+                with open(path, encoding="utf-8-sig") as file:
+                    self.parser.read_file(file, source=path)
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                raise CliError(f"config file not found: {path}") from None
+            except OSError as exc:
+                raise CliError(f"{path}: {exc.strerror or exc}") from None
             except (configparser.Error, UnicodeDecodeError) as exc:
                 raise CliError(f"{path}: {' '.join(str(exc).split())}") from None
-            self.base_dir = Path(path).resolve().parent
+            if Path(path).is_file():  # relative paths in a piped config are read from the working directory
+                self.base_dir = Path(path).resolve().parent
 
     def get(self, section: str, key: str) -> str | None:
         return self.parser.get(section, key, fallback=None)
@@ -146,9 +153,9 @@ def _taxonomy(args: argparse.Namespace, cfg: Config) -> TagTaxonomy:
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The pool of ``workers`` threads that maps samples at ``--concurrency workers``. It is
-    built on first use and kept for the life of the process, so every later command reuses
-    its threads and the keep-alive connections they hold."""
+    """The pool of ``workers`` threads that maps samples at ``--concurrency workers`` when a
+    command has a client over HTTP. It is built on first use and kept for the life of the
+    process, so every later command reuses its threads and the keep-alive connections they hold."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"adcut-c{workers}")
@@ -235,17 +242,19 @@ def _sort_predictions(path: str, ids: list[str]) -> None:
     _on_file(lambda p: os.replace(p, path), partial)
 
 
-def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., T]) -> Iterator[T | None]:
+def _map_samples(
+    concurrency: int, clients: Iterable[be.Client], items: list[tuple], fn: Callable[..., T]
+) -> Iterator[T | None]:
     """``fn(*item)`` for each ``(label, ...)`` item (a sample's id, or the id of a VSR
-    chunk's first sample) on the process's pool of ``concurrency`` threads (:func:`_pool`),
-    each result yielded in input order as ``fn`` returns it; the items go to the pool when
-    the first result is drawn. An item that fails in a backend, deconstruction or prompt
-    revision, or whose clips no sampling plan fits, yields None and prints
-    ``warning: <label>: <reason>``. Once the caller stops drawing, or ``fn`` raises anything
-    else, the items not started are cancelled and the running ones waited for, so no
-    sample work outlives the command."""
-    from concurrent.futures import wait
-
+    chunk's first sample), each result yielded in input order as ``fn`` returns it; no item
+    starts before the first result is drawn. ``clients`` are those ``fn`` calls. When every
+    one answers in-process, the items run on the calling thread, one per result drawn: their
+    work holds the GIL, so threads could not overlap it. Otherwise they go to the process's
+    pool of ``concurrency`` threads (:func:`_pool`), so calls over HTTP overlap. An item that
+    fails in a backend, deconstruction or prompt revision, or whose clips no sampling plan
+    fits, yields None and prints ``warning: <label>: <reason>``. Once the caller stops
+    drawing, or ``fn`` raises anything else, no further item starts and a running one is
+    waited for, so no sample work outlives the command."""
     from . import backends as be
     from . import dataset as ds
     from .sampling import CeilingUnsatisfiable
@@ -256,27 +265,35 @@ def _map_samples(concurrency: int, items: list[tuple], fn: Callable[..., T]) -> 
         except (be.BackendError, ds.EmptyDeconstruction, ds.RevisionInvalid, CeilingUnsatisfiable) as exc:
             return None, f"warning: {item[0]}: {exc}"
 
-    futures = [_pool(concurrency).submit(attempt, item) for item in items]
+    if all(client.in_process for client in clients):
+        futures = []
+        outcomes = map(attempt, items)
+    else:
+        from concurrent.futures import wait
+
+        futures = [_pool(concurrency).submit(attempt, item) for item in items]
+        outcomes = (future.result() for future in futures)
     try:
-        for future in futures:
-            result, warning = future.result()
+        for result, warning in outcomes:
             if warning:
                 print(warning, file=sys.stderr)
             yield result
     finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        if futures:
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
 
 def _run_samples(
-    args: argparse.Namespace, cfg: Config, items: list[tuple], fn: Callable[..., dict], out: str | None, append=False
+    args: argparse.Namespace, cfg: Config, clients: Iterable[be.Client], items: list[tuple], fn: Callable[..., dict],
+    out: str | None, append=False,
 ) -> int:
     """Write each result of :func:`_map_samples` at ``--concurrency`` as a JSON line of
     ``out``; a failed sample gets no line, and exit code 1."""
     if not out:
         raise CliError("an output path is required")
-    with closing(_map_samples(_concurrency(args, cfg), items, fn)) as results:  # drawn once ``out`` is open
+    with closing(_map_samples(_concurrency(args, cfg), clients, items, fn)) as results:  # drawn once ``out`` is open
         written = _on_file(lambda path: write_records(path, filter(None, results), append), out)
     return EXIT_OK if written == len(items) else EXIT_VIOLATION
 
@@ -414,7 +431,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     if not 0 <= dropout < 1:
         raise CliError(f"dropout probability must be in [0, 1), got {dropout}")
     sampling = _preset(args, cfg)
-    backend_set = be.BackendSet(**{r: _client(args, cfg, r, lambda _: mock) for r in DATASET_ROLES})
+    clients = {r: _client(args, cfg, r, lambda _: mock) for r in DATASET_ROLES}
+    backend_set = be.BackendSet(**clients)
 
     def build(ref: str, product: ds.ProductInfo) -> dict:
         return ds.build_sample(
@@ -422,7 +440,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
             corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
         ).to_dict()
 
-    return _run_samples(args, cfg, products, build, args.out or cfg.get("dataset", "out"))
+    return _run_samples(args, cfg, clients.values(), products, build, args.out or cfg.get("dataset", "out"))
 
 
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:
@@ -475,7 +493,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         draft_json = be.generate_draft({"sample_id": sample_id, "instruction": instruction}, client)
         return {"sample_id": sample_id, "draft_json": draft_json.decode("utf-8")}
 
-    code = _run_samples(args, cfg, todo, generate_one, args.out, append=resuming)
+    code = _run_samples(args, cfg, [client], todo, generate_one, args.out, append=resuming)
     if code == EXIT_OK and list(done) != ids[: len(done)]:  # a resumed gap was appended after later samples
         _sort_predictions(args.out, ids)
     return code
@@ -514,7 +532,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.with_vsr:  # first each chunk's embed request and VSR, giving each sample's outcome in corpus order
         embedder = _client(args, cfg, "embed", mock)
         chunks = [(chunk[0][0].sample_id, chunk) for chunk in mx.vsr_chunks(eval_samples)]
-        vsrs = [vsr for outcomes in _map_samples(concurrency, chunks, lambda _, chunk: mx.chunk_vsr(chunk, embedder))
+        vsrs = [vsr for outcomes in _map_samples(concurrency, [embedder], chunks,
+                                                 lambda _, chunk: mx.chunk_vsr(chunk, embedder))
                 for vsr in outcomes]
 
     def score(_: str, sample: mx.EvalSample, vsr: Any) -> dict:
@@ -524,7 +543,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out["vsr"] = vsr
         return out
 
-    scores = list(_map_samples(concurrency, [(s.sample_id, s, v) for s, v in zip(eval_samples, vsrs)], score))
+    items = [(s.sample_id, s, v) for s, v in zip(eval_samples, vsrs)]
+    scores = list(_map_samples(concurrency, [judge] if judge else [], items, score))
     if None in scores:
         return EXIT_VIOLATION
     report = mx.evaluate_corpus(counts, scores)
@@ -574,7 +594,7 @@ SHARED_FLAGS: dict[str, dict] = {
     "--config": dict(help="config file (or env ADCUT_CONFIG)"),
     "--out": dict(help="write output to a file instead of stdout"),
     "--seed": dict(type=int, help="seed for all randomized behavior ([dataset] seed)"),
-    "--concurrency": dict(type=int, help="worker pool size ([dataset] concurrency)"),
+    "--concurrency": dict(type=int, help="worker threads when a role is called over HTTP ([dataset] concurrency)"),
     "--format": dict(choices=("json", "table"), default="json"),
     "--taxonomy": dict(help="tag taxonomy JSON ([paths] taxonomy; default: bundled)"),
     "--preset": dict(help="sampling preset ([sampling] preset; default: fast:2/4,slow:0.5/16)"),

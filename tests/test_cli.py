@@ -222,6 +222,45 @@ def test_the_preset_flag_beats_the_config_key_which_beats_the_default(capsys, tm
     assert output(configured, "--preset", "fast:2/4,slow:0.5/16") == default
 
 
+_MAIN = "import sys; from adcut.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("given", ["file", "file with a BOM", "pipe on stdin"])
+def test_a_config_reads_the_same_from_a_file_with_or_without_a_bom_or_a_pipe(capsys, tmp_path, given):
+    text = f"[sampling]\npreset = {OTHER_PRESET}\n"
+    flagged = run(capsys, "plan", str(FIX / "clips.json"), "--preset", OTHER_PRESET)
+    assert flagged[0] == 0
+    if given == "pipe on stdin":
+        done = fresh_interpreter(_MAIN, "plan", str(FIX / "clips.json"), "--config", "/dev/stdin", input=text)
+        configured = (done.returncode, done.stdout, done.stderr)
+    else:
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("\ufeff" * (given == "file with a BOM") + text, encoding="utf-8")
+        configured = run(capsys, "plan", str(FIX / "clips.json"), "--config", str(ini))
+    assert configured == flagged
+
+
+def test_a_config_that_cannot_be_opened_is_a_usage_error_naming_it(capsys, tmp_path, monkeypatch):
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[sampling]\n")
+    monkeypatch.setattr(cli, "open", refused, raising=False)  # as for a file the user may not read
+    assert run(capsys, "plan", str(FIX / "clips.json"), "--config", str(ini)) == (
+        2, "", f"error: {ini}: Permission denied\n")
+
+
+def test_a_piped_config_reads_its_relative_paths_from_the_working_directory(tmp_path):
+    piped, filed, ini = tmp_path / "piped.jsonl", tmp_path / "filed.jsonl", tmp_path / "cfg.ini"
+    done = fresh_interpreter(_MAIN, "build-dataset", "--config", "/dev/stdin", "--seed", "7", "--out", str(piped),
+                             input="[paths]\nfixtures = videos.json\n", cwd=FIX)
+    assert (done.returncode, done.stderr) == (0, "")
+    ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n")
+    assert main(["build-dataset", "--config", str(ini), "--seed", "7", "--out", str(filed)]) == 0
+    assert piped.read_bytes() == filed.read_bytes()
+
+
 def test_the_out_flag_beats_the_dataset_out_key_which_beats_no_output(capsys, tmp_path):
     configured, flagged = tmp_path / "configured.jsonl", tmp_path / "flagged.jsonl"
     ini = tmp_path / "cfg.ini"
@@ -1799,15 +1838,24 @@ class TestBuildDatasetAnswers:
         assert [s.sample_id for s in read_corpus(out)] == ["vid-earbuds", "vid-blender"]
 
 
+def fresh_interpreter(script: str, *argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``script`` run with ``argv`` in a new Python process that imports this ``adcut``."""
+    src = str(Path(adcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("ADCUT_CONFIG", None)
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60,
+                          **kwargs)
+
+
 # Runs one subcommand in a fresh interpreter and reports which of the
 # offline pipeline's modules, and of the modules the aligner no longer
-# needs, it loaded.
+# needs, it loaded, and how many threads are alive after it.
 _IMPORT_PROBE = """
-import json, sys
+import json, sys, threading
 from adcut.cli import main
 code = main(sys.argv[1:])
 heavy = ("numpy", "adcut.backends", "adcut.dataset", "adcut.metrics", "concurrent.futures", "fractions")
-print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
+print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules], "threads": threading.active_count()}))
 """
 
 
@@ -1822,15 +1870,30 @@ print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]
     ids=lambda argv: argv[0],
 )
 def test_request_commands_skip_offline_pipeline_imports(argv, tmp_path):
-    src = str(Path(adcut.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("ADCUT_CONFIG", None)
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv, "--out", str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = fresh_interpreter(_IMPORT_PROBE, *argv, "--out", str(tmp_path / "out.json"))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"code": 0, "loaded": []}
+    assert json.loads(done.stdout) == {"code": 0, "loaded": [], "threads": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-dataset"],
+        ["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:0.3"],
+        ["evaluate", "{corpus}", "{predictions}", "--with-judge", "--with-vsr"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_all_mock_commands_run_their_samples_on_the_calling_thread(argv, chain, tmp_path):
+    corpus, predictions = chain
+    argv = [arg.format(corpus=corpus, predictions=predictions) for arg in argv]
+    done = fresh_interpreter(_IMPORT_PROBE, *argv, "--config", str(FIX / "adcut.ini"), "--seed", "7",
+                             "--concurrency", "2", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["code"] == 0
+    assert "concurrent.futures" not in probe["loaded"]
+    assert probe["threads"] == 1
 
 
 _GENERATE = ["generate", "{corpus}", "--endpoint-generate", "mock:"]
@@ -1902,6 +1965,7 @@ def polka_files(corpus_path, tmp_path_factory):
         (["plan", str(FIX / "clips.json"), "--preset", "2/4 1/4"], None,
          "bad preset: unnamed fps/token pair must be the only component\n"),
         ([*_GENERATE, *_OUT, "--config", "{tmp}/missing.ini"], None, "config file not found: {tmp}/missing.ini\n"),
+        ([*_GENERATE, *_OUT, "--config", "{tmp}"], None, "config file not found: {tmp}\n"),
         ([*_BUILD, *(arg for role in cli.DATASET_ROLES for arg in (f"--endpoint-{role}", "http://127.0.0.1:9"))],
          None, "build-dataset reads its products and negative pool from a fixtures file ([paths] fixtures)\n"),
         (["generate", "{corpus}", "--endpoint-generate", "mock:swap_adjacent:x", "--seed", "7", *_OUT], None,
@@ -1935,7 +1999,7 @@ def polka_files(corpus_path, tmp_path_factory):
         "dropout_p not a float", "--dropout-p 1.5", "bad preset", "build-dataset infinite rate", "plan infinite rate",
         "build-dataset huge token count", "plan huge token count", "plan table huge token count",
         "token count past int()'s digit limit",
-        "fast tokens above slow", "two unnamed pairs", "config file not found",
+        "fast tokens above slow", "two unnamed pairs", "config file not found", "config path a directory",
         "no fixtures file with every role over HTTP", "bad mock rate",
         "mock rate above 1", "negative mock rate", "mock rate nan", "unknown mock mode",
         "prediction tag outside the taxonomy", "ground-truth tag outside the taxonomy",
@@ -2005,12 +2069,18 @@ def test_an_endpoint_the_transport_rejects_fails_before_any_backend_call(capsys,
     assert calls == []
 
 
-def test_an_unexpected_error_cancels_the_pending_samples_of_its_command(capsys, corpus_path, tmp_path, monkeypatch):
+def _copies(corpus_path: Path, tmp_path: Path, copies: int) -> tuple[Path, list[str]]:
+    """A corpus of ``copies`` copies of the one at ``corpus_path``, with ids ``<id>-<k>``, and its ids."""
     records = [json.loads(line) for line in corpus_path.read_text("utf-8").splitlines()]
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps({**r, "sample_id": f"{r['sample_id']}-{k}"}) + "\n"
-                              for k in range(4) for r in records))
-    first = f"{records[0]['sample_id']}-0"
+    copied = [{**r, "sample_id": f"{r['sample_id']}-{k}"} for k in range(copies) for r in records]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in copied))
+    return corpus, [r["sample_id"] for r in copied]
+
+
+def test_an_unexpected_error_cancels_the_pending_samples_of_its_command(capsys, corpus_path, tmp_path, monkeypatch):
+    corpus, ids = _copies(corpus_path, tmp_path, 4)
+    first = ids[0]
     started, finished = [], []
     another_started = threading.Event()
 
@@ -2025,14 +2095,76 @@ def test_an_unexpected_error_cancels_the_pending_samples_of_its_command(capsys, 
         return b"{}"
 
     monkeypatch.setattr(backends, "generate_draft", generate_draft)
+    with pytest.raises(RuntimeError, match="not a sample failure"):  # a URL endpoint maps on the pool; nothing is sent
+        main(["generate", str(corpus), "--endpoint-generate", "http://127.0.0.1:9", "--seed", "7",
+              "--concurrency", "2", "--out", str(tmp_path / "pred.jsonl")])
+    ran = list(started)
+    assert sorted(finished) == sorted(set(ran) - {first})  # each sample that started has finished
+    assert len(ran) <= 4 < len(ids)  # the samples not started were cancelled
+    time.sleep(0.2)
+    assert started == ran
+
+
+def test_an_unexpected_error_stops_an_in_process_command_at_its_sample(capsys, corpus_path, tmp_path, monkeypatch):
+    corpus, ids = _copies(corpus_path, tmp_path, 2)
+    started = []
+
+    def generate_draft(request, client):
+        started.append((request["sample_id"], threading.current_thread()))
+        if len(started) == 3:
+            raise RuntimeError("not a sample failure")
+        return b"{}"
+
+    monkeypatch.setattr(backends, "generate_draft", generate_draft)
     with pytest.raises(RuntimeError, match="not a sample failure"):
         main(["generate", str(corpus), "--endpoint-generate", "mock:", "--seed", "7", "--concurrency", "2",
               "--out", str(tmp_path / "pred.jsonl")])
-    ran = list(started)
-    assert sorted(finished) == sorted(set(ran) - {first})  # each sample that started has finished
-    assert len(ran) <= 4 < 4 * len(records)  # the samples not started were cancelled
-    time.sleep(0.2)
-    assert started == ran
+    assert started == [(sid, threading.main_thread()) for sid in ids[:3]]  # in order, and none after the error
+
+
+class _WrappedMock:
+    """A transport that hands each request to a mock, as a stub server would."""
+
+    def __init__(self, mock: backends.MockTransport):
+        self.mock = mock
+
+    def send(self, *args):
+        return self.mock.send(*args)
+
+
+class _SubclassedMock(backends.MockTransport):
+    pass
+
+
+# transports of a command's clients -> whether its samples map on the calling thread
+_RUNNER_CASES = [
+    ([], True),
+    (["bare mock"], True),
+    (["bare mock", "bare mock"], True),
+    (["subclassed mock"], False),
+    (["wrapped mock"], False),
+    (["http"], False),
+    (["bare mock", "http"], False),
+]
+
+
+@pytest.mark.parametrize("transports, inline", _RUNNER_CASES,
+                         ids=["+".join(transports) or "no client" for transports, _ in _RUNNER_CASES])
+def test_only_a_command_whose_clients_are_all_bare_mocks_maps_on_the_calling_thread(transports, inline):
+    mock = backends.mock_backend(7)
+    build = {
+        "bare mock": lambda: mock,
+        "subclassed mock": lambda: _SubclassedMock(seed=7, fixtures={}),
+        "wrapped mock": lambda: _WrappedMock(mock),
+        "http": backends.HttpTransport,  # no connection opens before a call
+    }
+    clients = [backends.Client("judge", backends.MOCK_ENDPOINT, transport=build[kind]()) for kind in transports]
+    assert [client.in_process for client in clients] == [kind == "bare mock" for kind in transports]
+    threads = list(cli._map_samples(2, clients, [("a",), ("b",), ("c",)], lambda _: threading.current_thread()))
+    if inline:
+        assert threads == [threading.main_thread()] * 3
+    else:
+        assert all(thread.name.startswith("adcut-c2") for thread in threads)
 
 
 def test_a_tag_outside_the_taxonomy_fails_before_any_backend_call(capsys, corpus_path, polka_files, monkeypatch):
