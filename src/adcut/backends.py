@@ -17,10 +17,15 @@ stub, which serves one), exchanges canonical bytes both ways.
 :class:`HttpTransport` speaks HTTP/1.1 over the standard library's ``socket``
 (``ssl`` for ``https``), one write per request, on keep-alive connections.
 
-``numpy`` is imported inside :func:`embed` and :func:`hashed_unit_vector`,
-the only functions here that build arrays, and ``socket`` and ``ssl`` when
-:class:`HttpTransport` opens a connection, so importing this module loads
-none of them.
+An ``embed`` answer carries its vectors packed, as the base64 text of their
+little-endian float64 bytes (see :func:`embed`), so they cross the wire and
+the mock's in-process answer as exactly the values the mock made.
+
+``numpy`` is imported inside :func:`embed`, :func:`hashed_unit_vector` and
+the mock's embed handler, the only functions here that build arrays (with
+``base64``, which packs and unpacks the vectors), and ``socket`` and ``ssl``
+when :class:`HttpTransport` opens a connection, so importing this module
+loads none of them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
@@ -108,10 +112,6 @@ class InvalidResponse(BackendError):
 
 
 class MalformedScores(BackendError):
-    pass
-
-
-class DimensionMismatch(BackendError):
     pass
 
 
@@ -557,25 +557,34 @@ def judge_score(payload: dict, rubric_id: str, client: Client) -> dict[str, floa
 def embed(inputs: list[str], client: Client) -> list[np.ndarray]:
     """Embed texts or frame references; vectors are L2-normalized client-side.
 
-    The answer is checked as one array: a value that is not a finite JSON
-    number (a string or a bool is not one) anywhere in it fails before any
-    zero vector, or vector whose norm overflows, does."""
+    The answer is ``{"dim": D, "vectors": V}``: ``V`` is the base64 text of
+    the N×D vectors, one per input in order, as little-endian float64
+    values, row after row. A ``dim`` that is no int of at least 1, a ``V``
+    that is no string of base64 or that does not hold exactly 8·D·N bytes
+    raises :class:`InvalidResponse`. The vectors are then checked as one
+    array: a value that is not finite anywhere in it fails before any zero
+    vector, or vector whose norm overflows, does."""
     if not inputs:
         raise ValueError("embed requires at least one input")
-    vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
-    if len(vectors) != len(inputs):
-        raise InvalidResponse(client.role, "vector count does not match input count")
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
+    data = client.call({"inputs": list(inputs)}).data
+    dim = checked(client.role, data, "dim", int)
+    packed = checked(client.role, data, "vectors", str)
+    if dim < 1:
+        raise InvalidResponse(client.role, f"dim must be at least 1, got {dim}")
+    import base64
+
     import numpy as np
 
-    numeric = set(map(type, chain.from_iterable(vectors))) <= {float, int}  # numpy reads "3" and true as numbers
     try:
-        arr = np.asarray(vectors, dtype=np.float64) if numeric else None
-    except OverflowError:  # an integer past the float range
-        numeric = False
-    if not numeric or not np.isfinite(arr).all():
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as exc:  # binascii.Error, or a str that is not ASCII
+        raise InvalidResponse(client.role, f"vectors is not base64: {exc}") from None
+    size = 8 * dim * len(inputs)
+    if len(raw) != size:
+        raise InvalidResponse(client.role, f"vectors holds {len(raw)} bytes, not the {size} of {len(inputs)} "
+                                           f"vectors of {dim} float64 values")
+    arr = np.frombuffer(raw, "<f8").reshape(len(inputs), dim)
+    if not np.isfinite(arr).all():
         raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
     with np.errstate(over="ignore"):
         norms = np.array([math.sqrt(row.dot(row)) for row in arr])
@@ -646,13 +655,14 @@ class MockTransport:
       corruption:  {mode: none or a key of GENERATE_MODES, rate: float}
       judge:       {verify: approve|revise_always, scores: "caps" | map}
 
-    Embeddings are 32-dimensional hashed unit vectors. Building the mock
-    raises ``ValueError`` (:class:`~adcut.jsonutil.FieldError` for a wrong
-    JSON type) for a fixture key not shaped as above (a ``rate`` is a number
-    in [0, 1]).
+    Embeddings are 32-dimensional hashed unit vectors, packed as
+    :func:`embed` reads them. Building the mock raises ``ValueError``
+    (:class:`~adcut.jsonutil.FieldError` for a wrong JSON type) for a
+    fixture key not shaped as above (a ``rate`` is a number in [0, 1]).
 
-    A request the fixtures cannot answer raises a non-retryable
-    :class:`BackendError` for the role that sent it.
+    A request the fixtures cannot answer, or whose ``inputs`` (a non-empty
+    list of strings) or ``shot_index`` (an int of at least 0) is misshapen,
+    raises a non-retryable :class:`BackendError` for the role that sent it.
     """
 
     seed: int
@@ -727,12 +737,22 @@ class MockTransport:
 
     def _handle_caption(self, payload: dict) -> dict:
         captions = self._video(payload).get("captions", [])
-        shot = payload.get("shot_index", 0)
+        shot = json_field(payload, "shot_index", int, default=0)
+        if shot < 0:
+            raise ValueError(f"shot_index must be at least 0, got {shot}")
         text = captions[shot] if shot < len(captions) else f"shot {shot}"
         return {"caption": text}
 
     def _handle_embed(self, payload: dict) -> dict:
-        return {"vectors": [hashed_unit_vector(item, self.seed).tolist() for item in payload["inputs"]]}
+        inputs = json_field(payload, "inputs", list, item=str)
+        if not inputs:
+            raise ValueError("inputs must hold at least one string")
+        import base64
+
+        import numpy as np
+
+        rows = np.array([hashed_unit_vector(item, self.seed) for item in inputs], dtype="<f8")
+        return {"dim": rows.shape[1], "vectors": base64.b64encode(rows.tobytes()).decode("ascii")}
 
     def _handle_judge(self, payload: dict) -> dict:
         task = payload.get("task")

@@ -4,9 +4,11 @@ Oracles here deliberately use naive loops and set arithmetic so they stay
 independent of the library code paths they check.
 """
 
+import binascii
 import hashlib
 import math
 import random
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -16,9 +18,7 @@ from adcut.backends import (
     RUBRICS,
     BackendSet,
     Client,
-    DimensionMismatch,
     InvalidResponse,
-    answer,
     embed,
     mock_backend,
     prompt_text,
@@ -318,26 +318,43 @@ def reference_unit_vector(text: str, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def packed_vectors(rows: list[list[float]]) -> dict:
+    """An embed answer holding ``rows``, each a list of the same length, packed by ``struct``."""
+    flat = [x for row in rows for x in row]
+    return {"dim": len(rows[0]), "vectors": binascii.b2a_base64(struct.pack(f"<{len(flat)}d", *flat),
+                                                                 newline=False).decode("ascii")}
+
+
+def unpacked_vectors(answer: dict) -> list[list[float]]:
+    """The vectors of a well-formed embed answer, unpacked by ``struct``."""
+    dim, raw = answer["dim"], binascii.a2b_base64(answer["vectors"])
+    flat = struct.unpack(f"<{len(raw) // 8}d", raw)
+    return [list(flat[i:i + dim]) for i in range(0, len(flat), dim)]
+
+
 def reference_embed(inputs: list[str], client: Client) -> list[np.ndarray]:
-    """Each vector of the answer checked, normalized and copied on its own."""
+    """The packed answer unpacked by ``struct``, and each vector checked, normalized and
+    copied on its own; any misshapen answer is an :class:`InvalidResponse`."""
     if not inputs:
         raise ValueError("embed requires at least one input")
-    vectors = answer(client, {"inputs": list(inputs)}, "vectors", list, list)
-    if len(vectors) != len(inputs):
-        raise InvalidResponse(client.role, "vector count does not match input count")
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise DimensionMismatch(client.role, f"mixed vector dimensions {sorted(dims)}")
+    data = client.call({"inputs": list(inputs)}).data
+    dim = data.get("dim") if type(data) is dict else None
+    text = data.get("vectors") if type(data) is dict else None
+    if type(dim) is not int or dim < 1 or type(text) is not str:
+        raise InvalidResponse(client.role, "misshapen answer")
+    try:
+        raw = binascii.a2b_base64(text.encode("ascii"), strict_mode=True)
+    except (UnicodeEncodeError, binascii.Error):
+        raise InvalidResponse(client.role, "vectors is not base64") from None
+    if len(raw) != 8 * dim * len(inputs):
+        raise InvalidResponse(client.role, "wrong byte count")
+    vectors = [struct.unpack(f"<{dim}d", raw[8 * dim * i: 8 * dim * (i + 1)]) for i in range(len(inputs))]
+    if not all(math.isfinite(x) for v in vectors for x in v):
+        raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
 
     out = []
     for v in vectors:
-        try:
-            arr = np.asarray(v, dtype=np.float64)
-            numeric = arr.ndim == 1 and bool(np.isfinite(arr).all())
-        except (TypeError, ValueError):
-            numeric = False
-        if not numeric:
-            raise InvalidResponse(client.role, "a vector is not a list of finite numbers")
+        arr = np.array(v, dtype=np.float64)
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise InvalidResponse(client.role, "zero vector cannot be normalized")

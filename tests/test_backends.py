@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -13,6 +14,7 @@ import warnings
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from adcut.backends import (
     BackendError,
     BadStatus,
     Client,
-    DimensionMismatch,
     HttpTransport,
     InvalidResponse,
     MalformedScores,
@@ -47,7 +48,7 @@ from adcut.backends import (
 from adcut.cli import main
 from adcut.dataset import read_corpus
 from adcut.jsonutil import dumps_canonical, loads
-from helpers import mock_backend_set, reference_embed, reference_unit_vector, rubric_text
+from helpers import mock_backend_set, packed_vectors, reference_embed, reference_unit_vector, rubric_text
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -241,95 +242,117 @@ class TestEmbed:
         assert not np.array_equal(a, c)
 
     def test_normalizes_non_unit_response(self):
-        transport = CountingTransport([(200, dumps_canonical({"vectors": [[3.0, 4.0]]}))])
+        transport = CountingTransport([(200, dumps_canonical(packed_vectors([[3.0, 4.0]])))])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
         (v,) = embed(["x"], client)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
-
-    def test_ints_and_floats_in_one_answer_are_numbers(self):
-        transport = CountingTransport([(200, b'{"vectors":[[3, 4.0], [0.0, 2]]}')])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
-        assert [v.tolist() for v in embed(["a", "b"], client)] == [[0.6, 0.8], [0.0, 1.0]]
-
-    def test_ragged_dimensions(self):
-        transport = CountingTransport([(200, dumps_canonical({"vectors": [[1.0], [1.0, 2.0]]}))])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
-        with pytest.raises(DimensionMismatch):
-            embed(["a", "b"], client)
+        assert v.tolist() == [0.6, 0.8]
 
     @pytest.mark.parametrize(
-        "vectors, reason",
+        "answer, reason",
         [
-            (b'[["a"]]', "a vector is not a list of finite numbers"),
-            (b"[5]", "vectors: expected list of list, got list"),
-            (b"[[[1.0]]]", "a vector is not a list of finite numbers"),
-            (b"[[NaN]]", "a vector is not a list of finite numbers"),
-            (b"[[1.0, Infinity]]", "a vector is not a list of finite numbers"),
-            (b"[[1" + b"0" * 400 + b"]]", "a vector is not a list of finite numbers"),
-            (b'[["3", "4"]]', "a vector is not a list of finite numbers"),
-            (b"[[true, 1.5]]", "a vector is not a list of finite numbers"),
+            (b"[]", "expected a JSON object, got list"),
+            (b'{"vectors":"AAAAAAAA8D8="}', "missing field 'dim'"),
+            (b'{"dim":"1","vectors":"AAAAAAAA8D8="}', "dim: expected int, got str"),
+            (b'{"dim":true,"vectors":"AAAAAAAA8D8="}', "dim: expected int, got bool"),
+            (b'{"dim":1.0,"vectors":"AAAAAAAA8D8="}', "dim: expected int, got float"),
+            (b'{"dim":0,"vectors":""}', "dim must be at least 1, got 0"),
+            (b'{"dim":-1,"vectors":""}', "dim must be at least 1, got -1"),
+            (b'{"dim":1}', "missing field 'vectors'"),
+            (b'{"dim":1,"vectors":[[1.0]]}', "vectors: expected str, got list"),
+            (b'{"dim":1,"vectors":null}', "vectors: expected str, got NoneType"),
+            (b'{"dim":1,"vectors":"AAAAAAAA8D8"}', "vectors is not base64: Incorrect padding"),
+            (b'{"dim":1,"vectors":"AAAA AAAA8D8="}', "vectors is not base64: Only base64 data is allowed"),
+            (b'{"dim":1,"vectors":"AAAAAAAA8D8=AAAA"}', "vectors is not base64: Excess data after padding"),
+            (b'{"dim":1,"vectors":"\xc3\xa9"}', "vectors is not base64: string argument should contain only ASCII "
+                                               "characters"),
+            (b'{"dim":1,"vectors":""}', "vectors holds 0 bytes, not the 8 of 1 vectors of 1 float64 values"),
+            (b'{"dim":2,"vectors":"AAAAAAAA8D8="}', "vectors holds 8 bytes, not the 16 of 1 vectors of 2 float64 values"),
+            (b'{"dim":1,"vectors":"AAAAAAAA8D8AAAAAAAAAAA=="}',
+             "vectors holds 16 bytes, not the 8 of 1 vectors of 1 float64 values"),
+            (dumps_canonical(packed_vectors([[math.nan]])), "a vector is not a list of finite numbers"),
+            (dumps_canonical(packed_vectors([[1.0, math.inf]])), "a vector is not a list of finite numbers"),
+            (dumps_canonical(packed_vectors([[0.0, -0.0]])), "zero vector cannot be normalized"),
         ],
-        ids=["string", "number", "nested", "nan", "infinity", "overflow", "numeric-string", "bool"],
+        ids=["array", "no-dim", "dim-a-string", "dim-a-bool", "dim-a-float", "dim-zero", "dim-negative", "no-vectors",
+             "vectors-a-list", "vectors-null", "bad-padding", "space", "data-after-padding", "not-ascii", "no-bytes",
+             "short", "long", "nan", "infinity", "signed-zeros"],
     )
-    def test_non_numeric_vector_is_an_invalid_response(self, vectors, reason):
-        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+    def test_a_misshapen_answer_is_an_invalid_response(self, answer, reason):
+        transport = CountingTransport([(200, answer)])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
         with pytest.raises(InvalidResponse) as raised:
             embed(["a"], client)
         assert str(raised.value) == f"embed: {reason}"
 
-    @pytest.mark.parametrize("vectors", [b"[[0.0], [NaN]]", b'[[0.0], ["a"]]', b"[[0.0, 0.0], [[1], [2]]]"],
-                             ids=["nan", "string", "nested"])
-    def test_a_non_number_fails_before_an_earlier_zero_vector(self, vectors):
-        # the whole answer is checked for numbers first, then each vector's norm
-        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+    @pytest.mark.parametrize("rows", [[[0.0], [math.nan]], [[0.0], [-math.inf]]], ids=["nan", "infinity"])
+    def test_a_non_finite_value_fails_before_an_earlier_zero_vector(self, rows):
+        # the whole answer is checked for finite values first, then each vector's norm
+        transport = CountingTransport([(200, dumps_canonical(packed_vectors(rows)))])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
         with pytest.raises(InvalidResponse, match="^embed: a vector is not a list of finite numbers$"):
             embed(["a", "b"], client)
 
-    @pytest.mark.parametrize("vectors", [b"[[1e200, 1e200]]", b"[[1.0, 0.0], [1e300, -1e300]]"], ids=["one", "second"])
-    def test_an_overflowing_norm_is_an_invalid_response_and_prints_nothing(self, vectors, capfd):
-        transport = CountingTransport([(200, b'{"vectors":' + vectors + b"}")])
+    @pytest.mark.parametrize("rows", [[[1e200, 1e200]], [[1.0, 0.0], [1e300, -1e300]]], ids=["one", "second"])
+    def test_an_overflowing_norm_is_an_invalid_response_and_prints_nothing(self, rows, capfd):
+        transport = CountingTransport([(200, dumps_canonical(packed_vectors(rows)))])
         client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidResponse, match="^embed: a vector's norm overflows$"):
-                embed(["a"] * len(loads(vectors)), client)
+                embed(["a"] * len(rows), client)
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=150)
     @given(st.data())
-    def test_stacked_vectors_equal_the_per_vector_reference(self, data):
-        dim = data.draw(st.integers(0, 40))
-        count = data.draw(st.integers(1, 5))
-        scales = st.sampled_from([1e-200, 1e-8, 1.0, 3.0, 1e8, 1e200])  # underflowing and overflowing norms too
-        unscaled = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
-        vectors = []
-        for _ in range(count):
-            scale = data.draw(scales)
-            vectors.append([x * scale for x in data.draw(unscaled)])
-        fault = data.draw(st.sampled_from([None, None, None, 0.0, float("nan"), float("inf")]))
-        if fault is not None and dim:  # one vector zeroed, or one element not finite
-            row = data.draw(st.integers(0, count - 1))
-            if fault == 0.0:
-                vectors[row] = [0.0] * dim
-            else:
-                vectors[row][data.draw(st.integers(0, dim - 1))] = fault
-        body = dumps_canonical({"vectors": vectors})
+    def test_vectors_equal_the_struct_reference_bit_for_bit(self, data):
+        """Drawn float64 rows, as the mock serves them in process, as a wrapped mock serves
+        them in bytes, and as drawn packed bytes, come out of ``embed`` bitwise equal to the
+        reference, which unpacks them with ``struct``; or both reject the answer."""
+        dim, count = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 5))
+        rows = [data.draw(float64_rows(dim)) for _ in range(count)]
         inputs = [f"in{i}" for i in range(count)]
+        table = dict(zip(inputs, rows))
+        mock = mock_backend(3)
 
-        def client():
-            return Client("embed", BackendEndpoint("http://unit.test"), transport=CountingTransport([(200, body)]))
+        class Wrapping:
+            def send(self, *args):
+                return mock.send(*args)
 
-        try:
-            expected = reference_embed(inputs, client())
-        except InvalidResponse:
-            with pytest.raises(InvalidResponse):  # the message may differ when two vectors are faulty
-                embed(inputs, client())
-            return
-        got = embed(inputs, client())
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
-        assert [v.shape for v in got] == [v.shape for v in expected]
+        body = dumps_canonical(packed_vectors(rows))
+        clients = [lambda: Client("embed", MOCK_ENDPOINT, transport=mock),
+                   lambda: Client("embed", BackendEndpoint("http://unit.test"), transport=Wrapping()),
+                   lambda: Client("embed", BackendEndpoint("http://unit.test"),
+                                  transport=CountingTransport([(200, body)]))]
+        with patch.object(backends_module, "hashed_unit_vector", lambda text, seed: np.array(table[text])):
+            assert mock.answer("embed", {"inputs": inputs}) == packed_vectors(rows)  # the rows' bytes, as they are
+            for client in clients:
+                try:
+                    expected = reference_embed(inputs, client())
+                except InvalidResponse:
+                    with pytest.raises(InvalidResponse):  # the message may differ when two vectors are faulty
+                        embed(inputs, client())
+                    continue
+                got = embed(inputs, client())
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+                assert [v.shape for v in got] == [v.shape for v in expected]
+
+
+SCALES = st.sampled_from([1e-300, 1e-160, 1e-8, 1.0, 3.0, 1e8, 1e150, 1e300])  # underflowing and overflowing norms too
+# values from the edges of float64: signed zeros, subnormals, values near 1e+-300, and ones that are not finite
+EDGES = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300, 1.7976931348623157e308,
+                         math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def float64_rows(draw, dim):
+    """A vector of ``dim`` float64 values: drawn in [-2, 2] and scaled, sometimes with one value
+    from the edges of float64, or all zero."""
+    scale = draw(SCALES)
+    row = [x * scale for x in draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))]
+    if dim and draw(st.integers(0, 3)) == 0:
+        row[draw(st.integers(0, dim - 1))] = draw(EDGES)
+    return [0.0] * dim if draw(st.integers(0, 9)) == 0 else row
 
 
 class TestMockPurity:
@@ -412,7 +435,22 @@ FAULTS = [
     pytest.param("generate", {}, {"sample_id": []}, "TypeError: unhashable", id="sample_id-an-array"),
     pytest.param("asr", {}, {"video_ref": []}, "TypeError: unhashable", id="video_ref-an-array"),
     pytest.param("caption", {"videos": {"v": {"captions": ["a"]}}}, {"video_ref": "v", "shot_index": "x"},
-                 "TypeError: ", id="shot_index-a-string"),
+                 "FieldError: shot_index: expected int, got str", id="shot_index-a-string"),
+    pytest.param("caption", {"videos": {"v": {"captions": ["a", "b"]}}}, {"video_ref": "v", "shot_index": True},
+                 "FieldError: shot_index: expected int, got bool", id="shot_index-a-bool"),
+    pytest.param("caption", {"videos": {"v": {"captions": ["a", "b"]}}}, {"video_ref": "v", "shot_index": 1.0},
+                 "FieldError: shot_index: expected int, got float", id="shot_index-a-float"),
+    pytest.param("caption", {"videos": {"v": {"captions": ["a", "b"]}}}, {"video_ref": "v", "shot_index": -1},
+                 "ValueError: shot_index must be at least 0, got -1", id="shot_index-negative"),
+    pytest.param("embed", {}, {}, "MissingField: 'inputs'", id="no-inputs"),
+    pytest.param("embed", {}, {"inputs": "abc"}, "FieldError: inputs: expected list of str, got str",
+                 id="inputs-a-string"),
+    pytest.param("embed", {}, {"inputs": {"a": 1, "b": 2}}, "FieldError: inputs: expected list of str, got dict",
+                 id="inputs-an-object"),
+    pytest.param("embed", {}, {"inputs": ["a", 1]}, "FieldError: inputs: expected list of str, got list",
+                 id="inputs-holding-a-number"),
+    pytest.param("embed", {}, {"inputs": []}, "ValueError: inputs must hold at least one string", id="inputs-empty"),
+    pytest.param("embed", {}, [], "TypeError: ", id="embed-request-an-array"),
     pytest.param("asr", {}, [], "AttributeError: ", id="request-an-array"),
     pytest.param("judge", {}, {"task": "score", "rubric_id": "nope"}, "KeyError: ", id="unknown-rubric"),
     pytest.param("judge", {}, {"task": "analyze", "deconstruction": {"shot_boundaries": [0, float("nan")]}},

@@ -1,10 +1,12 @@
 import argparse
+import base64
 import itertools
 import json
 import math
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -23,11 +25,29 @@ from adcut.cli import main
 from adcut.dataset import read_corpus
 from adcut.draft import parse_draft, serialize_draft, validate_draft
 from adcut.jsonutil import dumps_canonical
+from helpers import packed_vectors, unpacked_vectors
 
 FIX = Path(__file__).parent / "fixtures"
 JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
                     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
                     max_leaves=12)
+# ("packed", dim, values, extra): an embed answer of one vector of ``dim`` values per input of the
+# request, filled with ``values`` in turn (NaN, infinite, zero and overflowing ones too) and packed
+# with ``struct``, with ``extra`` bytes more (fewer when negative), so its byte count is right, short or long
+PACKED = st.tuples(
+    st.just("packed"), st.integers(1, 40),
+    st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 1e300, -1e300]),
+             min_size=1, max_size=8),
+    st.sampled_from([0, 0, 0, -8, -1, 1, 8]),
+)
+
+
+def packed_reply(body, dim, values, extra):
+    """The 200 answer that a ``PACKED`` reply gives to the embed request ``body``."""
+    count = dim * len(json.loads(body)["inputs"])
+    raw = struct.pack(f"<{count}d", *itertools.islice(itertools.cycle(values), count))
+    raw = raw[:len(raw) + extra] if extra < 0 else raw + b"\x01" * extra
+    return 200, dumps_canonical({"dim": dim, "vectors": base64.b64encode(raw).decode("ascii")})
 
 
 def run(capsys, *argv):
@@ -750,11 +770,10 @@ class TestEvaluateRunner:
         assert err.splitlines() == [f"warning: {s.sample_id}: judge: non-JSON body: nested too deeply"
                                     for s in read_corpus(corpus_path)]
 
-    def test_an_embed_number_past_the_float_range_fails_each_sample(self, capsys, corpus_path, pred, serve):
-        def answer(role, payload):  # one 401-digit integer per vector
+    def test_a_non_finite_embed_value_fails_each_sample(self, capsys, corpus_path, pred, serve):
+        def answer(role, payload):  # one NaN per vector
             if role == "embed":
-                rows = ",".join(["[1" + "0" * 400 + "]"] * len(payload["inputs"]))
-                return 200, f'{{"vectors":[{rows}]}}'.encode()
+                return 200, dumps_canonical(packed_vectors([[0.5, math.nan]] * len(payload["inputs"])))
 
         serve(answer)
         code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
@@ -773,7 +792,7 @@ class TestEvaluateRunner:
         def answer(role, payload):  # one vector for every input: each scripted sample scores 100
             if role == "embed":
                 embedded.append(payload["inputs"])
-                return 200, dumps_canonical({"vectors": [[1.0, 0.0]] * len(payload["inputs"])})
+                return 200, dumps_canonical(packed_vectors([[1.0, 0.0]] * len(payload["inputs"])))
 
         serve(answer)
         code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
@@ -798,7 +817,7 @@ class TestEvaluateRunner:
     @pytest.mark.parametrize("fault, reason", [
         ("status", "HTTP status 400"),
         ("zero row", "zero vector cannot be normalized"),
-        ("too few", "vector count does not match input count"),
+        ("too few", "vectors holds {short} bytes, not the {whole} of {count} vectors of 32 float64 values"),
     ])
     def test_a_failing_chunk_embeds_each_sample_alone(self, capsys, corpus_path, pred, serve, video_fixtures,
                                                       fault, reason):
@@ -815,15 +834,16 @@ class TestEvaluateRunner:
                 return None
             if fault == "status":
                 return 400, b"{}"
-            vectors = json.loads(mock.send(role, "", dumps_canonical(payload), {}, 1.0)[1])["vectors"]
+            vectors = unpacked_vectors(json.loads(mock.send(role, "", dumps_canonical(payload), {}, 1.0)[1]))
             if fault == "zero row":
                 vectors[payload["inputs"].index(blender[0])] = [0.0] * len(vectors[0])
-            return 200, dumps_canonical({"vectors": vectors[:-1] if fault == "too few" else vectors})
+            return 200, dumps_canonical(packed_vectors(vectors[:-1] if fault == "too few" else vectors))
 
         serve(answer)
         code, out, err = run(capsys, "evaluate", str(corpus_path), str(pred), "--with-vsr", *self.ARGV,
                              "--endpoint-embed", "http://stub.invalid", "--concurrency", "2")
         assert (code, out) == (1, "")
+        reason = reason.format(short=8 * 32 * (len(blender) - 1), whole=8 * 32 * len(blender), count=len(blender))
         assert err == f"warning: vid-blender: embed: {reason}\n"
         assert requests == [vsr_inputs(corpus_path, records)] + [vsr_inputs(corpus_path, [r]) for r in records]
 
@@ -831,14 +851,15 @@ class TestEvaluateRunner:
     @given(st.lists(st.one_of(
         st.none(),  # the mock answers
         st.tuples(st.just(200), JSON.map(dumps_canonical)),
-        st.tuples(st.just(200), st.fixed_dictionaries({"vectors": JSON}).map(dumps_canonical)),
-        st.tuples(st.just(200), st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), max_size=8)
-                  .map(lambda rows: dumps_canonical({"vectors": rows}))),
+        st.tuples(st.just(200), st.fixed_dictionaries({"dim": st.integers(-1, 40) | JSON, "vectors": st.text() | JSON})
+                  .map(dumps_canonical)),
+        PACKED,
         st.tuples(st.sampled_from([200, 204, 301, 400, 404, 422, 429, 503]), st.binary(max_size=40)),
     ), min_size=1, max_size=4))
     @example([None])  # every sample scored from the chunk's request
     @example([(400, b"{}"), None, (400, b"{}"), None])  # the chunk and one sample fail
     @example([(503, b"")])  # the chunk spends its retries
+    @example([("packed", 3, [0.25, -1.0], 0)])  # vectors of another dim, of the right byte count, score
     def test_every_embed_answer_scores_or_warns_each_sample(self, chain, answers):
         corpus_path, pred = chain
         ids = [s.sample_id for s in read_corpus(corpus_path)]
@@ -846,7 +867,10 @@ class TestEvaluateRunner:
         served = itertools.cycle(answers)  # each attempt, retries too, takes the next answer
 
         def send(self, role, url, body, headers, timeout_s):
-            return (role == "embed" and next(served)) or mock.send(role, url, body, headers, timeout_s)
+            reply = role == "embed" and next(served)
+            if reply and reply[0] == "packed":
+                return packed_reply(body, *reply[1:])
+            return reply or mock.send(role, url, body, headers, timeout_s)
 
         out, err = StringIO(), StringIO()
         with patch.object(backends.HttpTransport, "send", send), patch.object(backends, "BACKOFF_BASE_S", 0.0), \
@@ -1383,18 +1407,15 @@ REPLIES = st.one_of(
     st.tuples(st.just("raw"), st.integers(100, 599), RAW_REPLIES),
     st.tuples(st.just("graft"), st.lists(st.integers(0, 20), max_size=4), JSON),
 )
-# grafts into an embed answer, {"vectors": [32 numbers per input]}: a drawn list of vectors (often
-# of the wrong count), a vector of a drawn dimension, a zero vector, or one value that is not a
-# finite JSON number (a string, a bool, null or an integer past the float range)
-_VECTOR_INDEX = st.integers(0, 20)
+# an embed answer, {"dim": 32, "vectors": <base64 of 32 float64 values per input>}, with a drawn dim,
+# text that is not base64 or is badly padded, or a vectors that is not a string grafted into it; or a
+# PACKED reply
 EMBED_REPLIES = st.one_of(
-    st.tuples(st.just("graft"), st.just([0]), st.lists(st.lists(st.floats(-1, 1), min_size=32, max_size=32),
-                                                         max_size=4)),
-    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX).map(list),
-              st.lists(st.floats(-1, 1), max_size=40)),
-    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX).map(list), st.just([0.0] * 32)),
-    st.tuples(st.just("graft"), st.tuples(st.just(0), _VECTOR_INDEX, st.integers(0, 31)).map(list),
-              st.sampled_from([math.nan, math.inf, -math.inf, "0.5", True, False, None, 10**400, -(10**400)])),
+    st.tuples(st.just("graft"), st.just([0]), st.integers(-2, 64) | st.just(10**30)),
+    st.tuples(st.just("graft"), st.just([1]), st.text(max_size=12) | st.sampled_from(
+        ["AAAA AAAA", "AAAAAAAA8D8", "AAAAAAAA8D8=AAAA", "=AAA", "AA=A", "\u00e9", "AAAAAAAA8D8=\n"])),
+    st.tuples(st.just("graft"), st.just([1]), JSON.filter(lambda value: type(value) is not str)),
+    PACKED,
 )
 # command -> the roles it calls
 COMMAND_ROLES = {"build-dataset": cli.DATASET_ROLES, "generate": ("generate",), "evaluate": ("judge",)}
@@ -1416,8 +1437,8 @@ def _grafted(doc, steps, value):
 class _HostileServer:
     """A loopback HTTP server for one role that answers each request on a connection of its
     own and then closes it: the first ``healthy`` requests with the role's mock answer, the
-    next ``hostile`` ones (every later one by default) as ``reply`` (one of ``REPLIES``) says,
-    and any after those with the mock answer again."""
+    next ``hostile`` ones (every later one by default) as ``reply`` (one of ``REPLIES`` or
+    ``EMBED_REPLIES``) says, and any after those with the mock answer again."""
 
     def __init__(self, mocks):
         self.mocks = mocks  # role -> the transport whose answers are the healthy ones
@@ -1467,7 +1488,10 @@ class _HostileServer:
             kind, *args = self.reply
             if kind == "raw":
                 return b"HTTP/1.1 %d Hostile\r\n" % args[0] + args[1]
-            answer = json.dumps(_grafted(json.loads(answer), *args)).encode()
+            if kind == "packed":
+                status, answer = packed_reply(body, *args)
+            else:
+                answer = json.dumps(_grafted(json.loads(answer), *args)).encode()
         return b"HTTP/1.1 %d OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n" % (status, len(answer)) + answer
 
 
@@ -1528,9 +1552,12 @@ class TestHostileBackends:
 
     @settings(max_examples=50)
     @given(st.integers(0, 1), st.integers(1, 4) | st.just(math.inf), REPLIES | EMBED_REPLIES)
-    @example(0, math.inf, ("graft", [0, 0], [0.0] * 32))
-    @example(0, math.inf, ("graft", [0, 1, 5], 10**400))
-    @example(0, math.inf, ("graft", [0, 1], [0.5] * 3))  # mixed dimensions
+    @example(0, math.inf, ("packed", 32, [0.0], 0))  # zero vectors
+    @example(0, math.inf, ("packed", 32, [1e300, 0.5], 0))  # norms that overflow
+    @example(0, math.inf, ("packed", 32, [0.5, math.nan], 0))
+    @example(0, math.inf, ("packed", 32, [0.5], -8))  # one value short
+    @example(0, math.inf, ("graft", [0], 16))  # a dim that does not fit the bytes
+    @example(0, math.inf, ("graft", [1], "AAAAAAAA8D8"))  # bad padding
     @example(0, 2, ("graft", [0], []))  # the chunk and the first sample's own request fail
     def test_evaluate_with_vsr_scores_or_warns_of_embed(self, chain, hostile_server, healthy, hostile, reply):
         """``evaluate --with-vsr`` with the embed role served by a server that answers well

@@ -35,6 +35,7 @@ from adcut.metrics import (
 
 from helpers import (
     mock_backend_set,
+    packed_vectors,
     random_draft,
     recount_counts,
     recount_cra,
@@ -254,15 +255,14 @@ class FixedEmbedTransport:
         payload = loads(body)
         if not set(payload["inputs"]) <= set(self.table):
             return 400, b"{}"
-        vectors = [self.table[item] for item in payload["inputs"]]
-        return 200, dumps_canonical({"vectors": vectors})
+        return 200, dumps_canonical(packed_vectors([self.table[item] for item in payload["inputs"]]))
 
 
 class AnswerTransport:
     """Answers every embed request with the same vectors."""
 
     def __init__(self, vectors):
-        self.body = dumps_canonical({"vectors": vectors})
+        self.body = dumps_canonical(packed_vectors(vectors))
 
     def send(self, role, url, body, headers, timeout_s):
         return 200, self.body
