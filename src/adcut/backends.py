@@ -407,15 +407,15 @@ class Client:
         endpoint: BackendEndpoint,
         transport: Any,
         sleeper: Callable[[float], None] = time.sleep,
-        jitter_rng: random.Random | None = None,
     ):
         if role not in ROLES:
             raise ValueError(f"unknown backend role {role!r}")
         self.role = role
         self.endpoint = endpoint
+        self.url = endpoint.base_url.rstrip("/") + "/v1/" + role  # where each call of the role is sent
         self.transport = transport
         self._sleep = sleeper
-        self._jitter = jitter_rng or random.Random(0)
+        self._jitter = random.Random(0)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -439,7 +439,6 @@ class Client:
             body = dumps_canonical(payload)
         except ValueError as exc:  # a lone surrogate in a string has no UTF-8 encoding
             raise BackendError(self.role, f"cannot encode the request: {type(exc).__name__}: {exc}") from None
-        url = self.endpoint.base_url.rstrip("/") + "/v1/" + self.role
         timeout_s = self.endpoint.timeout_ms / 1000.0
         attempts = self.endpoint.max_retries + 1
         last_error: BackendError | None = None
@@ -448,7 +447,7 @@ class Client:
                 base = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 self._sleep(base * (1 + self._jitter.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
             try:
-                status, raw = self.transport.send(self.role, url, body, self._headers(), timeout_s)
+                status, raw = self.transport.send(self.role, self.url, body, self._headers(), timeout_s)
             except BackendError as exc:
                 last_error = exc
                 if exc.retryable:
@@ -653,16 +652,22 @@ class MockTransport:
       drafts:      sample_id -> ground-truth draft dict (generation role)
       negatives:   sample_id -> negative clip indices (a mode may inject one)
       corruption:  {mode: none or a key of GENERATE_MODES, rate: float}
-      judge:       {verify: approve|revise_always, scores: "caps" | map}
+      judge:       {scores: "caps" | map}
 
     Embeddings are 32-dimensional hashed unit vectors, packed as
     :func:`embed` reads them. Building the mock raises ``ValueError``
     (:class:`~adcut.jsonutil.FieldError` for a wrong JSON type) for a
     fixture key not shaped as above (a ``rate`` is a number in [0, 1]).
 
+    The judge approves every prompt it is asked to verify. A ``score``
+    request is answered with the fixture's map, or with the caps of its
+    ``dimensions`` (every dimension of the rubric when absent or null).
+
     A request the fixtures cannot answer, or whose ``inputs`` (a non-empty
-    list of strings) or ``shot_index`` (an int of at least 0) is misshapen,
-    raises a non-retryable :class:`BackendError` for the role that sent it.
+    list of strings), ``shot_index`` (an int of at least 0), ``rubric_id``
+    (a string naming a rubric) or ``dimensions`` (a list of strings) is
+    misshapen, raises a non-retryable :class:`BackendError` for the role
+    that sent it.
     """
 
     seed: int
@@ -676,9 +681,6 @@ class MockTransport:
             for key, kind in _VIDEO_KEYS.items():
                 json_field(video, key, kind, path, default=None)
         judge = json_field(self.fixtures, "judge", dict, default={})
-        self._judge_verify = judge.get("verify", "approve")
-        if self._judge_verify not in ("approve", "revise_always"):
-            raise ValueError(f"judge.verify must be approve or revise_always, got {self._judge_verify!r}")
         self._judge_scores = judge.get("scores", "caps")
         if self._judge_scores != "caps" and not isinstance(self._judge_scores, dict):
             raise ValueError(f'judge.scores must be "caps" or a JSON object, got {self._judge_scores!r}')
@@ -764,12 +766,6 @@ class MockTransport:
         if task == "analyze":
             return {"analysis": self._analyze(payload)}
         if task == "verify_prompt":
-            if self._judge_verify == "revise_always":
-                revised = dict(payload.get("dimensions", {}))
-                for key in revised:
-                    if revised[key] is not None:
-                        revised[key] = str(revised[key]) + " (revised)"
-                return {"approved": False, "revision": revised}
             return {"approved": True, "revision": None}
         if task == "score":
             return {"scores": self._scores(payload)}
@@ -793,12 +789,11 @@ class MockTransport:
         }
 
     def _scores(self, payload: dict) -> dict:
-        rubric_id = payload.get("rubric_id", "")
-        _, caps = _rubric(rubric_id)
+        _, caps = _rubric(json_field(payload, "rubric_id", str))
+        # absent or null: every dimension
+        wanted = None if payload.get("dimensions") is None else json_field(payload, "dimensions", list, item=str)
         if self._judge_scores == "caps":
-            present = payload.get("dimensions")
-            keys = [k for k in caps if present is None or k in present]
-            return {k: caps[k] for k in keys}
+            return {k: cap for k, cap in caps.items() if wanted is None or k in wanted}
         return dict(self._judge_scores)
 
     def _handle_generate(self, payload: dict) -> dict:

@@ -183,12 +183,12 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[st
     head, colon, spec = value.partition(":")
     if head == "mock" and colon and (not spec or role == "generate"):
         return be.Client(role, be.MOCK_ENDPOINT, transport=mock(value))
+    client = be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=_http())
     try:
-        be._route(value.rstrip("/") + "/v1/" + role)  # the URL each call of the role sends to
+        be._route(client.url)
     except ValueError as exc:
         raise CliError(f"bad {role} endpoint {value!r}: {exc}") from None
-    endpoint = be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role))
-    return be.Client(role, endpoint, transport=_http())
+    return client
 
 
 def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:

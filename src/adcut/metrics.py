@@ -38,10 +38,6 @@ class EmptyCorpus(ValueError):
     pass
 
 
-class ScoreOutOfRange(ValueError):
-    pass
-
-
 class UnknownTag(ValueError):
     """A draft holds a tag outside the taxonomy; ``origin`` is ``"prediction"``
     or ``"ground truth"``."""
@@ -198,40 +194,35 @@ def csa(corpus: Sequence[EvalSample]) -> float:
     return count_metrics(corpus).csa
 
 
-def dtpr(corpus: Sequence[EvalSample], taxonomy: TagTaxonomy | None = None) -> DtprReport:
-    """Per-category tag precision/recall and their macro averages.
+def dtpr(corpus: Sequence[EvalSample]) -> DtprReport:
+    """Per-category tag precision/recall and their macro averages, over the
+    bundled taxonomy.
 
     A category with no predicted tags anywhere has undefined precision and
     is excluded from the precision macro average (likewise for recall with
     no ground-truth tags).
     """
-    return count_metrics(corpus, taxonomy).dtpr()
-
-
-def _check_scores(scores: Mapping[str, float], weights: Mapping[str, float]) -> None:
-    for dim, value in scores.items():
-        if dim not in weights:
-            raise ValueError(f"unknown score dimension {dim!r}")
-        if not 0 <= value <= weights[dim]:
-            raise ScoreOutOfRange(f"{dim} score {value} outside [0, {weights[dim]}]")
+    return count_metrics(corpus).dtpr()
 
 
 def fpf_aggregate(scores: Mapping[str, float]) -> float:
     """Free-prompt-following total: sum of the provided dimension scores,
-    renormalized to 100 by the weight of the dimensions present."""
+    renormalized to 100 by the weight of the dimensions present. The scores
+    are :func:`~adcut.backends.judge_score`'s, each a dimension of the rubric
+    within its cap; an empty map raises ``ValueError``."""
     if not scores:
         raise ValueError("no dimension scores provided")
-    _check_scores(scores, FPF_WEIGHTS)
     present_weight = sum(FPF_WEIGHTS[d] for d in scores)
     return 100.0 * sum(scores.values()) / present_weight
 
 
 def sq_aggregate(scores: Mapping[str, float]) -> float:
-    """Script-quality total: plain sum; all four categories always apply."""
+    """Script-quality total: plain sum; all four categories always apply, so
+    a map lacking one raises ``ValueError``. The scores are
+    :func:`~adcut.backends.judge_score`'s, each within its cap."""
     missing = set(SQ_WEIGHTS) - set(scores)
     if missing:
         raise ValueError(f"missing script-quality categories: {sorted(missing)}")
-    _check_scores(scores, SQ_WEIGHTS)
     return float(sum(scores.values()))
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import hypothesis
 import pytest
 
-hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
+hypothesis.settings.register_profile("ci", max_examples=60, deadline=None, print_blob=True)
 hypothesis.settings.load_profile("ci")
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import re
 import socket
 import subprocess
@@ -147,8 +146,7 @@ class TestClient:
             [TransportFailure("generate", "x"), TransportFailure("generate", "x"), (200, b"{}")]
         )
         ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
-        client = Client("generate", ep, transport=transport, sleeper=sleeps.append,
-                        jitter_rng=random.Random(0))
+        client = Client("generate", ep, transport=transport, sleeper=sleeps.append)
         client.call({})
         assert len(sleeps) == 2
         assert 0.25 * 0.8 <= sleeps[0] <= 0.25 * 1.2
@@ -193,6 +191,16 @@ class TestJudgeScore:
         client = mock_backend_set(1).judge
         scores = judge_score({"sample_id": "x"}, "script_quality_eval", client)
         assert scores == {"basic": 30, "native_language_tone": 15, "touch_the_audience": 15, "creative_narrative": 40}
+
+    @pytest.mark.parametrize("dimensions, expected", [
+        (None, RUBRICS["free_prompt_eval"][1]),
+        (["avatar", "duration", "avatar"], {"duration": 10, "avatar": 10}),
+        (["dur", "durationavatar", "basic"], {}),
+        ([], {}),
+    ], ids=["null", "named", "no-exact-name", "none"])
+    def test_caps_mock_answers_each_named_dimension_by_its_exact_name(self, dimensions, expected):
+        payload = {"task": "score", "rubric_id": "free_prompt_eval", "dimensions": dimensions}
+        assert mock_backend(1).answer("judge", payload) == {"scores": expected}
 
     def test_over_cap_rejected(self):
         client = mock_backend_set(1, {"judge": {"scores": {"basic": 31}}}).judge
@@ -453,6 +461,16 @@ FAULTS = [
     pytest.param("embed", {}, [], "TypeError: ", id="embed-request-an-array"),
     pytest.param("asr", {}, [], "AttributeError: ", id="request-an-array"),
     pytest.param("judge", {}, {"task": "score", "rubric_id": "nope"}, "KeyError: ", id="unknown-rubric"),
+    pytest.param("judge", {}, {"task": "score"}, "MissingField: 'rubric_id'", id="no-rubric"),
+    pytest.param("judge", {}, {"task": "score", "rubric_id": ["free_prompt_eval"]},
+                 "FieldError: rubric_id: expected str, got list", id="rubric_id-an-array"),
+    pytest.param("judge", {}, {"task": "score", "rubric_id": "free_prompt_eval", "dimensions": "durationavatar"},
+                 "FieldError: dimensions: expected list of str, got str", id="dimensions-a-string"),
+    pytest.param("judge", {}, {"task": "score", "rubric_id": "free_prompt_eval", "dimensions": {"duration": 1}},
+                 "FieldError: dimensions: expected list of str, got dict", id="dimensions-an-object"),
+    pytest.param("judge", {"judge": {"scores": {"basic": 1}}},
+                 {"task": "score", "rubric_id": "script_quality_eval", "dimensions": [["basic"]]},
+                 "FieldError: dimensions: expected list of str, got list", id="dimensions-holding-an-array"),
     pytest.param("judge", {}, {"task": "analyze", "deconstruction": {"shot_boundaries": [0, float("nan")]}},
                  "ValueError: ", id="shot-boundary-nan"),
     pytest.param("judge", {}, {"task": "analyze", "deconstruction": {"shot_boundaries": [0, 10**400]}},
@@ -586,11 +604,10 @@ class TestInProcessParity:
     @pytest.mark.parametrize("scores", ["caps", {"basic": 30, "touch_the_audience": 7.5, "duration": 0}])
     @pytest.mark.parametrize("mode", ["none", *GENERATE_MODES])
     @settings(max_examples=25)
-    @given(requests=REQUESTS, seed=st.integers(0, 2**32), verify=st.sampled_from(["approve", "revise_always"]))
-    def test_in_process_answer_equals_the_decoded_wire_answer(self, mode, scores, requests, seed, verify):
+    @given(requests=REQUESTS, seed=st.integers(0, 2**32))
+    def test_in_process_answer_equals_the_decoded_wire_answer(self, mode, scores, requests, seed):
         fixtures = {"videos": VIDEOS, "drafts": PARITY_DRAFTS, "negatives": {"s1": [9, 0], "s2": [1, 7]},
-                    "corruption": {"mode": mode, "rate": 0.5},
-                    "judge": {"verify": verify, "scores": scores}}
+                    "corruption": {"mode": mode, "rate": 0.5}, "judge": {"scores": scores}}
         mock = mock_backend(seed, json.loads(json.dumps(fixtures)))
         assert {role for role, _ in requests} == set(ROLES)
         for role, payload in requests:
@@ -986,6 +1003,16 @@ class TestHttpTransport:
             client = http_client(transport, server.url)
             assert [client.call({}).data for _ in range(2)] == [{"a": 2}, {"ok": True}]
         assert server.peers == 2
+
+    def test_a_new_connection_closed_without_a_response_is_a_transport_failure_retried_anew(self):
+        # only a reused connection is reopened inside the transport; a new one fails the attempt
+        with scripted((b"", True)) as server, HttpTransport() as transport:
+            with pytest.raises(TransportFailure, match="^embed: the server closed the connection without a response$"):
+                transport.send("embed", server.url + "/v1/embed", b"{}", {}, 5.0)
+            assert transport._conns == {}
+        with scripted((b"", True), OK) as server, HttpTransport() as transport:
+            result = http_client(transport, server.url, retries=1).call({})
+        assert (result.data, result.retries, server.peers) == ({"ok": True}, 1, 2)
 
     @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK\r\nConnection: close", b"HTTP/1.0 200 OK"])
     def test_a_response_that_closes_makes_the_next_call_open_a_new_connection(self, head):

@@ -59,8 +59,6 @@ def run(capsys, *argv):
 # a fixtures file's ``judge`` value the mocks cannot read, with the reason the CLI gives
 MISSHAPEN_JUDGE = [
     pytest.param(5, "judge: expected dict, got int", id="judge not an object"),
-    pytest.param({"verify": "reject"}, "judge.verify must be approve or revise_always, got 'reject'",
-                 id="unknown judge verify"),
     pytest.param({"scores": 5}, 'judge.scores must be "caps" or a JSON object, got 5', id="judge scores a number"),
     pytest.param({"scores": "max"}, """judge.scores must be "caps" or a JSON object, got 'max'""",
                  id="unknown judge scores"),
@@ -388,7 +386,7 @@ class TestBuildDataset:
             ("drafts", {"vid-serum": []}, "drafts.vid-serum: expected dict, got list"),
             ("negatives", {"vid-serum": [1, "2"]}, "negatives.vid-serum: expected list of int, got list"),
             ("negatives", [], "negatives: expected dict, got list"),
-            ("judge", {"verify": "approve\ud800"}, "lone surrogate '\\ud800' in a string"),
+            ("judge", {"scores": "caps\ud800"}, "lone surrogate '\\ud800' in a string"),
         ],
         ids=["video not an object", "pool entry without integer duration", "pool clip too short",
              "pool clip past the float range", "pool entry without index",
@@ -1517,12 +1515,14 @@ class TestHostileBackends:
     @example("judge", 0, ("raw", 200, b"Content-Length: " + _HUGE_LENGTH + b"\r\n\r\n{}"))
     @example("asr", 1, ("graft", [0], []))  # a video with no speech
     @example("shots", 2, ("raw", 503, b"Content-Length: 2\r\n\r\n{}"))
+    @example("shots", 0, ("graft", [0, 2], 0))  # vid-blender's shots end before its second sentence
     def test_each_sample_succeeds_or_warns_of_its_role(self, tmp_path_factory, chain, hostile_server, role,
                                                        healthy, reply):
         """``build-dataset``, ``generate`` and ``evaluate --with-judge``, with one role served over
         HTTP by a server that answers it well ``healthy`` times and then with ``reply``, each exit
         0, 1 or 2 and print no traceback. Each sample that fails prints one ``warning: <id>:
-        <role>: …``, or says its deconstruction is empty, and every other sample is written."""
+        <role>: …``, or says its deconstruction is empty, and every other sample is written. Shots
+        that end before the speech, or start after it, fail the sample's ``asr`` sentence instead."""
         tmp = tmp_path_factory.mktemp("hostile")
         corpus, predictions = chain
         outs = {"build-dataset": tmp / "corpus.jsonl", "generate": tmp / "pred.jsonl"}
@@ -1531,7 +1531,10 @@ class TestHostileBackends:
             "generate": ["generate", str(corpus), "--seed", "7", "--out", str(outs["generate"])],
             "evaluate": ["evaluate", str(corpus), str(predictions), "--with-judge"],
         }
-        failure = re.compile(rf"({re.escape(role)}: .*|deconstruction has no shots or no speech)")
+        failure = rf"{re.escape(role)}: .*|deconstruction has no shots or no speech"
+        if role == "shots":
+            failure += r"|asr: sentence \d+ (starts|ends) at \d+, (before the first|after the last) shot boundary \d+"
+        failure = re.compile(failure)
         for command, argv in commands.items():
             if role in COMMAND_ROLES[command]:
                 argv += [f"--endpoint-{role}", hostile_server.url]

@@ -147,9 +147,13 @@ class TestVerify:
         assert verify_free_prompt(prompt, ANALYSIS, judge) == prompt
 
     def test_always_revising_judge_capped_at_two_rounds(self):
-        fixtures = {"judge": {"verify": "revise_always"}}
-        transport = mock_backend(1, fixtures)
-        counting = CountingCalls(transport)
+        class Revising:  # revises each dimension of every prompt it is sent
+            def send(self, role, url, body, headers, timeout_s):
+                dimensions = loads(body)["dimensions"]
+                revised = {k: None if v is None else v + " (revised)" for k, v in dimensions.items()}
+                return 200, dumps_canonical({"approved": False, "revision": revised})
+
+        counting = CountingCalls(Revising())
         judge = Client("judge", MOCK_ENDPOINT, transport=counting)
         prompt = free_prompt_from_dimensions({"duration": "10s"})
         out = verify_free_prompt(prompt, ANALYSIS, judge)
