@@ -536,22 +536,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                                  lambda _, chunk: mx.chunk_vsr(chunk, embedder))
                 for vsr in outcomes]
 
-    def score(_: str, sample: mx.EvalSample, vsr: Any) -> dict:
-        out = mx.score_sample(sample, judge)
-        if isinstance(vsr, Exception):  # the BackendError that failed the sample's embedding
-            raise vsr
-        out["vsr"] = vsr
-        return out
-
     items = [(s.sample_id, s, v) for s, v in zip(eval_samples, vsrs)]
-    scores = list(_map_samples(concurrency, [judge] if judge else [], items, score))
-    if None in scores:
+    lines = list(_map_samples(concurrency, [judge] if judge else [], items,
+                              lambda _, sample, vsr: mx.score_sample(sample, judge, vsr)))
+    if None in lines:
         return EXIT_VIOLATION
-    report = mx.evaluate_corpus(counts, scores)
+    report = mx.evaluate_corpus(counts, lines)
     if args.format == "table":
         _emit(mx.render_table(report), args.out)
     else:
-        _emit(dumps_canonical(report.to_dict()).decode("utf-8"), args.out)
+        _emit(dumps_canonical(report).decode("utf-8"), args.out)
     return EXIT_OK
 
 

@@ -249,10 +249,6 @@ def draft_from_dict(doc: Any) -> Draft:
 # serialization
 
 
-def voice_track_to_list(track: Iterable[VoiceSentence]) -> list[dict]:
-    return [{"text": s.text, "target_start": s.target_start, "target_end": s.target_end} for s in track]
-
-
 def nodes_track_to_list(track: Iterable[VideoNode]) -> list[dict]:
     return [
         {
@@ -268,7 +264,9 @@ def nodes_track_to_list(track: Iterable[VideoNode]) -> list[dict]:
 def draft_to_dict(d: Draft) -> dict:
     """Plain dict with the canonical key order."""
     return {
-        "voice_over_track": voice_track_to_list(d.voice_over_track),
+        "voice_over_track": [
+            {"text": s.text, "target_start": s.target_start, "target_end": s.target_end} for s in d.voice_over_track
+        ],
         "video_nodes_track": nodes_track_to_list(d.video_nodes_track),
         "decoration_setting": d.decoration_setting.to_dict(),
     }

@@ -6,10 +6,11 @@ free-prompt following and script quality, and a simplified embedding-based
 visual/script relevance score. :func:`eval_sample` builds each scored pair
 from a corpus sample and its model output. All counting is one pure fold,
 :func:`count_metrics`, into :class:`MetricCounts`, from which the three
-counting metrics are derived; :func:`evaluate_corpus` adds the per-sample
-judge scores of :func:`score_sample` and VSR scores of :func:`chunk_vsr`, so
-results are independent of corpus order and of evaluation concurrency. VSR
-embeds the inputs of a chunk of samples (:func:`vsr_chunks`) in one request.
+counting metrics are derived; :func:`evaluate_corpus` folds them and the
+samples' score lines (:func:`score_sample`'s, from the judge and each sample's
+:func:`chunk_vsr` outcome) into a plain-dict report, so results are independent
+of corpus order and of evaluation concurrency. VSR embeds the inputs of a
+chunk of samples (:func:`vsr_chunks`) in one request.
 """
 
 from __future__ import annotations
@@ -328,10 +329,11 @@ def vsr(sample: EvalSample, vectors: list[np.ndarray]) -> float:
     return 100.0 * (whole + sum(per_sentence) / len(per_sentence)) / 2.0
 
 
-def score_sample(sample: EvalSample, judge: Client | None) -> dict[str, float | None]:
-    """One sample's ``fpf`` and ``sq`` from the judge, each None without a judge or for
-    an empty score map (``vsr`` comes from the sample's :func:`chunk_vsr`). A failed
-    call, or a score map the aggregate rejects, raises a ``BackendError``."""
+def score_sample(sample: EvalSample, judge: Client | None, vsr: float | BackendError | None) -> dict[str, float | None]:
+    """The sample's score line, ``{"fpf", "sq", "vsr"}``: ``fpf`` and ``sq`` from the judge, each
+    None without a judge or for an empty score map, and ``vsr``, the sample's :func:`chunk_vsr`
+    outcome. A failed judge call, or a score map the aggregate rejects, raises a ``BackendError``;
+    so does a ``vsr`` that is one, once both judge requests have been sent, so a judge failure wins."""
     out: dict[str, float | None] = {"fpf": None, "sq": None}
     if judge is not None:
         for key, rubric_id, aggregate in (("fpf", "free_prompt_eval", fpf_aggregate),
@@ -341,67 +343,41 @@ def score_sample(sample: EvalSample, judge: Client | None) -> dict[str, float | 
                 out[key] = aggregate(scores) if scores else None
             except ValueError as exc:
                 raise MalformedScores(judge.role, str(exc)) from None
+    if isinstance(vsr, BackendError):
+        raise vsr
+    out["vsr"] = vsr
     return out
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    cra: float
-    csa: float
-    fpf: float | None
-    vsr: float | None
-    sq: float | None
-    dtpr: DtprReport
-    counts: MetricCounts
-
-    def to_dict(self) -> dict:
-        return {
-            "cra": self.cra,
-            "csa": self.csa,
-            "fpf": self.fpf,
-            "vsr": self.vsr,
-            "sq": self.sq,
-            "dtpr": self.dtpr.to_dict(),
-            "counts": self.counts.to_dict(),
-        }
-
-
-def evaluate_corpus(counts: MetricCounts, scores: Sequence[Mapping[str, float | None]]) -> EvalReport:
-    """The report: the counting metrics of ``counts`` (a corpus's
-    :func:`count_metrics`) plus the mean of each backend score over ``scores``
-    (one map per sample, in corpus order: :func:`score_sample`'s, with the
-    sample's ``vsr`` when VSR was scored), skipping Nones and missing keys. A
-    score that no sample has is None."""
+def evaluate_corpus(counts: MetricCounts, lines: Sequence[Mapping[str, float | None]]) -> dict:
+    """The report that ``evaluate`` prints: the counting metrics of ``counts`` (a
+    corpus's :func:`count_metrics`) and the mean of each score over ``lines`` (the
+    samples' :func:`score_sample` lines, in corpus order), skipping Nones; a score that
+    no sample has is None. Keys: ``cra``, ``csa``, ``fpf``, ``vsr``, ``sq``, ``dtpr``
+    (:meth:`DtprReport.to_dict`) and ``counts`` (:meth:`MetricCounts.to_dict`)."""
 
     def mean(key: str) -> float | None:
-        values = [s[key] for s in scores if s.get(key) is not None]
+        values = [line[key] for line in lines if line[key] is not None]
         return sum(values) / len(values) if values else None
 
-    return EvalReport(
-        cra=counts.cra,
-        csa=counts.csa,
-        fpf=mean("fpf"),
-        vsr=mean("vsr"),
-        sq=mean("sq"),
-        dtpr=counts.dtpr(),
-        counts=counts,
-    )
+    return {"cra": counts.cra, "csa": counts.csa, "fpf": mean("fpf"), "vsr": mean("vsr"), "sq": mean("sq"),
+            "dtpr": counts.dtpr().to_dict(), "counts": counts.to_dict()}
 
 
 def _fmt(value: float | None) -> str:
     return f"{value:.2f}" if value is not None else "-"
 
 
-def render_table(report: EvalReport) -> str:
-    """Aligned plain-text table in the canonical column order."""
-    dtpr_cell = f"{_fmt(report.dtpr.precision)}/{_fmt(report.dtpr.recall)}"
+def render_table(report: dict) -> str:
+    """Aligned plain-text table of an :func:`evaluate_corpus` report in the canonical column order."""
+    dtpr_cell = f"{_fmt(report['dtpr']['precision'])}/{_fmt(report['dtpr']['recall'])}"
     headers = ["CRA", "CSA", "FPF", "VSR", "SQ", "DTPR"]
     values = [
-        _fmt(report.cra),
-        _fmt(report.csa),
-        _fmt(report.fpf),
-        _fmt(report.vsr),
-        _fmt(report.sq),
+        _fmt(report["cra"]),
+        _fmt(report["csa"]),
+        _fmt(report["fpf"]),
+        _fmt(report["vsr"]),
+        _fmt(report["sq"]),
         dtpr_cell,
     ]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
@@ -410,7 +386,7 @@ def render_table(report: EvalReport) -> str:
     lines = [head, row, ""]
     lines.append("DTPR by category:")
     for cat in DTPR_CATEGORIES:
-        entry = report.dtpr.per_category[cat]
+        entry = report["dtpr"]["per_category"][cat]
         lines.append(
             f"  {DTPR_DISPLAY[cat]:<11} precision {_fmt(entry['precision'])}  recall {_fmt(entry['recall'])}"
         )

@@ -229,7 +229,14 @@ class ClipPlan:
         return {"index": self.index, "fast": self.fast.to_dict(), "slow": self.slow.to_dict()}
 
 
-def _clip_plan(clip: ClipMeta, cfg: SlowFastConfig, fast_fps: float, slow_fps: float, fast: int, slow: int) -> ClipPlan:
+def _clip_plan(
+    clip: ClipMeta, cfg: SlowFastConfig, fast_fps: float, fast: int | None = None, slow: int | None = None
+) -> ClipPlan:
+    """``clip``'s pathways at ``fast_fps`` and at the slow rate capped by it, taking ``fast``
+    and ``slow`` frames, each counted by :func:`frame_total` when not given."""
+    slow_fps = min(cfg.slow.fps, fast_fps)
+    fast = frame_total(clip, fast_fps) if fast is None else fast
+    slow = frame_total(clip, slow_fps) if slow is None else slow
     return ClipPlan(
         clip.index,
         PathwaySample(clip, fast_fps, fast, cfg.fast.tokens_per_frame * fast),
@@ -251,10 +258,8 @@ class SamplingPlan:
 
     @cached_property
     def clips(self) -> tuple[ClipPlan, ...]:
-        fast_fps = self.effective_fast_fps
-        slow_fps = min(self.config.slow.fps, fast_fps)
         return tuple(
-            _clip_plan(clip, self.config, fast_fps, slow_fps, f, s)
+            _clip_plan(clip, self.config, self.effective_fast_fps, f, s)
             for clip, f, s in zip(self.metas, self.fast_frames, self.slow_frames)
         )
 
@@ -291,9 +296,7 @@ class SamplingPlan:
 
 def plan_clip(clip: ClipMeta, cfg: SlowFastConfig, effective_fast_fps: float | None = None) -> ClipPlan:
     """Count both pathways' frames for one clip and attach token counts."""
-    fast_fps = cfg.fast.fps if effective_fast_fps is None else effective_fast_fps
-    slow_fps = min(cfg.slow.fps, fast_fps)
-    return _clip_plan(clip, cfg, fast_fps, slow_fps, frame_total(clip, fast_fps), frame_total(clip, slow_fps))
+    return _clip_plan(clip, cfg, cfg.fast.fps if effective_fast_fps is None else effective_fast_fps)
 
 
 def plan_request(clips: ClipSet, cfg: SlowFastConfig) -> SamplingPlan:

@@ -483,16 +483,46 @@ class TestEvalSample:
 
 class TestScoreSample:
     def test_unrequested_scores_are_none(self):
-        assert score_sample(sample([0], [0]), None) == {"fpf": None, "sq": None}
+        assert score_sample(sample([0], [0]), None, None) == {"fpf": None, "sq": None, "vsr": None}
 
     def test_empty_score_map_is_none(self):
         judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {}})
-        assert score_sample(sample([0], [0]), judge) == {"fpf": 50.0, "sq": None}
+        assert score_sample(sample([0], [0]), judge, None) == {"fpf": 50.0, "sq": None, "vsr": None}
+
+    @pytest.mark.parametrize("outcome", [-12.5, None])
+    def test_the_vsr_outcome_lands_in_the_line(self, outcome):
+        judge = judge_client({"free_prompt_eval": {}, "script_quality_eval": {}})
+        assert score_sample(sample([0], [0]), judge, outcome) == {"fpf": None, "sq": None, "vsr": outcome}
 
     def test_score_map_the_aggregate_rejects_is_malformed(self):
         judge = judge_client({"free_prompt_eval": {"duration": 5}, "script_quality_eval": {"basic": 10}})
         with pytest.raises(MalformedScores, match="judge: missing script-quality categories"):
-            score_sample(sample([0], [0]), judge)
+            score_sample(sample([0], [0]), judge, None)
+
+    def test_a_failing_judge_is_the_error_over_a_failed_embedding(self):
+        class Refusing:
+            def send(self, role, url, body, headers, timeout_s):
+                return 400, b"{}"
+
+        judge = Client("judge", BackendEndpoint("mock://fixed"), transport=Refusing())
+        with pytest.raises(BadStatus, match="^judge: HTTP status 400$"):
+            score_sample(sample([0], [0]), judge, BadStatus("embed", 400))
+
+    def test_a_failed_embedding_is_raised_after_both_judge_requests(self):
+        sent = []
+
+        class Recording(RubricScoresTransport):
+            def send(self, role, url, body, headers, timeout_s):
+                sent.append(loads(body)["rubric_id"])
+                return super().send(role, url, body, headers, timeout_s)
+
+        judge = Client("judge", BackendEndpoint("mock://fixed"),
+                       transport=Recording({"free_prompt_eval": {}, "script_quality_eval": {}}))
+        failed = BadStatus("embed", 400)
+        with pytest.raises(BadStatus) as caught:
+            score_sample(sample([0], [0]), judge, failed)
+        assert caught.value is failed
+        assert sent == ["free_prompt_eval", "script_quality_eval"]
 
 
 class TestCorpusInvariants:
@@ -524,28 +554,29 @@ class TestEvaluateCorpus:
     def test_full_report_with_mock_judge(self):
         corpus = perturbed_corpus(10, seed=6)
         judge = mock_backend_set(2).judge
-        report = evaluate_corpus(count_metrics(corpus), [score_sample(s, judge) for s in corpus])
-        assert report.cra == recount_cra(corpus)
-        assert report.csa == recount_csa(corpus)
-        assert report.fpf == 100.0  # caps mock
-        assert report.sq == 100.0
-        assert report.vsr is None
-        blob = dumps_canonical(report.to_dict())
-        assert blob.startswith(b'{"cra":')
+        report = evaluate_corpus(count_metrics(corpus), [score_sample(s, judge, None) for s in corpus])
+        assert list(report) == ["cra", "csa", "fpf", "vsr", "sq", "dtpr", "counts"]
+        assert report["cra"] == recount_cra(corpus)
+        assert report["csa"] == recount_csa(corpus)
+        assert report["fpf"] == 100.0  # caps mock
+        assert report["sq"] == 100.0
+        assert report["vsr"] is None
+        assert report["dtpr"] == count_metrics(corpus).dtpr().to_dict()
+        assert dumps_canonical(report).startswith(b'{"cra":')
 
     def test_counts_equal_brute_force_recount(self):
         corpus = perturbed_corpus(40, seed=7)
         corpus += [EvalSample(f"u{i}", s.ground_truth, None, s.negatives) for i, s in enumerate(corpus[:8])]
         report = evaluate_corpus(count_metrics(corpus), [])
-        assert report.counts.to_dict() == recount_counts(corpus)
-        assert (report.cra, report.csa) == (recount_cra(corpus), recount_csa(corpus))
+        assert report["counts"] == recount_counts(corpus)
+        assert (report["cra"], report["csa"]) == (recount_cra(corpus), recount_csa(corpus))
 
     def test_scores_fold_to_their_means_skipping_none(self):
         corpus = [sample([0], [0], sid="a"), sample([0], [1], sid="b")]
-        scores = [{"fpf": 50.0, "sq": None, "vsr": None}, {"fpf": 100.0, "sq": None, "vsr": -10.0}]
-        report = evaluate_corpus(count_metrics(corpus), scores)
-        assert (report.fpf, report.sq, report.vsr) == (75.0, None, -10.0)
-        assert report.cra == 50.0
+        lines = [{"fpf": 50.0, "sq": None, "vsr": None}, {"fpf": 100.0, "sq": None, "vsr": -10.0}]
+        report = evaluate_corpus(count_metrics(corpus), lines)
+        assert (report["fpf"], report["sq"], report["vsr"]) == (75.0, None, -10.0)
+        assert report["cra"] == 50.0
 
     def test_render_table_layout(self):
         corpus = [sample([0], [0])]
