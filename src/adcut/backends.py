@@ -43,7 +43,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
-from .draft import DECORATION_KEYS, DecorationSetting, VideoNode, nodes_track_to_list
+from .draft import DECORATION_KEYS, DecorationSetting
 from .jsonutil import FieldError, dumps_canonical, loads
 from .jsonutil import field as json_field
 
@@ -52,6 +52,8 @@ if TYPE_CHECKING:
 
 ROLES = ("generate", "judge", "embed", "asr", "ocr", "shots", "caption")
 
+TIMEOUT_S = 30.0  # per connect and per read
+MAX_RETRIES = 2
 BACKOFF_BASE_S = 0.25
 BACKOFF_JITTER = 0.2
 
@@ -117,20 +119,6 @@ class MalformedScores(BackendError):
 
 class _NoAnswer(LookupError):
     """The mock's fixtures hold no answer to a request."""
-
-
-@dataclass(frozen=True)
-class BackendEndpoint:
-    base_url: str
-    timeout_ms: int = 30000
-    max_retries: int = 2
-    auth_env: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -392,35 +380,37 @@ def _exactly(reader: Any, n: int) -> bytes:
 
 
 class Client:
-    """One backend role: canonical-JSON POST with idempotent retries.
+    """One backend role: canonical-JSON POST to ``<base_url>/v1/<role>`` with idempotent retries.
 
-    Transport failures, 429 and 5xx responses are retried up to
-    ``endpoint.max_retries`` times with exponential backoff (base 250 ms,
-    doubling, +/-20% jitter). Forwarded payload bytes are never mutated. A
-    payload with no UTF-8 JSON encoding raises a non-retryable
-    :class:`BackendError` before any send.
+    Each send waits :data:`TIMEOUT_S` seconds per connect and per read. Transport failures, 429
+    and 5xx responses are retried up to :data:`MAX_RETRIES` times with exponential backoff (base
+    250 ms, doubling, +/-20% jitter) slept by ``sleeper``. A request carries the value of the
+    environment variable ``auth_env``, when set and not empty, as a bearer token. Forwarded
+    payload bytes are never mutated. A payload with no UTF-8 JSON encoding raises a
+    non-retryable :class:`BackendError` before any send.
     """
 
     def __init__(
         self,
         role: str,
-        endpoint: BackendEndpoint,
+        base_url: str,
         transport: Any,
+        auth_env: str | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         if role not in ROLES:
             raise ValueError(f"unknown backend role {role!r}")
         self.role = role
-        self.endpoint = endpoint
-        self.url = endpoint.base_url.rstrip("/") + "/v1/" + role  # where each call of the role is sent
+        self.url = base_url.rstrip("/") + "/v1/" + role  # where each call of the role is sent
         self.transport = transport
+        self.auth_env = auth_env
         self._sleep = sleeper
         self._jitter = random.Random(0)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
-        if self.endpoint.auth_env:
-            token = os.environ.get(self.endpoint.auth_env)
+        if self.auth_env:
+            token = os.environ.get(self.auth_env)
             if token:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
@@ -439,15 +429,13 @@ class Client:
             body = dumps_canonical(payload)
         except ValueError as exc:  # a lone surrogate in a string has no UTF-8 encoding
             raise BackendError(self.role, f"cannot encode the request: {type(exc).__name__}: {exc}") from None
-        timeout_s = self.endpoint.timeout_ms / 1000.0
-        attempts = self.endpoint.max_retries + 1
         last_error: BackendError | None = None
-        for attempt in range(attempts):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 base = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 self._sleep(base * (1 + self._jitter.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
             try:
-                status, raw = self.transport.send(self.role, self.url, body, self._headers(), timeout_s)
+                status, raw = self.transport.send(self.role, self.url, body, self._headers(), TIMEOUT_S)
             except BackendError as exc:
                 last_error = exc
                 if exc.retryable:
@@ -501,13 +489,13 @@ class BackendSet:
 
 
 def generate_draft(request: dict, client: Client) -> bytes:
-    """POST a generation request; returns the draft's bytes: canonical JSON for
-    a draft object, else the answer's text unmodified."""
+    """POST a generation request; returns the draft's bytes: the answer's text
+    unmodified for a string draft, else the draft's canonical JSON."""
     result = client.call(request)
     if not isinstance(result.data, dict) or "draft" not in result.data:
         raise InvalidResponse(client.role, "response lacks a draft field")
     draft = result.data["draft"]
-    return dumps_canonical(draft) if isinstance(draft, dict) else str(draft).encode("utf-8")
+    return draft.encode("utf-8") if isinstance(draft, str) else dumps_canonical(draft)
 
 
 @lru_cache(maxsize=None)
@@ -628,7 +616,7 @@ def _inject_negative(draft: dict, rng: random.Random, negatives: list[int]) -> N
     free = [i for i in negatives if i not in used]
     if free and nodes:
         end = nodes[-1]["target_end"]
-        nodes.extend(nodes_track_to_list([VideoNode(free[0], end, end + 1000, 0)]))
+        nodes.append({"index": free[0], "target_start": end, "target_end": end + 1000, "source_start": 0})
 
 
 def _drop_tag(draft: dict, rng: random.Random, negatives: list[int]) -> None:
@@ -813,4 +801,4 @@ def mock_backend(seed: int, fixtures: dict | None = None) -> MockTransport:
     return MockTransport(seed=seed, fixtures=fixtures or {})
 
 
-MOCK_ENDPOINT = BackendEndpoint(base_url="mock://local", timeout_ms=1000, max_retries=0)
+MOCK_ENDPOINT = "mock://local"  # the base URL of a client over the mock

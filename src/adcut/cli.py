@@ -114,8 +114,9 @@ class Config:
             raise CliError(f"{self.source}: [{section}] {key}: expected {kind.__name__}, got {value!r}") from None
 
     def path(self, section: str, key: str) -> Path | None:
+        """The value as a path read from :attr:`base_dir`, or ``None`` when it is not set or empty."""
         value = self.get(section, key)
-        if value is None:
+        if not value:
             return None
         p = Path(value)
         return p if p.is_absolute() else self.base_dir / p
@@ -183,7 +184,7 @@ def _client(args: argparse.Namespace, cfg: Config, role: str, mock: Callable[[st
     head, colon, spec = value.partition(":")
     if head == "mock" and colon and (not spec or role == "generate"):
         return be.Client(role, be.MOCK_ENDPOINT, transport=mock(value))
-    client = be.Client(role, be.BackendEndpoint(base_url=value, auth_env=cfg.get("auth", role)), transport=_http())
+    client = be.Client(role, value, _http(), cfg.get("auth", role))
     try:
         be._route(client.url)
     except ValueError as exc:
@@ -205,7 +206,7 @@ def _fixtures(cfg: Config, seed: int) -> tuple[dict, be.MockTransport]:
     return fixtures, mock
 
 
-def _on_file(use: Callable[[str], Any], path: str) -> Any:
+def _on_file(use: Callable[[Any], Any], path: str | Path) -> Any:
     """``use(path)``, turning a file that cannot be read or written, or a bad
     record, into a usage error."""
     try:
@@ -287,7 +288,7 @@ def _map_samples(
 
 def _run_samples(
     args: argparse.Namespace, cfg: Config, clients: Iterable[be.Client], items: list[tuple], fn: Callable[..., dict],
-    out: str | None, append=False,
+    out: str | Path | None, append=False,
 ) -> int:
     """Write each result of :func:`_map_samples` at ``--concurrency`` as a JSON line of
     ``out``; a failed sample gets no line, and exit code 1."""
@@ -440,7 +441,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
             corpus_seed=seed, dropout_p=dropout, sampling=sampling, template=template,
         ).to_dict()
 
-    return _run_samples(args, cfg, clients.values(), products, build, args.out or cfg.get("dataset", "out"))
+    return _run_samples(args, cfg, clients.values(), products, build, args.out or cfg.path("dataset", "out"))
 
 
 def _mock_generate(value: str, seed: int, samples: list[ds.DatasetSample]) -> be.MockTransport:

@@ -36,7 +36,7 @@ from .draft import (
     draft_to_dict,
 )
 from .jsonutil import field, read_records, write_records
-from .sampling import DEFAULT_SAMPLING_PRESET, SlowFastConfig, parse_preset, plan_request
+from .sampling import SlowFastConfig, plan_request
 
 NEGATIVE_COUNT_MEAN = 2.5
 NEGATIVE_COUNT_VARIANCE = 8.0
@@ -344,7 +344,7 @@ def deconstruct(video_ref: str, backends: BackendSet) -> Deconstruction:
 # step 2: analysis
 
 
-def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None = None) -> dict[str, str | None]:
+def analyze_dimensions(dec: Deconstruction, judge: Client, video_ref: str | None) -> dict[str, str | None]:
     """One analysis entry per requirement dimension; entries may be absent,
     but an analysis with no usable dimension raises :class:`InvalidResponse`."""
     payload = {"task": "analyze", "video_ref": video_ref, "deconstruction": dec.to_dict()}
@@ -470,17 +470,15 @@ def assemble_sample(
     prompt: FreePrompt,
     negative_pool: ClipSet,
     rng: random.Random,
-    sample_id: str = "sample",
-    sampling: SlowFastConfig | None = None,
-    template: str | None = None,
+    sample_id: str,
+    sampling: SlowFastConfig,
+    template: str,
 ) -> DatasetSample:
     """Shuffle positives with drawn negatives, render the instruction and
     rebuild the ground-truth draft from the deconstruction. Nodes are packed
     from 0, so voice times move from source time by the first shot boundary."""
     if dec.shot_count() == 0 or not dec.asr_sentences:
         raise EmptyDeconstruction("deconstruction has no shots or no speech")
-    cfg = sampling or parse_preset(DEFAULT_SAMPLING_PRESET)
-    template = template or load_instruction_template()
 
     positive_durations = _positive_clips(dec)
     pool = list(negative_pool)
@@ -522,7 +520,7 @@ def assemble_sample(
 
     instruction = template.format(
         product_block=_product_block(product),
-        materials_block=_materials_block([d for _, d in presented], cfg),
+        materials_block=_materials_block([d for _, d in presented], sampling),
         free_prompt=prompt.rendered,
     )
 
@@ -542,9 +540,9 @@ def build_sample(
     backends: BackendSet,
     negative_pool: ClipSet,
     corpus_seed: int,
-    dropout_p: float = DEFAULT_DROPOUT_P,
-    sampling: SlowFastConfig | None = None,
-    template: str | None = None,
+    dropout_p: float,
+    sampling: SlowFastConfig,
+    template: str,
 ) -> DatasetSample:
     """Run the full per-video pipeline: deconstruct, analyze, generate,
     verify, assemble."""

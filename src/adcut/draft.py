@@ -249,25 +249,17 @@ def draft_from_dict(doc: Any) -> Draft:
 # serialization
 
 
-def nodes_track_to_list(track: Iterable[VideoNode]) -> list[dict]:
-    return [
-        {
-            "index": n.index,
-            "target_start": n.target_start,
-            "target_end": n.target_end,
-            "source_start": n.source_start,
-        }
-        for n in track
-    ]
-
-
 def draft_to_dict(d: Draft) -> dict:
     """Plain dict with the canonical key order."""
     return {
         "voice_over_track": [
             {"text": s.text, "target_start": s.target_start, "target_end": s.target_end} for s in d.voice_over_track
         ],
-        "video_nodes_track": nodes_track_to_list(d.video_nodes_track),
+        "video_nodes_track": [
+            {"index": n.index, "target_start": n.target_start, "target_end": n.target_end,
+             "source_start": n.source_start}
+            for n in d.video_nodes_track
+        ],
         "decoration_setting": d.decoration_setting.to_dict(),
     }
 

@@ -25,7 +25,6 @@ from adcut import backends as backends_module
 from adcut.backends import (
     GENERATE_MODES,
     ROLES,
-    BackendEndpoint,
     BackendError,
     BadStatus,
     Client,
@@ -78,20 +77,27 @@ class CountingTransport:
         return item
 
 
-def make_client(transport, retries=2):
-    ep = BackendEndpoint(base_url="http://unit.test", timeout_ms=1000, max_retries=retries)
-    return Client("generate", ep, transport=transport, sleeper=lambda s: None)
+@pytest.fixture
+def make_client(monkeypatch):
+    """``make(transport, retries=2)``: a generate client on ``http://unit.test`` that never sleeps,
+    with ``backends.MAX_RETRIES`` set to ``retries`` for the test."""
+
+    def make(transport, retries=2):
+        monkeypatch.setattr(backends_module, "MAX_RETRIES", retries)
+        return Client("generate", "http://unit.test", transport, sleeper=lambda s: None)
+
+    return make
 
 
 class TestClient:
-    def test_canonical_wire_bytes(self):
+    def test_canonical_wire_bytes(self, make_client):
         t1, t2 = CountingTransport([(200, b"{}")]), CountingTransport([(200, b"{}")])
         payload = {"b": 1, "a": [1, 2], "nested": {"y": None, "x": "é"}}
         make_client(t1).call(dict(payload))
         make_client(t2).call(json.loads(json.dumps(payload)))
         assert t1.bodies[0] == t2.bodies[0]
 
-    def test_retry_then_success(self):
+    def test_retry_then_success(self, make_client):
         transport = CountingTransport(
             [
                 TransportFailure("generate", "boom"),
@@ -104,39 +110,39 @@ class TestClient:
         assert transport.calls == 3
         assert result.data == {"ok": True}
 
-    def test_bad_status_after_exhausted_retries(self):
+    def test_bad_status_after_exhausted_retries(self, make_client):
         transport = CountingTransport([(500, b""), (500, b""), (500, b"")])
         with pytest.raises(BadStatus):
             make_client(transport, retries=2).call({})
         assert transport.calls == 3
 
-    def test_client_error_not_retried(self):
+    def test_client_error_not_retried(self, make_client):
         transport = CountingTransport([(404, b"")])
         with pytest.raises(BadStatus):
             make_client(transport, retries=5).call({})
         assert transport.calls == 1
 
-    def test_rate_limited_is_retried(self):
+    def test_rate_limited_is_retried(self, make_client):
         transport = CountingTransport([(429, b""), (200, b"{}")])
         result = make_client(transport, retries=2).call({})
         assert result.retries == 1
         assert transport.calls == 2
 
-    def test_non_json_response(self):
+    def test_non_json_response(self, make_client):
         transport = CountingTransport([(200, b"<html>")])
         with pytest.raises(InvalidResponse):
             make_client(transport).call({})
 
     @pytest.mark.parametrize("body", [b'{"draft":"\\ud800"}', b'{"\\udfff":1}', b'[["\\udbff\\u0041"]]'],
                              ids=["value", "key", "high-then-ascii"])
-    def test_a_lone_surrogate_in_a_response_is_not_retried(self, body):
+    def test_a_lone_surrogate_in_a_response_is_not_retried(self, body, make_client):
         transport = CountingTransport([(200, body)])
         with pytest.raises(InvalidResponse, match=r"^generate: non-JSON body: lone surrogate '\\ud[8-f][0-9a-f]{2}' "
                                                   r"in a string$"):
             make_client(transport, retries=2).call({})
         assert transport.calls == 1
 
-    def test_a_surrogate_pair_in_a_response_is_one_character(self):
+    def test_a_surrogate_pair_in_a_response_is_one_character(self, make_client):
         transport = CountingTransport([(200, b'{"draft":"\\ud83c\\udfac"}')])
         assert make_client(transport).call({}).data == {"draft": "\U0001f3ac"}
 
@@ -145,14 +151,13 @@ class TestClient:
         transport = CountingTransport(
             [TransportFailure("generate", "x"), TransportFailure("generate", "x"), (200, b"{}")]
         )
-        ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
-        client = Client("generate", ep, transport=transport, sleeper=sleeps.append)
+        client = Client("generate", "http://unit.test", transport, sleeper=sleeps.append)
         client.call({})
         assert len(sleeps) == 2
         assert 0.25 * 0.8 <= sleeps[0] <= 0.25 * 1.2
         assert 0.5 * 0.8 <= sleeps[1] <= 0.5 * 1.2
 
-    def test_calls_are_not_capped_below_the_caller_threads(self):
+    def test_calls_are_not_capped_below_the_caller_threads(self, make_client):
         # every call waits until all 12 are in flight at once; a limit on
         # in-flight calls below 12 breaks the barrier
         barrier = threading.Barrier(12, timeout=5)
@@ -180,7 +185,19 @@ class TestGenerate:
         assert isinstance(draft_json, bytes)
         assert loads(draft_json) == GT_DRAFT
 
-    def test_missing_draft_field(self):
+    @pytest.mark.parametrize("draft, recorded", [
+        ([1, True, None], b"[1,true,null]"),
+        (True, b"true"),
+        (None, b"null"),
+        (2.5, b"2.5"),
+        ('{"voice_over_track": []}', b'{"voice_over_track": []}'),
+    ], ids=["list", "true", "null", "number", "string"])
+    def test_a_draft_that_is_no_object_is_recorded_as_its_json(self, make_client, draft, recorded):
+        # a string is the draft's text as sent; any other value is its canonical JSON, never Python's repr
+        transport = CountingTransport([(200, dumps_canonical({"draft": draft}))])
+        assert generate_draft({"sample_id": "s1"}, make_client(transport)) == recorded
+
+    def test_missing_draft_field(self, make_client):
         transport = CountingTransport([(200, b'{"something": 1}')])
         with pytest.raises(InvalidResponse):
             generate_draft({"sample_id": "s1"}, make_client(transport))
@@ -212,7 +229,7 @@ class TestJudgeScore:
         with pytest.raises(MalformedScores):
             judge_score({}, "script_quality_eval", client)
 
-    def test_rubric_hash_stable_and_in_payload(self):
+    def test_rubric_hash_stable_and_in_payload(self, make_client):
         h1, h2 = rubric_hash("free_prompt_eval"), rubric_hash("free_prompt_eval")
         assert h1 == h2
         assert "selling_points_emphasis" in rubric_text("free_prompt_eval")
@@ -222,7 +239,7 @@ class TestJudgeScore:
         assert sent["rubric_sha256"] == h1
 
     @pytest.mark.parametrize("rubric_id", sorted(RUBRICS))
-    def test_judge_calls_reuse_the_rubric_hash(self, rubric_id, monkeypatch):
+    def test_judge_calls_reuse_the_rubric_hash(self, rubric_id, monkeypatch, make_client):
         prompt = Path(backends_module.__file__).parent / "prompts" / RUBRICS[rubric_id][0]
         expected = hashlib.sha256(prompt.read_bytes()).hexdigest()
         transport = CountingTransport([(200, dumps_canonical({"scores": {}}))] * 2)
@@ -251,7 +268,7 @@ class TestEmbed:
 
     def test_normalizes_non_unit_response(self):
         transport = CountingTransport([(200, dumps_canonical(packed_vectors([[3.0, 4.0]])))])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        client = Client("embed", "http://unit.test", transport=transport)
         (v,) = embed(["x"], client)
         assert v.tolist() == [0.6, 0.8]
 
@@ -287,7 +304,7 @@ class TestEmbed:
     )
     def test_a_misshapen_answer_is_an_invalid_response(self, answer, reason):
         transport = CountingTransport([(200, answer)])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        client = Client("embed", "http://unit.test", transport=transport)
         with pytest.raises(InvalidResponse) as raised:
             embed(["a"], client)
         assert str(raised.value) == f"embed: {reason}"
@@ -296,14 +313,14 @@ class TestEmbed:
     def test_a_non_finite_value_fails_before_an_earlier_zero_vector(self, rows):
         # the whole answer is checked for finite values first, then each vector's norm
         transport = CountingTransport([(200, dumps_canonical(packed_vectors(rows)))])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        client = Client("embed", "http://unit.test", transport=transport)
         with pytest.raises(InvalidResponse, match="^embed: a vector is not a list of finite numbers$"):
             embed(["a", "b"], client)
 
     @pytest.mark.parametrize("rows", [[[1e200, 1e200]], [[1.0, 0.0], [1e300, -1e300]]], ids=["one", "second"])
     def test_an_overflowing_norm_is_an_invalid_response_and_prints_nothing(self, rows, capfd):
         transport = CountingTransport([(200, dumps_canonical(packed_vectors(rows)))])
-        client = Client("embed", BackendEndpoint("http://unit.test"), transport=transport)
+        client = Client("embed", "http://unit.test", transport=transport)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidResponse, match="^embed: a vector's norm overflows$"):
@@ -329,8 +346,8 @@ class TestEmbed:
 
         body = dumps_canonical(packed_vectors(rows))
         clients = [lambda: Client("embed", MOCK_ENDPOINT, transport=mock),
-                   lambda: Client("embed", BackendEndpoint("http://unit.test"), transport=Wrapping()),
-                   lambda: Client("embed", BackendEndpoint("http://unit.test"),
+                   lambda: Client("embed", "http://unit.test", transport=Wrapping()),
+                   lambda: Client("embed", "http://unit.test",
                                   transport=CountingTransport([(200, body)]))]
         with patch.object(backends_module, "hashed_unit_vector", lambda text, seed: np.array(table[text])):
             assert mock.answer("embed", {"inputs": inputs}) == packed_vectors(rows)  # the rows' bytes, as they are
@@ -417,8 +434,7 @@ class TestMockMiss:
                 sends.append(args[0])
                 return mock.send(*args)
 
-        ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
-        client = Client(role, ep, transport=mock if in_process else Recording(), sleeper=sleeps.append)
+        client = Client(role, "http://unit.test", mock if in_process else Recording(), sleeper=sleeps.append)
         with pytest.raises(BackendError) as info:
             client.call(payload)
         assert not info.value.retryable
@@ -486,11 +502,10 @@ def test_a_handler_fault_is_a_non_retryable_backend_error_of_the_role(role, fixt
         def send(self, *args):
             return mock.send(*args)
 
-    ep = BackendEndpoint(base_url="http://unit.test", max_retries=2)
     sleeps = []
     calls = [lambda: mock.send(role, "", dumps_canonical(payload), {}, 1.0),
              lambda: Client(role, MOCK_ENDPOINT, transport=mock).call(payload),
-             lambda: Client(role, ep, transport=Wrapping(), sleeper=sleeps.append).call(payload)]
+             lambda: Client(role, "http://unit.test", Wrapping(), sleeper=sleeps.append).call(payload)]
     for call in calls:
         with pytest.raises(BackendError) as info:
             call()
@@ -521,20 +536,17 @@ def test_a_request_with_no_json_encoding_fails_unretried_before_any_send(kind):
             return super().send(*args)
 
     transport = {"bare-mock": mock, "subclassed-mock": Subclassed(3), "wrapped-mock": Wrapping(), "http": Http()}[kind]
-    ep = BackendEndpoint(base_url="http://127.0.0.1:9", max_retries=2)
     with pytest.raises(BackendError, match=r"^embed: cannot (encode|answer) the request: UnicodeEncodeError: ") as info:
-        Client("embed", ep, transport=transport, sleeper=sleeps.append).call({"inputs": ["\ud800"]})
+        Client("embed", "http://127.0.0.1:9", transport, sleeper=sleeps.append).call({"inputs": ["\ud800"]})
     assert type(info.value) is BackendError and not info.value.retryable
     assert (sends, sleeps) == ([], [])
 
 
 # a client-side argument that no backend is asked about, and the ValueError it raises
 @pytest.mark.parametrize("call, message", [
-    (lambda t: BackendEndpoint(base_url="http://unit.test", timeout_ms=0), "timeout_ms must be > 0"),
-    (lambda t: BackendEndpoint(base_url="http://unit.test", max_retries=-1), "max_retries must be >= 0"),
     (lambda t: Client("tts", MOCK_ENDPOINT, transport=t), "unknown backend role 'tts'"),
-    (lambda t: embed([], make_client(t)), "embed requires at least one input"),
-], ids=["zero-timeout", "negative-retries", "unknown-role", "embed-no-inputs"])
+    (lambda t: embed([], Client("embed", "http://unit.test", t)), "embed requires at least one input"),
+], ids=["unknown-role", "embed-no-inputs"])
 def test_a_bad_client_argument_is_a_value_error_before_any_send(call, message):
     transport = CountingTransport([])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -723,19 +735,21 @@ class _EchoHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_real_http_roundtrip():
+def test_real_http_roundtrip(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         port = server.server_address[1]
         with HttpTransport() as http:
-            client = Client("judge", BackendEndpoint(base_url=f"http://127.0.0.1:{port}", max_retries=0), http)
+            monkeypatch.setattr(backends_module, "MAX_RETRIES", 0)
+            client = Client("judge", f"http://127.0.0.1:{port}", http)
             result = client.call({"ping": 1})
         assert result.data["echo"] == {"ping": 1}
         assert result.data["path"] == "/v1/judge"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +814,17 @@ def serving(mock=None, statuses=(), close_each=False):
     assert not thread.is_alive()
 
 
-def http_client(transport, url, timeout_ms=5000, retries=0):
-    ep = BackendEndpoint(base_url=url, timeout_ms=timeout_ms, max_retries=retries)
-    return Client("embed", ep, transport=transport, sleeper=lambda s: None)
+@pytest.fixture
+def http_client(monkeypatch):
+    """``make(transport, url, timeout_s=5.0, retries=0)``: an embed client at ``url`` that never sleeps,
+    with ``backends.TIMEOUT_S`` and ``backends.MAX_RETRIES`` set for the test."""
+
+    def make(transport, url, timeout_s=5.0, retries=0):
+        monkeypatch.setattr(backends_module, "TIMEOUT_S", timeout_s)
+        monkeypatch.setattr(backends_module, "MAX_RETRIES", retries)
+        return Client("embed", url, transport, sleeper=lambda s: None)
+
+    return make
 
 
 @pytest.fixture(scope="module")
@@ -864,7 +886,7 @@ def scripted(*replies):
 
 
 class TestHttpTransport:
-    def test_sequential_calls_share_one_connection(self):
+    def test_sequential_calls_share_one_connection(self, http_client):
         with serving() as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
             results = [client.call({"inputs": [f"text {i}"]}) for i in range(20)]
@@ -899,7 +921,7 @@ class TestHttpTransport:
         assert capsys.readouterr().out == http_report
         assert len(server.peers) == 1
 
-    def test_split_write_server_does_not_stall_a_reused_connection(self):
+    def test_split_write_server_does_not_stall_a_reused_connection(self, http_client):
         # a delayed ACK per reused call (about 40 ms each) would take at least 0.8 s
         with serving() as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
@@ -911,30 +933,30 @@ class TestHttpTransport:
         assert len(server.peers) == 1
         assert elapsed < 0.5
 
-    def test_a_connection_the_server_closed_is_reopened_without_a_retry(self):
+    def test_a_connection_the_server_closed_is_reopened_without_a_retry(self, http_client):
         with serving(close_each=True) as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
             retries = [client.call({"inputs": [f"text {i}"]}).retries for i in range(3)]
         assert retries == [0, 0, 0]
         assert len(server.peers) == 3
 
-    def test_unavailable_then_ok_is_one_retry_on_the_same_connection(self):
+    def test_unavailable_then_ok_is_one_retry_on_the_same_connection(self, http_client):
         with serving(statuses=[503]) as server, HttpTransport() as transport:
             result = http_client(transport, server.url, retries=2).call({"inputs": ["x"]})
         assert result.retries == 1
         assert len(server.peers) == 1
 
-    def test_a_server_that_never_answers_times_out(self):
+    def test_a_server_that_never_answers_times_out(self, http_client):
         # the listener's backlog completes the connection; nothing ever reads the request
         with socket.create_server(("127.0.0.1", 0)) as listener, HttpTransport() as transport:
-            client = http_client(transport, f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_ms=200)
+            client = http_client(transport, f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_s=0.2)
             started = time.monotonic()
             with pytest.raises(RequestTimeout):
                 client.call({"inputs": ["x"]})
             elapsed = time.monotonic() - started
         assert 0.15 <= elapsed < 1.0  # 200 ms, with slack for a loaded host
 
-    def test_a_refused_connection_is_a_transport_failure(self):
+    def test_a_refused_connection_is_a_transport_failure(self, http_client):
         with socket.create_server(("127.0.0.1", 0)) as closed:
             port = closed.getsockname()[1]
         with HttpTransport() as transport, pytest.raises(TransportFailure):
@@ -949,9 +971,8 @@ class TestHttpTransport:
                 sends.append(args[1])
                 return super().send(*args)
 
-        ep = BackendEndpoint(base_url=url, max_retries=2)
         with Recording() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
-            Client("embed", ep, transport=transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+            Client("embed", url, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
         assert not info.value.retryable
         assert (sends, sleeps) == ([url.rstrip("/") + "/v1/embed"], [])
 
@@ -965,22 +986,20 @@ class TestHttpTransport:
             raise ConnectionRefusedError
 
         monkeypatch.setattr(socket, "create_connection", dial)
-        ep = BackendEndpoint(base_url=f"http://127.0.0.1:{port}", max_retries=2)
         with HttpTransport() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
-            Client("embed", ep, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+            Client("embed", f"http://127.0.0.1:{port}", transport, sleeper=sleeps.append).call({"inputs": ["x"]})
         assert not info.value.retryable
         assert (dialled, sleeps) == ([], [])
 
     def test_a_url_with_user_info_is_never_dialled(self, monkeypatch):
         dialled, sleeps = [], []
         monkeypatch.setattr(socket, "create_connection", lambda address, *args, **kwargs: dialled.append(address))
-        ep = BackendEndpoint(base_url="http://user:pw@127.0.0.1:9", max_retries=2)
         with HttpTransport() as transport, pytest.raises(BackendError, match="unsupported URL") as info:
-            Client("embed", ep, transport, sleeper=sleeps.append).call({"inputs": ["x"]})
+            Client("embed", "http://user:pw@127.0.0.1:9", transport, sleeper=sleeps.append).call({"inputs": ["x"]})
         assert not info.value.retryable
         assert (dialled, sleeps) == ([], [])
 
-    def test_the_request_is_one_write_with_host_and_identity_encoding(self):
+    def test_the_request_is_one_write_with_host_and_identity_encoding(self, http_client):
         with scripted(OK) as server, HttpTransport() as transport:
             http_client(transport, server.url).call({"inputs": ["x"]})
         body = dumps_canonical({"inputs": ["x"]})
@@ -989,7 +1008,7 @@ class TestHttpTransport:
             b"Content-Length: %d\r\nContent-Type: application/json\r\n\r\n" % len(body) + body
         ]
 
-    def test_a_chunked_body_with_a_trailer_keeps_the_connection(self):
+    def test_a_chunked_body_with_a_trailer_keeps_the_connection(self, http_client):
         chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                    b"5;name=value\r\n{\"a\":\r\n2\r\n1}\r\n0\r\nX-Checksum: 1\r\n\r\n")
         with scripted(chunked, OK) as server, HttpTransport() as transport:
@@ -997,14 +1016,14 @@ class TestHttpTransport:
             assert [client.call({}).data for _ in range(2)] == [{"a": 1}, {"ok": True}]
         assert server.peers == 1
 
-    def test_a_body_delimited_by_the_server_closing_ends_the_connection(self):
+    def test_a_body_delimited_by_the_server_closing_ends_the_connection(self, http_client):
         with scripted((b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"a\":2}", True), OK) as server, \
                 HttpTransport() as transport:
             client = http_client(transport, server.url)
             assert [client.call({}).data for _ in range(2)] == [{"a": 2}, {"ok": True}]
         assert server.peers == 2
 
-    def test_a_new_connection_closed_without_a_response_is_a_transport_failure_retried_anew(self):
+    def test_a_new_connection_closed_without_a_response_is_a_transport_failure_retried_anew(self, http_client):
         # only a reused connection is reopened inside the transport; a new one fails the attempt
         with scripted((b"", True)) as server, HttpTransport() as transport:
             with pytest.raises(TransportFailure, match="^embed: the server closed the connection without a response$"):
@@ -1015,19 +1034,19 @@ class TestHttpTransport:
         assert (result.data, result.retries, server.peers) == ({"ok": True}, 1, 2)
 
     @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK\r\nConnection: close", b"HTTP/1.0 200 OK"])
-    def test_a_response_that_closes_makes_the_next_call_open_a_new_connection(self, head):
+    def test_a_response_that_closes_makes_the_next_call_open_a_new_connection(self, head, http_client):
         # the server keeps the connection open: only the client can have dropped it
         with scripted(head + b"\r\nContent-Length: 7\r\n\r\n{\"a\":3}", OK) as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
             assert [client.call({}).data for _ in range(2)] == [{"a": 3}, {"ok": True}]
         assert server.peers == 2
 
-    def test_a_status_line_without_a_reason_phrase_is_accepted(self):
+    def test_a_status_line_without_a_reason_phrase_is_accepted(self, http_client):
         with scripted(b"HTTP/1.1 200\r\nContent-Length: 11\r\n\r\n{\"ok\":true}") as server, \
                 HttpTransport() as transport:
             assert http_client(transport, server.url).call({}).data == {"ok": True}
 
-    def test_exactly_100_headers_are_accepted(self):
+    def test_exactly_100_headers_are_accepted(self, http_client):
         reply = b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 99 + b"Content-Length: 11\r\n\r\n{\"ok\":true}"
         with scripted(reply) as server, HttpTransport() as transport:
             assert http_client(transport, server.url).call({}).data == {"ok": True}
@@ -1040,7 +1059,7 @@ class TestHttpTransport:
             assert transport.send("embed", url, b"{}", {}, 2.0) == (200, b'{"ok":true}')
         assert server.peers == 1
 
-    def test_an_interim_continue_is_skipped(self):
+    def test_an_interim_continue_is_skipped(self, http_client):
         with scripted(b"HTTP/1.1 100 Continue\r\n\r\n" + OK) as server, HttpTransport() as transport:
             assert http_client(transport, server.url).call({}).data == {"ok": True}
 
@@ -1063,7 +1082,7 @@ class TestHttpTransport:
     ], ids=["short body", "short body of a huge length", "bad status line", "long header line", "101 headers",
             "negative chunk size", "header without colon", "non-digit Content-Length",
             "Content-Length past int()'s digit limit", "chunk without CRLF"])
-    def test_a_malformed_response_is_a_transport_failure_that_drops_the_connection(self, reply, reason):
+    def test_a_malformed_response_is_a_transport_failure_that_drops_the_connection(self, reply, reason, http_client):
         with scripted(reply, OK) as server, HttpTransport() as transport:
             client = http_client(transport, server.url)
             with pytest.raises(TransportFailure, match=reason):
@@ -1071,7 +1090,7 @@ class TestHttpTransport:
             assert client.call({}).data == {"ok": True}
         assert server.peers == 2
 
-    def test_https_verifies_with_the_default_context_and_the_host_name(self, monkeypatch):
+    def test_https_verifies_with_the_default_context_and_the_host_name(self, monkeypatch, http_client):
         import ssl
 
         contexts, wrapped = [], []
@@ -1093,7 +1112,7 @@ class TestHttpTransport:
         assert wrapped == ["127.0.0.1", "127.0.0.1"]
 
     @pytest.mark.parametrize("refused_by", ["listener", "context"])
-    def test_a_failed_tls_wrap_closes_its_socket_and_keeps_no_connection(self, refused_by, monkeypatch):
+    def test_a_failed_tls_wrap_closes_its_socket_and_keeps_no_connection(self, refused_by, monkeypatch, http_client):
         # the listener answers the client hello with plain HTTP and hangs up; the context
         # refuses before it takes the socket over, so only the transport can close it
         import ssl

@@ -284,12 +284,25 @@ def test_the_out_flag_beats_the_dataset_out_key_which_beats_no_output(capsys, tm
     ini = tmp_path / "cfg.ini"
     ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n")
     assert run(capsys, "build-dataset", "--config", str(ini)) == (2, "", "error: an output path is required\n")
+    ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n[dataset]\nout =\n")
+    assert run(capsys, "build-dataset", "--config", str(ini)) == (2, "", "error: an output path is required\n")
     ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n[dataset]\nout = {configured}\n")
     assert run(capsys, "build-dataset", "--config", str(ini))[0] == 0
     corpus = configured.read_bytes()
     configured.unlink()
     assert run(capsys, "build-dataset", "--config", str(ini), "--out", str(flagged))[0] == 0
     assert flagged.read_bytes() == corpus and not configured.exists()
+
+
+def test_a_relative_dataset_out_is_read_from_the_config_directory(capsys, tmp_path, monkeypatch):
+    conf, cwd = tmp_path / "conf", tmp_path / "run"
+    conf.mkdir()
+    cwd.mkdir()
+    ini = conf / "cfg.ini"
+    ini.write_text(f"[paths]\nfixtures = {FIX / 'videos.json'}\n[dataset]\nout = corpus.jsonl\n")
+    monkeypatch.chdir(cwd)
+    assert run(capsys, "build-dataset", "--config", str(ini))[0] == 0
+    assert (conf / "corpus.jsonl").exists() and not (cwd / "corpus.jsonl").exists()
 
 
 class TestBuildDataset:
@@ -810,7 +823,7 @@ class TestEvaluateRunner:
         assert err.splitlines() == [f"warning: {s.sample_id}: embed: HTTP status {status}"
                                     for s in read_corpus(corpus_path)]
         records = [json.loads(line) for line in pred.read_text().splitlines()]
-        assert attempts == [vsr_inputs(corpus_path, records)] * (backends.BackendEndpoint("").max_retries + 1)
+        assert attempts == [vsr_inputs(corpus_path, records)] * (backends.MAX_RETRIES + 1)
 
     @pytest.mark.parametrize("fault, reason", [
         ("status", "HTTP status 400"),

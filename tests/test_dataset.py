@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -12,6 +13,7 @@ from adcut import sampling
 from adcut.backends import RUBRICS, Client, InvalidResponse, MOCK_ENDPOINT, mock_backend
 from adcut.clips import ClipMeta, ClipSet
 from adcut.dataset import (
+    DEFAULT_DROPOUT_P,
     FREE_PROMPT_DIMENSIONS,
     AsrOverlapWarning,
     AsrSentence,
@@ -70,6 +72,11 @@ ANALYSIS = {
     "tts_timbre": "young female voice",
     "music_style": "upbeat pop",
 }
+
+# the sampling preset and template that build-dataset passes when none is configured
+SAMPLING = sampling.parse_preset(sampling.DEFAULT_SAMPLING_PRESET)
+TEMPLATE = load_instruction_template()
+assemble = functools.partial(assemble_sample, sampling=SAMPLING, template=TEMPLATE)
 
 
 def pool(n=6):
@@ -301,7 +308,7 @@ class TestAnalyze:
 
     def test_entries_for_all_dimensions(self):
         judge = mock_backend_set(7).judge
-        analysis = analyze_dimensions(DEC, judge)
+        analysis = analyze_dimensions(DEC, judge, video_ref=None)
         assert set(analysis) == {
             "duration", "visual_storyline", "target_audience", "script_routine",
             "selling_points_emphasis", "avatar", "tts_timbre", "music_style",
@@ -315,14 +322,14 @@ class TestAnalyze:
             shot_captions=(),
             recommended_tags=DEC.recommended_tags,
         )
-        analysis = analyze_dimensions(bare, mock_backend_set(7).judge)
+        analysis = analyze_dimensions(bare, mock_backend_set(7).judge, video_ref=None)
         assert analysis["visual_storyline"] is None
 
     def test_a_judge_storyline_is_kept_only_when_there_are_captions(self):
         judge = Client("judge", MOCK_ENDPOINT, transport=FixedAnswer({"analysis": ANALYSIS}))
         bare = dataclasses.replace(DEC, shot_captions=())
-        assert analyze_dimensions(DEC, judge)["visual_storyline"] == ANALYSIS["visual_storyline"]
-        assert analyze_dimensions(bare, judge)["visual_storyline"] is None
+        assert analyze_dimensions(DEC, judge, video_ref=None)["visual_storyline"] == ANALYSIS["visual_storyline"]
+        assert analyze_dimensions(bare, judge, video_ref=None)["visual_storyline"] is None
 
 
 class TestAssemble:
@@ -339,14 +346,14 @@ class TestAssemble:
 
     def test_zero_negatives_permutation_of_positives(self):
         empty_pool = ClipSet([])
-        sample = assemble_sample(DEC, PRODUCT, self.prompt(), empty_pool, random.Random(4), sample_id="s")
+        sample = assemble(DEC, PRODUCT, self.prompt(), empty_pool, random.Random(4), sample_id="s")
         assert sorted(sample.clip_order) == ["pos:0", "pos:1"]
         assert sample.negatives == ()
         assert len(sample.ground_truth.video_nodes_track) == 2
 
     def test_ground_truth_maps_back_to_source_order(self):
         rng = random.Random(11)
-        sample = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), rng, sample_id="s")
+        sample = assemble(DEC, PRODUCT, self.prompt(), pool(), rng, sample_id="s")
         order = list(sample.clip_order)
         gt_indices = [n.index for n in sample.ground_truth.video_nodes_track]
         assert [order[i] for i in gt_indices] == ["pos:0", "pos:1"]
@@ -354,15 +361,15 @@ class TestAssemble:
         assert durations == [2500, 3500]
 
     def test_fixed_seed_deterministic(self):
-        a = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(9), sample_id="s")
-        b = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(9), sample_id="s")
+        a = assemble(DEC, PRODUCT, self.prompt(), pool(), random.Random(9), sample_id="s")
+        b = assemble(DEC, PRODUCT, self.prompt(), pool(), random.Random(9), sample_id="s")
         assert a == b
 
     def test_pool_smaller_than_draw_caps(self):
         tiny = ClipSet([ClipMeta(0, 2.0, 60)])
         capped_seen = False
         for seed in range(40):
-            sample = assemble_sample(DEC, PRODUCT, self.prompt(), tiny, random.Random(seed), sample_id="s")
+            sample = assemble(DEC, PRODUCT, self.prompt(), tiny, random.Random(seed), sample_id="s")
             assert len(sample.negatives) <= 1
             capped_seen = capped_seen or sample.negatives_capped
         assert capped_seen
@@ -370,7 +377,7 @@ class TestAssemble:
     def test_ground_truth_always_valid_and_negative_free(self):
         for seed in range(50):
             rng = random.Random(seed)
-            sample = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), rng, sample_id=f"s{seed}")
+            sample = assemble(DEC, PRODUCT, self.prompt(), pool(), rng, sample_id=f"s{seed}")
             assert validate_draft(sample.ground_truth).ok
             gt = set(n.index for n in sample.ground_truth.video_nodes_track)
             assert not (gt & set(sample.negatives))
@@ -380,30 +387,30 @@ class TestAssemble:
         clip_pool = pool()
         prompt = self.prompt()
         for seed in range(10000):
-            sample = assemble_sample(DEC, PRODUCT, prompt, clip_pool, random.Random(seed), sample_id=f"s{seed}")
+            sample = assemble(DEC, PRODUCT, prompt, clip_pool, random.Random(seed), sample_id=f"s{seed}")
             gt = {n.index for n in sample.ground_truth.video_nodes_track}
             assert not (gt & set(sample.negatives))
             assert sorted(gt | set(sample.negatives)) == list(range(len(sample.clip_order)))
 
     def test_instruction_contains_blocks(self):
-        sample = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s")
+        sample = assemble(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s")
         assert "SoundPod Mini" in sample.instruction
         assert "<image>" in sample.instruction
         assert "Video duration: about 6 seconds" in sample.instruction
         assert sample.instruction.count("Clip ") == len(sample.clip_order)
 
     def test_the_materials_block_builds_no_per_clip_record(self, monkeypatch):
-        expected = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s").instruction
+        expected = assemble(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s").instruction
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the materials block builds a per-clip sampling record")
 
         for name in ("ClipPlan", "PathwaySample", "plan_clip"):
             monkeypatch.setattr(sampling, name, forbidden)
-        sample = assemble_sample(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s")
+        sample = assemble(DEC, PRODUCT, self.prompt(), pool(), random.Random(2), sample_id="s")
         assert sample.instruction == expected
         # a 2.5 s clip at the default 2 fps: 5 fast frames; 0.5 fps: 1 slow frame
-        block = dataset_module._materials_block([2500], sampling.parse_preset(dataset_module.DEFAULT_SAMPLING_PRESET))
+        block = dataset_module._materials_block([2500], SAMPLING)
         assert block == f"Clip 0 (duration 2.5s): fast frames: {' '.join(['<image>'] * 5)}; slow frames: <image>"
 
     def test_empty_deconstruction(self):
@@ -415,7 +422,7 @@ class TestAssemble:
             recommended_tags=DecorationSetting(),
         )
         with pytest.raises(EmptyDeconstruction):
-            assemble_sample(bare, PRODUCT, self.prompt(), pool(), random.Random(0), sample_id="s")
+            assemble(bare, PRODUCT, self.prompt(), pool(), random.Random(0), sample_id="s")
 
 
 class TestCorpusIO:
@@ -426,7 +433,8 @@ class TestCorpusIO:
             for e in video_fixtures["negative_pool"]
         )
         samples = [
-            build_sample(ref, PRODUCT, backends, negative_pool, corpus_seed=7)
+            build_sample(ref, PRODUCT, backends, negative_pool, corpus_seed=7, dropout_p=DEFAULT_DROPOUT_P,
+                         sampling=SAMPLING, template=TEMPLATE)
             for ref in ("vid-earbuds", "vid-blender")
         ]
         path = tmp_path / "corpus.jsonl"
@@ -451,7 +459,8 @@ def test_build_sample_end_to_end_deterministic(video_fixtures):
     outs = []
     for _ in range(2):
         backends = mock_backend_set(7, json.loads(json.dumps(video_fixtures)))
-        sample = build_sample("vid-serum", PRODUCT, backends, negative_pool, corpus_seed=7)
+        sample = build_sample("vid-serum", PRODUCT, backends, negative_pool, corpus_seed=7,
+                              dropout_p=DEFAULT_DROPOUT_P, sampling=SAMPLING, template=TEMPLATE)
         outs.append(dumps_canonical(sample.to_dict()))
     assert outs[0] == outs[1]
     sample = DatasetSample.from_dict(loads(outs[0]))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adcut import metrics
-from adcut.backends import BackendEndpoint, BadStatus, Client, MalformedScores, mock_backend
+from adcut.backends import MAX_RETRIES, BadStatus, Client, MalformedScores, mock_backend
 from adcut.dataset import DatasetSample
 from adcut.draft import DecorationSetting, Draft, VideoNode, VoiceSentence, serialize_draft
 from adcut.jsonutil import dumps_canonical, loads
@@ -256,7 +256,7 @@ class AnswerTransport:
 
 
 def embed_client(table, dim=4):
-    return Client("embed", BackendEndpoint("mock://fixed"), transport=FixedEmbedTransport(table, dim))
+    return Client("embed", "mock://fixed", transport=FixedEmbedTransport(table, dim))
 
 
 def vsr_alone(s, client):
@@ -332,7 +332,7 @@ class TestVsr:
         voice = tuple(VoiceSentence(f"s{i}", 1000 * i, 1000 * i + 1000) for i in range(n_sentences))
         draft = Draft(voice, draft_with([0]).video_nodes_track, DecorationSetting())
         s = EvalSample("s", draft, draft, frames=tuple(f"f{i}" for i in range(len(frames))))
-        client = Client("embed", BackendEndpoint("mock://fixed"), transport=AnswerTransport(script + frames))
+        client = Client("embed", "mock://fixed", transport=AnswerTransport(script + frames))
         assert vsr_alone(s, client) == reference_vsr(s, client)
 
     def test_requires_script_and_frames(self):
@@ -396,8 +396,8 @@ def chunk_ids(samples):
 class TestVsrChunks:
     @given(st.lists(vsr_samples(), max_size=8), st.integers(1, 20))
     def test_each_chunk_is_one_request_of_whole_samples_scored_as_the_reference(self, samples, limit):
-        recording = Client("embed", BackendEndpoint("mock://fixed"), transport=RecordingTransport(7))
-        alone = Client("embed", BackendEndpoint("mock://fixed"), transport=mock_backend(7, {}))
+        recording = Client("embed", "mock://fixed", transport=RecordingTransport(7))
+        alone = Client("embed", "mock://fixed", transport=mock_backend(7, {}))
         with mock.patch.object(metrics, "VSR_CHUNK_INPUTS", limit):
             chunks = list(vsr_chunks(samples))
         assert [s for chunk in chunks for s, _ in chunk] == samples
@@ -428,14 +428,14 @@ class TestVsrChunks:
     @pytest.mark.parametrize("status", [429, 503])
     def test_a_request_that_spends_its_retries_fails_each_sample_with_no_more_requests(self, status):
         transport = StatusTransport(status)
-        client = Client("embed", BackendEndpoint("http://embed.test"), transport=transport, sleeper=lambda _: None)
+        client = Client("embed", "http://embed.test", transport=transport, sleeper=lambda _: None)
         scriptless = Draft((), draft_with([0]).video_nodes_track, DecorationSetting())
         chunk = [(s, vsr_inputs(s)) for s in (
             EvalSample("s", draft_with([0]), draft_with([0]), frames=("f0",)),
             EvalSample("t", scriptless, scriptless, frames=("f0",)),
             EvalSample("u", draft_with([0]), None, frames=("f1", "f2")))]
         scores = chunk_vsr(chunk, client)
-        assert transport.requests == client.endpoint.max_retries + 1  # the chunk's own schedule, no per-sample one
+        assert transport.requests == MAX_RETRIES + 1  # the chunk's own schedule, no per-sample one
         assert scores[1] == 0.0 and scores[0] is scores[2] and str(scores[0]) == f"embed: HTTP status {status}"
 
     def test_chunks_fill_up_to_the_limit_in_order(self, monkeypatch):
@@ -458,7 +458,7 @@ class RubricScoresTransport:
 
 
 def judge_client(scores):
-    return Client("judge", BackendEndpoint("mock://fixed"), transport=RubricScoresTransport(scores))
+    return Client("judge", "mock://fixed", transport=RubricScoresTransport(scores))
 
 
 class TestEvalSample:
@@ -504,7 +504,7 @@ class TestScoreSample:
             def send(self, role, url, body, headers, timeout_s):
                 return 400, b"{}"
 
-        judge = Client("judge", BackendEndpoint("mock://fixed"), transport=Refusing())
+        judge = Client("judge", "mock://fixed", transport=Refusing())
         with pytest.raises(BadStatus, match="^judge: HTTP status 400$"):
             score_sample(sample([0], [0]), judge, BadStatus("embed", 400))
 
@@ -516,7 +516,7 @@ class TestScoreSample:
                 sent.append(loads(body)["rubric_id"])
                 return super().send(role, url, body, headers, timeout_s)
 
-        judge = Client("judge", BackendEndpoint("mock://fixed"),
+        judge = Client("judge", "mock://fixed",
                        transport=Recording({"free_prompt_eval": {}, "script_quality_eval": {}}))
         failed = BadStatus("embed", 400)
         with pytest.raises(BadStatus) as caught:
